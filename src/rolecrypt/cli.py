@@ -45,7 +45,10 @@ def _parse_profiles(spec: str) -> tuple[str, ...]:
         return tuple(all_scheme_pairs())
     profiles = tuple(p.strip() for p in spec.split(",") if p.strip())
     for p in profiles:
-        scheme_profile(p)  # raises KeyError on unknown names
+        try:
+            scheme_profile(p)
+        except KeyError:
+            raise ValueError(f"unknown scheme profile {p!r}") from None
     return profiles
 
 
@@ -63,7 +66,6 @@ def cmd_cost_table(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     variants = ("ibe", "pki") if args.variant == "both" else (args.variant,)
-    rng = random.Random(args.seed)
     failures = 0
     for i in range(args.traces):
         trace_rng = random.Random(derive_seed(args.seed, i))
@@ -250,8 +252,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except KeyError as e:
-        print(f"error: unknown scheme profile {e}", file=sys.stderr)
+    except ValueError as e:  # an unknown profile or a malformed dataset file
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:
         print(f"error: {e}", file=sys.stderr)

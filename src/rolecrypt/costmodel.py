@@ -11,10 +11,11 @@ Two layers:
 
 Scheme data lives in ``data/schemes.json``: per-operation group-operation
 counts for eight identity-based encryption schemes and five identity-based
-signature schemes, plus the relative cost of each group operation.  Key and
-ciphertext sizes are carried along for completeness but nothing here consumes
-them.  Symmetric primitives are treated as free; the conventional public-key
-variant is priced by mapping its counters onto the identity-based ones.
+signature schemes, plus the relative cost of each group operation.  The file
+also transcribes the published key, ciphertext and signature sizes; pricing
+reads only the operation counts.  Symmetric primitives are treated as free;
+the conventional public-key variant is priced by mapping its counters onto
+the identity-based ones.
 """
 
 from __future__ import annotations
@@ -249,7 +250,6 @@ class SchemeProfile:
     enc_scheme: str
     sig_scheme: str
     op_costs: Mapping[str, Fraction]
-    sizes: Mapping[str, GroupOps]
 
     def unit_cost(self, op: str) -> Fraction:
         op = PKI_TO_IBE.get(op, op)
@@ -299,13 +299,7 @@ def scheme_profile(pair: str) -> SchemeProfile:
         "ibs_sign": ratios.units(GroupOps(*sig["sign"])),
         "ibs_ver": ratios.units(GroupOps(*sig["ver"])),
     }
-    sizes = {
-        "ibe_key": GroupOps(*enc["key_size"]),
-        "ibe_ct": GroupOps(*enc["ct_size"]),
-        "ibs_key": GroupOps(*sig["key_size"]),
-        "ibs_sig": GroupOps(*sig["sig_size"]),
-    }
-    profile = SchemeProfile(pair, enc_name, sig_name, op_costs, sizes)
+    profile = SchemeProfile(pair, enc_name, sig_name, op_costs)
     _CACHE[pair] = profile
     return profile
 

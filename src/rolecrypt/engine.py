@@ -268,19 +268,10 @@ def default_content(fn: str) -> bytes:
 class Engine:
     """One mutable enforcement state driven by a single logical thread."""
 
-    def __init__(
-        self,
-        binding: str | IbeBinding | PkiBinding = "ibe",
-        provider: Optional[CryptoProvider] = None,
-        versioning: bool = True,
-        content_fn: Callable[[str], bytes] = default_content,
-    ) -> None:
-        self.binding = (
-            BINDINGS[binding]() if isinstance(binding, str) else binding
-        )
-        self.provider = provider if provider is not None else CryptoProvider()
+    def __init__(self, binding: str = "ibe", versioning: bool = True) -> None:
+        self.binding = BINDINGS[binding]()
+        self.provider = CryptoProvider()
         self.versioning = versioning
-        self.content_fn = content_fn
         self.fs = FileStore()
         self.users: dict[str, KeyRing] = {}
         self.roles: dict[str, RoleRec] = {}
@@ -350,7 +341,7 @@ class Engine:
         elif k == "delR":
             self.del_role(label.role)
         elif k == "addP":
-            self.add_file(SUPERUSER, label.file, self.content_fn(label.file))
+            self.add_file(SUPERUSER, label.file, default_content(label.file))
         elif k == "delP":
             self.del_file(label.file)
         elif k == "assignU":

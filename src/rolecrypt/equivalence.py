@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .costmodel import reconcile
 from .crypto import (
@@ -38,7 +38,7 @@ from .crypto import (
     SymbolicSignature,
     canonical_bytes,
 )
-from .engine import Engine, default_content
+from .engine import Engine, default_content, measure_label
 from .rbac import (
     Label,
     RbacError,
@@ -55,18 +55,14 @@ from .rbac import (
 CanonicalState = tuple
 
 
-def sigma(
-    state: RbacState,
-    binding: str = "ibe",
-    content_fn: Callable[[str], bytes] = default_content,
-) -> Engine:
+def sigma(state: RbacState, binding: str = "ibe") -> Engine:
     """The enforcement image of an abstract state: all versions 1, every file
     uploaded by the superuser."""
-    eng = Engine(binding=binding, content_fn=content_fn)
+    eng = Engine(binding=binding)
     for u in sorted(state.users):
         eng.add_user(u)
     for fn in sorted(state.perms):
-        eng.add_file(SUPERUSER, fn, content_fn(fn))
+        eng.add_file(SUPERUSER, fn, default_content(fn))
     for r in sorted(state.roles):
         eng.add_role(r)
     for u, r in sorted(state.ur):
@@ -185,15 +181,12 @@ def run_differential(
     *,
     check_costs: bool = False,
     step_congruence: bool = False,
-    final_congruence: bool = True,
-    content_fn: Callable[[str], bytes] = default_content,
 ) -> DifferentialReport:
     """Replay ``labels`` through the reference model and one engine in
     lockstep.  Stops at the first divergence."""
     labels = list(labels)
     oracle = RbacState()
-    eng = Engine(binding=binding, content_fn=content_fn)
-    variant = eng.binding.name
+    eng = Engine(binding=binding)
 
     def fail(i: int, kind: str, detail: str) -> DifferentialReport:
         return DifferentialReport(
@@ -219,12 +212,10 @@ def run_differential(
                 missing = sorted(lower - cur)
                 violations.append(f"outside envelope +{extra} -{missing}")
 
-        if check_costs and oracle_err is None:
-            stats = eng.stats()
-            snap = eng.provider.snapshot()
+        stats = eng.stats() if check_costs and oracle_err is None else None
         eng.fs.on_mutation = hook
         try:
-            eng.apply_label(lbl)
+            measured = measure_label(eng, lbl)
             eng_err: Optional[Exception] = None
         except RbacError as e:
             eng_err = e
@@ -241,9 +232,8 @@ def run_differential(
             return fail(
                 i, "unauthorized", repr(eng.provider.unauthorized_events[0])
             )
-        if check_costs and oracle_err is None:
-            measured = eng.provider.diff_since(snap)
-            diff = reconcile(measured, lbl, stats, variant=variant)
+        if stats is not None:
+            diff = reconcile(measured, lbl, stats, variant=binding)
             if diff:
                 return fail(i, "cost", f"measured-predicted {diff!r}")
         if eng.theory() != theory(new_oracle):
@@ -252,14 +242,10 @@ def run_differential(
                 i, "theory",
                 f"+{sorted(got - want)} -{sorted(want - got)}",
             )
-        if step_congruence and not congruent(
-            eng, sigma(new_oracle, binding=binding, content_fn=content_fn)
-        ):
+        if step_congruence and not congruent(eng, sigma(new_oracle, binding)):
             return fail(i, "congruence", "not congruent to mapped state")
         oracle, pre_auth = new_oracle, post_auth
-    if final_congruence and not congruent(
-        eng, sigma(oracle, binding=binding, content_fn=content_fn)
-    ):
+    if not congruent(eng, sigma(oracle, binding)):
         return DifferentialReport(
             False, len(labels), labels, failure_kind="congruence",
             failure_index=len(labels) - 1 if labels else None,
@@ -300,6 +286,8 @@ class TraceBuilder:
     state to respect size and version caps.  About one label in twenty is a
     deliberate no-op (duplicate add, redundant grant, absent revoke)."""
 
+    NOOP_RATE = 1 / 20
+
     def __init__(
         self,
         rng: random.Random,
@@ -307,14 +295,12 @@ class TraceBuilder:
         max_roles: int = 8,
         max_files: int = 20,
         version_cap: int = 3,
-        noop_rate: float = 0.05,
     ) -> None:
         self.rng = rng
         self.max_users = max_users
         self.max_roles = max_roles
         self.max_files = max_files
         self.version_cap = version_cap
-        self.noop_rate = noop_rate
         self.users: set[str] = set()
         self.roles: set[str] = set()
         self.files: set[str] = set()
@@ -502,7 +488,7 @@ class TraceBuilder:
                     "delU", "delR", "delP")
 
     def step(self) -> Optional[Label]:
-        if self.rng.random() < self.noop_rate:
+        if self.rng.random() < self.NOOP_RATE:
             lbl = self._mv_noop()
             if lbl is not None:
                 return lbl

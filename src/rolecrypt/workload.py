@@ -40,9 +40,10 @@ from importlib import resources
 from typing import Iterable, Optional, Sequence
 
 from .costmodel import HEADLINE_PROFILES, reconcile, scheme_profile
-from .crypto import CostVector, PKI_TO_IBE
-from .engine import Engine, default_content
-from .rbac import Label, RW, SUPERUSER
+from .crypto import CostVector, OP_NAMES, PKI_TO_IBE
+from .engine import Engine, measure_label
+from .equivalence import sigma
+from .rbac import Label, RbacState, RW, SUPERUSER
 
 EVENT_KINDS = ("assignU", "revokeU", "assignP", "revokeP")
 
@@ -73,14 +74,50 @@ class Dataset:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Dataset":
-        return cls(
+    def from_dict(cls, d: object) -> "Dataset":
+        """Raises ValueError on a missing key, a malformed entry, a duplicate,
+        or a pair naming a user, role or file the dataset does not list."""
+        if not isinstance(d, dict):
+            raise ValueError("not a JSON object")
+        for key in ("name", "users", "roles", "perms", "ur", "pa"):
+            if key not in d:
+                raise ValueError(f"missing key {key!r}")
+        ds = cls(
             name=d["name"],
-            users=tuple(d["users"]),
-            roles=tuple(d["roles"]),
-            perms=tuple(d["perms"]),
-            ur=tuple((u, r) for u, r in d["ur"]),
-            pa=tuple((r, p) for r, p in d["pa"]),
+            users=_names(d, "users"),
+            roles=_names(d, "roles"),
+            perms=_names(d, "perms"),
+            ur=_pairs(d, "ur"),
+            pa=_pairs(d, "pa"),
+        )
+        if SUPERUSER in ds.users:
+            raise ValueError(f"user name {SUPERUSER!r} is reserved")
+        for key in ("users", "roles", "perms", "ur", "pa"):
+            seen: set = set()
+            for x in getattr(ds, key):
+                if x in seen:
+                    raise ValueError(f"duplicate {key} entry {x!r}")
+                seen.add(x)
+        known = {
+            "user": set(ds.users), "role": set(ds.roles), "file": set(ds.perms)
+        }
+        for key, kinds in (("ur", ("user", "role")), ("pa", ("role", "file"))):
+            for pair in getattr(ds, key):
+                for kind, name in zip(kinds, pair):
+                    if name not in known[kind]:
+                        raise ValueError(
+                            f"{key} pair {pair!r} names unknown {kind} {name!r}"
+                        )
+        return ds
+
+    def state(self) -> RbacState:
+        """The dataset as a reference-model state, every grant at RW."""
+        return RbacState(
+            users=frozenset(self.users),
+            roles=frozenset(self.roles),
+            perms=frozenset(self.perms),
+            ur=frozenset(self.ur),
+            pa=frozenset((r, fn, RW) for r, fn in self.pa),
         )
 
     def marginals(self) -> dict[str, int]:
@@ -93,6 +130,23 @@ class Dataset:
         }
 
 
+def _names(d: dict, key: str) -> tuple[str, ...]:
+    v = d[key]
+    if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+        raise ValueError(f"{key!r} must be a list of names")
+    return tuple(v)
+
+
+def _pairs(d: dict, key: str) -> tuple[tuple[str, str], ...]:
+    v = d[key]
+    if not isinstance(v, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+        for p in v
+    ):
+        raise ValueError(f"{key!r} must be a list of [name, name] pairs")
+    return tuple((a, b) for a, b in v)
+
+
 def save_dataset(ds: Dataset, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(ds.to_dict(), fh, indent=1)
@@ -100,8 +154,12 @@ def save_dataset(ds: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
+    """Raises ValueError, naming the file, when it is not a valid dataset."""
     with open(path) as fh:
-        return Dataset.from_dict(json.load(fh))
+        try:
+            return Dataset.from_dict(json.load(fh))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def load_marginals() -> dict[str, dict]:
@@ -438,11 +496,18 @@ class RunResult:
     arrivals: dict[str, int]
     applied: dict[str, int]
     skipped: dict[str, int]
-    totals: CostVector
     by_kind: dict[str, CostVector]
-    rekeys_by_kind: dict[str, int]  # file re-keys (fresh file keys minted)
     max_revocations_per_window: Optional[int] = None
     events: Optional[list[EventRecord]] = None
+
+    @property
+    def totals(self) -> CostVector:
+        return sum(self.by_kind.values(), CostVector())
+
+    @property
+    def rekeys_by_kind(self) -> dict[str, int]:
+        """File re-keys (fresh file keys minted) per event kind."""
+        return {k: c.get("sym_gen") for k, c in self.by_kind.items()}
 
     def neutral_totals(self) -> dict[str, int]:
         """Counter totals under the identity-based names regardless of
@@ -460,18 +525,7 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def seed_engine(dataset: Dataset, variant: str) -> Engine:
-    eng = Engine(binding=variant)
-    for u in dataset.users:
-        eng.add_user(u)
-    for fn in dataset.perms:
-        eng.add_file(SUPERUSER, fn, default_content(fn))
-    for r in dataset.roles:
-        eng.add_role(r)
-    for u, r in dataset.ur:
-        eng.assign_user(u, r)
-    for r, fn in dataset.pa:
-        eng.assign_perm(r, fn, RW)
-    return eng
+    return sigma(dataset.state(), variant)
 
 
 def run_simulation(
@@ -496,9 +550,7 @@ def run_simulation(
     applied = {k: 0 for k in EVENT_KINDS}
     skipped = {k: 0 for k in EVENT_KINDS}
     by_kind = {k: CostVector() for k in EVENT_KINDS}
-    rekeys = {k: 0 for k in EVENT_KINDS}
     records: list[EventRecord] = []
-    base = eng.provider.snapshot()
     for ev in events:
         arrivals[ev.kind] += 1
         if ev.label is None:
@@ -508,9 +560,7 @@ def run_simulation(
             continue
         if check_costs:
             stats = eng.stats()
-        snap = eng.provider.snapshot()
-        eng.apply_label(ev.label)
-        delta = eng.provider.diff_since(snap)
+        delta = measure_label(eng, ev.label)
         if check_costs:
             diff = reconcile(delta, ev.label, stats, variant=variant)
             if diff:
@@ -519,12 +569,10 @@ def run_simulation(
                 )
         applied[ev.kind] += 1
         by_kind[ev.kind] = by_kind[ev.kind] + delta
-        rekeys[ev.kind] += delta.get("sym_gen")
         if record_events:
             records.append(
                 EventRecord(ev.t, ev.kind, str(ev.label), True, delta)
             )
-    totals = eng.provider.diff_since(base)
     if eng.provider.unauthorized_events:
         raise AssertionError("unauthorized decryption during simulation")
 
@@ -548,9 +596,7 @@ def run_simulation(
         arrivals=arrivals,
         applied=applied,
         skipped=skipped,
-        totals=totals,
         by_kind=by_kind,
-        rekeys_by_kind=rekeys,
         max_revocations_per_window=max_win,
         events=records if record_events else None,
     )
@@ -636,17 +682,9 @@ def user_revocation_summary(
     }
 
 
-_NEUTRAL_OPS = (
-    "ibe_keygen",
-    "ibe_enc",
-    "ibe_dec",
-    "ibs_keygen",
-    "ibs_sign",
-    "ibs_ver",
-    "sym_gen",
-    "sym_enc",
-    "sym_dec",
-)
+# The provider's counter names minus the public-key family: runs of both
+# variants are tabulated under these.
+_NEUTRAL_OPS = tuple(op for op in OP_NAMES if op not in PKI_TO_IBE)
 
 
 def _fmt_units(x: Fraction) -> str:

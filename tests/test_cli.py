@@ -130,3 +130,36 @@ def test_simulate_unknown_dataset(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--dataset", "atlantis", "--out", str(tmp_path)])
     assert "neither a file nor a known dataset" in str(exc.value)
+
+
+MICRO = {
+    "name": "micro",
+    "users": ["u1", "u2"],
+    "roles": ["r1"],
+    "perms": ["p1"],
+    "ur": [["u1", "r1"]],
+    "pa": [["r1", "p1"]],
+}
+
+
+def _simulate_broken(tmp_path, capsys, **change):
+    path = tmp_path / "ds.json"
+    ds = {k: v for k, v in {**MICRO, **change}.items() if v is not None}
+    path.write_text(json.dumps(ds))
+    rc = main(["simulate", "--dataset", str(path), "--runs", "1",
+               "--out", str(tmp_path)])
+    return rc, capsys.readouterr().err
+
+
+def test_simulate_dataset_missing_key(tmp_path, capsys):
+    rc, err = _simulate_broken(tmp_path, capsys, ur=None)
+    assert rc == 2
+    assert err.startswith("error: ") and "ds.json" in err
+    assert "missing key 'ur'" in err and "scheme profile" not in err
+
+
+def test_simulate_dataset_dangling_user(tmp_path, capsys):
+    rc, err = _simulate_broken(tmp_path, capsys, ur=[["u9", "r1"]])
+    assert rc == 2
+    assert err.startswith("error: ") and "ds.json" in err
+    assert "unknown user 'u9'" in err
