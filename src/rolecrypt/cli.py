@@ -113,8 +113,8 @@ def _resolve_dataset(args: argparse.Namespace):
         rng = random.Random(derive_seed(args.seed, -1))
         return synthesize_dataset(name, rng, marginals)
     known = ", ".join(sorted(marginals))
-    raise SystemExit(
-        f"error: {name!r} is neither a file nor a known dataset ({known})"
+    raise ValueError(
+        f"{name!r} is neither a file nor a known dataset ({known})"
     )
 
 
@@ -122,7 +122,7 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
     marginals = load_marginals()
     if args.name not in marginals:
         known = ", ".join(sorted(marginals))
-        raise SystemExit(f"error: unknown dataset {args.name!r} (known: {known})")
+        raise ValueError(f"unknown dataset {args.name!r} (known: {known})")
     rng = random.Random(derive_seed(args.seed, -1))
     ds = synthesize_dataset(args.name, rng, marginals)
     out = args.out or f"{args.name}.json"
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as e:  # an unknown profile or a malformed dataset file
+    except ValueError as e:  # a bad profile, dataset name or dataset file
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

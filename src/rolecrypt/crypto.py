@@ -17,7 +17,7 @@ generated public key object).
 from __future__ import annotations
 
 import hashlib
-import itertools
+import struct
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -187,43 +187,46 @@ class CostVector:
 # big-endian length, then the body, recursively for structured fields, fields
 # concatenated in declared order.
 
+_u32 = struct.Struct(">I").pack  # the 4-byte big-endian length
+
+
 def canonical_bytes(value: object) -> bytes:
-    tag, body = _encode(value)
-    return tag + len(body).to_bytes(4, "big") + body
+    return _framed(value)
 
 
-def _encode(value: object) -> tuple[bytes, bytes]:
-    if value is None:
-        return b"N", b""
-    if isinstance(value, bool):
-        return b"O", b"\x01" if value else b"\x00"
-    if isinstance(value, int):
-        return b"I", str(value).encode()
-    if isinstance(value, str):
-        return b"S", value.encode()
-    if isinstance(value, bytes):
-        return b"B", value
-    if isinstance(value, Identity):
-        return b"D", b"".join(
-            canonical_bytes(x) for x in (value.kind, value.name, value.version)
-        )
-    if isinstance(value, SymbolicKey):
-        return b"K", b"".join(
-            canonical_bytes(x) for x in (value.alg, value.owner, value.serial)
-        )
-    if isinstance(value, SymbolicCiphertext):
-        return b"C", b"".join(
-            canonical_bytes(x)
-            for x in (value.alg, value.recipient, value.payload)
-        )
-    if isinstance(value, SymbolicSignature):
-        return b"G", b"".join(
-            canonical_bytes(x)
-            for x in (value.alg, value.signer, value.key_serial, value.digest)
-        )
-    if isinstance(value, (tuple, list)):
-        return b"T", b"".join(canonical_bytes(x) for x in value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _framed(v: object) -> bytes:
+    """The encoding, dispatched on exact type (a subclass of a serializable
+    type is rejected, so no value has two encodings)."""
+    t = type(v)
+    if t is str:
+        body = v.encode()
+        return b"S" + _u32(len(body)) + body
+    if t is tuple or t is list:
+        body = b"".join([_framed(x) for x in v])
+        return b"T" + _u32(len(body)) + body
+    if t is Identity:
+        body = _framed(v.kind) + _framed(v.name) + _framed(v.version)
+        return b"D" + _u32(len(body)) + body
+    if v is None:
+        return b"N\x00\x00\x00\x00"
+    if t is int:
+        body = str(v).encode()
+        return b"I" + _u32(len(body)) + body
+    if t is SymbolicKey:
+        body = _framed(v.alg) + _framed(v.owner) + _framed(v.serial)
+        return b"K" + _u32(len(body)) + body
+    if t is SymbolicCiphertext:
+        body = _framed(v.alg) + _framed(v.recipient) + _framed(v.payload)
+        return b"C" + _u32(len(body)) + body
+    if t is bool:
+        return b"O\x00\x00\x00\x01" + (b"\x01" if v else b"\x00")
+    if t is bytes:
+        return b"B" + _u32(len(v)) + v
+    if t is SymbolicSignature:
+        body = (_framed(v.alg) + _framed(v.signer) + _framed(v.key_serial)
+                + _framed(v.digest))
+        return b"G" + _u32(len(body)) + body
+    raise TypeError(f"cannot serialize {t.__name__}")
 
 
 def digest_fields(fields: tuple) -> bytes:
@@ -236,8 +239,22 @@ class CryptoProvider:
     def __init__(self) -> None:
         self._counts: Counter = Counter()
         self._scopes: list[str] = []
-        self._serials = itertools.count(1)
+        self._next_serial = 1
         self.unauthorized_events: list[tuple] = []
+
+    def fork(self) -> "CryptoProvider":
+        """An independent provider with the same counts, next serial and
+        unauthorized-decryption events, and no open scope."""
+        p = CryptoProvider()
+        p._counts = Counter(self._counts)
+        p._next_serial = self._next_serial
+        p.unauthorized_events = list(self.unauthorized_events)
+        return p
+
+    def _serial(self) -> int:
+        n = self._next_serial
+        self._next_serial = n + 1
+        return n
 
     # -- scopes and accounting
 
@@ -307,7 +324,7 @@ class CryptoProvider:
 
     def pke_gen(self, owner: Identity) -> tuple[SymbolicKey, SymbolicKey]:
         self._count("pke_gen")
-        n = next(self._serials)
+        n = self._serial()
         return (
             SymbolicKey("pke-pub", owner=owner, serial=n),
             SymbolicKey("pke-priv", owner=owner, serial=n),
@@ -336,7 +353,7 @@ class CryptoProvider:
 
     def sig_gen(self, owner: Identity) -> tuple[SymbolicKey, SymbolicKey]:
         self._count("sig_gen")
-        n = next(self._serials)
+        n = self._serial()
         return (
             SymbolicKey("sig-ver", owner=owner, serial=n),
             SymbolicKey("sig-sign", owner=owner, serial=n),
@@ -365,7 +382,7 @@ class CryptoProvider:
 
     def sym_gen(self) -> SymbolicKey:
         self._count("sym_gen")
-        return SymbolicKey("sym", serial=next(self._serials))
+        return SymbolicKey("sym", serial=self._serial())
 
     def sym_enc(self, key: SymbolicKey, payload: object) -> SymbolicCiphertext:
         self._count("sym_enc")

@@ -31,6 +31,7 @@ envelope of the pre- and post-states.
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -114,6 +115,19 @@ class FileStore:
         self._fk_by_file: dict[str, set[tuple[str, int]]] = defaultdict(set)
         self._fk_by_holder: dict[str, set[tuple[str, int]]] = defaultdict(set)
         self.on_mutation: Optional[Callable[[], None]] = None
+
+    def fork(self) -> "FileStore":
+        """An independent store holding the same (shared, immutable) tuples:
+        the maps and every index set are copied; ``on_mutation`` is not."""
+        fs = FileStore()
+        fs.rk, fs.fk, fs.f = dict(self.rk), dict(self.fk), dict(self.f)
+        for name in (
+            "_rk_by_role", "_rk_by_member", "_fk_by_file", "_fk_by_holder"
+        ):
+            index = getattr(fs, name)
+            for k, v in getattr(self, name).items():
+                index[k] = set(v)
+        return fs
 
     def _fire(self) -> None:
         if self.on_mutation is not None:
@@ -281,6 +295,19 @@ class Engine:
         with self.provider.scope(INVOKER):
             self.su = self._mint_keyring(SU_IDENTITY)
         self._ver_refs[SUPERUSER] = self.su.ver_ref
+
+    def fork(self) -> "Engine":
+        """An independent engine in the same state, with the same counts and
+        next serial.  Records (tuples, key rings, role records) are immutable
+        and shared; every dict and index set is copied."""
+        eng = copy.copy(self)
+        eng.provider = self.provider.fork()
+        eng.fs = self.fs.fork()
+        eng.users = dict(self.users)
+        eng.roles = dict(self.roles)
+        eng.files = dict(self.files)
+        eng._ver_refs = dict(self._ver_refs)
+        return eng
 
     # -- key plumbing
 

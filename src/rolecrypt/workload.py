@@ -540,10 +540,35 @@ def run_simulation(
     revocation_window: Optional[float] = None,
 ) -> RunResult:
     """One simulated period on a fresh engine seeded from the dataset."""
+    return _simulate(
+        seed_engine(dataset, variant),
+        dataset,
+        days=days,
+        seed=seed,
+        run_index=run_index,
+        check_costs=check_costs,
+        record_events=record_events,
+        revocation_window=revocation_window,
+    )
+
+
+def _simulate(
+    eng: Engine,
+    dataset: Dataset,
+    *,
+    days: float,
+    seed: int,
+    run_index: int,
+    check_costs: bool,
+    record_events: bool,
+    revocation_window: Optional[float],
+) -> RunResult:
+    """One simulated period on ``eng``, which holds the seeded dataset and
+    is consumed."""
+    variant = eng.binding.name
     run_seed = derive_seed(seed, run_index)
     rng = random.Random(run_seed)
     rates = ActorRates.sample(rng, len(dataset.users))
-    eng = seed_engine(dataset, variant)
     events = sample_events(rng, dataset, rates, days)
 
     arrivals = {k: 0 for k in EVENT_KINDS}
@@ -602,9 +627,14 @@ def run_simulation(
     )
 
 
-def _run_one(args: tuple) -> RunResult:
-    dataset, kwargs = args
-    return run_simulation(dataset, **kwargs)
+def _run_chunk(args: tuple) -> list[RunResult]:
+    """Seed one engine and run every index of the chunk on a fork of it."""
+    dataset, indices, variant, kwargs = args
+    start = seed_engine(dataset, variant)
+    return [
+        _simulate(start.fork(), dataset, run_index=i, **kwargs)
+        for i in indices
+    ]
 
 
 def monte_carlo(
@@ -620,26 +650,27 @@ def monte_carlo(
     revocation_window: Optional[float] = None,
 ) -> list[RunResult]:
     """Independent runs with per-run derived seeds; identical results for any
-    worker count."""
+    worker count.  The run indices are split into one contiguous chunk per
+    worker (at most one per run), and each chunk seeds its start state once
+    and gives every run a fork of it."""
+    kwargs = dict(
+        days=days,
+        seed=seed,
+        check_costs=check_costs,
+        record_events=record_events,
+        revocation_window=revocation_window,
+    )
+    n = min(max(workers, 1), runs)
     jobs = [
-        (
-            dataset,
-            dict(
-                variant=variant,
-                days=days,
-                seed=seed,
-                run_index=i,
-                check_costs=check_costs,
-                record_events=record_events,
-                revocation_window=revocation_window,
-            ),
-        )
-        for i in range(runs)
+        (dataset, range(runs * k // n, runs * (k + 1) // n), variant, kwargs)
+        for k in range(n)
     ]
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(_run_one, jobs)
-    return [_run_one(j) for j in jobs]
+    if n > 1:
+        with multiprocessing.Pool(n) as pool:
+            chunks = pool.map(_run_chunk, jobs)
+    else:
+        chunks = [_run_chunk(j) for j in jobs]
+    return [r for chunk in chunks for r in chunk]
 
 
 # --- aggregation and reporting ----------------------------------------------------

@@ -61,10 +61,10 @@ def test_gen_dataset_writes_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_gen_dataset_unknown_name():
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-dataset", "--name", "mystery"])
-    assert "unknown dataset" in str(exc.value)
+def test_gen_dataset_unknown_name(capsys):
+    # a usage error exits 2; exit 1 is reserved for a divergence
+    assert main(["gen-dataset", "--name", "mystery"]) == 2
+    assert "error: unknown dataset 'mystery'" in capsys.readouterr().err
 
 
 def test_gen_dataset_is_seed_deterministic(tmp_path):
@@ -126,10 +126,11 @@ def test_simulate_dataset_file_and_check_costs(tmp_path):
     assert "max_revocations_per_window" in rows[0]
 
 
-def test_simulate_unknown_dataset(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--dataset", "atlantis", "--out", str(tmp_path)])
-    assert "neither a file nor a known dataset" in str(exc.value)
+def test_simulate_unknown_dataset(tmp_path, capsys):
+    rc = main(["simulate", "--dataset", "atlantis", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: 'atlantis' is neither a file nor a known dataset" in err
 
 
 MICRO = {

@@ -15,6 +15,9 @@ from rolecrypt.crypto import (
     CryptoProvider,
     Identity,
     SU_IDENTITY,
+    SymbolicCiphertext,
+    SymbolicKey,
+    SymbolicSignature,
     UnauthorizedDecrypt,
     canonical_bytes,
     digest_fields,
@@ -234,6 +237,82 @@ def test_canonical_bytes_structured_values():
     assert canonical_bytes(ident) != canonical_bytes(role_identity("r", 2))
     with pytest.raises(TypeError):
         canonical_bytes(1.5)
+
+
+# Every signature is taken over these bytes, so any change to the encoding,
+# even one that stays injective, must fail here.
+_GOLDEN = {
+    "fk": (
+        "54000000955300000002464b44000000165300000004726f6c65530000000272"
+        "314900000001325300000002703153000000025257490000000133430000003b"
+        "530000000369626544000000165300000004726f6c6553000000027231490000"
+        "0001324b00000013530000000373796d4e00000000490000000137440000001a"
+        "5300000009737570657275736572530000000253554e00000000"
+    ),
+    "rk": (
+        "54000000f35300000002524b4400000015530000000475736572530000000275"
+        "314e0000000044000000165300000004726f6c65530000000272314900000001"
+        "3143000000b25300000003706b654b0000002c5300000007706b652d70756244"
+        "00000015530000000475736572530000000275314e0000000049000000013454"
+        "000000745300000009726f6c652d6b6579734b0000002e5300000008706b652d"
+        "7072697644000000165300000004726f6c655300000002723149000000013149"
+        "00000001354b0000002e53000000087369672d7369676e440000001653000000"
+        "04726f6c6553000000027231490000000131490000000136"
+    ),
+    "f": (
+        "540000006353000000014653000000027031490000000131430000002c530000"
+        "000373796d4b00000013530000000373796d4e00000000490000000133420000"
+        "000766696c653a7031440000001a530000000973757065727573657253000000"
+        "0253554e00000000"
+    ),
+    "sig": (
+        "47000000365300000003736967440000001a5300000009737570657275736572"
+        "530000000253554e00000000490000000132420000000400010203"
+    ),
+    "lst": (
+        "54000000115300000001614900000001314e00000000"
+    ),
+    "scal": (
+        "540000002d4f00000001014f00000001004e0000000049000000013049000000"
+        "022d35420000000053000000005400000000"
+    ),
+}
+
+
+def test_canonical_bytes_golden():
+    r1v1, r1v2 = role_identity("r1", 1), role_identity("r1", 2)
+    u1 = user_identity("u1")
+    values = {
+        "fk": (
+            "FK", r1v2, "p1", "RW", 3,
+            SymbolicCiphertext("ibe", r1v2, SymbolicKey("sym", serial=7)),
+            SU_IDENTITY,
+        ),
+        "rk": (
+            "RK", u1, r1v1,
+            SymbolicCiphertext(
+                "pke",
+                SymbolicKey("pke-pub", owner=u1, serial=4),
+                (
+                    "role-keys",
+                    SymbolicKey("pke-priv", owner=r1v1, serial=5),
+                    SymbolicKey("sig-sign", owner=r1v1, serial=6),
+                ),
+            ),
+        ),
+        "f": (
+            "F", "p1", 1,
+            SymbolicCiphertext(
+                "sym", SymbolicKey("sym", serial=3), b"file:p1"
+            ),
+            SU_IDENTITY,
+        ),
+        "sig": SymbolicSignature("sig", SU_IDENTITY, 2, bytes(range(4))),
+        "lst": ["a", 1, None],
+        "scal": (True, False, None, 0, -5, b"", "", ()),
+    }
+    for name, v in values.items():
+        assert canonical_bytes(v).hex() == _GOLDEN[name], name
 
 
 def test_digest_fields_is_sha256():

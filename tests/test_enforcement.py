@@ -33,6 +33,7 @@ from rolecrypt.rbac import (
     RbacState,
 )
 from rolecrypt.rbac import theory as oracle_theory
+from rolecrypt.workload import Dataset, seed_engine
 
 
 def engine_with(users=(), roles=(), files=(), ur=(), pa=(), **kw):
@@ -548,3 +549,67 @@ def test_pki_verification_survives_uploader_departure():
     eng.del_user("u1")
     eng.assign_perm("r1", "f9", READ)
     assert eng.read_file("u2", "f9") == b"uploaded"
+
+
+# -- forking a seeded engine
+
+FORK_START = Dataset(
+    name="fork",
+    users=("u1", "u2", "u3"),
+    roles=("r1", "r2"),
+    perms=("f1", "f2"),
+    ur=(("u1", "r1"), ("u2", "r1"), ("u3", "r2")),
+    pa=(("r1", "f1"), ("r1", "f2"), ("r2", "f2")),
+)
+
+FORK_TRACE = [
+    Label("revokeU", user="u2", role="r1"),
+    Label("addU", user="u4"),
+    Label("assignU", user="u4", role="r2"),
+    Label("revokeP", role="r1", file="f2", op=RW),
+    Label("assignP", role="r2", file="f1", op=READ),
+    Label("revokeU", user="u1", role="r1"),
+]
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_fork_equals_original(binding):
+    eng = seed_engine(FORK_START, binding)
+    fork = eng.fork()
+    assert fork.dump() == eng.dump()
+    assert fork.provider.snapshot() == eng.provider.snapshot()
+    assert fork.binding.name == binding
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_fork_continues_like_a_fresh_seed(binding):
+    # revokeU mints role key pairs, so under pki the fork must continue the
+    # serials where the original left off
+    fork = seed_engine(FORK_START, binding).fork()
+    fresh = seed_engine(FORK_START, binding)
+    for lbl in FORK_TRACE:
+        assert measure_label(fork, lbl) == measure_label(fresh, lbl), lbl
+    fork.write_file("u4", "f2", b"w")
+    fresh.write_file("u4", "f2", b"w")
+    assert fork.dump() == fresh.dump()
+    assert fork.provider.snapshot() == fresh.provider.snapshot()
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_fork_is_independent_of_original(binding):
+    eng = seed_engine(FORK_START, binding)
+    fired = []
+    eng.fs.on_mutation = lambda: fired.append(1)
+    before, snap = eng.dump(), eng.provider.snapshot()
+    fork = eng.fork()
+    for lbl in FORK_TRACE:
+        fork.apply_label(lbl)
+    assert fired == []  # the mutation hook is not inherited
+    assert eng.dump() == before
+    assert eng.provider.snapshot() == snap
+    # the original's indexes were not touched either: replaying the trace
+    # on it reaches the fork's state
+    eng.fs.on_mutation = None
+    for lbl in FORK_TRACE:
+        eng.apply_label(lbl)
+    assert eng.dump() == fork.dump()

@@ -248,10 +248,29 @@ def test_variants_agree_under_renaming():
 
 
 def test_monte_carlo_worker_count_invariance():
-    serial = monte_carlo(TOY, runs=6, seed=2, days=20.0)
-    parallel = monte_carlo(TOY, runs=6, seed=2, days=20.0, workers=3)
-    key = lambda r: (r.run_index, r.seed, r.totals, r.arrivals, r.rates)
-    assert [key(r) for r in serial] == [key(r) for r in parallel]
+    # each worker seeds one engine and forks it per run of its chunk of
+    # indices; uneven, oversized and empty splits must not show
+    key = lambda r: (
+        r.run_index, r.seed, r.by_kind, r.arrivals, r.applied, r.rates
+    )
+    for runs, workers in [(6, 3), (5, 2), (2, 4), (0, 2)]:
+        serial = monte_carlo(TOY, runs=runs, seed=2, days=20.0)
+        parallel = monte_carlo(
+            TOY, runs=runs, seed=2, days=20.0, workers=workers
+        )
+        assert [key(r) for r in serial] == [key(r) for r in parallel]
+        assert [r.run_index for r in parallel] == list(range(runs))
+
+
+def test_monte_carlo_runs_equal_fresh_simulations():
+    batch = monte_carlo(TOY, runs=3, variant="pki", seed=4, days=40.0)
+    for i, r in enumerate(batch):
+        fresh = run_simulation(
+            TOY, variant="pki", seed=4, days=40.0, run_index=i
+        )
+        assert (r.by_kind, r.applied, r.rates) == (
+            fresh.by_kind, fresh.applied, fresh.rates
+        )
 
 
 def test_revocation_window_tracking():
