@@ -13,6 +13,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -40,10 +41,31 @@ from .workload import (
 )
 
 
+def _at_least(convert, low, strict: bool = False):
+    """An argparse type: a finite number ``>= low`` (``> low`` when
+    ``strict``), so a bad value exits 2 with a message naming the flag."""
+
+    def parse(text: str):
+        try:
+            x = convert(text)
+        except ValueError:
+            x = math.nan  # fails every comparison below
+        if not (x > low if strict else x >= low) or math.isinf(x):
+            bound = f"{'>' if strict else '>='} {low}"
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {bound}, got {text!r}"
+            )
+        return x
+
+    return parse
+
+
 def _parse_profiles(spec: str) -> tuple[str, ...]:
     if spec == "all":
         return tuple(all_scheme_pairs())
     profiles = tuple(p.strip() for p in spec.split(",") if p.strip())
+    if not profiles:
+        raise ValueError(f"--profiles names no scheme profile: {spec!r}")
     for p in profiles:
         try:
             scheme_profile(p)
@@ -191,8 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cost_table)
 
     p = sub.add_parser("check", help="differential check against the model")
-    p.add_argument("--traces", type=int, default=50)
-    p.add_argument("--labels", type=int, default=40, help="labels per trace")
+    p.add_argument("--traces", type=_at_least(int, 0), default=50)
+    p.add_argument(
+        "--labels", type=_at_least(int, 0), default=40,
+        help="labels per trace",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--variant", choices=("ibe", "pki", "both"), default="both"
@@ -218,12 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataset", required=True,
         help="bundled dataset name (synthesized) or path to a dataset JSON",
     )
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--runs", type=_at_least(int, 0), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--variant", choices=("ibe", "pki", "both"), default="ibe"
     )
-    p.add_argument("--duration-days", type=float, default=30.0)
+    p.add_argument(
+        "--duration-days", type=_at_least(float, 0), default=30.0
+    )
     p.add_argument(
         "--profiles", default=",".join(HEADLINE_PROFILES),
         help="comma-separated scheme pairs, or 'all'",
@@ -232,9 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=os.environ.get("ROLECRYPT_OUT_DIR", "."),
         help="output directory (default: $ROLECRYPT_OUT_DIR or .)",
     )
-    p.add_argument("--parallel", type=int, default=1, help="worker processes")
     p.add_argument(
-        "--revocation-window", type=float, default=None,
+        "--parallel", type=_at_least(int, 1), default=1,
+        help="worker processes",
+    )
+    p.add_argument(
+        "--revocation-window", type=_at_least(float, 0, strict=True),
+        default=None,
         help="report max revocations per tumbling window of this many days",
     )
     p.add_argument(

@@ -27,6 +27,10 @@ Mutation ordering is deliberate: new tuples are written at not-yet-current
 versions, then the ROLES/FILES version counters are bumped, then stale tuples
 are deleted, so the set of granted requests never transiently leaves the
 envelope of the pre- and post-states.
+
+Cost attribution: every primitive is charged to the invoker, the provider's
+default principal, except the reference monitor's checks of an upload in
+``add_file`` and ``write_file``, which run in a ``REFERENCE_MONITOR`` scope.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .crypto import (
     CostVector,
     CryptoProvider,
     Identity,
-    INVOKER,
     REFERENCE_MONITOR,
     SU_IDENTITY,
     SymbolicCiphertext,
@@ -248,8 +251,8 @@ class IbeBinding:
 class PkiBinding:
     """Conventional key pairs: fresh pairs per principal and per role version,
     public halves published in the metadata records.  In add_user the pair is
-    generated client-side by the joining user; the counters land in the same
-    invoker scope either way."""
+    generated client-side by the joining user; the counters are charged to the
+    invoker either way."""
 
     name = "pki"
 
@@ -282,18 +285,16 @@ def default_content(fn: str) -> bytes:
 class Engine:
     """One mutable enforcement state driven by a single logical thread."""
 
-    def __init__(self, binding: str = "ibe", versioning: bool = True) -> None:
+    def __init__(self, binding: str = "ibe") -> None:
         self.binding = BINDINGS[binding]()
         self.provider = CryptoProvider()
-        self.versioning = versioning
         self.fs = FileStore()
         self.users: dict[str, KeyRing] = {}
         self.roles: dict[str, RoleRec] = {}
         self.files: dict[str, int] = {}
         self.warnings = 0
         self._ver_refs: dict[str, object] = {}  # retained past deletion
-        with self.provider.scope(INVOKER):
-            self.su = self._mint_keyring(SU_IDENTITY)
+        self.su = self._mint_keyring(SU_IDENTITY)
         self._ver_refs[SUPERUSER] = self.su.ver_ref
 
     def fork(self) -> "Engine":
@@ -390,8 +391,7 @@ class Engine:
         if u in self.users:
             self._warn(f"addU: {u!r} exists")
             return
-        with self.provider.scope(INVOKER):
-            ring = self._mint_keyring(user_identity(u))
+        ring = self._mint_keyring(user_identity(u))
         self.users[u] = ring
         self._ver_refs[u] = ring.ver_ref
 
@@ -400,24 +400,22 @@ class Engine:
             self._warn(f"delU: {u!r} missing")
             return
         for r in self.fs.member_roles(u):
-            with self.provider.scope(INVOKER):
-                self._revoke_user_inner(u, r)
+            self._revoke_user_inner(u, r)
         del self.users[u]
 
     def add_role(self, r: str) -> None:
         if r in self.roles:
             self._warn(f"addR: {r!r} exists")
             return
-        with self.provider.scope(INVOKER):
-            ident = role_identity(r, 1)
-            ring = self._mint_keyring(ident)
-            self.roles[r] = RoleRec(1, ring)
-            ct = self.binding.enc(
-                self.provider,
-                self.su.enc_ref,
-                ("role-keys", ring.dec_key, ring.sig_key),
-            )
-            self._issue_rk(SU_IDENTITY, ident, ct)
+        ident = role_identity(r, 1)
+        ring = self._mint_keyring(ident)
+        self.roles[r] = RoleRec(1, ring)
+        ct = self.binding.enc(
+            self.provider,
+            self.su.enc_ref,
+            ("role-keys", ring.dec_key, ring.sig_key),
+        )
+        self._issue_rk(SU_IDENTITY, ident, ct)
 
     def del_role(self, r: str) -> None:
         if r not in self.roles:
@@ -426,8 +424,7 @@ class Engine:
         rec = self.roles.pop(r)
         self.fs.delete_rk_role_version(r, rec.version)
         for fn in self.fs.holder_files(r):
-            with self.provider.scope(INVOKER):
-                self._revoke_perm_full(r, fn)
+            self._revoke_perm_full(r, fn)
 
     def add_file(self, uploader: str, fn: str, body: bytes) -> None:
         if fn in self.files:
@@ -435,19 +432,18 @@ class Engine:
             return
         if uploader != SUPERUSER and uploader not in self.users:
             raise RbacError(f"addP: no user {uploader!r}")
-        with self.provider.scope(INVOKER):
-            ring = self._keyring_of(uploader)
-            wident = user_identity(uploader)
-            k = self.provider.sym_gen()
-            body_ct = self.provider.sym_enc(k, body)
-            fsig = self.binding.sign(
-                self.provider, ring.sig_key, ("F", fn, 1, body_ct, wident)
-            )
-            ftup = FTuple(fn, 1, body_ct, wident, fsig)
-            kct = self.binding.enc(self.provider, self.su.enc_ref, k)
-            fkf = ("FK", SU_IDENTITY, fn, RW, 1, kct, wident)
-            fksig = self.binding.sign(self.provider, ring.sig_key, fkf)
-            fktup = FkTuple(SU_IDENTITY, fn, RW, 1, kct, wident, fksig)
+        ring = self._keyring_of(uploader)
+        wident = user_identity(uploader)
+        k = self.provider.sym_gen()
+        body_ct = self.provider.sym_enc(k, body)
+        fsig = self.binding.sign(
+            self.provider, ring.sig_key, ("F", fn, 1, body_ct, wident)
+        )
+        ftup = FTuple(fn, 1, body_ct, wident, fsig)
+        kct = self.binding.enc(self.provider, self.su.enc_ref, k)
+        fkf = ("FK", SU_IDENTITY, fn, RW, 1, kct, wident)
+        fksig = self.binding.sign(self.provider, ring.sig_key, fkf)
+        fktup = FkTuple(SU_IDENTITY, fn, RW, 1, kct, wident, fksig)
         with self.provider.scope(REFERENCE_MONITOR):
             self._verify(wident, f_fields(ftup), ftup.sig)
             self._verify(wident, fk_fields(fktup), fktup.sig)
@@ -472,14 +468,11 @@ class Engine:
         if (u, r, v) in self.fs.rk:
             self._warn(f"assignU: {u!r} already in {r!r}")
             return
-        with self.provider.scope(INVOKER):
-            sut = self.fs.rk[(SUPERUSER, r, v)]
-            self._verify_rk(sut)
-            payload = self.binding.dec(self.provider, self.su.dec_key, sut.ct)
-            ct = self.binding.enc(
-                self.provider, self.users[u].enc_ref, payload
-            )
-            self._issue_rk(user_identity(u), role_identity(r, v), ct)
+        sut = self.fs.rk[(SUPERUSER, r, v)]
+        self._verify_rk(sut)
+        payload = self.binding.dec(self.provider, self.su.dec_key, sut.ct)
+        ct = self.binding.enc(self.provider, self.users[u].enc_ref, payload)
+        self._issue_rk(user_identity(u), role_identity(r, v), ct)
 
     def revoke_user(self, u: str, r: str) -> None:
         if u not in self.users:
@@ -489,17 +482,11 @@ class Engine:
         if (u, r, self.roles[r].version) not in self.fs.rk:
             self._warn(f"revokeU: {u!r} not in {r!r}")
             return
-        with self.provider.scope(INVOKER):
-            self._revoke_user_inner(u, r)
+        self._revoke_user_inner(u, r)
 
     def _revoke_user_inner(self, u: str, r: str) -> None:
         rec = self.roles[r]
         v = rec.version
-        if not self.versioning:
-            # naive deletion, for mutation testing only: the member's tuple
-            # goes away but neither the role nor the file keys are rolled
-            self.fs.del_rk(u, r, v)
-            return
         new_ident = role_identity(r, v + 1)
         new_ring = self._mint_keyring(new_ident)
         payload = ("role-keys", new_ring.dec_key, new_ring.sig_key)
@@ -513,16 +500,9 @@ class Engine:
             self._issue_rk(user_identity(m), new_ident, ct)
         for fn in self.fs.holder_files(r):
             # roll the role's own wrapped file keys onto the new role keys
-            for vv in self.fs.fk_versions(r, fn):
-                old = self.fs.fk[(r, fn, vv)]
-                self._verify_fk(old)
-                key_payload = self.binding.dec(
-                    self.provider, rec.keys.dec_key, old.ct
-                )
-                ct = self.binding.enc(
-                    self.provider, new_ring.enc_ref, key_payload
-                )
-                self._issue_fk(new_ident, fn, old.op, vv, ct)
+            self._rewrap_fks(
+                r, rec.keys.dec_key, fn, new_ident, new_ring.enc_ref
+            )
             self._issue_new_file_key(fn, {r: (new_ident, new_ring.enc_ref)})
         self.roles[r] = RoleRec(v + 1, new_ring)
         self.fs.delete_rk_role_version(r, v)
@@ -548,6 +528,26 @@ class Engine:
             self._issue_fk(ident, fn, old.op, vfn + 1, ct)
         self.files[fn] = vfn + 1
 
+    def _rewrap_fks(
+        self, src: str, dec_key, fn: str, ident: Identity, ref, op=None
+    ) -> None:
+        """Open ``src``'s key for ``fn`` at every version it holds with
+        ``dec_key`` and issue it to ``ident``, encrypted under ``ref``; each
+        version keeps its op unless ``op`` is given."""
+        for vv in self.fs.fk_versions(src, fn):
+            old = self.fs.fk[(src, fn, vv)]
+            self._verify_fk(old)
+            k = self.binding.dec(self.provider, dec_key, old.ct)
+            ct = self.binding.enc(self.provider, ref, k)
+            self._issue_fk(ident, fn, op or old.op, vv, ct)
+
+    def _set_fk_op(self, r: str, fn: str, op: str) -> None:
+        """Re-sign role ``r``'s key for ``fn`` at every version with ``op``."""
+        for vv in self.fs.fk_versions(r, fn):
+            old = self.fs.fk[(r, fn, vv)]
+            self._verify_fk(old)
+            self._issue_fk(old.holder, fn, op, vv, old.ct)
+
     def assign_perm(self, r: str, fn: str, op: str) -> None:
         if op not in (READ, RW):
             raise RbacError(f"assignP: bad op {op!r}")
@@ -560,27 +560,16 @@ class Engine:
         if held == RW or held == op:
             self._warn(f"assignP: {r!r} already holds {held} on {fn!r}")
             return
-        with self.provider.scope(INVOKER):
-            if held == READ:
-                # add write to existing read: re-sign each version in place
-                for vv in self.fs.fk_versions(r, fn):
-                    old = self.fs.fk[(r, fn, vv)]
-                    self._verify_fk(old)
-                    self._issue_fk(old.holder, fn, RW, vv, old.ct)
-            else:
-                # fresh grant: copy SU's wrapped key at every version
-                rrec = self.roles[r]
-                rident = role_identity(r, rrec.version)
-                for vv in self.fs.fk_versions(SUPERUSER, fn):
-                    sut = self.fs.fk[(SUPERUSER, fn, vv)]
-                    self._verify_fk(sut)
-                    k = self.binding.dec(
-                        self.provider, self.su.dec_key, sut.ct
-                    )
-                    ct = self.binding.enc(
-                        self.provider, rrec.keys.enc_ref, k
-                    )
-                    self._issue_fk(rident, fn, op, vv, ct)
+        if held == READ:
+            # add write to existing read: re-sign each version in place
+            self._set_fk_op(r, fn, RW)
+            return
+        # fresh grant: copy SU's wrapped key at every version
+        rrec = self.roles[r]
+        self._rewrap_fks(
+            SUPERUSER, self.su.dec_key, fn,
+            role_identity(r, rrec.version), rrec.keys.enc_ref, op,
+        )
 
     def revoke_perm(self, r: str, fn: str, op: str) -> None:
         if op not in (WRITE, RW):
@@ -598,19 +587,12 @@ class Engine:
             if held != RW:
                 self._warn(f"revokeP: {r!r} holds no write on {fn!r}")
                 return
-            with self.provider.scope(INVOKER):
-                for vv in self.fs.fk_versions(r, fn):
-                    old = self.fs.fk[(r, fn, vv)]
-                    self._verify_fk(old)
-                    self._issue_fk(old.holder, fn, READ, vv, old.ct)
+            self._set_fk_op(r, fn, READ)
             return
-        with self.provider.scope(INVOKER):
-            self._revoke_perm_full(r, fn)
+        self._revoke_perm_full(r, fn)
 
     def _revoke_perm_full(self, r: str, fn: str) -> None:
         self.fs.delete_fk_holder_file(r, fn)
-        if not self.versioning:
-            return
         self._issue_new_file_key(fn, {})
 
     # -- data path
@@ -627,52 +609,44 @@ class Engine:
             out.append(rn)
         return out
 
-    def read_file(self, u: str, fn: str) -> bytes:
+    def _open_file_key(self, verb: str, u: str, fn: str):
+        """The data path up to the file key: check the request (``verb`` is
+        "read" or "write"), take the lexicographically least qualifying role,
+        and unwrap its role keys and its key for ``fn``.  Returns the role,
+        the role's signing key, the FK tuple and the file key."""
         if u not in self.users:
-            raise RbacError(f"read: no user {u!r}")
+            raise RbacError(f"{verb}: no user {u!r}")
         if fn not in self.files:
-            raise RbacError(f"read: no file {fn!r}")
-        ft = self.fs.f[fn]
-        roles = self._qualifying_roles(u, fn, ft.version, write=False)
+            raise RbacError(f"{verb}: no file {fn!r}")
+        write = verb == "write"
+        version = self.files[fn] if write else self.fs.f[fn].version
+        roles = self._qualifying_roles(u, fn, version, write)
         if not roles:
-            raise AuthorizationError(f"{u!r} may not read {fn!r}")
-        r = roles[0]  # lexicographically least qualifying role
-        with self.provider.scope(INVOKER):
-            rkt = self.fs.rk[(u, r, self.roles[r].version)]
-            self._verify_rk(rkt)
-            _, role_dec, _ = self.binding.dec(
-                self.provider, self.users[u].dec_key, rkt.ct
-            )
-            fkt = self.fs.fk[(r, fn, ft.version)]
-            self._verify_fk(fkt)
-            k = self.binding.dec(self.provider, role_dec, fkt.ct)
-            return self.provider.sym_dec(k, ft.body)
+            raise AuthorizationError(f"{u!r} may not {verb} {fn!r}")
+        r = roles[0]
+        rkt = self.fs.rk[(u, r, self.roles[r].version)]
+        self._verify_rk(rkt)
+        _, role_dec, role_sig = self.binding.dec(
+            self.provider, self.users[u].dec_key, rkt.ct
+        )
+        fkt = self.fs.fk[(r, fn, version)]
+        self._verify_fk(fkt)
+        k = self.binding.dec(self.provider, role_dec, fkt.ct)
+        return r, role_sig, fkt, k
+
+    def read_file(self, u: str, fn: str) -> bytes:
+        k = self._open_file_key("read", u, fn)[3]
+        return self.provider.sym_dec(k, self.fs.f[fn].body)
 
     def write_file(self, u: str, fn: str, body: bytes) -> None:
-        if u not in self.users:
-            raise RbacError(f"write: no user {u!r}")
-        if fn not in self.files:
-            raise RbacError(f"write: no file {fn!r}")
+        r, role_sig, fkt, k = self._open_file_key("write", u, fn)
         vfn = self.files[fn]
-        roles = self._qualifying_roles(u, fn, vfn, write=True)
-        if not roles:
-            raise AuthorizationError(f"{u!r} may not write {fn!r}")
-        r = roles[0]
-        with self.provider.scope(INVOKER):
-            rkt = self.fs.rk[(u, r, self.roles[r].version)]
-            self._verify_rk(rkt)
-            _, role_dec, role_sig = self.binding.dec(
-                self.provider, self.users[u].dec_key, rkt.ct
-            )
-            fkt = self.fs.fk[(r, fn, vfn)]
-            self._verify_fk(fkt)
-            k = self.binding.dec(self.provider, role_dec, fkt.ct)
-            body_ct = self.provider.sym_enc(k, body)
-            wident = role_identity(r, self.roles[r].version)
-            fsig = self.binding.sign(
-                self.provider, role_sig, ("F", fn, vfn, body_ct, wident)
-            )
-            ftup = FTuple(fn, vfn, body_ct, wident, fsig)
+        body_ct = self.provider.sym_enc(k, body)
+        wident = role_identity(r, self.roles[r].version)
+        fsig = self.binding.sign(
+            self.provider, role_sig, ("F", fn, vfn, body_ct, wident)
+        )
+        ftup = FTuple(fn, vfn, body_ct, wident, fsig)
         with self.provider.scope(REFERENCE_MONITOR):
             if ftup.version != self.files[fn]:
                 raise IntegrityError(f"stale write to {fn!r}")

@@ -493,12 +493,15 @@ class RunResult:
     seed: int
     days: float
     rates: ActorRates
-    arrivals: dict[str, int]
     applied: dict[str, int]
     skipped: dict[str, int]
     by_kind: dict[str, CostVector]
     max_revocations_per_window: Optional[int] = None
     events: Optional[list[EventRecord]] = None
+
+    @property
+    def arrivals(self) -> dict[str, int]:
+        return {k: n + self.skipped[k] for k, n in self.applied.items()}
 
     @property
     def totals(self) -> CostVector:
@@ -529,9 +532,9 @@ def seed_engine(dataset: Dataset, variant: str) -> Engine:
 
 
 def run_simulation(
+    eng: Engine,
     dataset: Dataset,
     *,
-    variant: str = "ibe",
     days: float = 30.0,
     seed: int = 0,
     run_index: int = 0,
@@ -539,45 +542,19 @@ def run_simulation(
     record_events: bool = False,
     revocation_window: Optional[float] = None,
 ) -> RunResult:
-    """One simulated period on a fresh engine seeded from the dataset."""
-    return _simulate(
-        seed_engine(dataset, variant),
-        dataset,
-        days=days,
-        seed=seed,
-        run_index=run_index,
-        check_costs=check_costs,
-        record_events=record_events,
-        revocation_window=revocation_window,
-    )
-
-
-def _simulate(
-    eng: Engine,
-    dataset: Dataset,
-    *,
-    days: float,
-    seed: int,
-    run_index: int,
-    check_costs: bool,
-    record_events: bool,
-    revocation_window: Optional[float],
-) -> RunResult:
-    """One simulated period on ``eng``, which holds the seeded dataset and
-    is consumed."""
+    """One simulated period on ``eng``, which holds the seeded dataset (see
+    ``seed_engine``) and is consumed; the variant is the engine's binding."""
     variant = eng.binding.name
     run_seed = derive_seed(seed, run_index)
     rng = random.Random(run_seed)
     rates = ActorRates.sample(rng, len(dataset.users))
     events = sample_events(rng, dataset, rates, days)
 
-    arrivals = {k: 0 for k in EVENT_KINDS}
     applied = {k: 0 for k in EVENT_KINDS}
     skipped = {k: 0 for k in EVENT_KINDS}
     by_kind = {k: CostVector() for k in EVENT_KINDS}
     records: list[EventRecord] = []
     for ev in events:
-        arrivals[ev.kind] += 1
         if ev.label is None:
             skipped[ev.kind] += 1
             if record_events:
@@ -618,7 +595,6 @@ def _simulate(
         seed=run_seed,
         days=days,
         rates=rates,
-        arrivals=arrivals,
         applied=applied,
         skipped=skipped,
         by_kind=by_kind,
@@ -632,7 +608,7 @@ def _run_chunk(args: tuple) -> list[RunResult]:
     dataset, indices, variant, kwargs = args
     start = seed_engine(dataset, variant)
     return [
-        _simulate(start.fork(), dataset, run_index=i, **kwargs)
+        run_simulation(start.fork(), dataset, run_index=i, **kwargs)
         for i in indices
     ]
 

@@ -164,3 +164,42 @@ def test_simulate_dataset_dangling_user(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: ") and "ds.json" in err
     assert "unknown user 'u9'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "--traces", "-2"], "--traces"),
+        (["check", "--labels", "-1"], "--labels"),
+        (["simulate", "--runs", "-3"], "--runs"),
+        (["simulate", "--parallel", "0"], "--parallel"),
+        (["simulate", "--duration-days", "-4"], "--duration-days"),
+        (["simulate", "--duration-days", "nan"], "--duration-days"),
+        (["simulate", "--revocation-window", "-1"], "--revocation-window"),
+        (["simulate", "--revocation-window", "0"], "--revocation-window"),
+    ],
+)
+def test_out_of_range_flag_is_a_usage_error(argv, flag, tmp_path, capsys):
+    if argv[0] == "simulate":
+        argv = argv + ["--dataset", "healthcare", "--out", str(tmp_path)]
+        if "--runs" not in argv:
+            argv += ["--runs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite number" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("command", ["cost-table", "simulate"])
+def test_empty_profile_list_is_a_usage_error(command, tmp_path, capsys):
+    argv = [command, "--profiles", ","]
+    if command == "simulate":
+        argv += ["--dataset", "healthcare", "--runs", "1",
+                 "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "error: --profiles names no scheme profile" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "runs.csv").exists()

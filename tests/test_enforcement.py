@@ -9,6 +9,7 @@ import dataclasses
 
 import pytest
 
+from rolecrypt.costmodel import data_op_cost
 from rolecrypt.crypto import (
     IBE_TO_PKI,
     INVOKER,
@@ -36,8 +37,10 @@ from rolecrypt.rbac import theory as oracle_theory
 from rolecrypt.workload import Dataset, seed_engine
 
 
-def engine_with(users=(), roles=(), files=(), ur=(), pa=(), **kw):
-    eng = Engine(**kw)
+def engine_with(
+    users=(), roles=(), files=(), ur=(), pa=(), cls=Engine, **kw
+):
+    eng = cls(**kw)
     for u in users:
         eng.add_user(u)
     for fn in files:
@@ -307,13 +310,21 @@ def test_revoked_member_loses_old_and_new_material():
         p.sym_dec(cached_k, eng.fs.f["f1"].body)
 
 
+class _UnversionedEngine(Engine):
+    """Deliberately broken: revocation deletes the member's wrapped role keys
+    but rolls neither the role keys nor the file keys."""
+
+    def _revoke_user_inner(self, u, r):
+        self.fs.del_rk(u, r, self.roles[r].version)
+
+
 def test_without_versioning_cached_key_leaks_new_content():
     # the control experiment: skip re-keying and the revoked member's cached
     # symmetric key opens content written after the revocation
     eng = engine_with(
         users=["u1", "u2"], roles=["r1"], files=["f1"],
         ur=[("u1", "r1"), ("u2", "r1")], pa=[("r1", "f1", RW)],
-        versioning=False,
+        cls=_UnversionedEngine,
     )
     p = eng.provider
     rkt = eng.fs.rk[("u2", "r1", 1)]
@@ -347,6 +358,33 @@ def test_tampered_fk_tuple_detected():
     assert not eng.query_auth("u1", "f1", READ)
     with pytest.raises(IntegrityError):
         eng.read_file("u1", "f1")
+
+
+def test_failed_upload_check_leaves_invoker_charged(monkeypatch):
+    # the engine opens no invoker scope: it relies on the provider charging
+    # the invoker whenever no scope is open, including after a monitor check
+    # raised inside its scope
+    eng = engine_with(
+        users=["u1"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1")], pa=[("r1", "f1", RW)],
+    )
+    verify = eng.binding.verify
+
+    def monitor_rejects(p, ver_ref, fields, sig):
+        if p.principal == REFERENCE_MONITOR:
+            return False
+        return verify(p, ver_ref, fields, sig)
+
+    monkeypatch.setattr(eng.binding, "verify", monitor_rejects)
+    stored = eng.fs.f["f1"]
+    with pytest.raises(IntegrityError):
+        eng.write_file("u1", "f1", b"rejected")
+    assert eng.fs.f["f1"] is stored
+    assert eng.provider.principal == INVOKER
+    cost, body = measure(eng, eng.read_file, "u1", "f1")
+    assert body == b"body:f1"
+    assert cost == data_op_cost("read")
+    assert cost.by_principal(REFERENCE_MONITOR) == {}
 
 
 # -- warnings and errors

@@ -214,7 +214,7 @@ def test_seed_engine_builds_dataset_state():
 
 def test_run_simulation_accounting():
     res = run_simulation(
-        TOY, variant="ibe", days=60.0, seed=9,
+        seed_engine(TOY, "ibe"), TOY, days=60.0, seed=9,
         check_costs=True, record_events=True,
     )
     assert res.dataset == "toy" and res.variant == "ibe"
@@ -232,16 +232,19 @@ def test_run_simulation_accounting():
 
 
 def test_run_simulation_is_deterministic():
-    a = run_simulation(TOY, variant="ibe", days=30.0, seed=4, run_index=2)
-    b = run_simulation(TOY, variant="ibe", days=30.0, seed=4, run_index=2)
+    def run(i):
+        return run_simulation(
+            seed_engine(TOY, "ibe"), TOY, days=30.0, seed=4, run_index=i
+        )
+
+    a, b, c = run(2), run(2), run(3)
     assert a.totals == b.totals and a.arrivals == b.arrivals
-    c = run_simulation(TOY, variant="ibe", days=30.0, seed=4, run_index=3)
     assert (a.totals, a.arrivals) != (c.totals, c.arrivals)
 
 
 def test_variants_agree_under_renaming():
-    a = run_simulation(TOY, variant="ibe", days=45.0, seed=12)
-    b = run_simulation(TOY, variant="pki", days=45.0, seed=12)
+    a = run_simulation(seed_engine(TOY, "ibe"), TOY, days=45.0, seed=12)
+    b = run_simulation(seed_engine(TOY, "pki"), TOY, days=45.0, seed=12)
     assert a.arrivals == b.arrivals and a.applied == b.applied
     assert a.neutral_totals() == b.neutral_totals()
     assert a.rekeys_by_kind == b.rekeys_by_kind
@@ -266,7 +269,7 @@ def test_monte_carlo_runs_equal_fresh_simulations():
     batch = monte_carlo(TOY, runs=3, variant="pki", seed=4, days=40.0)
     for i, r in enumerate(batch):
         fresh = run_simulation(
-            TOY, variant="pki", seed=4, days=40.0, run_index=i
+            seed_engine(TOY, "pki"), TOY, seed=4, days=40.0, run_index=i
         )
         assert (r.by_kind, r.applied, r.rates) == (
             fresh.by_kind, fresh.applied, fresh.rates
@@ -275,17 +278,18 @@ def test_monte_carlo_runs_equal_fresh_simulations():
 
 def test_revocation_window_tracking():
     res = run_simulation(
-        TOY, variant="ibe", days=90.0, seed=1, revocation_window=7.0,
+        seed_engine(TOY, "ibe"), TOY, days=90.0, seed=1,
+        revocation_window=7.0,
     )
     revs = res.applied["revokeU"] + res.applied["revokeP"]
     assert res.max_revocations_per_window is not None
     assert 0 <= res.max_revocations_per_window <= max(revs, 1)
-    none = run_simulation(TOY, variant="ibe", days=10.0, seed=1)
+    none = run_simulation(seed_engine(TOY, "ibe"), TOY, days=10.0, seed=1)
     assert none.max_revocations_per_window is None
 
 
 def test_per_revocation_units_empty_case():
-    res = run_simulation(TOY, variant="ibe", days=0.01, seed=3)
+    res = run_simulation(seed_engine(TOY, "ibe"), TOY, days=0.01, seed=3)
     assert res.applied["revokeU"] == 0
     assert per_revocation_units(res, "BF+CC") is None
     summ = user_revocation_summary([res])
