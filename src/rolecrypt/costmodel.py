@@ -28,7 +28,7 @@ from importlib import resources
 from typing import Mapping, Optional
 
 from .crypto import CostVector, INVOKER, PKI_TO_IBE, REFERENCE_MONITOR
-from .rbac import Label, READ, RW, SUPERUSER, WRITE
+from .rbac import Label, RbacState, READ, RW, WRITE
 
 HEADLINE_PROFILES = ("BF+CC", "BB1+PS", "LW+PS")
 
@@ -50,6 +50,30 @@ class StateStats:
     @classmethod
     def empty(cls) -> "StateStats":
         return cls({}, {}, {}, {}, {})
+
+    @classmethod
+    def of(
+        cls, state: RbacState, file_versions: Mapping[str, int]
+    ) -> "StateStats":
+        """Group a model state's UR and PA by role, user and file; the key
+        versions are the one thing the model does not hold."""
+        members: dict[str, set[str]] = {r: set() for r in state.roles}
+        user_roles: dict[str, set[str]] = {u: set() for u in state.users}
+        for u, r in state.ur:
+            members[r].add(u)
+            user_roles[u].add(r)
+        role_files: dict[str, dict[str, str]] = {r: {} for r in state.roles}
+        file_holders: dict[str, set[str]] = {fn: set() for fn in state.perms}
+        for r, fn, op in state.pa:
+            role_files[r][fn] = op
+            file_holders[fn].add(r)
+        return cls(
+            members={r: frozenset(m) for r, m in members.items()},
+            role_files=role_files,
+            file_versions=dict(file_versions),
+            file_holders={f: frozenset(h) for f, h in file_holders.items()},
+            user_roles={u: frozenset(r) for u, r in user_roles.items()},
+        )
 
 
 # --- primitive-count prediction -------------------------------------------------
@@ -79,31 +103,26 @@ def _rekey_file(bag: _Bag, recipients: int) -> None:
 
 
 def _revoke_user_cost(
-    bag: _Bag,
-    r: str,
-    u: str,
-    members: dict[str, set[str]],
-    file_versions: dict[str, int],
-    role_files: Mapping[str, Mapping[str, str]],
-    file_holders: Mapping[str, frozenset[str]],
+    bag: _Bag, r: str, stats: StateStats, bumped: dict[str, int]
 ) -> None:
-    """Price one user revocation against evolving statistics, mutating
-    ``members`` and ``file_versions`` the way the operation would."""
+    """Price revoking one member of ``r``.  ``bumped`` holds the file-key
+    versions that earlier revocations within the same label have already
+    rolled, and is updated the way the operation would; each role is priced
+    at most once per label, so its member set needs no update."""
     _add(bag, "ibe_keygen", 1)
     _add(bag, "ibs_keygen", 1)
     # remaining members plus the superuser get the new role keys
-    _rekey_membership(bag, len(members[r]) - 1 + 1)
-    for fn in sorted(role_files.get(r, ())):
-        vfn = file_versions[fn]
+    _rekey_membership(bag, len(stats.members[r]) - 1 + 1)
+    for fn in sorted(stats.role_files.get(r, ())):
+        vfn = bumped.get(fn, stats.file_versions[fn])
         # roll the role's own wrapped file keys onto the new role keys
         _add(bag, "ibs_ver", vfn)
         _add(bag, "ibe_dec", vfn)
         _add(bag, "ibe_enc", vfn)
         _add(bag, "ibs_sign", vfn)
         # then a fresh file key for every holder (roles + superuser)
-        _rekey_file(bag, len(file_holders[fn]) + 1)
-        file_versions[fn] = vfn + 1
-    members[r] = members[r] - {u}
+        _rekey_file(bag, len(stats.file_holders[fn]) + 1)
+        bumped[fn] = vfn + 1
 
 
 def algebraic_cost(label: Label, stats: StateStats) -> CostVector:
@@ -139,22 +158,13 @@ def algebraic_cost(label: Label, stats: StateStats) -> CostVector:
             _add(bag, "ibs_sign", 1)
     elif k == "revokeU":
         if label.user in stats.members.get(label.role, frozenset()):
-            members = {r: set(m) for r, m in stats.members.items()}
-            versions = dict(stats.file_versions)
-            _revoke_user_cost(
-                bag, label.role, label.user, members, versions,
-                stats.role_files, stats.file_holders,
-            )
+            _revoke_user_cost(bag, label.role, stats, {})
     elif k == "delU":
         u = label.user
         if u in stats.user_roles:
-            members = {r: set(m) for r, m in stats.members.items()}
-            versions = dict(stats.file_versions)
+            bumped: dict[str, int] = {}
             for r in sorted(stats.user_roles[u]):
-                _revoke_user_cost(
-                    bag, r, u, members, versions,
-                    stats.role_files, stats.file_holders,
-                )
+                _revoke_user_cost(bag, r, stats, bumped)
     elif k == "assignP":
         held = stats.role_files.get(label.role, {}).get(label.file)
         vfn = stats.file_versions.get(label.file, 0)
@@ -321,12 +331,11 @@ _UNIT_USER = "u"
 def _unit_stats() -> StateStats:
     """A minimal state: one role, one single-version file the role does not
     yet hold.  Constant-cost rows price identically in any state."""
-    return StateStats(
-        members={_UNIT_ROLE: frozenset()},
-        role_files={_UNIT_ROLE: {}},
-        file_versions={_UNIT_FILE: 1},
-        file_holders={_UNIT_FILE: frozenset()},
-        user_roles={},
+    return StateStats.of(
+        RbacState(
+            roles=frozenset({_UNIT_ROLE}), perms=frozenset({_UNIT_FILE})
+        ),
+        {_UNIT_FILE: 1},
     )
 
 

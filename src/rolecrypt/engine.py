@@ -53,7 +53,10 @@ from .crypto import (
     role_identity,
     user_identity,
 )
-from .rbac import Label, RbacError, READ, RW, SUPERUSER, WRITE, grants
+from . import rbac
+from .rbac import (
+    Label, RbacError, RbacState, READ, RW, SUPERUSER, WRITE, grants,
+)
 
 
 class AuthorizationError(Exception):
@@ -292,6 +295,8 @@ class Engine:
         self.users: dict[str, KeyRing] = {}
         self.roles: dict[str, RoleRec] = {}
         self.files: dict[str, int] = {}
+        # file -> version of the last body the reference monitor accepted
+        self.body_versions: dict[str, int] = {}
         self.warnings = 0
         self._ver_refs: dict[str, object] = {}  # retained past deletion
         self.su = self._mint_keyring(SU_IDENTITY)
@@ -307,6 +312,7 @@ class Engine:
         eng.users = dict(self.users)
         eng.roles = dict(self.roles)
         eng.files = dict(self.files)
+        eng.body_versions = dict(self.body_versions)
         eng._ver_refs = dict(self._ver_refs)
         return eng
 
@@ -448,6 +454,7 @@ class Engine:
             self._verify(wident, f_fields(ftup), ftup.sig)
             self._verify(wident, fk_fields(fktup), fktup.sig)
         self.files[fn] = 1
+        self.body_versions[fn] = 1
         self.fs.put_f(ftup)
         self.fs.put_fk(fktup)
 
@@ -456,6 +463,7 @@ class Engine:
             self._warn(f"delP: {fn!r} missing")
             return
         del self.files[fn]
+        del self.body_versions[fn]
         self.fs.del_f(fn)
         self.fs.delete_fk_file(fn)
 
@@ -619,7 +627,12 @@ class Engine:
         if fn not in self.files:
             raise RbacError(f"{verb}: no file {fn!r}")
         write = verb == "write"
-        version = self.files[fn] if write else self.fs.f[fn].version
+        if write:
+            version = self.files[fn]
+        else:
+            version = self.fs.f[fn].version
+            if version != self.body_versions[fn]:
+                raise IntegrityError(f"replayed stale body of {fn!r}")
         roles = self._qualifying_roles(u, fn, version, write)
         if not roles:
             raise AuthorizationError(f"{u!r} may not {verb} {fn!r}")
@@ -652,6 +665,7 @@ class Engine:
                 raise IntegrityError(f"stale write to {fn!r}")
             self._verify(wident, f_fields(ftup), ftup.sig)
             self._verify_fk(fkt)
+        self.body_versions[fn] = vfn
         self.fs.put_f(ftup)
 
     # -- counted query forms
@@ -699,35 +713,32 @@ class Engine:
 
     # -- instrumentation (uncounted index walks)
 
+    def state(self) -> RbacState:
+        """The abstract state this engine enforces, the inverse of
+        ``equivalence.sigma``: UR from the RK tuples at each role's current
+        version and PA from the FK tuples at each file's current key version,
+        leaving out the superuser and any tuple at a stale version."""
+        roles, files = self.roles, self.files
+        ur = frozenset(
+            (m, r)
+            for m, r, v in self.fs.rk
+            if m in self.users and r in roles and roles[r].version == v
+        )
+        pa = frozenset(
+            (h, fn, t.op)
+            for (h, fn, v), t in self.fs.fk.items()
+            if h != SUPERUSER and h in roles and files.get(fn) == v
+        )
+        return RbacState(
+            frozenset(self.users), frozenset(roles), frozenset(files), ur, pa
+        )
+
     def theory(self) -> frozenset[tuple]:
         """True ground facts, named as the reference model names them."""
-        facts: set[tuple] = set()
-        role_grant: dict[str, set[tuple[str, str]]] = {}
-        for rn, rec in self.roles.items():
-            facts.add(("R", rn))
-            role_grant[rn] = set()
-        for fn, vfn in self.files.items():
-            for h, v in self.fs._fk_by_file.get(fn, ()):
-                if v != vfn or h == SUPERUSER:
-                    continue
-                t = self.fs.fk[(h, fn, v)]
-                if h in role_grant:
-                    facts.add(("PA", h, fn, t.op))
-                    role_grant[h].add((fn, READ))
-                    if t.op == RW:
-                        role_grant[h].add((fn, RW))
-        for u in self.users:
-            for rn, v in self.fs._rk_by_member.get(u, ()):
-                rec = self.roles.get(rn)
-                if rec is None or v != rec.version:
-                    continue
-                facts.add(("UR", u, rn))
-                for fact in role_grant[rn]:
-                    facts.add(("auth", u) + fact)
-        return frozenset(facts)
+        return rbac.theory(self.state())
 
     def auth_facts(self) -> frozenset[tuple]:
-        return frozenset(f for f in self.theory() if f[0] == "auth")
+        return rbac.auth_facts(self.state())
 
     def dump(self) -> tuple:
         """Raw state for exact-equality comparisons."""
@@ -741,39 +752,7 @@ class Engine:
         )
 
     def stats(self) -> StateStats:
-        members = {
-            r: frozenset(
-                m
-                for m in self.fs.rk_members(r, rec.version)
-                if m != SUPERUSER
-            )
-            for r, rec in self.roles.items()
-        }
-        role_files = {
-            r: {
-                fn: self.fs.fk[(r, fn, self.files[fn])].op
-                for fn in self.fs.holder_files(r)
-            }
-            for r in self.roles
-        }
-        file_holders = {
-            fn: frozenset(
-                h
-                for h in self.fs.fk_holders_at(fn, vfn)
-                if h != SUPERUSER
-            )
-            for fn, vfn in self.files.items()
-        }
-        user_roles = {
-            u: frozenset(self.fs.member_roles(u)) for u in self.users
-        }
-        return StateStats(
-            members=members,
-            role_files=role_files,
-            file_versions=dict(self.files),
-            file_holders=file_holders,
-            user_roles=user_roles,
-        )
+        return StateStats.of(self.state(), self.files)
 
 
 def measure_label(engine: Engine, label: Label) -> CostVector:

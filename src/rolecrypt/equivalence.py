@@ -2,9 +2,11 @@
 
 Three pieces:
 
-* ``sigma`` builds the enforcement image of an abstract state directly, by
-  replaying its contents in sorted order onto a fresh engine.  The image has
-  every version counter at 1 and the superuser as uploader of every file.
+* ``sigma`` maps model to engine: it builds the enforcement image of an
+  abstract state directly, by replaying its contents in sorted order onto a
+  fresh engine.  The image has every version counter at 1 and the superuser
+  as uploader of every file.  ``Engine.state()`` maps back, so
+  ``sigma(s).state() == s``.
 * ``canonicalize`` reduces an engine state to a version-free, handle-free
   normal form.  Two states are *congruent* when their normal forms are equal:
   same users, roles, files, memberships, grants, and plaintexts, ignoring how

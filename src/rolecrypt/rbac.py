@@ -315,23 +315,23 @@ def theory(state: RbacState) -> frozenset[tuple]:
     roles, PA over roles x files x {Read, RW}, auth over users x files x
     {Read, RW}.
     """
-    facts: set[tuple] = set()
-    for r in state.roles:
-        facts.add(("R", r))
+    facts: set[tuple] = {("R", r) for r in state.roles}
     facts.update(("UR", u, r) for u, r in state.ur)
     facts.update(("PA", r, f, op) for r, f, op in state.pa)
-    # auth with RW-subsumes-Read, via each user's role grants
-    role_grant: dict[str, set[tuple[str, str]]] = {r: set() for r in state.roles}
-    for r, f, op in state.pa:
-        role_grant[r].add((f, READ))
-        if op == RW:
-            role_grant[r].add((f, RW))
-    for u, r in state.ur:
-        for f, op in role_grant[r]:
-            facts.add(("auth", u, f, op))
-    return frozenset(facts)
+    return frozenset(facts) | auth_facts(state)
 
 
 def auth_facts(state: RbacState) -> frozenset[tuple]:
-    """Just the auth subset of :func:`theory` (the granted requests)."""
-    return frozenset(f for f in theory(state) if f[0] == "auth")
+    """Just the auth subset of :func:`theory` (the granted requests): the
+    join of UR and PA, with RW subsuming Read."""
+    role_grant: dict[str, list[tuple[str, str]]] = {}
+    for r, f, op in state.pa:
+        grant = role_grant.setdefault(r, [])
+        grant.append((f, READ))
+        if op == RW:
+            grant.append((f, RW))
+    return frozenset(
+        ("auth", u, f, op)
+        for u, r in state.ur
+        for f, op in role_grant.get(r, ())
+    )

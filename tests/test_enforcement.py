@@ -360,6 +360,34 @@ def test_tampered_fk_tuple_detected():
         eng.read_file("u1", "f1")
 
 
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_replayed_stale_body_detected(binding):
+    # lazy re-encryption keeps every file-key version, so the version-1 key
+    # still opens a replayed version-1 body: only the monitor's record of the
+    # version it last accepted exposes the replay
+    eng = engine_with(
+        users=["u1", "u2"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1"), ("u2", "r1")], pa=[("r1", "f1", RW)],
+        binding=binding,
+    )
+    names = IBE_TO_PKI if binding == "pki" else {}
+    eng.write_file("u1", "f1", b"v1")
+    stale = eng.fs.f["f1"]
+    eng.revoke_user("u2", "r1")
+    before_write = eng.fork()
+    cost, _ = measure(eng, eng.write_file, "u1", "f1", b"v2")
+    assert cost == data_op_cost("write").renamed(names)
+    cost, body = measure(eng, eng.read_file, "u1", "f1")
+    assert body == b"v2" and cost == data_op_cost("read").renamed(names)
+    assert before_write.read_file("u1", "f1") == b"v1"  # its own record
+
+    eng.fs.put_f(stale)
+    with pytest.raises(IntegrityError, match="'f1'"):
+        eng.read_file("u1", "f1")
+    eng.del_file("f1")
+    assert "f1" not in eng.body_versions
+
+
 def test_failed_upload_check_leaves_invoker_charged(monkeypatch):
     # the engine opens no invoker scope: it relies on the provider charging
     # the invoker whenever no scope is open, including after a monitor check

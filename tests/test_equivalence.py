@@ -23,6 +23,7 @@ from rolecrypt.rbac import (
     RbacState,
     READ,
     RW,
+    apply_label,
     apply_trace,
 )
 
@@ -67,6 +68,40 @@ def test_sigma_theory_round_trip():
     from rolecrypt.rbac import theory
 
     assert sigma(SMALL).theory() == theory(SMALL)
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_state_inverts_sigma(binding):
+    for seed in range(20):
+        state = RbacState()
+        for lbl in random_trace(random.Random(seed), 40):
+            state = apply_label(state, lbl)
+            assert sigma(state, binding).state() == state, lbl
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_state_tracks_model_and_ignores_stale_tuples(binding):
+    # after every label the engine reads back as the model's state, also from
+    # a store that puts back every RK and FK tuple it was told to delete: an
+    # honest engine deletes only tuples at a superseded version or of a
+    # deleted user, role or file, and state() must not count those
+    for seed in range(100):
+        oracle, eng = RbacState(), Engine(binding)
+        rk_written, fk_written = {}, {}
+        for lbl in random_trace(random.Random(500 + seed), 30):
+            oracle = apply_label(oracle, lbl)
+            eng.apply_label(lbl)
+            assert eng.state() == oracle, lbl
+            rk_written.update(eng.fs.rk)
+            fk_written.update(eng.fs.fk)
+            replaying = eng.fork()
+            for key, t in rk_written.items():
+                if key not in eng.fs.rk:
+                    replaying.fs.put_rk(t)
+            for key, t in fk_written.items():
+                if key not in eng.fs.fk:
+                    replaying.fs.put_fk(t)
+            assert replaying.state() == oracle, lbl
 
 
 # -- canonical form and congruence
