@@ -1,12 +1,15 @@
 """Symbolic cryptography with per-principal operation counting.
 
-Keys, ciphertexts and signatures are inert records rather than bitstrings.
-Encryption is deterministic (equal inputs give equal records); decryption
-succeeds only when the presented key matches the ciphertext's recipient
-exactly, and a mismatch raises and is recorded as an unauthorized-decryption
-event.  Every primitive invocation increments a named counter attributed to
-the principal currently on the scope stack (``invoker`` unless a
-``reference_monitor`` scope is active).
+Keys, ciphertexts and signatures are inert terms rather than bitstrings, in
+the Dolev-Yao style.  Encryption is deterministic (equal inputs give equal
+terms); decryption succeeds only when the presented key matches the
+ciphertext's recipient exactly, and a mismatch raises and is recorded as an
+unauthorized-decryption event.  A signature is the term ``sig(k, m)``: it
+carries the signer and the signed fields themselves, and verifying it is a
+syntactic comparison of those fields with the presented ones.  Every
+primitive invocation increments a named counter attributed to the principal
+currently on the scope stack (``invoker`` unless a ``reference_monitor``
+scope is active).
 
 Two families share one provider so a single engine can run against either:
 identity-based primitives (ibe_*/ibs_*: encrypt/verify against an identity)
@@ -16,7 +19,7 @@ generated public key object).
 
 from __future__ import annotations
 
-import hashlib
+import operator
 import struct
 from collections import Counter
 from contextlib import contextmanager
@@ -114,10 +117,12 @@ class SymbolicCiphertext:
 
 @dataclass(frozen=True)
 class SymbolicSignature:
+    """The term sig(k, m): the signing key's owner and serial, and m."""
+
     alg: str  # "ibs" | "sig"
     signer: Identity
     key_serial: Optional[int]  # None for ibs
-    digest: bytes
+    fields: tuple  # the signed fields, with every list frozen to a tuple
 
 
 class UnauthorizedDecrypt(Exception):
@@ -183,9 +188,12 @@ class CostVector:
 
 # --- canonical serialization --------------------------------------------------
 #
-# Tuples are signed over a canonical byte form: a one-byte type tag, a 4-byte
+# Every term has one canonical byte form: a one-byte type tag, a 4-byte
 # big-endian length, then the body, recursively for structured fields, fields
-# concatenated in declared order.
+# concatenated in declared order.  Two terms are equal exactly when their
+# canonical bytes are (so True is not 1, "a" is not b"a", and a list equals
+# the tuple with the same items); the bytes are also the order in which
+# ``equivalence.canonicalize`` sorts a state.
 
 _u32 = struct.Struct(">I").pack  # the 4-byte big-endian length
 
@@ -224,13 +232,76 @@ def _framed(v: object) -> bytes:
         return b"B" + _u32(len(v)) + v
     if t is SymbolicSignature:
         body = (_framed(v.alg) + _framed(v.signer) + _framed(v.key_serial)
-                + _framed(v.digest))
+                + _framed(v.fields))
         return b"G" + _u32(len(body)) + body
     raise TypeError(f"cannot serialize {t.__name__}")
 
 
-def digest_fields(fields: tuple) -> bytes:
-    return hashlib.sha256(canonical_bytes(fields)).digest()
+_ATOMS = frozenset((str, int, bool, bytes, type(None)))
+_RECORDS = {  # the fields _framed encodes, in its order
+    Identity: operator.attrgetter("kind", "name", "version"),
+    SymbolicKey: operator.attrgetter("alg", "owner", "serial"),
+    SymbolicCiphertext: operator.attrgetter("alg", "recipient", "payload"),
+    SymbolicSignature: operator.attrgetter(
+        "alg", "signer", "key_serial", "fields"
+    ),
+}
+
+
+def _frozen(v: object) -> object:
+    """``v`` with every list turned into a tuple, and ``v`` itself when it
+    holds none; raises where ``canonical_bytes`` would (``TypeError``, or
+    ``UnicodeEncodeError`` for a string with a lone surrogate)."""
+    t = type(v)
+    if t is tuple:
+        items = v
+    elif t is Identity and type(v.kind) is str and type(v.name) is str and (
+        type(v.version) is int or v.version is None
+    ) and v.name.isascii():
+        return v  # the common case, checked without a walk
+    elif t is list:
+        return tuple([_frozen(x) for x in v])
+    else:
+        fields_of = _RECORDS.get(t)
+        if fields_of is None:
+            if t is str and not v.isascii():
+                v.encode()
+            elif t not in _ATOMS:
+                raise TypeError(f"cannot serialize {t.__name__}")
+            return v
+        items = fields_of(v)
+    for x in items:
+        tx = type(x)
+        if tx is str:
+            if not x.isascii():
+                x.encode()
+        elif tx not in _ATOMS and _frozen(x) is not x:
+            new = [_frozen(y) for y in items]
+            return tuple(new) if t is tuple else t(*new)
+    return v
+
+
+def _same_term(a: object, b: object) -> bool:
+    """``canonical_bytes(a) == canonical_bytes(b)``, for an ``a`` that
+    ``canonical_bytes`` can encode, without encoding either."""
+    if a is b:
+        return True
+    t, tb = type(a), type(b)
+    if t is tuple or t is list:
+        if not (tb is tuple or tb is list) or len(a) != len(b):
+            return False
+        pairs = zip(a, b)
+    elif t is not tb:
+        return False
+    else:
+        fields_of = _RECORDS.get(t)
+        if fields_of is None:
+            return a == b
+        pairs = zip(fields_of(a), fields_of(b))
+    for x, y in pairs:
+        if x is not y and not _same_term(x, y):
+            return False
+    return True
 
 
 class CryptoProvider:
@@ -308,7 +379,7 @@ class CryptoProvider:
         self._count("ibs_sign")
         if key.alg != "ibs-sign":
             raise TypeError("ibs_sign requires an ibs-sign key")
-        return SymbolicSignature("ibs", key.owner, None, digest_fields(fields))
+        return SymbolicSignature("ibs", key.owner, None, _frozen(fields))
 
     def ibs_ver(
         self, ident: Identity, fields: tuple, sig: SymbolicSignature
@@ -317,7 +388,7 @@ class CryptoProvider:
         return (
             sig.alg == "ibs"
             and sig.signer == ident
-            and sig.digest == digest_fields(fields)
+            and _same_term(sig.fields, fields)
         )
 
     # -- conventional public-key family
@@ -363,9 +434,7 @@ class CryptoProvider:
         self._count("sig_sign")
         if key.alg != "sig-sign":
             raise TypeError("sig_sign requires a sig-sign key")
-        return SymbolicSignature(
-            "sig", key.owner, key.serial, digest_fields(fields)
-        )
+        return SymbolicSignature("sig", key.owner, key.serial, _frozen(fields))
 
     def sig_ver(
         self, ver: SymbolicKey, fields: tuple, sig: SymbolicSignature
@@ -375,7 +444,7 @@ class CryptoProvider:
             sig.alg == "sig"
             and ver.alg == "sig-ver"
             and sig.key_serial == ver.serial
-            and sig.digest == digest_fields(fields)
+            and _same_term(sig.fields, fields)
         )
 
     # -- symmetric family

@@ -410,6 +410,8 @@ class Engine:
         del self.users[u]
 
     def add_role(self, r: str) -> None:
+        if r == SUPERUSER:
+            raise RbacError(f"{SUPERUSER!r} is reserved")
         if r in self.roles:
             self._warn(f"addR: {r!r} exists")
             return

@@ -123,7 +123,7 @@ class RbacError(ValueError):
 
 def check_invariants(state: RbacState) -> None:
     """Raise AssertionError if referential integrity is broken."""
-    assert SUPERUSER not in state.users
+    assert SUPERUSER not in state.users and SUPERUSER not in state.roles
     for u, r in state.ur:
         assert u in state.users and r in state.roles, (u, r)
     seen: set[tuple[str, str]] = set()
@@ -173,6 +173,8 @@ def apply_label(
 
     if k == "addR":
         r = label.role
+        if r == SUPERUSER:
+            raise RbacError(f"{SUPERUSER!r} is reserved")
         if r in state.roles:
             _warn(on_warning, f"addR: {r!r} already exists")
             return state

@@ -76,7 +76,8 @@ class Dataset:
     @classmethod
     def from_dict(cls, d: object) -> "Dataset":
         """Raises ValueError on a missing key, a malformed entry, a duplicate,
-        or a pair naming a user, role or file the dataset does not list."""
+        a user or role named SU, or a pair naming a user, role or file the
+        dataset does not list."""
         if not isinstance(d, dict):
             raise ValueError("not a JSON object")
         for key in ("name", "users", "roles", "perms", "ur", "pa"):
@@ -90,8 +91,9 @@ class Dataset:
             ur=_pairs(d, "ur"),
             pa=_pairs(d, "pa"),
         )
-        if SUPERUSER in ds.users:
-            raise ValueError(f"user name {SUPERUSER!r} is reserved")
+        for key, kind in (("users", "user"), ("roles", "role")):
+            if SUPERUSER in getattr(ds, key):
+                raise ValueError(f"{kind} name {SUPERUSER!r} is reserved")
         for key in ("users", "roles", "perms", "ur", "pa"):
             seen: set = set()
             for x in getattr(ds, key):

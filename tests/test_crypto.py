@@ -1,7 +1,5 @@
 """Symbolic provider: counting, scopes, key matching, canonical bytes."""
 
-import hashlib
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +18,6 @@ from rolecrypt.crypto import (
     SymbolicSignature,
     UnauthorizedDecrypt,
     canonical_bytes,
-    digest_fields,
     role_identity,
     user_identity,
 )
@@ -315,12 +312,6 @@ def test_canonical_bytes_golden():
         assert canonical_bytes(v).hex() == _GOLDEN[name], name
 
 
-def test_digest_fields_is_sha256():
-    d = digest_fields(("a", 1))
-    assert d == hashlib.sha256(canonical_bytes(("a", 1))).digest()
-    assert len(d) == 32
-
-
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -337,3 +328,85 @@ _values = st.recursive(
 def test_canonical_bytes_injective(a, b):
     if canonical_bytes(a) == canonical_bytes(b):
         assert a == b
+
+
+# -- signatures are terms: verify compares by canonical bytes
+
+
+def _ibs_family(p):
+    k = p.ibs_keygen(SU_IDENTITY)
+    return (
+        lambda fields: p.ibs_sign(k, fields),
+        lambda fields, sig: p.ibs_ver(SU_IDENTITY, fields, sig),
+    )
+
+
+def _sig_family(p):
+    ver, sk = p.sig_gen(SU_IDENTITY)
+    return (
+        lambda fields: p.sig_sign(sk, fields),
+        lambda fields, sig: p.sig_ver(ver, fields, sig),
+    )
+
+
+_FAMILIES = pytest.mark.parametrize(
+    "family", [_ibs_family, _sig_family], ids=["ibs", "sig"]
+)
+
+_terms = st.recursive(
+    _scalars,
+    lambda s: (
+        st.tuples(s) | st.tuples(s, s) | st.lists(s, max_size=2)
+        | st.builds(lambda p: SymbolicCiphertext("sym", None, p), s)
+    ),
+    max_leaves=6,
+)
+
+
+@_FAMILIES
+@given(_terms, _terms)
+def test_verify_holds_iff_canonical_bytes_equal(family, a, b):
+    sign, verify = family(CryptoProvider())
+    sig = sign(a)
+    assert verify(a, sig)
+    assert verify(b, sig) == (canonical_bytes(a) == canonical_bytes(b))
+
+
+@_FAMILIES
+@pytest.mark.parametrize("a, b", [
+    (True, 1), (0, False), ("a", b"a"), (None, ()), ([1], 1), ((), [()]),
+    (role_identity("r", 1), role_identity("r", True)),
+])
+def test_verify_is_exact_type(family, a, b):
+    sign, verify = family(CryptoProvider())
+    k = SymbolicKey("sym", serial=1)
+    for x, y in ((a, b), (b, a)):
+        for wrap in (lambda v: v, lambda v: SymbolicCiphertext("sym", k, v)):
+            sig = sign(("F", wrap(x)))
+            assert verify(("F", wrap(x)), sig)
+            assert not verify(("F", wrap(y)), sig)
+
+
+@_FAMILIES
+def test_signed_term_cannot_change_after_signing(family):
+    sign, verify = family(CryptoProvider())
+    body = ["a"]
+    fields = ("F", SymbolicCiphertext("sym", None, body))
+    sig = sign(fields)
+    body.append("b")
+    assert not verify(fields, sig)
+    assert verify(("F", SymbolicCiphertext("sym", None, ("a",))), sig)
+
+
+@_FAMILIES
+def test_sign_raises_where_canonical_bytes_does(family):
+    sign, _ = family(CryptoProvider())
+    for bad in (
+        1.5, {"a": 1}, SymbolicCiphertext("sym", None, [1.5]),
+        role_identity("r", 1.5), "\ud800", user_identity("\xe9\ud800"),
+    ):
+        with pytest.raises((TypeError, UnicodeEncodeError)) as want:
+            canonical_bytes(("F", bad))
+        with pytest.raises(want.type) as got:
+            sign(("F", bad))
+        assert str(got.value) == str(want.value)

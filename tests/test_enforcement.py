@@ -447,6 +447,16 @@ def test_revoke_nonmember_and_nonholder_warn():
     assert eng.warnings == 3
 
 
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_superuser_role_name_rejected_before_any_key(binding):
+    eng = Engine(binding)
+    before = eng.provider.snapshot()
+    with pytest.raises(RbacError, match="'SU' is reserved"):
+        eng.add_role(SUPERUSER)
+    assert eng.provider.snapshot() == before
+    assert not eng.roles and not eng.fs.rk
+
+
 def test_errors_on_unknown_names():
     eng = Engine()
     with pytest.raises(RbacError):

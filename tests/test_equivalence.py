@@ -23,6 +23,7 @@ from rolecrypt.rbac import (
     RbacState,
     READ,
     RW,
+    SUPERUSER,
     apply_label,
     apply_trace,
 )
@@ -238,6 +239,18 @@ def test_differential_random_traces(binding):
 
 def test_differential_empty_trace():
     assert run_differential([]).ok
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_differential_rejects_superuser_as_role(binding):
+    # the engine keys a role's tuples by the name the superuser's use
+    labels = [
+        Label("addR", role=SUPERUSER),
+        Label("addP", file="f"),
+        Label("assignP", role=SUPERUSER, file="f", op=READ),
+    ]
+    rep = run_differential(labels, binding=binding, check_costs=True)
+    assert rep.ok, rep.detail
 
 
 class _LeakyEngine(Engine):

@@ -93,6 +93,11 @@ def test_superuser_name_reserved():
         apply_label(RbacState(), lab("addU", user=SUPERUSER))
 
 
+def test_superuser_role_name_reserved():
+    with pytest.raises(RbacError, match="'SU' is reserved"):
+        apply_label(RbacState(), lab("addR", role=SUPERUSER))
+
+
 def test_duplicate_add_warns_and_keeps_state():
     warnings = []
     s = run(lab("addU", user="u1"), warnings=warnings)

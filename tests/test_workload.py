@@ -103,6 +103,7 @@ def test_dataset_save_load_round_trip(tmp_path):
     ({"ur": [["u1", "r1", "x"]]}, "'ur' must be a list of [name, name] pairs"),
     ({"roles": "r1"}, "'roles' must be a list of names"),
     ({"users": ["SU"], "ur": []}, "user name 'SU' is reserved"),
+    ({"roles": ["r1", "SU"]}, "role name 'SU' is reserved"),
 ])
 def test_load_dataset_rejects_malformed_files(tmp_path, change, message):
     path = tmp_path / "bad.json"
