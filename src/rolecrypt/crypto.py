@@ -192,10 +192,21 @@ class CostVector:
 # big-endian length, then the body, recursively for structured fields, fields
 # concatenated in declared order.  Two terms are equal exactly when their
 # canonical bytes are (so True is not 1, "a" is not b"a", and a list equals
-# the tuple with the same items); the bytes are also the order in which
-# ``equivalence.canonicalize`` sorts a state.
+# the tuple with the same items).
 
 _u32 = struct.Struct(">I").pack  # the 4-byte big-endian length
+
+_ATOMS = frozenset((str, int, bool, bytes, type(None)))
+_RECORDS = {  # each record type's tag and the fields it encodes, in order
+    Identity: (b"D", operator.attrgetter("kind", "name", "version")),
+    SymbolicKey: (b"K", operator.attrgetter("alg", "owner", "serial")),
+    SymbolicCiphertext: (
+        b"C", operator.attrgetter("alg", "recipient", "payload")
+    ),
+    SymbolicSignature: (
+        b"G", operator.attrgetter("alg", "signer", "key_serial", "fields")
+    ),
+}
 
 
 def canonical_bytes(value: object) -> bytes:
@@ -212,40 +223,21 @@ def _framed(v: object) -> bytes:
     if t is tuple or t is list:
         body = b"".join([_framed(x) for x in v])
         return b"T" + _u32(len(body)) + body
-    if t is Identity:
-        body = _framed(v.kind) + _framed(v.name) + _framed(v.version)
-        return b"D" + _u32(len(body)) + body
     if v is None:
         return b"N\x00\x00\x00\x00"
     if t is int:
         body = str(v).encode()
         return b"I" + _u32(len(body)) + body
-    if t is SymbolicKey:
-        body = _framed(v.alg) + _framed(v.owner) + _framed(v.serial)
-        return b"K" + _u32(len(body)) + body
-    if t is SymbolicCiphertext:
-        body = _framed(v.alg) + _framed(v.recipient) + _framed(v.payload)
-        return b"C" + _u32(len(body)) + body
     if t is bool:
         return b"O\x00\x00\x00\x01" + (b"\x01" if v else b"\x00")
     if t is bytes:
         return b"B" + _u32(len(v)) + v
-    if t is SymbolicSignature:
-        body = (_framed(v.alg) + _framed(v.signer) + _framed(v.key_serial)
-                + _framed(v.fields))
-        return b"G" + _u32(len(body)) + body
-    raise TypeError(f"cannot serialize {t.__name__}")
-
-
-_ATOMS = frozenset((str, int, bool, bytes, type(None)))
-_RECORDS = {  # the fields _framed encodes, in its order
-    Identity: operator.attrgetter("kind", "name", "version"),
-    SymbolicKey: operator.attrgetter("alg", "owner", "serial"),
-    SymbolicCiphertext: operator.attrgetter("alg", "recipient", "payload"),
-    SymbolicSignature: operator.attrgetter(
-        "alg", "signer", "key_serial", "fields"
-    ),
-}
+    record = _RECORDS.get(t)
+    if record is None:
+        raise TypeError(f"cannot serialize {t.__name__}")
+    tag, fields_of = record
+    body = b"".join([_framed(x) for x in fields_of(v)])
+    return tag + _u32(len(body)) + body
 
 
 def _frozen(v: object) -> object:
@@ -262,14 +254,14 @@ def _frozen(v: object) -> object:
     elif t is list:
         return tuple([_frozen(x) for x in v])
     else:
-        fields_of = _RECORDS.get(t)
-        if fields_of is None:
+        record = _RECORDS.get(t)
+        if record is None:
             if t is str and not v.isascii():
                 v.encode()
             elif t not in _ATOMS:
                 raise TypeError(f"cannot serialize {t.__name__}")
             return v
-        items = fields_of(v)
+        items = record[1](v)
     for x in items:
         tx = type(x)
         if tx is str:
@@ -294,10 +286,10 @@ def _same_term(a: object, b: object) -> bool:
     elif t is not tb:
         return False
     else:
-        fields_of = _RECORDS.get(t)
-        if fields_of is None:
+        record = _RECORDS.get(t)
+        if record is None:
             return a == b
-        pairs = zip(fields_of(a), fields_of(b))
+        pairs = zip(record[1](a), record[1](b))
     for x, y in pairs:
         if x is not y and not _same_term(x, y):
             return False

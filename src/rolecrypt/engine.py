@@ -119,7 +119,8 @@ class FileStore:
         self._rk_by_role: dict[tuple[str, int], set[str]] = defaultdict(set)
         self._rk_by_member: dict[str, set[tuple[str, int]]] = defaultdict(set)
         self._fk_by_file: dict[str, set[tuple[str, int]]] = defaultdict(set)
-        self._fk_by_holder: dict[str, set[tuple[str, int]]] = defaultdict(set)
+        # holder -> file -> versions; a file goes with its last version
+        self._fk_by_holder: dict[str, dict[str, set[int]]] = defaultdict(dict)
         self.on_mutation: Optional[Callable[[], None]] = None
 
     def fork(self) -> "FileStore":
@@ -127,12 +128,12 @@ class FileStore:
         the maps and every index set are copied; ``on_mutation`` is not."""
         fs = FileStore()
         fs.rk, fs.fk, fs.f = dict(self.rk), dict(self.fk), dict(self.f)
-        for name in (
-            "_rk_by_role", "_rk_by_member", "_fk_by_file", "_fk_by_holder"
-        ):
+        for name in ("_rk_by_role", "_rk_by_member", "_fk_by_file"):
             index = getattr(fs, name)
             for k, v in getattr(self, name).items():
                 index[k] = set(v)
+        for h, files in self._fk_by_holder.items():
+            fs._fk_by_holder[h] = {fn: set(vs) for fn, vs in files.items()}
         return fs
 
     def _fire(self) -> None:
@@ -170,19 +171,20 @@ class FileStore:
         key = (t.holder.name, t.fn, t.version)
         self.fk[key] = t
         self._fk_by_file[t.fn].add((key[0], key[2]))
-        self._fk_by_holder[key[0]].add((t.fn, key[2]))
+        self._fk_by_holder[key[0]].setdefault(t.fn, set()).add(key[2])
         self._fire()
 
     def del_fk(self, holder: str, fn: str, version: int) -> None:
         del self.fk[(holder, fn, version)]
         self._fk_by_file[fn].discard((holder, version))
-        self._fk_by_holder[holder].discard((fn, version))
+        files = self._fk_by_holder[holder]
+        files[fn].discard(version)
+        if not files[fn]:
+            del files[fn]
         self._fire()
 
     def fk_versions(self, holder: str, fn: str) -> list[int]:
-        return sorted(
-            v for f, v in self._fk_by_holder.get(holder, ()) if f == fn
-        )
+        return sorted(self._fk_by_holder.get(holder, {}).get(fn, ()))
 
     def fk_holders_at(self, fn: str, version: int) -> list[str]:
         return sorted(
@@ -190,7 +192,7 @@ class FileStore:
         )
 
     def holder_files(self, holder: str) -> list[str]:
-        return sorted({f for f, _ in self._fk_by_holder.get(holder, ())})
+        return sorted(self._fk_by_holder.get(holder, ()))
 
     def delete_fk_holder_file(self, holder: str, fn: str) -> None:
         for v in self.fk_versions(holder, fn):

@@ -19,11 +19,15 @@ Three pieces:
   never leaves the envelope of the pre- and post-states.
 
 Normal form details: stale file-key tuples (below the file's current version)
-are dropped, role versions are erased, signatures reduce to their signer,
-file bodies compare by plaintext and writer, and every generated key serial
-is renumbered by first occurrence under a serial-free ordering of the
-entries.  Renumbering is idempotent, and every entry is uniquely keyed by its
-serial-free projection, so the normal form is well defined.
+are dropped, role versions are erased, signatures reduce to their signer, and
+file bodies compare by plaintext and writer.  One walk of each entry yields
+its serial-free projection, in which every generated key serial is a fixed
+marker, and the serials it erased, in walk order.  Entries are sorted by the
+projection alone, and serials are renumbered by first occurrence in that
+order.  A canonical entry is its projection followed by the tuple of its
+renumbered serials.  Every entry is uniquely keyed by its projection and
+renumbering is idempotent, so the normal form is well defined and a fixed
+point of ``canonicalize``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .crypto import (
     SymbolicCiphertext,
     SymbolicKey,
     SymbolicSignature,
-    canonical_bytes,
 )
 from .engine import Engine, default_content, measure_label
 from .rbac import (
@@ -77,81 +80,68 @@ def sigma(state: RbacState, binding: str = "ibe") -> Engine:
 # --- canonical form -------------------------------------------------------------
 
 
-def _canon(v: object) -> object:
+def _canon(v: object, serials: list) -> object:
     """Structural reduction: erase role versions, reduce signatures to their
-    signer, tag generated serials as renameable handles."""
+    signer, replace each generated serial by the marker ``("h",)`` and
+    append it to ``serials`` in walk order."""
     if isinstance(v, Identity):
         return ("id", v.kind, v.name)
     if isinstance(v, SymbolicKey):
+        key = ("key", v.alg, _canon(v.owner, serials))
         if v.serial is None:
-            return ("key", v.alg, _canon(v.owner))
-        return ("key", v.alg, _canon(v.owner), ("h", v.serial))
+            return key
+        serials.append(v.serial)
+        return key + (("h",),)
     if isinstance(v, SymbolicCiphertext):
-        return ("ct", v.alg, _canon(v.recipient), _canon(v.payload))
+        recipient = _canon(v.recipient, serials)
+        return ("ct", v.alg, recipient, _canon(v.payload, serials))
     if isinstance(v, SymbolicSignature):
-        return ("sig", _canon(v.signer))
+        return ("sig", _canon(v.signer, serials))
     if isinstance(v, tuple):
-        return ("tup",) + tuple(_canon(x) for x in v)
+        return ("tup",) + tuple([_canon(x, serials) for x in v])
     return v
 
 
-def _entries(eng: Engine) -> list[tuple]:
-    out: list[tuple] = []
-    for u in eng.users:
-        ring = eng.users[u]
-        out.append(("U", u, _canon(ring.enc_ref), _canon(ring.ver_ref)))
+def _entry(*fields: object) -> tuple[tuple, list]:
+    """An entry's projection, with the serials it erased."""
+    serials: list = []
+    return tuple([_canon(x, serials) for x in fields]), serials
+
+
+def _entries(eng: Engine) -> list[tuple[tuple, list]]:
+    out: list[tuple[tuple, list]] = []
+    for u, ring in eng.users.items():
+        out.append(_entry("U", u, ring.enc_ref, ring.ver_ref))
     for r, rec in eng.roles.items():
-        out.append(
-            ("R", r, _canon(rec.keys.enc_ref), _canon(rec.keys.ver_ref))
-        )
+        out.append(_entry("R", r, rec.keys.enc_ref, rec.keys.ver_ref))
     for fn in eng.files:
-        out.append(("P", fn))
+        out.append(_entry("P", fn))
     for (m, rn, _v), t in eng.fs.rk.items():
-        out.append(("RK", m, rn, _canon(t.ct), _canon(t.sig)))
+        out.append(_entry("RK", m, rn, t.ct, t.sig))
     for (h, fn, v), t in eng.fs.fk.items():
         if v != eng.files.get(fn):
             continue  # superseded file-key versions do not count
-        out.append(
-            ("FK", h, fn, t.op, _canon(t.ct), _canon(t.issuer), _canon(t.sig))
-        )
+        out.append(_entry("FK", h, fn, t.op, t.ct, t.issuer, t.sig))
     for fn, t in eng.fs.f.items():
-        out.append(
-            ("F", fn, t.body.payload, _canon(t.writer), _canon(t.sig))
-        )
+        out.append(_entry("F", fn, t.body.payload, t.writer, t.sig))
     return out
-
-
-def _is_handle(v: object) -> bool:
-    return isinstance(v, tuple) and len(v) == 2 and v[0] == "h"
-
-
-def _project(v: object) -> object:
-    if _is_handle(v):
-        return ("h",)
-    if isinstance(v, tuple):
-        return tuple(_project(x) for x in v)
-    return v
-
-
-def _rename(v: object, mapping: dict, counter: list[int]) -> object:
-    if _is_handle(v):
-        if v[1] not in mapping:
-            mapping[v[1]] = counter[0]
-            counter[0] += 1
-        return ("h", mapping[v[1]])
-    if isinstance(v, tuple):
-        return tuple(_rename(x, mapping, counter) for x in v)
-    return v
 
 
 def canonicalize(obj: Union[Engine, CanonicalState]) -> CanonicalState:
     """Version-free, handle-free normal form of an engine state.  Accepts an
     engine or an already-canonical value; a fixed point either way."""
-    entries = _entries(obj) if isinstance(obj, Engine) else list(obj)
-    entries.sort(key=lambda e: canonical_bytes(_project(e)))
-    mapping: dict = {}
-    counter = [0]
-    return tuple(_rename(e, mapping, counter) for e in entries)
+    if isinstance(obj, Engine):
+        entries = _entries(obj)
+    else:
+        entries = [(e[:-1], e[-1]) for e in obj]
+    # repr is injective on the tuples, strings, bytes, ints, bools and None
+    # that a projection holds
+    entries.sort(key=lambda e: repr(e[0]))
+    numbers: dict = {}
+    return tuple(
+        proj + (tuple([numbers.setdefault(n, len(numbers)) for n in s]),)
+        for proj, s in entries
+    )
 
 
 def congruent(

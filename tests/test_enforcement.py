@@ -683,6 +683,16 @@ def test_fork_is_independent_of_original(binding):
     assert fired == []  # the mutation hook is not inherited
     assert eng.dump() == before
     assert eng.provider.snapshot() == snap
+    # each store's holder index lists exactly the files and versions of its
+    # own FK tuples, so the fork shares no inner version set
+    for store in (eng.fs, fork.fs):
+        held = {}
+        for h, fn, v in store.fk:
+            held.setdefault(h, {}).setdefault(fn, []).append(v)
+        for h, files in held.items():
+            assert store.holder_files(h) == sorted(files), h
+            for fn, vs in files.items():
+                assert store.fk_versions(h, fn) == sorted(vs), (h, fn)
     # the original's indexes were not touched either: replaying the trace
     # on it reaches the fork's state
     eng.fs.on_mutation = None

@@ -150,6 +150,36 @@ def test_congruence_detects_structural_differences():
     assert not congruent(sigma(SMALL), sigma(read_only))
 
 
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_congruence_sees_shared_keys(binding):
+    # the role's FK for f1 re-wrapped around a fresh symmetric key has the
+    # same projection; only the key it no longer shares with SU's FK differs
+    a, b = sigma(SMALL, binding), sigma(SMALL, binding)
+    t = b.fs.fk[("r1", "f1", 1)]
+    ct = b.binding.enc(
+        b.provider, b.roles["r1"].keys.enc_ref, b.provider.sym_gen()
+    )
+    b._issue_fk(t.holder, t.fn, t.op, t.version, ct)
+    assert congruent(a, sigma(SMALL, binding))
+    assert not congruent(a, b)
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_canonical_form_ignores_insertion_order(binding):
+    for seed in range(10):
+        eng = Engine(binding)
+        for lbl in random_trace(random.Random(seed), 40):
+            eng.apply_label(lbl)
+        rev = eng.fork()
+        for obj, name in (
+            (rev, "users"), (rev, "roles"), (rev, "files"),
+            (rev.fs, "rk"), (rev.fs, "fk"), (rev.fs, "f"),
+        ):
+            setattr(obj, name, dict(reversed(getattr(obj, name).items())))
+        assert list(rev.fs.fk) == list(reversed(eng.fs.fk))
+        assert canonicalize(rev) == canonicalize(eng)
+
+
 def test_membership_round_trip_congruent_not_equal():
     base = state_with(users=["u1", "u2"], roles=["r1"], perms=["f1"],
                       ur=[("u1", "r1")], pa=[("r1", "f1", RW)])
