@@ -27,7 +27,9 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Optional
 
-from .crypto import CostVector, INVOKER, PKI_TO_IBE, REFERENCE_MONITOR
+from .crypto import (
+    CostVector, IBE_TO_PKI, INVOKER, PKI_TO_IBE, REFERENCE_MONITOR,
+)
 from .rbac import Label, RbacState, READ, RW, WRITE
 
 HEADLINE_PROFILES = ("BF+CC", "BB1+PS", "LW+PS")
@@ -346,9 +348,11 @@ def static_cost_table(
     cost does not depend on the state: the additive administrative commands
     (permission grants priced per file-key version) and the two data requests."""
     stats = _unit_stats()
+    add_file = algebraic_cost(Label("addP", file="f2"), stats)
+    write = data_op_cost("write")
     rows: list[tuple[str, str, CostVector]] = [
         ("invoker", "addU", algebraic_cost(Label("addU", user=_UNIT_USER), stats)),
-        ("invoker", "addP", algebraic_cost(Label("addP", file="f2"), stats)),
+        ("invoker", "addP", add_file),
         ("invoker", "addR", algebraic_cost(Label("addR", role="r2"), stats)),
         (
             "invoker",
@@ -366,9 +370,9 @@ def static_cost_table(
             ),
         ),
         ("invoker", "read", data_op_cost("read")),
-        ("invoker", "write", data_op_cost("write")),
-        ("monitor", "addP", algebraic_cost(Label("addP", file="f2"), stats)),
-        ("monitor", "write", data_op_cost("write")),
+        ("invoker", "write", write),
+        ("monitor", "addP", add_file),
+        ("monitor", "write", write),
     ]
     out = []
     for party, opname, cost in rows:
@@ -398,7 +402,5 @@ def reconcile(
     one label; zero (falsy) when the engine matches the model exactly."""
     predicted = algebraic_cost(label, stats)
     if variant == "pki":
-        from .crypto import IBE_TO_PKI
-
         predicted = predicted.renamed(IBE_TO_PKI)
     return measured - predicted

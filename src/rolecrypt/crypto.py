@@ -7,9 +7,9 @@ ciphertext's recipient exactly, and a mismatch raises and is recorded as an
 unauthorized-decryption event.  A signature is the term ``sig(k, m)``: it
 carries the signer and the signed fields themselves, and verifying it is a
 syntactic comparison of those fields with the presented ones.  Every
-primitive invocation increments a named counter attributed to the principal
-currently on the scope stack (``invoker`` unless a ``reference_monitor``
-scope is active).
+primitive invocation increments a named counter attributed to the provider's
+current ``principal`` (``invoker`` unless a ``reference_monitor`` scope is
+open).
 
 Two families share one provider so a single engine can run against either:
 identity-based primitives (ibe_*/ibs_*: encrypt/verify against an identity)
@@ -301,7 +301,7 @@ class CryptoProvider:
 
     def __init__(self) -> None:
         self._counts: Counter = Counter()
-        self._scopes: list[str] = []
+        self.principal = INVOKER  # charged for every primitive
         self._next_serial = 1
         self.unauthorized_events: list[tuple] = []
 
@@ -321,19 +321,15 @@ class CryptoProvider:
 
     # -- scopes and accounting
 
-    @property
-    def principal(self) -> str:
-        return self._scopes[-1] if self._scopes else INVOKER
-
     @contextmanager
     def scope(self, principal: str) -> Iterator[None]:
         if principal not in PRINCIPALS:
             raise ValueError(f"unknown principal {principal!r}")
-        self._scopes.append(principal)
+        saved, self.principal = self.principal, principal
         try:
             yield
         finally:
-            self._scopes.pop()
+            self.principal = saved
 
     def _count(self, op: str) -> None:
         self._counts[(self.principal, op)] += 1

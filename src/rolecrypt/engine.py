@@ -17,6 +17,10 @@ on the next write.  A minimal reference monitor verifies signatures on user
 uploads (new files and writes); administrative traffic is signed but not
 re-verified server-side.
 
+The signed layout lives in one table, ``_SIGNED``: each tuple is signed by
+its signer over its tag and every field but ``sig``.  A tuple an operation
+needs that the store dropped raises ``IntegrityError`` before any primitive.
+
 One engine serves both crypto bindings.  The identity-based binding encrypts
 and verifies directly against identities; the conventional public-key binding
 generates key pairs, publishes the public halves in the USERS/ROLES metadata
@@ -37,7 +41,8 @@ from __future__ import annotations
 
 import copy
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .costmodel import StateStats
@@ -95,16 +100,16 @@ class FTuple:
     sig: SymbolicSignature  # by the writer
 
 
-def rk_fields(t: RkTuple) -> tuple:
-    return ("RK", t.member, t.role, t.ct)
-
-
-def fk_fields(t: FkTuple) -> tuple:
-    return ("FK", t.holder, t.fn, t.op, t.version, t.ct, t.issuer)
-
-
-def f_fields(t: FTuple) -> tuple:
-    return ("F", t.fn, t.version, t.body, t.writer)
+#: Each store tuple's tag, the getter of the fields its signature covers
+#: (every field but the trailing ``sig``, in constructor order) and its signer.
+_SIGNED = {
+    cls: (tag, attrgetter(*[f.name for f in fields(cls)][:-1]), signer_of)
+    for cls, tag, signer_of in (
+        (RkTuple, "RK", lambda t: SU_IDENTITY),
+        (FkTuple, "FK", attrgetter("issuer")),
+        (FTuple, "F", attrgetter("writer")),
+    )
+}
 
 
 class FileStore:
@@ -333,33 +338,35 @@ class Engine:
             return self.roles[ident.name].keys.ver_ref
         return self._ver_refs[ident.name]
 
-    def _verify(self, ident: Identity, fields: tuple, sig) -> None:
-        ok = self.binding.verify(
-            self.provider, self._ver_ref_of(ident), fields, sig
+    def _signed(self, cls: type, sig_key: SymbolicKey, *values):
+        """A ``cls`` tuple of ``values``, signed under ``sig_key``."""
+        sig = self.binding.sign(
+            self.provider, sig_key, (_SIGNED[cls][0], *values)
         )
-        if not ok:
-            raise IntegrityError(f"bad signature by {ident} on {fields[0]}")
+        return cls(*values, sig)
 
-    def _verify_rk(self, t: RkTuple) -> None:
-        self._verify(SU_IDENTITY, rk_fields(t), t.sig)
+    def _valid(self, t) -> bool:
+        """Whether ``t``'s signature by its signer covers its fields."""
+        tag, fields_of, signer_of = _SIGNED[type(t)]
+        ref = self._ver_ref_of(signer_of(t))
+        return self.binding.verify(
+            self.provider, ref, (tag, *fields_of(t)), t.sig
+        )
 
-    def _verify_fk(self, t: FkTuple) -> None:
-        self._verify(t.issuer, fk_fields(t), t.sig)
-
-    def _sign_as_su(self, fields: tuple):
-        return self.binding.sign(self.provider, self.su.sig_key, fields)
+    def _verify(self, t) -> None:
+        if not self._valid(t):
+            tag, _, signer_of = _SIGNED[type(t)]
+            raise IntegrityError(f"bad signature by {signer_of(t)} on {tag}")
 
     def _issue_rk(self, member: Identity, role: Identity, ct) -> None:
-        sig = self._sign_as_su(("RK", member, role, ct))
-        self.fs.put_rk(RkTuple(member, role, ct, sig))
+        self.fs.put_rk(self._signed(RkTuple, self.su.sig_key, member, role, ct))
 
     def _issue_fk(
         self, holder: Identity, fn: str, op: str, version: int, ct
     ) -> None:
-        sig = self._sign_as_su(
-            ("FK", holder, fn, op, version, ct, SU_IDENTITY)
-        )
-        self.fs.put_fk(FkTuple(holder, fn, op, version, ct, SU_IDENTITY, sig))
+        self.fs.put_fk(self._signed(
+            FkTuple, self.su.sig_key, holder, fn, op, version, ct, SU_IDENTITY
+        ))
 
     def _warn(self, message: str) -> None:
         self.warnings += 1
@@ -446,17 +453,14 @@ class Engine:
         wident = user_identity(uploader)
         k = self.provider.sym_gen()
         body_ct = self.provider.sym_enc(k, body)
-        fsig = self.binding.sign(
-            self.provider, ring.sig_key, ("F", fn, 1, body_ct, wident)
-        )
-        ftup = FTuple(fn, 1, body_ct, wident, fsig)
+        ftup = self._signed(FTuple, ring.sig_key, fn, 1, body_ct, wident)
         kct = self.binding.enc(self.provider, self.su.enc_ref, k)
-        fkf = ("FK", SU_IDENTITY, fn, RW, 1, kct, wident)
-        fksig = self.binding.sign(self.provider, ring.sig_key, fkf)
-        fktup = FkTuple(SU_IDENTITY, fn, RW, 1, kct, wident, fksig)
+        fktup = self._signed(
+            FkTuple, ring.sig_key, SU_IDENTITY, fn, RW, 1, kct, wident
+        )
         with self.provider.scope(REFERENCE_MONITOR):
-            self._verify(wident, f_fields(ftup), ftup.sig)
-            self._verify(wident, fk_fields(fktup), fktup.sig)
+            self._verify(ftup)
+            self._verify(fktup)
         self.files[fn] = 1
         self.body_versions[fn] = 1
         self.fs.put_f(ftup)
@@ -480,8 +484,10 @@ class Engine:
         if (u, r, v) in self.fs.rk:
             self._warn(f"assignU: {u!r} already in {r!r}")
             return
-        sut = self.fs.rk[(SUPERUSER, r, v)]
-        self._verify_rk(sut)
+        sut = self.fs.rk.get((SUPERUSER, r, v))
+        if sut is None:
+            raise IntegrityError(f"assignU: missing SU's RK tuple of {r!r}")
+        self._verify(sut)
         payload = self.binding.dec(self.provider, self.su.dec_key, sut.ct)
         ct = self.binding.enc(self.provider, self.users[u].enc_ref, payload)
         self._issue_rk(user_identity(u), role_identity(r, v), ct)
@@ -505,7 +511,7 @@ class Engine:
         for m in self.fs.rk_members(r, v):
             if m == u:
                 continue
-            self._verify_rk(self.fs.rk[(m, r, v)])
+            self._verify(self.fs.rk[(m, r, v)])
             ct = self.binding.enc(
                 self.provider, self._keyring_of(m).enc_ref, payload
             )
@@ -528,7 +534,7 @@ class Engine:
         k2 = self.provider.sym_gen()
         for h in self.fs.fk_holders_at(fn, vfn):
             old = self.fs.fk[(h, fn, vfn)]
-            self._verify_fk(old)
+            self._verify(old)
             if h == SUPERUSER:
                 ident, ref = SU_IDENTITY, self.su.enc_ref
             elif h in role_overrides:
@@ -548,7 +554,7 @@ class Engine:
         version keeps its op unless ``op`` is given."""
         for vv in self.fs.fk_versions(src, fn):
             old = self.fs.fk[(src, fn, vv)]
-            self._verify_fk(old)
+            self._verify(old)
             k = self.binding.dec(self.provider, dec_key, old.ct)
             ct = self.binding.enc(self.provider, ref, k)
             self._issue_fk(ident, fn, op or old.op, vv, ct)
@@ -557,7 +563,7 @@ class Engine:
         """Re-sign role ``r``'s key for ``fn`` at every version with ``op``."""
         for vv in self.fs.fk_versions(r, fn):
             old = self.fs.fk[(r, fn, vv)]
-            self._verify_fk(old)
+            self._verify(old)
             self._issue_fk(old.holder, fn, op, vv, old.ct)
 
     def assign_perm(self, r: str, fn: str, op: str) -> None:
@@ -577,6 +583,9 @@ class Engine:
             self._set_fk_op(r, fn, RW)
             return
         # fresh grant: copy SU's wrapped key at every version
+        versions = range(1, self.files[fn] + 1)
+        if any((SUPERUSER, fn, v) not in self.fs.fk for v in versions):
+            raise IntegrityError(f"assignP: missing SU's FK tuples of {fn!r}")
         rrec = self.roles[r]
         self._rewrap_fks(
             SUPERUSER, self.su.dec_key, fn,
@@ -634,6 +643,8 @@ class Engine:
         if write:
             version = self.files[fn]
         else:
+            if fn not in self.fs.f:
+                raise IntegrityError(f"missing body of {fn!r}")
             version = self.fs.f[fn].version
             if version != self.body_versions[fn]:
                 raise IntegrityError(f"replayed stale body of {fn!r}")
@@ -642,12 +653,12 @@ class Engine:
             raise AuthorizationError(f"{u!r} may not {verb} {fn!r}")
         r = roles[0]
         rkt = self.fs.rk[(u, r, self.roles[r].version)]
-        self._verify_rk(rkt)
+        self._verify(rkt)
         _, role_dec, role_sig = self.binding.dec(
             self.provider, self.users[u].dec_key, rkt.ct
         )
         fkt = self.fs.fk[(r, fn, version)]
-        self._verify_fk(fkt)
+        self._verify(fkt)
         k = self.binding.dec(self.provider, role_dec, fkt.ct)
         return r, role_sig, fkt, k
 
@@ -660,15 +671,12 @@ class Engine:
         vfn = self.files[fn]
         body_ct = self.provider.sym_enc(k, body)
         wident = role_identity(r, self.roles[r].version)
-        fsig = self.binding.sign(
-            self.provider, role_sig, ("F", fn, vfn, body_ct, wident)
-        )
-        ftup = FTuple(fn, vfn, body_ct, wident, fsig)
+        ftup = self._signed(FTuple, role_sig, fn, vfn, body_ct, wident)
         with self.provider.scope(REFERENCE_MONITOR):
             if ftup.version != self.files[fn]:
                 raise IntegrityError(f"stale write to {fn!r}")
-            self._verify(wident, f_fields(ftup), ftup.sig)
-            self._verify_fk(fkt)
+            self._verify(ftup)
+            self._verify(fkt)
         self.body_versions[fn] = vfn
         self.fs.put_f(ftup)
 
@@ -679,11 +687,7 @@ class Engine:
         if rec is None:
             return False
         t = self.fs.rk.get((u, r, rec.version))
-        if t is None:
-            return False
-        return self.binding.verify(
-            self.provider, self._ver_ref_of(SU_IDENTITY), rk_fields(t), t.sig
-        )
+        return t is not None and self._valid(t)
 
     def query_holds(self, r: str, fn: str, op: str) -> bool:
         if fn not in self.files:
@@ -691,9 +695,7 @@ class Engine:
         t = self.fs.fk.get((r, fn, self.files[fn]))
         if t is None or t.op != op or t.issuer != SU_IDENTITY:
             return False
-        return self.binding.verify(
-            self.provider, self._ver_ref_of(t.issuer), fk_fields(t), t.sig
-        )
+        return self._valid(t)
 
     def query_role(self, r: str) -> bool:
         return r in self.roles
@@ -709,9 +711,7 @@ class Engine:
             t = self.fs.fk.get((rn, fn, vfn))
             if t is None or not grants(t.op, op) or t.issuer != SU_IDENTITY:
                 continue
-            if self.query_member(u, rn) and self.binding.verify(
-                self.provider, self._ver_ref_of(t.issuer), fk_fields(t), t.sig
-            ):
+            if self.query_member(u, rn) and self._valid(t):
                 return True
         return False
 

@@ -14,7 +14,11 @@ from rolecrypt.crypto import (
     IBE_TO_PKI,
     INVOKER,
     REFERENCE_MONITOR,
+    SU_IDENTITY,
+    Identity,
+    SymbolicCiphertext,
     UnauthorizedDecrypt,
+    role_identity,
     user_identity,
 )
 from rolecrypt.engine import (
@@ -358,6 +362,93 @@ def test_tampered_fk_tuple_detected():
     assert not eng.query_auth("u1", "f1", READ)
     with pytest.raises(IntegrityError):
         eng.read_file("u1", "f1")
+
+
+def _other(v):
+    """Another value of ``v``'s type, one a tamperer could put in its place."""
+    if type(v) is Identity:
+        if v.kind == "role":
+            return role_identity(v.name, v.version + 1)
+        return user_identity("u2") if v == SU_IDENTITY else SU_IDENTITY
+    if type(v) is SymbolicCiphertext:
+        return dataclasses.replace(v, payload=("junk",))
+    if type(v) is int:
+        return v + 1
+    return {READ: RW, RW: READ}.get(v, v + "x")
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_signature_covers_every_field(binding):
+    eng = engine_with(
+        users=["u1", "u2"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1")], pa=[("r1", "f1", READ)], binding=binding,
+    )
+    fk = eng.fs.fk[("r1", "f1", 1)]
+    for t in (eng.fs.rk[("u1", "r1", 1)], fk, eng.fs.f["f1"]):
+        assert eng._valid(t)
+        for field in dataclasses.fields(t):
+            if field.name == "sig":
+                continue
+            value = getattr(t, field.name)
+            other = _other(value)
+            assert type(other) is type(value) and other != value
+            forged = dataclasses.replace(t, **{field.name: other})
+            assert not eng._valid(forged), (type(t).__name__, field.name)
+    # the escalation that matters most: a Read key relabelled RW
+    eng.fs.put_fk(dataclasses.replace(fk, op=RW))
+    assert not eng.query_holds("r1", "f1", RW)
+    with pytest.raises(IntegrityError, match="bad signature by SU on FK"):
+        eng.write_file("u1", "f1", b"escalated")
+
+
+def _drop_older_su_key(eng):
+    eng.revoke_user("u2", "r1")  # f1 moves to file-key version 2
+    eng.fs.del_fk(SUPERUSER, "f1", 1)
+
+
+DROPPED_TUPLES = {  # case: (drop, operation, its error message)
+    "F": (
+        lambda eng: eng.fs.del_f("f1"),
+        lambda eng: eng.read_file("u1", "f1"),
+        "missing body of 'f1'",
+    ),
+    "RK": (
+        lambda eng: eng.fs.del_rk(SUPERUSER, "r2", 1),
+        lambda eng: eng.assign_user("u1", "r2"),
+        "assignU: missing SU's RK tuple of 'r2'",
+    ),
+    "FK": (
+        lambda eng: eng.fs.del_fk(SUPERUSER, "f1", 1),
+        lambda eng: eng.assign_perm("r2", "f1", RW),
+        "assignP: missing SU's FK tuples of 'f1'",
+    ),
+    "FK-older-version": (
+        _drop_older_su_key,
+        lambda eng: eng.assign_perm("r2", "f1", READ),
+        "assignP: missing SU's FK tuples of 'f1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+@pytest.mark.parametrize("case", sorted(DROPPED_TUPLES))
+def test_dropped_tuple_raises_integrity_error(binding, case):
+    # a store that withholds a tuple the operation needs is caught before
+    # any primitive runs, not left to a KeyError or a silent no-op
+    eng = engine_with(
+        users=["u1", "u2"], roles=["r1", "r2"], files=["f1"],
+        ur=[("u1", "r1"), ("u2", "r1")], pa=[("r1", "f1", RW)],
+        binding=binding,
+    )
+    drop, operation, message = DROPPED_TUPLES[case]
+    drop(eng)
+    before = eng.provider.snapshot()
+    with pytest.raises(IntegrityError) as exc:
+        operation(eng)
+    assert str(exc.value) == message
+    assert eng.provider.snapshot() == before
+    assert not eng.fs.fk_versions("r2", "f1")
+    assert ("u1", "r2", 1) not in eng.fs.rk
 
 
 @pytest.mark.parametrize("binding", sorted(BINDINGS))
