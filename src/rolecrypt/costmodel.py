@@ -21,7 +21,6 @@ the identity-based ones.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -80,12 +79,13 @@ class StateStats:
 
 # --- primitive-count prediction -------------------------------------------------
 
-_Bag = Counter  # (principal, op) -> count
+_Bag = dict  # (principal, op) -> count
 
 
 def _add(bag: _Bag, op: str, n: int = 1, principal: str = INVOKER) -> None:
     if n:
-        bag[(principal, op)] += n
+        k = (principal, op)
+        bag[k] = bag.get(k, 0) + n
 
 
 def _rekey_membership(bag: _Bag, kept: int) -> None:
@@ -131,7 +131,7 @@ def algebraic_cost(label: Label, stats: StateStats) -> CostVector:
     """Predict the primitive counts of applying ``label`` to a state with the
     given statistics.  Labels that the enforcement engine would reduce to a
     warning (duplicate adds, absent deletes, redundant grants) cost nothing."""
-    bag: _Bag = Counter()
+    bag: _Bag = {}
     k = label.kind
     if k == "addU":
         if label.user not in stats.user_roles:
@@ -204,7 +204,7 @@ def algebraic_cost(label: Label, stats: StateStats) -> CostVector:
 
 def data_op_cost(kind: str) -> CostVector:
     """Primitive counts of the two data-path requests (state independent)."""
-    bag: _Bag = Counter()
+    bag: _Bag = {}
     if kind == "read":
         _add(bag, "ibs_ver", 2)
         _add(bag, "ibe_dec", 2)

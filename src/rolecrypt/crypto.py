@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import operator
 import struct
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
@@ -130,17 +129,24 @@ class UnauthorizedDecrypt(Exception):
 
 
 class CostVector:
-    """An immutable bag of (principal, op) counts with exact arithmetic."""
+    """An immutable bag of (principal, op) counts with exact arithmetic.
+
+    The counts live in a plain dict that holds no zero.  ``+`` keeps
+    ``Counter``'s rule: a count whose sum is not positive drops out.  ``-``
+    keeps negative counts, so ``measured - predicted`` shows an excess and a
+    shortfall alike."""
 
     __slots__ = ("_counts",)
 
     def __init__(self, counts: Optional[Mapping[tuple[str, str], int]] = None):
-        c = Counter()
-        if counts:
-            for k, v in counts.items():
-                if v:
-                    c[k] = v
-        self._counts = c
+        self._counts = {k: v for k, v in counts.items() if v} if counts else {}
+
+    @classmethod
+    def _of(cls, counts: dict[tuple[str, str], int]) -> "CostVector":
+        """A vector owning ``counts``, which must hold no zero."""
+        cv = object.__new__(cls)
+        cv._counts = counts
+        return cv
 
     def get(self, op: str, principal: Optional[str] = None) -> int:
         if principal is not None:
@@ -153,33 +159,38 @@ class CostVector:
         }
 
     def totals(self) -> dict[str, int]:
-        out: Counter = Counter()
+        out: dict[str, int] = {}
         for (_, o), v in self._counts.items():
-            out[o] += v
+            out[o] = out.get(o, 0) + v
         return dict(sorted(out.items()))
 
     def items(self) -> list[tuple[tuple[str, str], int]]:
         return sorted(self._counts.items())
 
     def renamed(self, mapping: Mapping[str, str]) -> "CostVector":
-        c: Counter = Counter()
+        c: dict[tuple[str, str], int] = {}
         for (p, o), v in self._counts.items():
-            c[(p, mapping.get(o, o))] += v
+            k = (p, mapping.get(o, o))
+            c[k] = c.get(k, 0) + v
         return CostVector(c)
 
     def __add__(self, other: "CostVector") -> "CostVector":
-        return CostVector(self._counts + other._counts)
+        c = dict(self._counts)
+        for k, v in other._counts.items():
+            c[k] = c.get(k, 0) + v
+        return CostVector._of({k: v for k, v in c.items() if v > 0})
 
     def __sub__(self, other: "CostVector") -> "CostVector":
-        c = Counter(self._counts)
-        c.subtract(other._counts)
+        c = dict(self._counts)
+        for k, v in other._counts.items():
+            c[k] = c.get(k, 0) - v
         return CostVector(c)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CostVector) and self._counts == other._counts
 
     def __bool__(self) -> bool:
-        return any(self._counts.values())
+        return bool(self._counts)
 
     def __repr__(self) -> str:
         parts = [f"{p}.{o}={v}" for (p, o), v in self.items()]
@@ -300,8 +311,10 @@ class CryptoProvider:
     """Counts primitive invocations and evaluates the symbolic algebra."""
 
     def __init__(self) -> None:
-        self._counts: Counter = Counter()
+        # each principal's counts by op; _tally is the current principal's
+        self._tallies: dict[str, dict[str, int]] = {p: {} for p in PRINCIPALS}
         self.principal = INVOKER  # charged for every primitive
+        self._tally = self._tallies[INVOKER]
         self._next_serial = 1
         self.unauthorized_events: list[tuple] = []
 
@@ -309,7 +322,8 @@ class CryptoProvider:
         """An independent provider with the same counts, next serial and
         unauthorized-decryption events, and no open scope."""
         p = CryptoProvider()
-        p._counts = Counter(self._counts)
+        for principal, tally in self._tallies.items():
+            p._tallies[principal].update(tally)
         p._next_serial = self._next_serial
         p.unauthorized_events = list(self.unauthorized_events)
         return p
@@ -325,17 +339,23 @@ class CryptoProvider:
     def scope(self, principal: str) -> Iterator[None]:
         if principal not in PRINCIPALS:
             raise ValueError(f"unknown principal {principal!r}")
-        saved, self.principal = self.principal, principal
+        saved = self.principal
+        self.principal, self._tally = principal, self._tallies[principal]
         try:
             yield
         finally:
-            self.principal = saved
+            self.principal, self._tally = saved, self._tallies[saved]
 
     def _count(self, op: str) -> None:
-        self._counts[(self.principal, op)] += 1
+        tally = self._tally
+        tally[op] = tally.get(op, 0) + 1
 
     def snapshot(self) -> CostVector:
-        return CostVector(self._counts)
+        return CostVector._of({
+            (p, op): n
+            for p, tally in self._tallies.items()
+            for op, n in tally.items()
+        })
 
     def diff_since(self, snap: CostVector) -> CostVector:
         return self.snapshot() - snap

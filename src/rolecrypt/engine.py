@@ -334,9 +334,12 @@ class Engine:
         return self.su if name == SUPERUSER else self.users[name]
 
     def _ver_ref_of(self, ident: Identity) -> object:
+        """``ident``'s verification reference, or None for a signer the
+        engine does not know."""
         if ident.kind == "role":
-            return self.roles[ident.name].keys.ver_ref
-        return self._ver_refs[ident.name]
+            rec = self.roles.get(ident.name)
+            return None if rec is None else rec.keys.ver_ref
+        return self._ver_refs.get(ident.name)
 
     def _signed(self, cls: type, sig_key: SymbolicKey, *values):
         """A ``cls`` tuple of ``values``, signed under ``sig_key``."""
@@ -346,9 +349,12 @@ class Engine:
         return cls(*values, sig)
 
     def _valid(self, t) -> bool:
-        """Whether ``t``'s signature by its signer covers its fields."""
+        """Whether ``t``'s signature by its signer covers its fields.  An
+        unknown signer makes a bad signature, with no primitive run."""
         tag, fields_of, signer_of = _SIGNED[type(t)]
         ref = self._ver_ref_of(signer_of(t))
+        if ref is None:
+            return False
         return self.binding.verify(
             self.provider, ref, (tag, *fields_of(t)), t.sig
         )

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .costmodel import reconcile
+from .costmodel import StateStats, reconcile
 from .crypto import (
     Identity,
     SymbolicCiphertext,
@@ -175,10 +175,21 @@ def run_differential(
     step_congruence: bool = False,
 ) -> DifferentialReport:
     """Replay ``labels`` through the reference model and one engine in
-    lockstep.  Stops at the first divergence."""
+    lockstep.  Stops at the first divergence.
+
+    Each step reads ``eng.state()`` once, after the label, besides the
+    envelope hook's read at each store mutation.  That one read serves
+    twice.  The theory check compares its ``(roles, ur, pa)`` with the
+    model's: ``rbac.theory`` is built from those three, and its R, UR and
+    PA facts give them back, so equal triples mean equal theories.  Both
+    theories are built only to word a mismatch.  Nothing touches the engine
+    before the next label, so the same read is the next step's pre-state
+    for cost prediction.
+    """
     labels = list(labels)
     oracle = RbacState()
     eng = Engine(binding=binding)
+    eng_state = eng.state()
 
     def fail(i: int, kind: str, detail: str) -> DifferentialReport:
         return DifferentialReport(
@@ -204,7 +215,10 @@ def run_differential(
                 missing = sorted(lower - cur)
                 violations.append(f"outside envelope +{extra} -{missing}")
 
-        stats = eng.stats() if check_costs and oracle_err is None else None
+        stats = (
+            StateStats.of(eng_state, eng.files)
+            if check_costs and oracle_err is None else None
+        )
         eng.fs.on_mutation = hook
         try:
             measured = measure_label(eng, lbl)
@@ -228,8 +242,11 @@ def run_differential(
             diff = reconcile(measured, lbl, stats, variant=binding)
             if diff:
                 return fail(i, "cost", f"measured-predicted {diff!r}")
-        if eng.theory() != theory(new_oracle):
-            got, want = eng.theory(), theory(new_oracle)
+        eng_state = eng.state()
+        if (eng_state.roles, eng_state.ur, eng_state.pa) != (
+            new_oracle.roles, new_oracle.ur, new_oracle.pa
+        ):
+            got, want = theory(eng_state), theory(new_oracle)
             return fail(
                 i, "theory",
                 f"+{sorted(got - want)} -{sorted(want - got)}",

@@ -1,5 +1,7 @@
 """Symbolic provider: counting, scopes, key matching, canonical bytes."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from rolecrypt.crypto import (
     IBE_TO_PKI,
     INVOKER,
     PKI_TO_IBE,
+    PRINCIPALS,
     REFERENCE_MONITOR,
     CostVector,
     CryptoProvider,
@@ -204,6 +207,125 @@ def test_cost_vector_renaming_merges():
     assert merged.get("ibe_enc") == 0
     # renaming tables are mutual inverses op-for-op
     assert PKI_TO_IBE == {v: k for k, v in IBE_TO_PKI.items()}
+
+
+class _CounterCostVector:
+    """The ``Counter``-backed ``CostVector`` that the dict-backed one
+    replaced, kept as the reference it must agree with."""
+
+    def __init__(self, counts=None):
+        c = Counter()
+        if counts:
+            for k, v in counts.items():
+                if v:
+                    c[k] = v
+        self._counts = c
+
+    def get(self, op, principal=None):
+        if principal is not None:
+            return self._counts.get((principal, op), 0)
+        return sum(v for (_, o), v in self._counts.items() if o == op)
+
+    def by_principal(self, principal):
+        return {
+            o: v for (p, o), v in sorted(self._counts.items()) if p == principal
+        }
+
+    def totals(self):
+        out = Counter()
+        for (_, o), v in self._counts.items():
+            out[o] += v
+        return dict(sorted(out.items()))
+
+    def items(self):
+        return sorted(self._counts.items())
+
+    def renamed(self, mapping):
+        c = Counter()
+        for (p, o), v in self._counts.items():
+            c[(p, mapping.get(o, o))] += v
+        return _CounterCostVector(c)
+
+    def __add__(self, other):
+        return _CounterCostVector(self._counts + other._counts)
+
+    def __sub__(self, other):
+        c = Counter(self._counts)
+        c.subtract(other._counts)
+        return _CounterCostVector(c)
+
+    def __eq__(self, other):
+        return self._counts == other._counts
+
+    def __bool__(self):
+        return any(self._counts.values())
+
+
+_OPS = ("ibe_enc", "ibs_ver", "pke_enc", "sym_gen")
+_bags = st.dictionaries(
+    st.tuples(st.sampled_from(PRINCIPALS), st.sampled_from(_OPS)),
+    st.integers(-3, 3),
+)
+
+
+def _agree(v, ref):
+    assert v.items() == ref.items()
+    assert bool(v) == bool(ref)
+    assert v.totals() == ref.totals()
+    for principal in PRINCIPALS:
+        assert v.by_principal(principal) == ref.by_principal(principal)
+    for op in _OPS:
+        assert v.get(op) == ref.get(op)
+        for principal in PRINCIPALS:
+            assert v.get(op, principal) == ref.get(op, principal)
+
+
+@given(_bags, _bags, _bags)
+def test_cost_vector_matches_counter_reference(a, b, c):
+    va, vb, vc = CostVector(a), CostVector(b), CostVector(c)
+    ra, rb, rc = (_CounterCostVector(x) for x in (a, b, c))
+    _agree(va, ra)
+    _agree(va + vb, ra + rb)
+    _agree(va - vb, ra - rb)
+    _agree((va - vb) + vc, (ra - rb) + rc)
+    _agree((va + vb) - vc, (ra + rb) - rc)
+    assert (va == vb) == (ra == rb)
+    assert (va + vb == vc) == (ra + rb == rc)
+    assert (va - vb == vc - vb) == (ra - rb == rc - rb)
+    for mapping in (IBE_TO_PKI, PKI_TO_IBE):
+        _agree(va.renamed(mapping), ra.renamed(mapping))
+        _agree(va.renamed(mapping) - vb, ra.renamed(mapping) - rb)
+
+
+def test_provider_attributes_counts_through_scopes_and_forks():
+    p = CryptoProvider()
+    p.sym_gen()
+    with p.scope(REFERENCE_MONITOR):
+        p.sym_gen()
+        with p.scope(INVOKER):
+            p.sym_gen()
+            p.sym_gen()
+        p.sym_gen()
+        snap = p.snapshot()
+        q = p.fork()  # same counts, no open scope
+        q.sym_gen()
+    p.sym_gen()
+    both = {(INVOKER, "sym_gen"): 4, (REFERENCE_MONITOR, "sym_gen"): 2}
+    assert snap == CostVector({**both, (INVOKER, "sym_gen"): 3})
+    assert p.snapshot() == q.snapshot() == CostVector(both)
+    q.ibe_keygen(SU_IDENTITY)
+    assert p.snapshot() == CostVector(both)  # the fork is independent
+    k = p.sym_gen()
+    ct = p.sym_enc(p.sym_gen(), "x")
+    with pytest.raises(UnauthorizedDecrypt):
+        with p.scope(REFERENCE_MONITOR):
+            p.sym_dec(k, ct)
+    p.sym_gen()  # the scope closed on the raise: the invoker pays again
+    assert p.diff_since(CostVector(both)) == CostVector({
+        (INVOKER, "sym_gen"): 3,
+        (INVOKER, "sym_enc"): 1,
+        (REFERENCE_MONITOR, "sym_dec"): 1,
+    })
 
 
 # -- canonical serialization

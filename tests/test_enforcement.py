@@ -401,6 +401,42 @@ def test_signature_covers_every_field(binding):
         eng.write_file("u1", "f1", b"escalated")
 
 
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_unknown_signer_is_a_bad_signature(binding):
+    eng = engine_with(
+        users=["u1"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1")], pa=[("r1", "f1", READ)], binding=binding,
+    )
+    fk = eng.fs.fk[("r1", "f1", 1)]
+    forged = dataclasses.replace(fk, issuer=user_identity("ghost"))
+    before = eng.provider.snapshot()
+    assert not eng._valid(forged)
+    assert eng.provider.snapshot() == before  # rejected before any primitive
+    eng.fs.put_fk(forged)
+    with pytest.raises(IntegrityError) as exc:
+        eng.read_file("u1", "f1")
+    assert str(exc.value) == "bad signature by ghost on FK"
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_reader_forged_body_is_returned(binding):
+    # pins the limitation README "Limitations of the store" documents:
+    # read_file does not verify the F tuple's signature, so a body that a
+    # read-only member encrypted under the current file key reads as content
+    eng = engine_with(
+        users=["u1", "u2"], roles=["r1", "r2"], files=["f1"],
+        ur=[("u1", "r1"), ("u2", "r2")],
+        pa=[("r1", "f1", RW), ("r2", "f1", READ)], binding=binding,
+    )
+    p, b = eng.provider, eng.binding
+    rkt = eng.fs.rk[("u2", "r2", 1)]
+    _, role_dec, _ = b.dec(p, eng.users["u2"].dec_key, rkt.ct)
+    k = b.dec(p, role_dec, eng.fs.fk[("r2", "f1", 1)].ct)
+    stored = eng.fs.f["f1"]
+    eng.fs.put_f(dataclasses.replace(stored, body=p.sym_enc(k, b"forged")))
+    assert eng.read_file("u1", "f1") == b"forged"
+
+
 def _drop_older_su_key(eng):
     eng.revoke_user("u2", "r1")  # f1 moves to file-key version 2
     eng.fs.del_fk(SUPERUSER, "f1", 1)

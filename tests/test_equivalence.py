@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rolecrypt.equivalence as eqv
-from rolecrypt.engine import Engine
+from rolecrypt.engine import Engine, FileStore
 from rolecrypt.equivalence import (
     TraceBuilder,
     canonicalize,
@@ -325,6 +325,67 @@ def test_differential_catches_stale_membership(monkeypatch):
     rep = run_differential(BREAKING_TRACE)
     assert not rep.ok
     assert rep.failure_kind in ("theory", "safety")
+
+
+class _DeafEngine(Engine):
+    """Deliberately broken: a grant does nothing, so no store mutation fires
+    the envelope hook and only the theory check can see it."""
+
+    def assign_perm(self, r, fn, op):
+        pass
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_differential_words_theory_mismatch(monkeypatch, binding):
+    monkeypatch.setattr(eqv, "Engine", _DeafEngine)
+    labels = [
+        Label("addU", user="u1"),
+        Label("addR", role="r1"),
+        Label("addP", file="f1"),
+        Label("assignU", user="u1", role="r1"),
+        Label("assignP", role="r1", file="f1", op=RW),
+    ]
+    rep = run_differential(labels, binding=binding)
+    assert (rep.ok, rep.steps, rep.failure_kind, rep.failure_index) == (
+        False, 4, "theory", 4,
+    )
+    assert rep.detail == (
+        "label 4 assignP(r1, f1, RW): +[] -[('PA', 'r1', 'f1', 'RW'), "
+        "('auth', 'u1', 'f1', 'RW'), ('auth', 'u1', 'f1', 'Read')]"
+    )
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_differential_reads_state_once_per_step(monkeypatch, binding):
+    calls = Counter()
+
+    class CountingEngine(Engine):
+        def state(self):
+            calls["state"] += 1
+            return super().state()
+
+        def stats(self):
+            calls["stats"] += 1
+            return super().stats()
+
+        def theory(self):
+            calls["theory"] += 1
+            return super().theory()
+
+    fire = FileStore._fire
+
+    def counting_fire(fs):
+        if fs.on_mutation is not None:
+            calls["mutation"] += 1
+        fire(fs)
+
+    monkeypatch.setattr(eqv, "Engine", CountingEngine)
+    monkeypatch.setattr(FileStore, "_fire", counting_fire)
+    labels = random_trace(random.Random(2024), 40)
+    assert run_differential(labels, binding=binding, check_costs=True).ok
+    assert calls["mutation"] > 0
+    assert calls["state"] == len(labels) + calls["mutation"] + 1
+    assert calls["stats"] == calls["theory"] == 0
 
 
 def test_minimizer_shrinks_failing_trace(monkeypatch):
