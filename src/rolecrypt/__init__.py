@@ -6,7 +6,6 @@ cost experiments."""
 from .costmodel import (
     HEADLINE_PROFILES,
     SchemeProfile,
-    StateStats,
     algebraic_cost,
     data_op_cost,
     reconcile,
@@ -52,7 +51,6 @@ __all__ = [
     "RbacError",
     "RbacState",
     "SchemeProfile",
-    "StateStats",
     "TraceBuilder",
     "UnauthorizedDecrypt",
     "algebraic_cost",

@@ -283,7 +283,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as e:  # a bad profile, dataset name or dataset file
+    except (ValueError, OSError) as e:
+        # a bad profile, dataset name or dataset file, or a path that cannot
+        # be read or written
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

@@ -2,9 +2,12 @@
 
 Two layers:
 
-* A combinatorial layer predicts, from aggregate state statistics alone, the
-  exact multiset of symbolic primitives a label will cost (``algebraic_cost``).
-  This is what the differential harness reconciles against measured counters.
+* A combinatorial layer predicts, from the model state before the label and
+  the current key version of each file, the exact multiset of symbolic
+  primitives a label will cost (``algebraic_cost``).  Membership, grants and
+  holders come from the state's UR and PA; the key versions are the one fact
+  the model does not hold.  This is what the differential harness reconciles
+  against measured counters.
 * A unit-cost layer prices each primitive in elliptic-curve multiplication
   units for a chosen pair of published IBE/IBS schemes (``SchemeProfile``),
   using exact rational arithmetic throughout.
@@ -21,6 +24,7 @@ the identity-based ones.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -32,49 +36,6 @@ from .crypto import (
 from .rbac import Label, RbacState, READ, RW, WRITE
 
 HEADLINE_PROFILES = ("BF+CC", "BB1+PS", "LW+PS")
-
-
-# --- aggregate state statistics ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StateStats:
-    """Aggregate facts about one enforcement state: everything the pricing
-    formulas need, nothing about keys or ciphertexts."""
-
-    members: Mapping[str, frozenset[str]]  # role -> users assigned
-    role_files: Mapping[str, Mapping[str, str]]  # role -> {file: op held}
-    file_versions: Mapping[str, int]  # file -> current key version
-    file_holders: Mapping[str, frozenset[str]]  # file -> roles holding it
-    user_roles: Mapping[str, frozenset[str]]  # user -> roles joined
-
-    @classmethod
-    def empty(cls) -> "StateStats":
-        return cls({}, {}, {}, {}, {})
-
-    @classmethod
-    def of(
-        cls, state: RbacState, file_versions: Mapping[str, int]
-    ) -> "StateStats":
-        """Group a model state's UR and PA by role, user and file; the key
-        versions are the one thing the model does not hold."""
-        members: dict[str, set[str]] = {r: set() for r in state.roles}
-        user_roles: dict[str, set[str]] = {u: set() for u in state.users}
-        for u, r in state.ur:
-            members[r].add(u)
-            user_roles[u].add(r)
-        role_files: dict[str, dict[str, str]] = {r: {} for r in state.roles}
-        file_holders: dict[str, set[str]] = {fn: set() for fn in state.perms}
-        for r, fn, op in state.pa:
-            role_files[r][fn] = op
-            file_holders[fn].add(r)
-        return cls(
-            members={r: frozenset(m) for r, m in members.items()},
-            role_files=role_files,
-            file_versions=dict(file_versions),
-            file_holders={f: frozenset(h) for f, h in file_holders.items()},
-            user_roles={u: frozenset(r) for u, r in user_roles.items()},
-        )
 
 
 # --- primitive-count prediction -------------------------------------------------
@@ -104,47 +65,65 @@ def _rekey_file(bag: _Bag, recipients: int) -> None:
     _add(bag, "ibs_sign", recipients)
 
 
+def _files_of(state: RbacState, r: str) -> list[str]:
+    return sorted(fn for role, fn, _ in state.pa if role == r)
+
+
+def _holder_counts(state: RbacState) -> Counter[str]:
+    """file -> number of roles holding it (the superuser not counted)."""
+    return Counter(fn for _, fn, _ in state.pa)
+
+
 def _revoke_user_cost(
-    bag: _Bag, r: str, stats: StateStats, bumped: dict[str, int]
+    bag: _Bag,
+    r: str,
+    state: RbacState,
+    versions: Mapping[str, int],
+    holders: Mapping[str, int],
+    bumped: dict[str, int],
 ) -> None:
-    """Price revoking one member of ``r``.  ``bumped`` holds the file-key
-    versions that earlier revocations within the same label have already
-    rolled, and is updated the way the operation would; each role is priced
-    at most once per label, so its member set needs no update."""
+    """Price revoking one member of ``r``.  ``holders`` counts the roles
+    holding each file.  ``bumped`` holds the file-key versions that earlier
+    revocations within the same label have already rolled, and is updated
+    the way the operation would; each role is priced at most once per label,
+    so its member set needs no update."""
     _add(bag, "ibe_keygen", 1)
     _add(bag, "ibs_keygen", 1)
     # remaining members plus the superuser get the new role keys
-    _rekey_membership(bag, len(stats.members[r]) - 1 + 1)
-    for fn in sorted(stats.role_files.get(r, ())):
-        vfn = bumped.get(fn, stats.file_versions[fn])
+    _rekey_membership(bag, len(state.members_of(r)) - 1 + 1)
+    for fn in _files_of(state, r):
+        vfn = bumped.get(fn, versions[fn])
         # roll the role's own wrapped file keys onto the new role keys
         _add(bag, "ibs_ver", vfn)
         _add(bag, "ibe_dec", vfn)
         _add(bag, "ibe_enc", vfn)
         _add(bag, "ibs_sign", vfn)
         # then a fresh file key for every holder (roles + superuser)
-        _rekey_file(bag, len(stats.file_holders[fn]) + 1)
+        _rekey_file(bag, holders[fn] + 1)
         bumped[fn] = vfn + 1
 
 
-def algebraic_cost(label: Label, stats: StateStats) -> CostVector:
-    """Predict the primitive counts of applying ``label`` to a state with the
-    given statistics.  Labels that the enforcement engine would reduce to a
-    warning (duplicate adds, absent deletes, redundant grants) cost nothing."""
+def algebraic_cost(
+    label: Label, state: RbacState, versions: Mapping[str, int]
+) -> CostVector:
+    """Predict the primitive counts of applying ``label`` to ``state``, whose
+    files are at the key versions ``versions`` (file -> current version).
+    Labels that the enforcement engine would reduce to a warning (duplicate
+    adds, absent deletes, redundant grants) cost nothing."""
     bag: _Bag = {}
     k = label.kind
     if k == "addU":
-        if label.user not in stats.user_roles:
+        if label.user not in state.users:
             _add(bag, "ibe_keygen", 1)
             _add(bag, "ibs_keygen", 1)
     elif k == "addR":
-        if label.role not in stats.members:
+        if label.role not in state.roles:
             _add(bag, "ibe_keygen", 1)
             _add(bag, "ibs_keygen", 1)
             _add(bag, "ibe_enc", 1)
             _add(bag, "ibs_sign", 1)
     elif k == "addP":
-        if label.file not in stats.file_versions:
+        if label.file not in state.perms:
             _add(bag, "sym_gen", 1)
             _add(bag, "sym_enc", 1)
             _add(bag, "ibe_enc", 1)
@@ -153,23 +132,26 @@ def algebraic_cost(label: Label, stats: StateStats) -> CostVector:
     elif k == "delP":
         pass  # tuple deletion only
     elif k == "assignU":
-        if label.user not in stats.members.get(label.role, frozenset()):
+        if (label.user, label.role) not in state.ur:
             _add(bag, "ibs_ver", 1)
             _add(bag, "ibe_dec", 1)
             _add(bag, "ibe_enc", 1)
             _add(bag, "ibs_sign", 1)
     elif k == "revokeU":
-        if label.user in stats.members.get(label.role, frozenset()):
-            _revoke_user_cost(bag, label.role, stats, {})
+        if (label.user, label.role) in state.ur:
+            _revoke_user_cost(
+                bag, label.role, state, versions, _holder_counts(state), {}
+            )
     elif k == "delU":
         u = label.user
-        if u in stats.user_roles:
+        if u in state.users:
+            holders = _holder_counts(state)
             bumped: dict[str, int] = {}
-            for r in sorted(stats.user_roles[u]):
-                _revoke_user_cost(bag, r, stats, bumped)
+            for r in sorted(state.roles_of(u)):
+                _revoke_user_cost(bag, r, state, versions, holders, bumped)
     elif k == "assignP":
-        held = stats.role_files.get(label.role, {}).get(label.file)
-        vfn = stats.file_versions.get(label.file, 0)
+        held = state.pa_op(label.role, label.file)
+        vfn = versions.get(label.file, 0)
         if held is None:
             # copy the superuser's wrapped key at every version
             _add(bag, "ibs_ver", vfn)
@@ -181,22 +163,23 @@ def algebraic_cost(label: Label, stats: StateStats) -> CostVector:
             _add(bag, "ibs_ver", vfn)
             _add(bag, "ibs_sign", vfn)
     elif k == "revokeP":
-        held = stats.role_files.get(label.role, {}).get(label.file)
+        held = state.pa_op(label.role, label.file)
         if held is not None:
             if label.op == WRITE:
                 if held == RW:
-                    vfn = stats.file_versions[label.file]
+                    vfn = versions[label.file]
                     _add(bag, "ibs_ver", vfn)
                     _add(bag, "ibs_sign", vfn)
             else:
-                others = stats.file_holders[label.file] - {label.role}
+                others = state.holders_of(label.file) - {label.role}
                 _rekey_file(bag, len(others) + 1)
     elif k == "delR":
         r = label.role
-        if r in stats.members:
-            for fn in sorted(stats.role_files.get(r, ())):
-                others = stats.file_holders[fn] - {r}
-                _rekey_file(bag, len(others) + 1)
+        if r in state.roles:
+            holders = _holder_counts(state)
+            for fn in _files_of(state, r):
+                # the other holders plus the superuser
+                _rekey_file(bag, holders[fn] - 1 + 1)
     else:
         raise AssertionError(k)
     return CostVector(bag)
@@ -330,44 +313,37 @@ _UNIT_ROLE = "r"
 _UNIT_USER = "u"
 
 
-def _unit_stats() -> StateStats:
-    """A minimal state: one role, one single-version file the role does not
-    yet hold.  Constant-cost rows price identically in any state."""
-    return StateStats.of(
-        RbacState(
-            roles=frozenset({_UNIT_ROLE}), perms=frozenset({_UNIT_FILE})
-        ),
-        {_UNIT_FILE: 1},
-    )
-
-
 def static_cost_table(
     profiles: tuple[str, ...] = HEADLINE_PROFILES,
 ) -> list[tuple[str, str, dict[str, Fraction]]]:
     """Rows of (party, operation, {profile: units}) for every operation whose
     cost does not depend on the state: the additive administrative commands
     (permission grants priced per file-key version) and the two data requests."""
-    stats = _unit_stats()
-    add_file = algebraic_cost(Label("addP", file="f2"), stats)
+    # one role and one single-version file the role does not yet hold:
+    # constant-cost rows price identically in any state
+    state = RbacState(
+        roles=frozenset({_UNIT_ROLE}), perms=frozenset({_UNIT_FILE})
+    )
+    versions = {_UNIT_FILE: 1}
+
+    def cost(label: Label) -> CostVector:
+        return algebraic_cost(label, state, versions)
+
+    add_file = cost(Label("addP", file="f2"))
     write = data_op_cost("write")
     rows: list[tuple[str, str, CostVector]] = [
-        ("invoker", "addU", algebraic_cost(Label("addU", user=_UNIT_USER), stats)),
+        ("invoker", "addU", cost(Label("addU", user=_UNIT_USER))),
         ("invoker", "addP", add_file),
-        ("invoker", "addR", algebraic_cost(Label("addR", role="r2"), stats)),
+        ("invoker", "addR", cost(Label("addR", role="r2"))),
         (
             "invoker",
             "assignU",
-            algebraic_cost(
-                Label("assignU", user=_UNIT_USER, role=_UNIT_ROLE), stats
-            ),
+            cost(Label("assignU", user=_UNIT_USER, role=_UNIT_ROLE)),
         ),
         (
             "invoker",
             "assignP",
-            algebraic_cost(
-                Label("assignP", role=_UNIT_ROLE, file=_UNIT_FILE, op=READ),
-                stats,
-            ),
+            cost(Label("assignP", role=_UNIT_ROLE, file=_UNIT_FILE, op=READ)),
         ),
         ("invoker", "read", data_op_cost("read")),
         ("invoker", "write", write),
@@ -396,11 +372,16 @@ def format_units(x: Fraction) -> str:
 
 
 def reconcile(
-    measured: CostVector, label: Label, stats: StateStats, variant: str = "ibe"
+    measured: CostVector,
+    label: Label,
+    state: RbacState,
+    versions: Mapping[str, int],
+    variant: str = "ibe",
 ) -> CostVector:
     """Difference between measured counters and the closed-form prediction for
-    one label; zero (falsy) when the engine matches the model exactly."""
-    predicted = algebraic_cost(label, stats)
+    one label applied to ``state`` at file-key ``versions``; zero (falsy) when
+    the engine matches the model exactly."""
+    predicted = algebraic_cost(label, state, versions)
     if variant == "pki":
         predicted = predicted.renamed(IBE_TO_PKI)
     return measured - predicted

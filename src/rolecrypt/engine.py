@@ -24,8 +24,10 @@ needs that the store dropped raises ``IntegrityError`` before any primitive.
 One engine serves both crypto bindings.  The identity-based binding encrypts
 and verifies directly against identities; the conventional public-key binding
 generates key pairs, publishes the public halves in the USERS/ROLES metadata
-records, and replaces a role's record wholesale when it is re-keyed.  Apart
-from key handling in ``add_user`` the operation logic is shared.
+records, and replaces a role's record wholesale when it is re-keyed.  The
+bindings differ only in their six primitives (``make_enc_keys``,
+``make_sig_keys``, ``enc``, ``dec``, ``sign`` and ``verify``); the operation
+logic is shared.
 
 Mutation ordering is deliberate: new tuples are written at not-yet-current
 versions, then the ROLES/FILES version counters are bumped, then stale tuples
@@ -45,7 +47,6 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Optional
 
-from .costmodel import StateStats
 from .crypto import (
     CostVector,
     CryptoProvider,
@@ -760,9 +761,6 @@ class Engine:
             frozenset(self.fs.fk.items()),
             frozenset(self.fs.f.items()),
         )
-
-    def stats(self) -> StateStats:
-        return StateStats.of(self.state(), self.files)
 
 
 def measure_label(engine: Engine, label: Label) -> CostVector:

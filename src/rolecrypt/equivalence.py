@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .costmodel import StateStats, reconcile
+from .costmodel import reconcile
 from .crypto import (
     Identity,
     SymbolicCiphertext,
@@ -184,7 +184,7 @@ def run_differential(
     PA facts give them back, so equal triples mean equal theories.  Both
     theories are built only to word a mismatch.  Nothing touches the engine
     before the next label, so the same read is the next step's pre-state
-    for cost prediction.
+    for cost prediction, with the key versions copied from ``eng.files``.
     """
     labels = list(labels)
     oracle = RbacState()
@@ -215,9 +215,8 @@ def run_differential(
                 missing = sorted(lower - cur)
                 violations.append(f"outside envelope +{extra} -{missing}")
 
-        stats = (
-            StateStats.of(eng_state, eng.files)
-            if check_costs and oracle_err is None else None
+        versions = (
+            dict(eng.files) if check_costs and oracle_err is None else None
         )
         eng.fs.on_mutation = hook
         try:
@@ -238,8 +237,8 @@ def run_differential(
             return fail(
                 i, "unauthorized", repr(eng.provider.unauthorized_events[0])
             )
-        if stats is not None:
-            diff = reconcile(measured, lbl, stats, variant=binding)
+        if versions is not None:
+            diff = reconcile(measured, lbl, eng_state, versions, binding)
             if diff:
                 return fail(i, "cost", f"measured-predicted {diff!r}")
         eng_state = eng.state()

@@ -75,14 +75,16 @@ class Dataset:
 
     @classmethod
     def from_dict(cls, d: object) -> "Dataset":
-        """Raises ValueError on a missing key, a malformed entry, a duplicate,
-        a user or role named SU, or a pair naming a user, role or file the
-        dataset does not list."""
+        """Raises ValueError on a missing key, a name that is not a string, a
+        malformed entry, a duplicate, a user or role named SU, or a pair
+        naming a user, role or file the dataset does not list."""
         if not isinstance(d, dict):
             raise ValueError("not a JSON object")
         for key in ("name", "users", "roles", "perms", "ur", "pa"):
             if key not in d:
                 raise ValueError(f"missing key {key!r}")
+        if not isinstance(d["name"], str):
+            raise ValueError("'name' must be a string")
         ds = cls(
             name=d["name"],
             users=_names(d, "users"),
@@ -563,10 +565,10 @@ def run_simulation(
                 records.append(EventRecord(ev.t, ev.kind, "-", False, CostVector()))
             continue
         if check_costs:
-            stats = eng.stats()
+            state, versions = eng.state(), dict(eng.files)
         delta = measure_label(eng, ev.label)
         if check_costs:
-            diff = reconcile(delta, ev.label, stats, variant=variant)
+            diff = reconcile(delta, ev.label, state, versions, variant=variant)
             if diff:
                 raise AssertionError(
                     f"cost mismatch at {ev.label}: {diff!r}"
@@ -663,6 +665,15 @@ def per_revocation_units(
     return result.units(profile, kind) / n
 
 
+def _per_run_units(results: Sequence[RunResult], profile: str) -> list[float]:
+    """Units per user revocation of each run that revoked a user."""
+    return [
+        float(u)
+        for u in (per_revocation_units(r, profile) for r in results)
+        if u is not None
+    ]
+
+
 def user_revocation_summary(
     results: Sequence[RunResult], profile: str = "BF+CC"
 ) -> dict[str, float]:
@@ -674,11 +685,7 @@ def user_revocation_summary(
         for r in results
     )
     total_rev = sum(r.applied["revokeU"] for r in results)
-    per_run = [
-        float(u)
-        for u in (per_revocation_units(r, profile) for r in results)
-        if u is not None
-    ]
+    per_run = _per_run_units(results, profile)
     return {
         "user_revocations": total_rev,
         "mean_enc_per_user_revocation": (
@@ -816,11 +823,6 @@ def write_summary_csv(
                 f"{summ['mean_enc_per_user_revocation']:.1f}",
             ]
             for p in profiles:
-                per_run = [
-                    float(u)
-                    for u in (per_revocation_units(r, p) for r in rs)
-                    if u is not None
-                ]
-                q1, q2, q3 = _quartiles(per_run)
+                q1, q2, q3 = _quartiles(_per_run_units(rs, p))
                 row += [f"{q1:.1f}", f"{q2:.1f}", f"{q3:.1f}"]
             w.writerow(row)

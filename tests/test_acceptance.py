@@ -110,9 +110,9 @@ def test_criterion_2_cost_reconciliation(capsys):
     for trace in corpus:
         eng = Engine("ibe")
         for lbl in trace:
-            stats = eng.stats()
+            state, versions = eng.state(), dict(eng.files)
             measured = measure_label(eng, lbl)
-            diff = reconcile(measured, lbl, stats, "ibe")
+            diff = reconcile(measured, lbl, state, versions, "ibe")
             n_labels += 1
             if diff:
                 mismatches.append((lbl, diff))

@@ -203,3 +203,27 @@ def test_empty_profile_list_is_a_usage_error(command, tmp_path, capsys):
         capsys.readouterr().err
     )
     assert not (tmp_path / "runs.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        (["gen-dataset", "--name", "healthcare", "--out", "{dir}"], "{dir}"),
+        (["simulate", "--dataset", "healthcare", "--out", "{file}"], "{file}"),
+        (["simulate", "--dataset", "{dir}", "--out", "{dir}/out"], "{dir}"),
+    ],
+    ids=["gen-dataset-out-dir", "simulate-out-file", "simulate-dataset-dir"],
+)
+def test_unusable_path_is_an_error(argv, culprit, tmp_path, capsys):
+    a_dir, a_file = tmp_path / "d", tmp_path / "f.txt"
+    a_dir.mkdir()
+    a_file.write_text("")
+    names = dict(dir=a_dir, file=a_file)
+    argv = [a.format(**names) for a in argv]
+    if argv[0] == "simulate":
+        argv += ["--runs", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and culprit.format(**names) in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv")) and not (a_dir / "out").exists()

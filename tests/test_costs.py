@@ -8,7 +8,6 @@ from rolecrypt.costmodel import (
     HEADLINE_PROFILES,
     GroupOps,
     PairingRatios,
-    StateStats,
     algebraic_cost,
     all_scheme_pairs,
     data_op_cost,
@@ -20,7 +19,7 @@ from rolecrypt.costmodel import (
 )
 from rolecrypt.crypto import CostVector, INVOKER, REFERENCE_MONITOR
 from rolecrypt.engine import Engine, measure_label
-from rolecrypt.rbac import Label, READ, RW, SUPERUSER, WRITE
+from rolecrypt.rbac import Label, RbacState, READ, RW, SUPERUSER, WRITE
 
 F = Fraction
 
@@ -92,122 +91,102 @@ def test_format_units():
     assert format_units(F(11, 2)) == "5.5"
 
 
-# -- prediction formulas on concrete statistics
+# -- prediction formulas on concrete states
 
 
-def stats_with(**kw):
-    base = dict(
-        members={}, role_files={}, file_versions={}, file_holders={},
-        user_roles={},
+def state_with(users=(), roles=(), files=(), ur=(), pa=()):
+    return RbacState(
+        frozenset(users), frozenset(roles), frozenset(files),
+        frozenset(ur), frozenset(pa),
     )
-    base.update(kw)
-    return StateStats(**base)
 
 
-def totals(label, stats):
-    return algebraic_cost(label, stats).totals()
+def totals(label, state, versions):
+    return algebraic_cost(label, state, versions).totals()
 
 
 def test_constant_rows():
-    s = StateStats.empty()
-    assert totals(Label("addU", user="u"), s) == {
+    s = RbacState()
+    assert totals(Label("addU", user="u"), s, {}) == {
         "ibe_keygen": 1, "ibs_keygen": 1,
     }
-    assert totals(Label("addR", role="r"), s) == {
+    assert totals(Label("addR", role="r"), s, {}) == {
         "ibe_keygen": 1, "ibs_keygen": 1, "ibe_enc": 1, "ibs_sign": 1,
     }
-    c = algebraic_cost(Label("addP", file="f"), s)
+    c = algebraic_cost(Label("addP", file="f"), s, {})
     assert c.by_principal(INVOKER) == {
         "ibe_enc": 1, "ibs_sign": 2, "sym_enc": 1, "sym_gen": 1,
     }
     assert c.by_principal(REFERENCE_MONITOR) == {"ibs_ver": 2}
-    assert not algebraic_cost(Label("delP", file="f"), s)
+    assert not algebraic_cost(Label("delP", file="f"), s, {})
 
 
 def test_duplicate_adds_predict_zero():
-    s = stats_with(
-        members={"r": frozenset()},
-        role_files={"r": {}},
-        file_versions={"f": 1},
-        file_holders={"f": frozenset()},
-        user_roles={"u": frozenset()},
-    )
-    assert not algebraic_cost(Label("addU", user="u"), s)
-    assert not algebraic_cost(Label("addR", role="r"), s)
-    assert not algebraic_cost(Label("addP", file="f"), s)
+    s = state_with(users=["u"], roles=["r"], files=["f"])
+    v = {"f": 1}
+    assert not algebraic_cost(Label("addU", user="u"), s, v)
+    assert not algebraic_cost(Label("addR", role="r"), s, v)
+    assert not algebraic_cost(Label("addP", file="f"), s, v)
 
 
 def test_assign_perm_scales_with_key_versions():
-    s = stats_with(
-        members={"r": frozenset()},
-        role_files={"r": {}},
-        file_versions={"f": 3},
-        file_holders={"f": frozenset()},
-    )
-    assert totals(Label("assignP", role="r", file="f", op=READ), s) == {
+    s = state_with(roles=["r"], files=["f"])
+    v = {"f": 3}
+    assert totals(Label("assignP", role="r", file="f", op=READ), s, v) == {
         "ibs_ver": 3, "ibe_dec": 3, "ibe_enc": 3, "ibs_sign": 3,
     }
-    s2 = stats_with(
-        members={"r": frozenset()},
-        role_files={"r": {"f": READ}},
-        file_versions={"f": 3},
-        file_holders={"f": frozenset(["r"])},
-    )
-    assert totals(Label("assignP", role="r", file="f", op=RW), s2) == {
+    s2 = state_with(roles=["r"], files=["f"], pa=[("r", "f", READ)])
+    assert totals(Label("assignP", role="r", file="f", op=RW), s2, v) == {
         "ibs_ver": 3, "ibs_sign": 3,
     }
     # already satisfied grants cost nothing
-    assert not algebraic_cost(Label("assignP", role="r", file="f", op=READ), s2)
+    assert not algebraic_cost(
+        Label("assignP", role="r", file="f", op=READ), s2, v
+    )
 
 
 def test_revoke_perm_formulas():
-    s = stats_with(
-        members={},
-        role_files={"r1": {"f": RW}, "r2": {"f": READ}},
-        file_versions={"f": 2},
-        file_holders={"f": frozenset(["r1", "r2"])},
+    s = state_with(
+        roles=["r1", "r2"], files=["f"],
+        pa=[("r1", "f", RW), ("r2", "f", READ)],
     )
-    assert totals(Label("revokeP", role="r1", file="f", op=WRITE), s) == {
+    v = {"f": 2}
+    assert totals(Label("revokeP", role="r1", file="f", op=WRITE), s, v) == {
         "ibs_ver": 2, "ibs_sign": 2,
     }
-    assert totals(Label("revokeP", role="r1", file="f", op=RW), s) == {
+    assert totals(Label("revokeP", role="r1", file="f", op=RW), s, v) == {
         "sym_gen": 1, "ibs_ver": 2, "ibe_enc": 2, "ibs_sign": 2,
     }
     # revoking write from a read-only holder is a warning, not a downgrade
-    assert not algebraic_cost(Label("revokeP", role="r2", file="f", op=WRITE), s)
+    assert not algebraic_cost(
+        Label("revokeP", role="r2", file="f", op=WRITE), s, v
+    )
 
 
 def test_revoke_user_formula():
-    s = stats_with(
-        members={"r": frozenset(["u", "v", "w"])},
-        role_files={"r": {"f": RW}},
-        file_versions={"f": 1},
-        file_holders={"f": frozenset(["r"])},
-        user_roles={"u": frozenset(["r"])},
+    s = state_with(
+        users=["u", "v", "w", "z"], roles=["r"], files=["f"],
+        ur=[("u", "r"), ("v", "r"), ("w", "r")], pa=[("r", "f", RW)],
     )
-    assert totals(Label("revokeU", user="u", role="r"), s) == {
+    v = {"f": 1}
+    assert totals(Label("revokeU", user="u", role="r"), s, v) == {
         "ibe_keygen": 1, "ibs_keygen": 1,
         "ibe_enc": 6, "ibs_sign": 6, "ibs_ver": 6,
         "ibe_dec": 1, "sym_gen": 1,
     }
-    assert not algebraic_cost(Label("revokeU", user="z", role="r"), s)
+    assert not algebraic_cost(Label("revokeU", user="z", role="r"), s, v)
 
 
 def test_delete_user_tracks_evolving_state():
     # u sits in two roles sharing one file: the second revocation must see
     # the version bump and the membership change made by the first
-    s = stats_with(
-        members={"r1": frozenset(["u", "x"]), "r2": frozenset(["u", "y"])},
-        role_files={"r1": {"f": RW}, "r2": {"f": READ}},
-        file_versions={"f": 1},
-        file_holders={"f": frozenset(["r1", "r2"])},
-        user_roles={
-            "u": frozenset(["r1", "r2"]),
-            "x": frozenset(["r1"]),
-            "y": frozenset(["r2"]),
-        },
+    s = state_with(
+        users=["u", "x", "y"], roles=["r1", "r2"], files=["f"],
+        ur=[("u", "r1"), ("x", "r1"), ("u", "r2"), ("y", "r2")],
+        pa=[("r1", "f", RW), ("r2", "f", READ)],
     )
-    got = totals(Label("delU", user="u"), s)
+    v = {"f": 1}
+    got = totals(Label("delU", user="u"), s, v)
     # r1: 2 membership re-issues, 1 version rolled, fresh key to 3;
     # r2: 2 membership re-issues, 2 versions rolled, fresh key to 3
     assert got == {
@@ -226,21 +205,20 @@ def test_delete_user_tracks_evolving_state():
         eng.assign_user(u, r)
     eng.assign_perm("r1", "f", RW)
     eng.assign_perm("r2", "f", READ)
-    assert eng.stats() == s
+    assert (eng.state(), eng.files) == (s, v)
     assert measure_label(eng, Label("delU", user="u")).totals() == got
 
 
 def test_delete_role_formula():
-    s = stats_with(
-        members={"r1": frozenset(), "r2": frozenset()},
-        role_files={"r1": {"f": RW}, "r2": {"f": RW}},
-        file_versions={"f": 1},
-        file_holders={"f": frozenset(["r1", "r2"])},
+    s = state_with(
+        roles=["r1", "r2"], files=["f"],
+        pa=[("r1", "f", RW), ("r2", "f", RW)],
     )
-    assert totals(Label("delR", role="r1"), s) == {
+    v = {"f": 1}
+    assert totals(Label("delR", role="r1"), s, v) == {
         "sym_gen": 1, "ibs_ver": 2, "ibe_enc": 2, "ibs_sign": 2,
     }
-    assert not algebraic_cost(Label("delR", role="zz"), s)
+    assert not algebraic_cost(Label("delR", role="zz"), s, v)
 
 
 def test_data_op_costs():
@@ -286,27 +264,28 @@ def test_static_table_accepts_any_profile():
 def test_reconcile_zero_on_exact_match():
     eng = Engine()
     lbl = Label("addU", user="u1")
-    stats = eng.stats()
+    state, versions = eng.state(), dict(eng.files)
     measured = measure_label(eng, lbl)
-    assert not reconcile(measured, lbl, stats)
+    assert not reconcile(measured, lbl, state, versions)
 
 
 def test_reconcile_flags_discrepancies():
     eng = Engine()
     lbl = Label("addU", user="u1")
-    stats = eng.stats()
+    state, versions = eng.state(), dict(eng.files)
     measured = measure_label(eng, lbl)
     doctored = measured + CostVector({(INVOKER, "ibe_enc"): 1})
-    diff = reconcile(doctored, lbl, stats)
+    diff = reconcile(doctored, lbl, state, versions)
     assert diff and diff.get("ibe_enc") == 1
     short = measured - CostVector({(INVOKER, "ibe_keygen"): 1})
-    assert reconcile(short, lbl, stats).get("ibe_keygen") == -1
+    assert reconcile(short, lbl, state, versions).get("ibe_keygen") == -1
 
 
 def test_reconcile_renames_for_pki():
     eng = Engine("pki")
     lbl = Label("addR", role="r1")
-    stats = eng.stats()
+    state, versions = eng.state(), dict(eng.files)
     measured = measure_label(eng, lbl)
-    assert not reconcile(measured, lbl, stats, variant="pki")
-    assert reconcile(measured, lbl, stats, variant="ibe")  # names differ
+    assert not reconcile(measured, lbl, state, versions, variant="pki")
+    # names differ
+    assert reconcile(measured, lbl, state, versions, variant="ibe")

@@ -638,19 +638,6 @@ def test_theory_matches_reference_model():
     assert eng.theory() == oracle_theory(state2)
 
 
-def test_stats_reflect_state():
-    eng = engine_with(
-        users=["u1", "u2"], roles=["r1", "r2"], files=["f1"],
-        ur=[("u1", "r1")], pa=[("r1", "f1", RW), ("r2", "f1", READ)],
-    )
-    s = eng.stats()
-    assert s.members == {"r1": {"u1"}, "r2": frozenset()}
-    assert s.role_files == {"r1": {"f1": RW}, "r2": {"f1": READ}}
-    assert s.file_versions == {"f1": 1}
-    assert s.file_holders == {"f1": {"r1", "r2"}}  # superuser not counted
-    assert s.user_roles == {"u1": {"r1"}, "u2": frozenset()}
-
-
 def test_holder_completeness_and_version_monotonicity():
     eng = engine_with(
         users=["u1", "u2", "u3"], roles=["r1", "r2"], files=["f1", "f2"],

@@ -364,10 +364,6 @@ def test_differential_reads_state_once_per_step(monkeypatch, binding):
             calls["state"] += 1
             return super().state()
 
-        def stats(self):
-            calls["stats"] += 1
-            return super().stats()
-
         def theory(self):
             calls["theory"] += 1
             return super().theory()
@@ -385,7 +381,7 @@ def test_differential_reads_state_once_per_step(monkeypatch, binding):
     assert run_differential(labels, binding=binding, check_costs=True).ok
     assert calls["mutation"] > 0
     assert calls["state"] == len(labels) + calls["mutation"] + 1
-    assert calls["stats"] == calls["theory"] == 0
+    assert calls["theory"] == 0
 
 
 def test_minimizer_shrinks_failing_trace(monkeypatch):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -104,6 +105,8 @@ def test_dataset_save_load_round_trip(tmp_path):
     ({"roles": "r1"}, "'roles' must be a list of names"),
     ({"users": ["SU"], "ur": []}, "user name 'SU' is reserved"),
     ({"roles": ["r1", "SU"]}, "role name 'SU' is reserved"),
+    ({"name": ["x"]}, "'name' must be a string"),
+    ({"name": 5}, "'name' must be a string"),
 ])
 def test_load_dataset_rejects_malformed_files(tmp_path, change, message):
     path = tmp_path / "bad.json"
@@ -275,6 +278,19 @@ def test_monte_carlo_runs_equal_fresh_simulations():
         assert (r.by_kind, r.applied, r.rates) == (
             fresh.by_kind, fresh.applied, fresh.rates
         )
+
+
+@pytest.mark.parametrize("variant", ["ibe", "pki"])
+def test_closed_forms_hold_at_dataset_scale(variant):
+    # the `gen-dataset --name firewall1 --seed 0` instance: 365 users, 60
+    # roles, 709 files; run_simulation raises on the first cost mismatch
+    ds = synthesize_dataset("firewall1", random.Random(derive_seed(0, -1)))
+    t0 = time.monotonic()
+    results = monte_carlo(ds, runs=3, variant=variant, check_costs=True)
+    elapsed = time.monotonic() - t0
+    assert sum(sum(r.applied.values()) for r in results) >= 100
+    assert sum(r.applied["revokeU"] for r in results) >= 10
+    assert elapsed < 10.0
 
 
 def test_revocation_window_tracking():
