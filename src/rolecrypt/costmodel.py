@@ -9,8 +9,9 @@ Two layers:
   the model does not hold.  This is what the differential harness reconciles
   against measured counters.
 * A unit-cost layer prices each primitive in elliptic-curve multiplication
-  units for a chosen pair of published IBE/IBS schemes (``SchemeProfile``),
-  using exact rational arithmetic throughout.
+  units for a chosen pair of published IBE/IBS schemes (``scheme_profile``
+  builds a ``SchemeProfile``): an operation's group-operation counts times
+  the relative cost of each group operation, in exact rational arithmetic.
 
 Scheme data lives in ``data/schemes.json``: per-operation group-operation
 counts for eight identity-based encryption schemes and five identity-based
@@ -24,9 +25,10 @@ the identity-based ones.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from typing import Mapping, Optional
 
@@ -206,33 +208,9 @@ def data_op_cost(kind: str) -> CostVector:
 # --- unit costs ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupOps:
-    """Group-operation counts: multiplies in G and G-hat, exponentiations in
-    G_T, pairings."""
-
-    g1: int
-    g2: int
-    gt: int
-    pair: int
-
-
-@dataclass(frozen=True)
-class PairingRatios:
-    """Cost of each group operation in G-multiplication units."""
-
-    g1_mult: Fraction
-    g2_mult: Fraction
-    gt_exp: Fraction
-    pairing: Fraction
-
-    def units(self, ops: GroupOps) -> Fraction:
-        return (
-            ops.g1 * self.g1_mult
-            + ops.g2 * self.g2_mult
-            + ops.gt * self.gt_exp
-            + ops.pair * self.pairing
-        )
+#: The columns of a cost row in ``data/schemes.json``, and the names of the
+#: ratios that price them.
+_Row = namedtuple("_Row", ("g1_mult", "g2_mult", "gt_exp", "pairing"))
 
 
 @dataclass(frozen=True)
@@ -242,8 +220,6 @@ class SchemeProfile:
     counters; symmetric and unknown counters price at zero."""
 
     name: str
-    enc_scheme: str
-    sig_scheme: str
     op_costs: Mapping[str, Fraction]
 
     def unit_cost(self, op: str) -> Fraction:
@@ -258,45 +234,33 @@ class SchemeProfile:
         return total
 
 
-def _ratio(x) -> Fraction:
-    return Fraction(str(x))
-
-
 def load_scheme_data() -> dict:
     with resources.files("rolecrypt.data").joinpath("schemes.json").open() as fh:
         return json.load(fh)
 
 
-_CACHE: dict[str, SchemeProfile] = {}
-
-
+@cache
 def scheme_profile(pair: str) -> SchemeProfile:
     """Build a profile from a name like ``BF+CC`` (encryption+signature)."""
-    if pair in _CACHE:
-        return _CACHE[pair]
     data = load_scheme_data()
-    ratios = PairingRatios(
-        g1_mult=_ratio(data["ratios"]["g1_mult"]),
-        g2_mult=_ratio(data["ratios"]["g2_mult"]),
-        gt_exp=_ratio(data["ratios"]["gt_exp"]),
-        pairing=_ratio(data["ratios"]["pairing"]),
-    )
+    ratios = _Row(*(Fraction(str(data["ratios"][k])) for k in _Row._fields))
+
+    def units(row: list[int]) -> Fraction:
+        return sum(n * r for n, r in zip(_Row(*row), ratios))
+
     enc_name, _, sig_name = pair.partition("+")
     if not sig_name:
         raise KeyError(pair)
     enc = data["encryption"][enc_name]
     sig = data["signature"][sig_name]
-    op_costs = {
-        "ibe_keygen": ratios.units(GroupOps(*enc["keygen"])),
-        "ibe_enc": ratios.units(GroupOps(*enc["enc"])),
-        "ibe_dec": ratios.units(GroupOps(*enc["dec"])),
-        "ibs_keygen": ratios.units(GroupOps(*sig["keygen"])),
-        "ibs_sign": ratios.units(GroupOps(*sig["sign"])),
-        "ibs_ver": ratios.units(GroupOps(*sig["ver"])),
-    }
-    profile = SchemeProfile(pair, enc_name, sig_name, op_costs)
-    _CACHE[pair] = profile
-    return profile
+    return SchemeProfile(pair, {
+        "ibe_keygen": units(enc["keygen"]),
+        "ibe_enc": units(enc["enc"]),
+        "ibe_dec": units(enc["dec"]),
+        "ibs_keygen": units(sig["keygen"]),
+        "ibs_sign": units(sig["sign"]),
+        "ibs_ver": units(sig["ver"]),
+    })
 
 
 def all_scheme_pairs() -> list[str]:

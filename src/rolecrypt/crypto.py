@@ -30,35 +30,20 @@ REFERENCE_MONITOR = "reference_monitor"
 
 PRINCIPALS = (INVOKER, REFERENCE_MONITOR)
 
-OP_NAMES = (
-    "ibe_keygen",
-    "ibe_enc",
-    "ibe_dec",
-    "ibs_keygen",
-    "ibs_sign",
-    "ibs_ver",
-    "pke_gen",
-    "pke_enc",
-    "pke_dec",
-    "sig_gen",
-    "sig_sign",
-    "sig_ver",
-    "sym_gen",
-    "sym_enc",
-    "sym_dec",
+# Counter names by family; a public-key name pairs with the identity-based
+# name in the same position.
+_IBE = (
+    "ibe_keygen", "ibe_enc", "ibe_dec", "ibs_keygen", "ibs_sign", "ibs_ver",
 )
+_PKI = ("pke_gen", "pke_enc", "pke_dec", "sig_gen", "sig_sign", "sig_ver")
+_SYM = ("sym_gen", "sym_enc", "sym_dec")
+
+OP_NAMES = _IBE + _PKI + _SYM
 
 #: Counter renaming that maps identity-based measurements onto the
 #: conventional public-key family (used for cross-variant comparisons).
-IBE_TO_PKI = {
-    "ibe_keygen": "pke_gen",
-    "ibe_enc": "pke_enc",
-    "ibe_dec": "pke_dec",
-    "ibs_keygen": "sig_gen",
-    "ibs_sign": "sig_sign",
-    "ibs_ver": "sig_ver",
-}
-PKI_TO_IBE = {v: k for k, v in IBE_TO_PKI.items()}
+IBE_TO_PKI = dict(zip(_IBE, _PKI))
+PKI_TO_IBE = dict(zip(_PKI, _IBE))
 
 
 @dataclass(frozen=True)

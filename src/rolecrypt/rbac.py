@@ -19,18 +19,21 @@ WRITE = "Write"
 #: Reserved administrator name; never a member of ``users``.
 SUPERUSER = "SU"
 
-LABEL_KINDS = (
-    "addU",
-    "delU",
-    "addP",
-    "delP",
-    "addR",
-    "delR",
-    "assignU",
-    "revokeU",
-    "assignP",
-    "revokeP",
-)
+#: Label kind -> the fields it requires, in label-kind order.
+_FIELDS = {
+    "addU": ("user",),
+    "delU": ("user",),
+    "addP": ("file",),
+    "delP": ("file",),
+    "addR": ("role",),
+    "delR": ("role",),
+    "assignU": ("user", "role"),
+    "revokeU": ("user", "role"),
+    "assignP": ("role", "file", "op"),
+    "revokeP": ("role", "file", "op"),
+}
+
+LABEL_KINDS = tuple(_FIELDS)
 
 _ASSIGN_OPS = (READ, RW)
 _REVOKE_OPS = (WRITE, RW)
@@ -54,20 +57,9 @@ class Label:
     op: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in LABEL_KINDS:
+        need = _FIELDS.get(self.kind)
+        if need is None:
             raise ValueError(f"unknown label kind {self.kind!r}")
-        need = {
-            "addU": ("user",),
-            "delU": ("user",),
-            "addR": ("role",),
-            "delR": ("role",),
-            "addP": ("file",),
-            "delP": ("file",),
-            "assignU": ("user", "role"),
-            "revokeU": ("user", "role"),
-            "assignP": ("role", "file", "op"),
-            "revokeP": ("role", "file", "op"),
-        }[self.kind]
         for f in need:
             if getattr(self, f) is None:
                 raise ValueError(f"label {self.kind} requires {f}")

@@ -2,12 +2,12 @@
 
 from fractions import Fraction
 
+import hashlib
+
 import pytest
 
 from rolecrypt.costmodel import (
     HEADLINE_PROFILES,
-    GroupOps,
-    PairingRatios,
     algebraic_cost,
     all_scheme_pairs,
     data_op_cost,
@@ -80,10 +80,17 @@ def test_unit_cost_handles_both_families():
     assert p.units_of(v, REFERENCE_MONITOR) == 19
 
 
-def test_pairing_ratio_arithmetic():
-    r = PairingRatios(F(1), F(9, 2), F(9), F(9))
-    assert r.units(GroupOps(2, 0, 0, 1)) == 11
-    assert r.units(GroupOps(0, 0, 0, 0)) == 0
+def test_all_scheme_profiles_are_pinned():
+    # every unit cost of all 40 pairs, as the transcribed table prices them
+    rows = sorted(
+        (pair, op, cost)
+        for pair in all_scheme_pairs()
+        for op, cost in scheme_profile(pair).op_costs.items()
+    )
+    assert len(rows) == 40 * 6
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "07ca981a2bffb6e359e1b006ef764a7eab50caf36c7ebf49e012a76544c22c07"
+    )
 
 
 def test_format_units():

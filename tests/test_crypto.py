@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rolecrypt.crypto import (
     IBE_TO_PKI,
     INVOKER,
+    OP_NAMES,
     PKI_TO_IBE,
     PRINCIPALS,
     REFERENCE_MONITOR,
@@ -24,6 +25,34 @@ from rolecrypt.crypto import (
     role_identity,
     user_identity,
 )
+
+
+# -- counter names
+
+
+def test_counter_names_and_family_maps_are_pinned():
+    # bench fingerprints and per-layer metric names follow this order
+    assert OP_NAMES == (
+        "ibe_keygen", "ibe_enc", "ibe_dec", "ibs_keygen", "ibs_sign", "ibs_ver",
+        "pke_gen", "pke_enc", "pke_dec", "sig_gen", "sig_sign", "sig_ver",
+        "sym_gen", "sym_enc", "sym_dec",
+    )
+    assert list(IBE_TO_PKI.items()) == [
+        ("ibe_keygen", "pke_gen"),
+        ("ibe_enc", "pke_enc"),
+        ("ibe_dec", "pke_dec"),
+        ("ibs_keygen", "sig_gen"),
+        ("ibs_sign", "sig_sign"),
+        ("ibs_ver", "sig_ver"),
+    ]
+    assert list(PKI_TO_IBE.items()) == [
+        ("pke_gen", "ibe_keygen"),
+        ("pke_enc", "ibe_enc"),
+        ("pke_dec", "ibe_dec"),
+        ("sig_gen", "ibs_keygen"),
+        ("sig_sign", "ibs_sign"),
+        ("sig_ver", "ibs_ver"),
+    ]
 
 
 # -- identities

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rolecrypt.rbac import (
     READ,
     RW,
+    LABEL_KINDS,
     SUPERUSER,
     WRITE,
     Label,
@@ -48,29 +49,60 @@ BASE = run(
 # -- label construction
 
 
-def test_label_requires_fields():
-    with pytest.raises(ValueError):
-        Label("addU")
-    with pytest.raises(ValueError):
-        Label("assignU", user="u")
-    with pytest.raises(ValueError):
-        Label("assignP", role="r", file="f")
+def test_label_kinds_are_pinned():
+    # bench per-layer metric names follow this order
+    assert LABEL_KINDS == (
+        "addU", "delU", "addP", "delP", "addR", "delR",
+        "assignU", "revokeU", "assignP", "revokeP",
+    )
+
+
+_REQUIRED = {
+    "addU": ("user",),
+    "delU": ("user",),
+    "addP": ("file",),
+    "delP": ("file",),
+    "addR": ("role",),
+    "delR": ("role",),
+    "assignU": ("user", "role"),
+    "revokeU": ("user", "role"),
+    "assignP": ("role", "file", "op"),
+    "revokeP": ("role", "file", "op"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [(k, f) for k, fields in _REQUIRED.items() for f in fields],
+)
+def test_label_requires_fields(kind, field):
+    op = WRITE if kind == "revokeP" else READ
+    full = {"user": "u", "role": "r", "file": "f", "op": op}
+    kw = {f: full[f] for f in _REQUIRED[kind]}
+    Label(kind, **kw)
+    kw[field] = None
+    with pytest.raises(ValueError) as exc:
+        Label(kind, **kw)
+    assert str(exc.value) == f"label {kind} requires {field}"
 
 
 def test_label_rejects_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         Label("frobnicate", user="u")
+    assert str(exc.value) == "unknown label kind 'frobnicate'"
 
 
 def test_label_op_domains():
     Label("assignP", role="r", file="f", op=READ)
     Label("assignP", role="r", file="f", op=RW)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         Label("assignP", role="r", file="f", op=WRITE)
+    assert str(exc.value) == "assignP op must be one of ('Read', 'RW')"
     Label("revokeP", role="r", file="f", op=WRITE)
     Label("revokeP", role="r", file="f", op=RW)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         Label("revokeP", role="r", file="f", op=READ)
+    assert str(exc.value) == "revokeP op must be one of ('Write', 'RW')"
 
 
 def test_label_str():

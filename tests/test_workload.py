@@ -12,6 +12,7 @@ import pytest
 
 from rolecrypt.rbac import RW
 from rolecrypt.workload import (
+    _NEUTRAL_OPS,
     ActorRates,
     Dataset,
     EVENT_KINDS,
@@ -325,6 +326,14 @@ def test_user_revocation_summary_counts():
 
 
 # -- report files
+
+
+def test_runs_csv_counter_columns_are_pinned():
+    # the identity-based names and the symmetric ones, in OP_NAMES order
+    assert _NEUTRAL_OPS == (
+        "ibe_keygen", "ibe_enc", "ibe_dec", "ibs_keygen", "ibs_sign", "ibs_ver",
+        "sym_gen", "sym_enc", "sym_dec",
+    )
 
 
 def test_runs_csv_is_deterministic_and_order_insensitive(tmp_path):
