@@ -66,11 +66,13 @@ def _parse_profiles(spec: str) -> tuple[str, ...]:
     profiles = tuple(p.strip() for p in spec.split(",") if p.strip())
     if not profiles:
         raise ValueError(f"--profiles names no scheme profile: {spec!r}")
-    for p in profiles:
+    for i, p in enumerate(profiles):
         try:
             scheme_profile(p)
         except KeyError:
             raise ValueError(f"unknown scheme profile {p!r}") from None
+        if p in profiles[:i]:
+            raise ValueError(f"--profiles names {p!r} twice")
     return profiles
 
 
@@ -169,12 +171,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             workers=args.parallel,
             check_costs=args.check_costs,
-            record_events=args.events,
-            revocation_window=args.revocation_window,
         )
     runs_path = out_dir / "runs.csv"
     summary_path = out_dir / "summary.csv"
-    write_runs_csv(str(runs_path), results, profiles)
+    write_runs_csv(str(runs_path), results, profiles, args.revocation_window)
     write_summary_csv(str(summary_path), results, profiles)
     written = [runs_path, summary_path]
     if args.events:

@@ -494,18 +494,18 @@ class TraceBuilder:
     _GROW = ("addU", "addR", "addP", "assignU", "assignP")
     _ALL = _GROW + ("revokeU", "revokeP_write", "revokeP_full",
                     "delU", "delR", "delP")
+    # favor growth so traces reach interesting states before churning
+    _WEIGHTS = dict.fromkeys(_ALL, 1) | dict.fromkeys(_GROW, 3)
 
     def step(self) -> Optional[Label]:
         if self.rng.random() < self.NOOP_RATE:
             lbl = self._mv_noop()
             if lbl is not None:
                 return lbl
-        # favor growth so traces reach interesting states before churning
-        weights = {k: (3 if k in self._GROW else 1) for k in self._ALL}
         kinds = list(self._ALL)
         while kinds:
             k = self.rng.choices(
-                kinds, weights=[weights[k] for k in kinds]
+                kinds, weights=[self._WEIGHTS[k] for k in kinds]
             )[0]
             lbl = getattr(self, f"_mv_{k}")()
             if lbl is not None:

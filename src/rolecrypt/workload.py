@@ -34,7 +34,9 @@ import math
 import multiprocessing
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional, Sequence
@@ -481,31 +483,40 @@ def sample_events(
 
 
 @dataclass
-class EventRecord:
-    t: float
-    kind: str
-    target: str  # printable label, or "-" for a skipped arrival
-    applied: bool
-    cost: CostVector
-
-
-@dataclass
 class RunResult:
+    """One run: its sampled arrivals and, for each, the primitive operations
+    it cost (an empty vector for a skipped arrival).  Every count is derived
+    from these two lists."""
+
     dataset: str
     variant: str
     run_index: int
     seed: int
     days: float
     rates: ActorRates
-    applied: dict[str, int]
-    skipped: dict[str, int]
-    by_kind: dict[str, CostVector]
-    max_revocations_per_window: Optional[int] = None
-    events: Optional[list[EventRecord]] = None
+    events: list[Event]
+    costs: list[CostVector]
 
-    @property
+    @cached_property
     def arrivals(self) -> dict[str, int]:
-        return {k: n + self.skipped[k] for k, n in self.applied.items()}
+        n = Counter(ev.kind for ev in self.events)
+        return {k: n[k] for k in EVENT_KINDS}
+
+    @cached_property
+    def applied(self) -> dict[str, int]:
+        n = Counter(ev.kind for ev in self.events if ev.label is not None)
+        return {k: n[k] for k in EVENT_KINDS}
+
+    @cached_property
+    def skipped(self) -> dict[str, int]:
+        return {k: n - self.applied[k] for k, n in self.arrivals.items()}
+
+    @cached_property
+    def by_kind(self) -> dict[str, CostVector]:
+        out = dict.fromkeys(EVENT_KINDS, CostVector())
+        for ev, cost in zip(self.events, self.costs):
+            out[ev.kind] = out[ev.kind] + cost
+        return out
 
     @property
     def totals(self) -> CostVector:
@@ -515,6 +526,15 @@ class RunResult:
     def rekeys_by_kind(self) -> dict[str, int]:
         """File re-keys (fresh file keys minted) per event kind."""
         return {k: c.get("sym_gen") for k, c in self.by_kind.items()}
+
+    def max_revocations_per_window(self, window: float) -> int:
+        """Most applied revocations in one tumbling ``window``-day window."""
+        buckets = Counter(
+            int(ev.t // window)
+            for ev in self.events
+            if ev.label is not None and ev.kind in ("revokeU", "revokeP")
+        )
+        return max(buckets.values(), default=0)
 
     def neutral_totals(self) -> dict[str, int]:
         """Counter totals under the identity-based names regardless of
@@ -543,8 +563,6 @@ def run_simulation(
     seed: int = 0,
     run_index: int = 0,
     check_costs: bool = False,
-    record_events: bool = False,
-    revocation_window: Optional[float] = None,
 ) -> RunResult:
     """One simulated period on ``eng``, which holds the seeded dataset (see
     ``seed_engine``) and is consumed; the variant is the engine's binding."""
@@ -554,15 +572,10 @@ def run_simulation(
     rates = ActorRates.sample(rng, len(dataset.users))
     events = sample_events(rng, dataset, rates, days)
 
-    applied = {k: 0 for k in EVENT_KINDS}
-    skipped = {k: 0 for k in EVENT_KINDS}
-    by_kind = {k: CostVector() for k in EVENT_KINDS}
-    records: list[EventRecord] = []
+    costs: list[CostVector] = []
     for ev in events:
         if ev.label is None:
-            skipped[ev.kind] += 1
-            if record_events:
-                records.append(EventRecord(ev.t, ev.kind, "-", False, CostVector()))
+            costs.append(CostVector())
             continue
         if check_costs:
             state, versions = eng.state(), dict(eng.files)
@@ -573,25 +586,9 @@ def run_simulation(
                 raise AssertionError(
                     f"cost mismatch at {ev.label}: {diff!r}"
                 )
-        applied[ev.kind] += 1
-        by_kind[ev.kind] = by_kind[ev.kind] + delta
-        if record_events:
-            records.append(
-                EventRecord(ev.t, ev.kind, str(ev.label), True, delta)
-            )
+        costs.append(delta)
     if eng.provider.unauthorized_events:
         raise AssertionError("unauthorized decryption during simulation")
-
-    max_win = None
-    if revocation_window:
-        buckets: dict[int, int] = {}
-        for ev in events:
-            if ev.label is not None and ev.kind in ("revokeU", "revokeP"):
-                buckets[int(ev.t // revocation_window)] = (
-                    buckets.get(int(ev.t // revocation_window), 0) + 1
-                )
-        max_win = max(buckets.values(), default=0)
-
     return RunResult(
         dataset=dataset.name,
         variant=variant,
@@ -599,11 +596,8 @@ def run_simulation(
         seed=run_seed,
         days=days,
         rates=rates,
-        applied=applied,
-        skipped=skipped,
-        by_kind=by_kind,
-        max_revocations_per_window=max_win,
-        events=records if record_events else None,
+        events=events,
+        costs=costs,
     )
 
 
@@ -626,20 +620,12 @@ def monte_carlo(
     seed: int = 0,
     workers: int = 1,
     check_costs: bool = False,
-    record_events: bool = False,
-    revocation_window: Optional[float] = None,
 ) -> list[RunResult]:
     """Independent runs with per-run derived seeds; identical results for any
     worker count.  The run indices are split into one contiguous chunk per
     worker (at most one per run), and each chunk seeds its start state once
     and gives every run a fork of it."""
-    kwargs = dict(
-        days=days,
-        seed=seed,
-        check_costs=check_costs,
-        record_events=record_events,
-        revocation_window=revocation_window,
-    )
+    kwargs = dict(days=days, seed=seed, check_costs=check_costs)
     n = min(max(workers, 1), runs)
     jobs = [
         (dataset, range(runs * k // n, runs * (k + 1) // n), variant, kwargs)
@@ -711,11 +697,13 @@ def write_runs_csv(
     path: str,
     results: Sequence[RunResult],
     profiles: Sequence[str] = HEADLINE_PROFILES,
+    window: Optional[float] = None,
 ) -> None:
+    """One row per run; with ``window`` (days), a last column holds each
+    run's ``max_revocations_per_window(window)``."""
     results = sorted(results, key=lambda r: (r.dataset, r.variant, r.run_index))
     unit_cols = [f"units_{p}" for p in profiles]
     rev_cols = [f"units_per_user_revocation_{p}" for p in profiles]
-    window = any(r.max_revocations_per_window is not None for r in results)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         header = (
@@ -727,7 +715,7 @@ def write_runs_csv(
             + unit_cols
             + ["rekeys_revokeU", "rekeys_per_user_revocation"]
             + rev_cols
-            + (["max_revocations_per_window"] if window else [])
+            + (["max_revocations_per_window"] if window is not None else [])
         )
         w.writerow(header)
         for r in results:
@@ -754,8 +742,8 @@ def write_runs_csv(
                 _fmt_units(per_revocation_units(r, p)) if n_rev else ""
                 for p in profiles
             ]
-            if window:
-                row += [r.max_revocations_per_window]
+            if window is not None:
+                row += [r.max_revocations_per_window(window)]
             w.writerow(row)
 
 
@@ -769,13 +757,12 @@ def write_events_csv(path: str, results: Sequence[RunResult]) -> None:
             + list(_NEUTRAL_OPS)
         )
         for r in results:
-            if r.events is None:
-                continue
-            for i, ev in enumerate(r.events):
-                totals = ev.cost.renamed(PKI_TO_IBE).totals()
+            for i, (ev, cost) in enumerate(zip(r.events, r.costs)):
+                totals = cost.renamed(PKI_TO_IBE).totals()
                 w.writerow(
                     [r.dataset, r.variant, r.run_index, i, f"{ev.t:.6f}",
-                     ev.kind, ev.target, int(ev.applied)]
+                     ev.kind, "-" if ev.label is None else str(ev.label),
+                     int(ev.label is not None)]
                     + [totals.get(op, 0) for op in _NEUTRAL_OPS]
                 )
 

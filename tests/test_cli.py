@@ -205,6 +205,30 @@ def test_empty_profile_list_is_a_usage_error(command, tmp_path, capsys):
     assert not (tmp_path / "runs.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["cost-table", "simulate"])
+def test_repeated_profile_is_a_usage_error(command, tmp_path, capsys):
+    # a repeated profile would print twin columns and write twin CSV headers
+    argv = [command, "--profiles", "BF+CC,BB1+PS,BF+CC"]
+    if command == "simulate":
+        argv += ["--dataset", "healthcare", "--runs", "1",
+                 "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "error: --profiles names 'BF+CC' twice" in capsys.readouterr().err
+    assert not (tmp_path / "runs.csv").exists()
+
+
+def test_revocation_window_column_without_runs(tmp_path):
+    # the column follows the flag, not the data: a zero-run batch has it too
+    rc = main([
+        "simulate", "--dataset", "healthcare", "--runs", "0",
+        "--revocation-window", "5", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    header = (tmp_path / "runs.csv").read_text().splitlines()
+    assert header == [header[0]]
+    assert header[0].endswith(",max_revocations_per_window")
+
+
 @pytest.mark.parametrize(
     "argv, culprit",
     [

@@ -1,5 +1,6 @@
 """State mapping, canonical forms, and the differential harness."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -27,6 +28,7 @@ from rolecrypt.rbac import (
     apply_label,
     apply_trace,
 )
+from rolecrypt.workload import derive_seed
 
 
 def state_with(users=(), roles=(), perms=(), ur=(), pa=()):
@@ -236,6 +238,27 @@ def test_trace_builder_respects_caps():
     assert set(eng.users) == tb.users
     assert set(eng.roles) == tb.roles
     assert dict(eng.files) == tb.versions
+
+
+# sha256 of repr of fifty default 40-label traces plus one capped 200-label
+# trace.  These traces are the differential corpora and what `rolecrypt
+# check` runs, so a change to TraceBuilder must leave them byte-identical.
+TRACES_SHA256 = (
+    "b7b1fd0c47706bd5962a4b141fb681090f13ca0ca918cc7eedd392fbc1d73dce"
+)
+
+
+def test_traces_are_pinned():
+    traces = [
+        TraceBuilder(random.Random(derive_seed(1, i))).build(40)
+        for i in range(50)
+    ]
+    traces.append(TraceBuilder(
+        random.Random(derive_seed(1, 50)),
+        max_users=4, max_roles=3, max_files=5, version_cap=2,
+    ).build(200))
+    digest = hashlib.sha256(repr(traces).encode()).hexdigest()
+    assert digest == TRACES_SHA256
 
 
 def test_traces_apply_cleanly_to_the_model():

@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from rolecrypt.crypto import CostVector
 from rolecrypt.rbac import RW
 from rolecrypt.workload import (
     _NEUTRAL_OPS,
@@ -219,18 +220,23 @@ def test_seed_engine_builds_dataset_state():
 
 def test_run_simulation_accounting():
     res = run_simulation(
-        seed_engine(TOY, "ibe"), TOY, days=60.0, seed=9,
-        check_costs=True, record_events=True,
+        seed_engine(TOY, "ibe"), TOY, days=60.0, seed=9, check_costs=True,
     )
     assert res.dataset == "toy" and res.variant == "ibe"
     for k in EVENT_KINDS:
         assert res.arrivals[k] == res.applied[k] + res.skipped[k]
-    assert len(res.events) == sum(res.arrivals.values())
-    summed = Counter()
-    for ev in res.events:
-        for key, n in ev.cost.items():
-            summed[key] += n
-    assert dict(res.totals.items()) == {k: v for k, v in summed.items() if v}
+    assert len(res.events) == len(res.costs) == sum(res.arrivals.values())
+    assert sum(res.skipped.values()) > 0  # the empty-cost branch is exercised
+    for ev, cost in zip(res.events, res.costs):
+        if ev.label is None:
+            assert cost == CostVector()
+    for k in EVENT_KINDS:
+        summed = Counter()
+        for ev, cost in zip(res.events, res.costs):
+            if ev.kind == k:
+                summed.update(dict(cost.items()))
+        assert dict(res.by_kind[k].items()) == dict(summed)
+    assert list(res.applied) == list(res.by_kind) == list(EVENT_KINDS)
     # every revocation that re-keyed shows up in the sym_gen tally
     assert res.rekeys_by_kind["revokeU"] == res.by_kind["revokeU"].get("sym_gen")
     assert res.units("BF+CC") >= 0
@@ -259,7 +265,8 @@ def test_monte_carlo_worker_count_invariance():
     # each worker seeds one engine and forks it per run of its chunk of
     # indices; uneven, oversized and empty splits must not show
     key = lambda r: (
-        r.run_index, r.seed, r.by_kind, r.arrivals, r.applied, r.rates
+        r.run_index, r.seed, r.by_kind, r.arrivals, r.applied, r.rates,
+        r.events, r.costs,
     )
     for runs, workers in [(6, 3), (5, 2), (2, 4), (0, 2)]:
         serial = monte_carlo(TOY, runs=runs, seed=2, days=20.0)
@@ -295,15 +302,13 @@ def test_closed_forms_hold_at_dataset_scale(variant):
 
 
 def test_revocation_window_tracking():
-    res = run_simulation(
-        seed_engine(TOY, "ibe"), TOY, days=90.0, seed=1,
-        revocation_window=7.0,
-    )
+    res = run_simulation(seed_engine(TOY, "ibe"), TOY, days=90.0, seed=1)
     revs = res.applied["revokeU"] + res.applied["revokeP"]
-    assert res.max_revocations_per_window is not None
-    assert 0 <= res.max_revocations_per_window <= max(revs, 1)
-    none = run_simulation(seed_engine(TOY, "ibe"), TOY, days=10.0, seed=1)
-    assert none.max_revocations_per_window is None
+    assert 0 < res.max_revocations_per_window(7.0) <= revs
+    # one window spanning the run holds every applied revocation
+    assert res.max_revocations_per_window(90.0) == revs
+    none = run_simulation(seed_engine(TOY, "ibe"), TOY, days=0.01, seed=3)
+    assert none.max_revocations_per_window(7.0) == 0
 
 
 def test_per_revocation_units_empty_case():
@@ -360,7 +365,7 @@ def test_summary_csv_contents(tmp_path):
 
 
 def test_events_csv_row_counts(tmp_path):
-    results = monte_carlo(TOY, runs=2, seed=6, days=30.0, record_events=True)
+    results = monte_carlo(TOY, runs=2, seed=6, days=30.0)
     path = tmp_path / "events.csv"
     write_events_csv(str(path), results)
     rows = list(csv.DictReader(path.open()))
@@ -383,9 +388,7 @@ def test_output_bytes_are_pinned(tmp_path):
     ds = synthesize_dataset("healthcare", random.Random(derive_seed(0, -1)))
     results = []
     for variant in ("ibe", "pki"):
-        results += monte_carlo(
-            ds, runs=3, variant=variant, seed=5, record_events=True
-        )
+        results += monte_carlo(ds, runs=3, variant=variant, seed=5)
     writers = {
         "runs.csv": write_runs_csv,
         "summary.csv": write_summary_csv,
