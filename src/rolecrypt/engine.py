@@ -744,10 +744,6 @@ class Engine:
             frozenset(self.users), frozenset(roles), frozenset(files), ur, pa
         )
 
-    def theory(self) -> frozenset[tuple]:
-        """True ground facts, named as the reference model names them."""
-        return rbac.theory(self.state())
-
     def auth_facts(self) -> frozenset[tuple]:
         return rbac.auth_facts(self.state())
 

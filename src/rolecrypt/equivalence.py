@@ -157,7 +157,6 @@ def congruent(
 class DifferentialReport:
     ok: bool
     steps: int
-    labels: list[Label]
     failure_kind: Optional[str] = None  # theory|safety|unauthorized|cost|
     #                                     congruence|error-mismatch
     failure_index: Optional[int] = None
@@ -177,23 +176,18 @@ def run_differential(
     """Replay ``labels`` through the reference model and one engine in
     lockstep.  Stops at the first divergence.
 
-    Each step reads ``eng.state()`` once, after the label, besides the
-    envelope hook's read at each store mutation.  That one read serves
-    twice.  The theory check compares its ``(roles, ur, pa)`` with the
-    model's: ``rbac.theory`` is built from those three, and its R, UR and
-    PA facts give them back, so equal triples mean equal theories.  Both
-    theories are built only to word a mismatch.  Nothing touches the engine
-    before the next label, so the same read is the next step's pre-state
-    for cost prediction, with the key versions copied from ``eng.files``.
+    Costs are priced from the model's pre-state and the engine's key
+    versions.  Each step reads ``eng.state()`` once, after the label, for
+    the theory check: equal ``(roles, ur, pa)`` triples mean equal
+    theories, so both theories are built only to word a mismatch.
     """
     labels = list(labels)
     oracle = RbacState()
     eng = Engine(binding=binding)
-    eng_state = eng.state()
 
     def fail(i: int, kind: str, detail: str) -> DifferentialReport:
         return DifferentialReport(
-            False, i, labels, failure_kind=kind, failure_index=i,
+            False, i, failure_kind=kind, failure_index=i,
             detail=f"label {i} {labels[i]}: {detail}",
         )
 
@@ -215,9 +209,7 @@ def run_differential(
                 missing = sorted(lower - cur)
                 violations.append(f"outside envelope +{extra} -{missing}")
 
-        versions = (
-            dict(eng.files) if check_costs and oracle_err is None else None
-        )
+        versions = dict(eng.files)
         eng.fs.on_mutation = hook
         try:
             measured = measure_label(eng, lbl)
@@ -237,8 +229,8 @@ def run_differential(
             return fail(
                 i, "unauthorized", repr(eng.provider.unauthorized_events[0])
             )
-        if versions is not None:
-            diff = reconcile(measured, lbl, eng_state, versions, binding)
+        if check_costs and oracle_err is None:
+            diff = reconcile(measured, lbl, oracle, versions, binding)
             if diff:
                 return fail(i, "cost", f"measured-predicted {diff!r}")
         eng_state = eng.state()
@@ -255,11 +247,11 @@ def run_differential(
         oracle, pre_auth = new_oracle, post_auth
     if not congruent(eng, sigma(oracle, binding)):
         return DifferentialReport(
-            False, len(labels), labels, failure_kind="congruence",
+            False, len(labels), failure_kind="congruence",
             failure_index=len(labels) - 1 if labels else None,
             detail="final state not congruent to mapped state",
         )
-    return DifferentialReport(True, len(labels), labels)
+    return DifferentialReport(True, len(labels))
 
 
 def minimize_counterexample(

@@ -94,8 +94,8 @@ class RbacState:
 
     def pa_op(self, role: str, fn: str) -> Optional[str]:
         """The op the role holds for the file, or None."""
-        for r, f, op in self.pa:
-            if r == role and f == fn:
+        for op in (RW, READ):
+            if (role, fn, op) in self.pa:
                 return op
         return None
 

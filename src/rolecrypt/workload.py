@@ -45,7 +45,7 @@ from .costmodel import HEADLINE_PROFILES, reconcile, scheme_profile
 from .crypto import CostVector, OP_NAMES, PKI_TO_IBE
 from .engine import Engine, measure_label
 from .equivalence import sigma
-from .rbac import Label, RbacState, RW, SUPERUSER
+from .rbac import Label, RbacState, RW, SUPERUSER, apply_label
 
 EVENT_KINDS = ("assignU", "revokeU", "assignP", "revokeP")
 
@@ -77,9 +77,9 @@ class Dataset:
 
     @classmethod
     def from_dict(cls, d: object) -> "Dataset":
-        """Raises ValueError on a missing key, a name that is not a string, a
-        malformed entry, a duplicate, a user or role named SU, or a pair
-        naming a user, role or file the dataset does not list."""
+        """Raises ValueError on a missing key, a malformed entry, a name that
+        is not a string or that UTF-8 cannot encode, a duplicate, a user or
+        role named SU, or a pair naming an unlisted user, role or file."""
         if not isinstance(d, dict):
             raise ValueError("not a JSON object")
         for key in ("name", "users", "roles", "perms", "ur", "pa"):
@@ -95,6 +95,16 @@ class Dataset:
             ur=_pairs(d, "ur"),
             pa=_pairs(d, "pa"),
         )
+        # signed terms UTF-8 encode every name, which a lone surrogate fails
+        for key in ("name", "users", "roles", "perms"):
+            for x in [ds.name] if key == "name" else getattr(ds, key):
+                if not x.isascii():
+                    try:
+                        x.encode()
+                    except UnicodeEncodeError:
+                        raise ValueError(
+                            f"{key!r} holds {x!r}, which UTF-8 cannot encode"
+                        ) from None
         for key, kind in (("users", "user"), ("roles", "role")):
             if SUPERUSER in getattr(ds, key):
                 raise ValueError(f"{kind} name {SUPERUSER!r} is reserved")
@@ -178,15 +188,15 @@ def load_marginals() -> dict[str, dict]:
 
 
 def _degree_sequence(
-    rng: random.Random, n: int, total: int, lo: int, hi: int, s: float = 1.0
+    rng: random.Random, n: int, total: int, lo: int, hi: int
 ) -> list[int]:
     """A degree sequence of length n summing to ``total`` with every entry in
-    [lo, hi], zipf-shaped (exponent s) and randomly permuted."""
+    [lo, hi], zipf-shaped (exponent 1) and randomly permuted."""
     if not n * lo <= total <= n * hi:
         raise ValueError(f"no sequence: {n}x[{lo},{hi}] cannot sum to {total}")
     degs = [lo] * n
     remaining = total - n * lo
-    weights = [1.0 / (i + 1) ** s for i in range(n)]
+    weights = [1.0 / (i + 1) for i in range(n)]
     cum = list(itertools.accumulate(weights))
     stalls = 0
     while remaining:
@@ -449,7 +459,7 @@ def sample_events(
 
     out: list[Event] = []
     t = 0.0
-    while True:
+    while total:  # an actor with rate 0 (no users) has no arrivals
         t += rng.expovariate(total)
         if t > days:
             break
@@ -565,7 +575,8 @@ def run_simulation(
     check_costs: bool = False,
 ) -> RunResult:
     """One simulated period on ``eng``, which holds the seeded dataset (see
-    ``seed_engine``) and is consumed; the variant is the engine's binding."""
+    ``seed_engine``) and is consumed; the variant is the engine's binding.
+    ``check_costs`` prices each label from the model state as it evolves."""
     variant = eng.binding.name
     run_seed = derive_seed(seed, run_index)
     rng = random.Random(run_seed)
@@ -573,19 +584,19 @@ def run_simulation(
     events = sample_events(rng, dataset, rates, days)
 
     costs: list[CostVector] = []
+    state = dataset.state() if check_costs else None
     for ev in events:
         if ev.label is None:
             costs.append(CostVector())
             continue
         if check_costs:
-            state, versions = eng.state(), dict(eng.files)
+            versions = dict(eng.files)
         delta = measure_label(eng, ev.label)
         if check_costs:
             diff = reconcile(delta, ev.label, state, versions, variant=variant)
             if diff:
-                raise AssertionError(
-                    f"cost mismatch at {ev.label}: {diff!r}"
-                )
+                raise AssertionError(f"cost mismatch at {ev.label}: {diff!r}")
+            state = apply_label(state, ev.label)
         costs.append(delta)
     if eng.provider.unauthorized_events:
         raise AssertionError("unauthorized decryption during simulation")

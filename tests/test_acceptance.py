@@ -22,7 +22,7 @@ from rolecrypt.equivalence import (
     random_trace,
     run_differential,
 )
-from rolecrypt.rbac import RW, Label
+from rolecrypt.rbac import RW, Label, RbacState, apply_label, theory
 from rolecrypt.workload import (
     ActorRates,
     admin_rate,
@@ -108,11 +108,12 @@ def test_criterion_2_cost_reconciliation(capsys):
     n_labels = 0
     mismatches = []
     for trace in corpus:
-        eng = Engine("ibe")
+        eng, state = Engine("ibe"), RbacState()
         for lbl in trace:
-            state, versions = eng.state(), dict(eng.files)
+            versions = dict(eng.files)
             measured = measure_label(eng, lbl)
             diff = reconcile(measured, lbl, state, versions, "ibe")
+            state = apply_label(state, lbl)
             n_labels += 1
             if diff:
                 mismatches.append((lbl, diff))
@@ -163,7 +164,7 @@ def test_criterion_4_congruence_sanity(capsys):
     checked_idem = checked_ur = checked_pa = 0
 
     def membership_pair(eng):
-        facts = eng.theory()
+        facts = theory(eng.state())
         ur = {(f[1], f[2]) for f in facts if f[0] == "UR"}
         for u in sorted(eng.users):
             for r in sorted(eng.roles):
@@ -172,7 +173,7 @@ def test_criterion_4_congruence_sanity(capsys):
         return None
 
     def grant_pair(eng):
-        facts = eng.theory()
+        facts = theory(eng.state())
         held = {(f[1], f[2]) for f in facts if f[0] == "PA"}
         for r in sorted(eng.roles):
             for fn in sorted(eng.files):

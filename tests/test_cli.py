@@ -159,6 +159,28 @@ def test_simulate_dataset_missing_key(tmp_path, capsys):
     assert "missing key 'ur'" in err and "scheme profile" not in err
 
 
+def test_simulate_dataset_unencodable_user(tmp_path, capsys):
+    rc, err = _simulate_broken(tmp_path, capsys, users=["\ud800"], ur=[])
+    assert rc == 2
+    assert err.startswith("error: ") and str(tmp_path / "ds.json") in err
+    assert "'users' holds '\\ud800', which UTF-8 cannot encode" in err
+
+
+def test_simulate_dataset_without_users(tmp_path):
+    # an actor whose rate is 0 has no arrivals
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({**MICRO, "users": [], "ur": []}))
+    rc = main([
+        "simulate", "--dataset", str(path), "--runs", "2", "--variant",
+        "both", "--check-costs", "--events", "--revocation-window", "7",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    rows = list(csv.DictReader((tmp_path / "runs.csv").open()))
+    assert len(rows) == 4
+    assert {(r["arrivals"], r["applied"]) for r in rows} == {("0", "0")}
+
+
 def test_simulate_dataset_dangling_user(tmp_path, capsys):
     rc, err = _simulate_broken(tmp_path, capsys, ur=[["u9", "r1"]])
     assert rc == 2

@@ -70,7 +70,7 @@ def test_sigma_is_deterministic():
 def test_sigma_theory_round_trip():
     from rolecrypt.rbac import theory
 
-    assert sigma(SMALL).theory() == theory(SMALL)
+    assert theory(sigma(SMALL).state()) == theory(SMALL)
 
 
 @pytest.mark.parametrize("binding", ["ibe", "pki"])
@@ -387,10 +387,6 @@ def test_differential_reads_state_once_per_step(monkeypatch, binding):
             calls["state"] += 1
             return super().state()
 
-        def theory(self):
-            calls["theory"] += 1
-            return super().theory()
-
     fire = FileStore._fire
 
     def counting_fire(fs):
@@ -403,8 +399,7 @@ def test_differential_reads_state_once_per_step(monkeypatch, binding):
     labels = random_trace(random.Random(2024), 40)
     assert run_differential(labels, binding=binding, check_costs=True).ok
     assert calls["mutation"] > 0
-    assert calls["state"] == len(labels) + calls["mutation"] + 1
-    assert calls["theory"] == 0
+    assert calls["state"] == len(labels) + calls["mutation"]
 
 
 def test_minimizer_shrinks_failing_trace(monkeypatch):

@@ -1,6 +1,7 @@
 """Dataset synthesis, the administrator actor, and simulation plumbing."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,8 +11,10 @@ from collections import Counter
 
 import pytest
 
+import rolecrypt.equivalence as eqv
 from rolecrypt.crypto import CostVector
-from rolecrypt.rbac import RW
+from rolecrypt.engine import Engine
+from rolecrypt.rbac import RW, theory
 from rolecrypt.workload import (
     _NEUTRAL_OPS,
     ActorRates,
@@ -109,6 +112,11 @@ def test_dataset_save_load_round_trip(tmp_path):
     ({"roles": ["r1", "SU"]}, "role name 'SU' is reserved"),
     ({"name": ["x"]}, "'name' must be a string"),
     ({"name": 5}, "'name' must be a string"),
+    ({"name": "\ud800"}, "'name' holds '\\ud800', which UTF-8 cannot encode"),
+    ({"roles": ["r1", "r2", "r\udfff"]},
+     "'roles' holds 'r\\udfff', which UTF-8 cannot encode"),
+    ({"perms": ["p1", "p2", "p3", "\udc80"]},
+     "'perms' holds '\\udc80', which UTF-8 cannot encode"),
 ])
 def test_load_dataset_rejects_malformed_files(tmp_path, change, message):
     path = tmp_path / "bad.json"
@@ -116,6 +124,16 @@ def test_load_dataset_rejects_malformed_files(tmp_path, change, message):
     with pytest.raises(ValueError) as exc:
         load_dataset(str(path))
     assert str(exc.value) == f"{path}: {message}"
+
+
+def test_load_dataset_accepts_non_ascii_names(tmp_path):
+    path = tmp_path / "toy.json"
+    ds = dataclasses.replace(
+        TOY, name="café", users=("ü1",) + TOY.users[1:],
+        ur=(("ü1", "r1"),) + TOY.ur[1:],
+    )
+    save_dataset(ds, str(path))
+    assert load_dataset(str(path)) == ds
 
 
 def test_load_dataset_rejects_non_json(tmp_path):
@@ -212,7 +230,7 @@ def test_derive_seed_matches_direct_hash():
 
 def test_seed_engine_builds_dataset_state():
     eng = seed_engine(TOY, "ibe")
-    facts = eng.theory()
+    facts = theory(eng.state())
     assert ("UR", "u1", "r1") in facts
     assert ("PA", "r1", "p1", RW) in facts
     assert len(eng.users) == 4 and len(eng.roles) == 2 and len(eng.files) == 3
@@ -240,6 +258,27 @@ def test_run_simulation_accounting():
     # every revocation that re-keyed shows up in the sym_gen tally
     assert res.rekeys_by_kind["revokeU"] == res.by_kind["revokeU"].get("sym_gen")
     assert res.units("BF+CC") >= 0
+
+
+class _ForgetfulEngine(Engine):
+    """Deliberately broken: assignU pays for the member's RK tuple and then
+    deletes it.  The engine's own state agrees with what it spent, so only a
+    check priced from the model's state sees the drift."""
+
+    def assign_user(self, u, r):
+        super().assign_user(u, r)
+        self.fs.del_rk(u, r, self.roles[r].version)
+
+
+@pytest.mark.parametrize("variant", ["ibe", "pki"])
+def test_check_costs_catches_engine_drift(monkeypatch, variant):
+    # without memberships, seeding never calls the broken assign_user
+    ds = dataclasses.replace(TOY, ur=())
+    monkeypatch.setattr(eqv, "Engine", _ForgetfulEngine)
+    eng = seed_engine(ds, variant)
+    assert type(eng) is _ForgetfulEngine
+    with pytest.raises(AssertionError, match=r"^cost mismatch at revokeU"):
+        run_simulation(eng, ds, days=60.0, seed=7, check_costs=True)
 
 
 def test_run_simulation_is_deterministic():
