@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from typing import Mapping, Optional
+from typing import Collection, Mapping, Optional
 
 from .crypto import (
     CostVector, IBE_TO_PKI, INVOKER, PKI_TO_IBE, REFERENCE_MONITOR,
@@ -71,29 +71,31 @@ def _files_of(state: RbacState, r: str) -> list[str]:
     return sorted(fn for role, fn, _ in state.pa if role == r)
 
 
-def _holder_counts(state: RbacState) -> Counter[str]:
-    """file -> number of roles holding it (the superuser not counted)."""
-    return Counter(fn for _, fn, _ in state.pa)
+def _holder_counts(state: RbacState, files: Collection[str]) -> Counter[str]:
+    """file -> number of roles holding it (the superuser not counted), for
+    ``files`` only."""
+    return Counter([fn for _, fn, _ in state.pa if fn in files])
 
 
 def _revoke_user_cost(
     bag: _Bag,
     r: str,
+    files: list[str],
     state: RbacState,
     versions: Mapping[str, int],
     holders: Mapping[str, int],
     bumped: dict[str, int],
 ) -> None:
-    """Price revoking one member of ``r``.  ``holders`` counts the roles
-    holding each file.  ``bumped`` holds the file-key versions that earlier
-    revocations within the same label have already rolled, and is updated
-    the way the operation would; each role is priced at most once per label,
-    so its member set needs no update."""
+    """Price revoking one member of ``r``, which holds ``files``.
+    ``holders`` counts the roles holding each of them.  ``bumped`` holds the
+    file-key versions that earlier revocations within the same label have
+    already rolled, and is updated the way the operation would; each role is
+    priced at most once per label, so its member set needs no update."""
     _add(bag, "ibe_keygen", 1)
     _add(bag, "ibs_keygen", 1)
     # remaining members plus the superuser get the new role keys
     _rekey_membership(bag, len(state.members_of(r)) - 1 + 1)
-    for fn in _files_of(state, r):
+    for fn in files:
         vfn = bumped.get(fn, versions[fn])
         # roll the role's own wrapped file keys onto the new role keys
         _add(bag, "ibs_ver", vfn)
@@ -141,16 +143,23 @@ def algebraic_cost(
             _add(bag, "ibs_sign", 1)
     elif k == "revokeU":
         if (label.user, label.role) in state.ur:
+            files = _files_of(state, label.role)
+            holders = _holder_counts(state, set(files))
             _revoke_user_cost(
-                bag, label.role, state, versions, _holder_counts(state), {}
+                bag, label.role, files, state, versions, holders, {}
             )
     elif k == "delU":
         u = label.user
         if u in state.users:
-            holders = _holder_counts(state)
+            role_files = {
+                r: _files_of(state, r) for r in sorted(state.roles_of(u))
+            }
+            holders = _holder_counts(state, set().union(*role_files.values()))
             bumped: dict[str, int] = {}
-            for r in sorted(state.roles_of(u)):
-                _revoke_user_cost(bag, r, state, versions, holders, bumped)
+            for r, files in role_files.items():
+                _revoke_user_cost(
+                    bag, r, files, state, versions, holders, bumped
+                )
     elif k == "assignP":
         held = state.pa_op(label.role, label.file)
         vfn = versions.get(label.file, 0)
@@ -178,8 +187,9 @@ def algebraic_cost(
     elif k == "delR":
         r = label.role
         if r in state.roles:
-            holders = _holder_counts(state)
-            for fn in _files_of(state, r):
+            files = _files_of(state, r)
+            holders = _holder_counts(state, set(files))
+            for fn in files:
                 # the other holders plus the superuser
                 _rekey_file(bag, holders[fn] - 1 + 1)
     else:

@@ -23,6 +23,7 @@ import operator
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 INVOKER = "invoker"
@@ -46,7 +47,7 @@ IBE_TO_PKI = dict(zip(_IBE, _PKI))
 PKI_TO_IBE = dict(zip(_PKI, _IBE))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Identity:
     """A principal a key can be derived for: a user, a role version, or SU."""
 
@@ -69,15 +70,25 @@ class Identity:
 SU_IDENTITY = Identity("superuser", "SU")
 
 
+# The two constructors below intern their terms (hash-consing): every call
+# with the same arguments, compared by value and exact type, returns one
+# shared ``Identity``, so a store holding thousands of tuples for one role
+# version holds one identity object for it.  ``typed=True`` keeps
+# ``role_identity("r", True)`` apart from ``role_identity("r", 1)``, which
+# are different terms.
+
+
+@lru_cache(maxsize=None, typed=True)
 def user_identity(name: str) -> Identity:
     return SU_IDENTITY if name == "SU" else Identity("user", name)
 
 
+@lru_cache(maxsize=None, typed=True)
 def role_identity(name: str, version: int) -> Identity:
     return Identity("role", name, version)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicKey:
     """A key record.  alg is one of:
     ibe-dec, ibs-sign (identity-derived private keys);
@@ -90,7 +101,7 @@ class SymbolicKey:
     serial: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicCiphertext:
     """Deterministic ciphertext: recipient reference plus structural payload."""
 
@@ -99,7 +110,7 @@ class SymbolicCiphertext:
     payload: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicSignature:
     """The term sig(k, m): the signing key's owner and serial, and m."""
 

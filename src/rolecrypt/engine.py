@@ -73,7 +73,7 @@ class IntegrityError(Exception):
     """A signature check failed or a stale version was presented."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RkTuple:
     member: Identity
     role: Identity  # versioned role identity
@@ -81,7 +81,7 @@ class RkTuple:
     sig: SymbolicSignature  # by SU
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FkTuple:
     holder: Identity  # versioned role identity or SU
     fn: str
@@ -92,7 +92,7 @@ class FkTuple:
     sig: SymbolicSignature  # by the issuer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FTuple:
     fn: str
     version: int  # file-key version the body is encrypted under
@@ -113,10 +113,38 @@ _SIGNED = {
 }
 
 
+def _discard(index: dict, outer, inner, item) -> None:
+    """Remove ``item`` from the list ``index[outer][inner]``; a list or an
+    inner map left empty goes with it."""
+    by_inner = index[outer]
+    items = by_inner[inner]
+    items.remove(item)
+    if not items:
+        del by_inner[inner]
+        if not by_inner:
+            del index[outer]
+
+
 class FileStore:
     """Tuple store keyed by (kind, subject, object, version), with the
     secondary indexes the operations' wildcard scans and deletes need.
-    Every put/delete fires ``on_mutation`` once (replacement counts once)."""
+    Every put/delete fires ``on_mutation`` once (replacement counts once).
+
+    Index layout:
+
+    * ``_rk_by_role``: (role, version) -> set of members;
+    * ``_rk_by_member``: member -> set of (role, version) pairs;
+    * ``_fk_by_file``: file -> version -> list of holders;
+    * ``_fk_by_holder``: holder -> file -> list of versions.
+
+    The FK indexes hold one name or version per FK tuple and no tuple of
+    their own: lazy revocation keeps every old file-key version, so they
+    grow with the store.  Their leaves are unsorted lists, smaller than
+    sets (on CPython 3.11, 184 bytes against 728 at 11 entries).  A put
+    indexes only a key that is new to ``fk`` (a replacement is listed
+    already), so no list holds a duplicate; the queries sort.  A list or
+    inner map goes with its last entry.  RK tuples are few, one per member
+    and current role version, so their indexes keep sets of pairs."""
 
     def __init__(self) -> None:
         self.rk: dict[tuple[str, str, int], RkTuple] = {}
@@ -124,22 +152,24 @@ class FileStore:
         self.f: dict[str, FTuple] = {}
         self._rk_by_role: dict[tuple[str, int], set[str]] = defaultdict(set)
         self._rk_by_member: dict[str, set[tuple[str, int]]] = defaultdict(set)
-        self._fk_by_file: dict[str, set[tuple[str, int]]] = defaultdict(set)
-        # holder -> file -> versions; a file goes with its last version
-        self._fk_by_holder: dict[str, dict[str, set[int]]] = defaultdict(dict)
+        self._fk_by_file: dict[str, dict[int, list[str]]] = defaultdict(dict)
+        self._fk_by_holder: dict[str, dict[str, list[int]]] = defaultdict(dict)
         self.on_mutation: Optional[Callable[[], None]] = None
 
     def fork(self) -> "FileStore":
         """An independent store holding the same (shared, immutable) tuples:
-        the maps and every index set are copied; ``on_mutation`` is not."""
+        the maps and every index set and list are copied; ``on_mutation``
+        is not."""
         fs = FileStore()
         fs.rk, fs.fk, fs.f = dict(self.rk), dict(self.fk), dict(self.f)
-        for name in ("_rk_by_role", "_rk_by_member", "_fk_by_file"):
+        for name in ("_rk_by_role", "_rk_by_member"):
             index = getattr(fs, name)
             for k, v in getattr(self, name).items():
                 index[k] = set(v)
-        for h, files in self._fk_by_holder.items():
-            fs._fk_by_holder[h] = {fn: set(vs) for fn, vs in files.items()}
+        for name in ("_fk_by_file", "_fk_by_holder"):
+            index = getattr(fs, name)
+            for k, inner in getattr(self, name).items():
+                index[k] = {k2: v.copy() for k2, v in inner.items()}
         return fs
 
     def _fire(self) -> None:
@@ -174,28 +204,25 @@ class FileStore:
     # -- FK
 
     def put_fk(self, t: FkTuple) -> None:
-        key = (t.holder.name, t.fn, t.version)
+        holder, fn, version = t.holder.name, t.fn, t.version
+        key = (holder, fn, version)
+        if key not in self.fk:  # a replacement is indexed already
+            self._fk_by_file[fn].setdefault(version, []).append(holder)
+            self._fk_by_holder[holder].setdefault(fn, []).append(version)
         self.fk[key] = t
-        self._fk_by_file[t.fn].add((key[0], key[2]))
-        self._fk_by_holder[key[0]].setdefault(t.fn, set()).add(key[2])
         self._fire()
 
     def del_fk(self, holder: str, fn: str, version: int) -> None:
         del self.fk[(holder, fn, version)]
-        self._fk_by_file[fn].discard((holder, version))
-        files = self._fk_by_holder[holder]
-        files[fn].discard(version)
-        if not files[fn]:
-            del files[fn]
+        _discard(self._fk_by_file, fn, version, holder)
+        _discard(self._fk_by_holder, holder, fn, version)
         self._fire()
 
     def fk_versions(self, holder: str, fn: str) -> list[int]:
         return sorted(self._fk_by_holder.get(holder, {}).get(fn, ()))
 
     def fk_holders_at(self, fn: str, version: int) -> list[str]:
-        return sorted(
-            h for h, v in self._fk_by_file.get(fn, ()) if v == version
-        )
+        return sorted(self._fk_by_file.get(fn, {}).get(version, ()))
 
     def holder_files(self, holder: str) -> list[str]:
         return sorted(self._fk_by_holder.get(holder, ()))
@@ -205,8 +232,10 @@ class FileStore:
             self.del_fk(holder, fn, v)
 
     def delete_fk_file(self, fn: str) -> None:
-        for h, v in sorted(self._fk_by_file.get(fn, ())):
-            self.del_fk(h, fn, v)
+        """Delete every FK tuple of ``fn``, in (holder, version) order."""
+        holders = set().union(*self._fk_by_file.get(fn, {}).values())
+        for h in sorted(holders):
+            self.delete_fk_holder_file(h, fn)
 
     # -- F
 
@@ -219,7 +248,7 @@ class FileStore:
         self._fire()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyRing:
     enc_ref: object  # what others encrypt to (identity or public key)
     dec_key: SymbolicKey
@@ -227,7 +256,7 @@ class KeyRing:
     sig_key: SymbolicKey
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleRec:
     version: int
     keys: KeyRing  # replaced wholesale on re-key
@@ -313,7 +342,7 @@ class Engine:
     def fork(self) -> "Engine":
         """An independent engine in the same state, with the same counts and
         next serial.  Records (tuples, key rings, role records) are immutable
-        and shared; every dict and index set is copied."""
+        and shared; every dict and index set or list is copied."""
         eng = copy.copy(self)
         eng.provider = self.provider.fork()
         eng.fs = self.fs.fork()

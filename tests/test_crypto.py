@@ -76,6 +76,17 @@ def test_identity_helpers():
     assert str(SU_IDENTITY) == "SU"
 
 
+def test_identities_are_interned_by_exact_type():
+    assert role_identity("r", 1) is role_identity("r", 1)
+    assert user_identity("u") is user_identity("u")
+    one, true = role_identity("r", 1), role_identity("r", True)
+    # 1 == True in Python, but they are different terms: the cache keys on
+    # the argument types too
+    assert true is not one
+    assert type(true.version) is bool and type(one.version) is int
+    assert canonical_bytes(true) != canonical_bytes(one)
+
+
 # -- counting and scopes
 
 

@@ -5,7 +5,10 @@ path first; the tests then hold the engine to it.  Principals: admin labels
 count under ``invoker``, upload validation under ``reference_monitor``.
 """
 
+import copy
 import dataclasses
+import pickle
+import random
 
 import pytest
 
@@ -29,6 +32,7 @@ from rolecrypt.engine import (
     measure_label,
 )
 from rolecrypt.rbac import (
+    LABEL_KINDS,
     READ,
     RW,
     SUPERUSER,
@@ -814,3 +818,180 @@ def test_fork_is_independent_of_original(binding):
     for lbl in FORK_TRACE:
         eng.apply_label(lbl)
     assert eng.dump() == fork.dump()
+
+
+# -- store indexes
+
+
+_KIND_WEIGHTS = {  # grow the state: grants outweigh deletions
+    "addU": 2, "delU": 1, "addP": 2, "delP": 1, "addR": 2, "delR": 1,
+    "assignU": 6, "revokeU": 4, "assignP": 6, "revokeP": 3,
+}
+
+
+def _random_label(rng, eng, n):
+    """A label over the engine's own names, or a fresh name (always for an
+    add, rarely otherwise); some are no-ops or name something missing."""
+    kind = rng.choices(list(_KIND_WEIGHTS), list(_KIND_WEIGHTS.values()))[0]
+    fresh = kind.startswith("add") or rng.random() < 0.05
+
+    def pick(prefix, names):
+        if fresh or not names:
+            return f"{prefix}{n}"
+        return rng.choice(sorted(names))
+
+    ops = (WRITE, RW) if kind == "revokeP" else (READ, RW)
+    return Label(
+        kind, user=pick("u", eng.users), role=pick("r", eng.roles),
+        file=pick("f", eng.files), op=rng.choice(ops),
+    )
+
+
+def _tamper(rng, eng):
+    """One direct store mutation: drop a tuple, put one at a version no
+    operation reached, or put one whose ciphertext no signature covers."""
+    fs = eng.fs
+    kind = rng.choice(("rk", "fk"))
+    store, put, delete = (
+        (fs.rk, fs.put_rk, fs.del_rk) if kind == "rk"
+        else (fs.fk, fs.put_fk, fs.del_fk)
+    )
+    if not store:
+        return
+    key = rng.choice(sorted(store))
+    t = store[key]
+    action = rng.choice(("drop", "ahead", "forge"))
+    if action == "drop":
+        delete(*key)
+    elif action == "forge":
+        junk = dataclasses.replace(t.ct, payload=("junk",))
+        put(dataclasses.replace(t, ct=junk))
+    elif kind == "rk":
+        ahead = role_identity(t.role.name, t.role.version + rng.randint(1, 3))
+        put(dataclasses.replace(t, role=ahead))
+    else:
+        put(dataclasses.replace(t, version=t.version + rng.randint(1, 3)))
+
+
+def _drive(rng, eng, steps, names):
+    """``steps`` random labels and tampers; the indexes are checked after
+    every tenth step."""
+    for n in range(steps):
+        if n % 10 == 0:
+            _assert_indexes_agree(eng.fs, names)
+        if rng.random() < 0.1:
+            _tamper(rng, eng)
+            continue
+        lbl = _random_label(rng, eng, n)
+        names.update(v for v in (lbl.user, lbl.role, lbl.file) if v)
+        try:
+            eng.apply_label(lbl)
+        except (RbacError, IntegrityError, KeyError, UnauthorizedDecrypt):
+            # a failed operation leaves the tuples it already put, which the
+            # indexes must list too; such a stray tuple can make a later
+            # operation fail with KeyError or UnauthorizedDecrypt (the
+            # partial operations of ROADMAP item 3)
+            pass
+
+
+def _assert_indexes_agree(fs, names):
+    """Every index query answers what one scan of ``fs.rk`` and ``fs.fk``
+    does: for each of ``names``, held or not, at every version up to one
+    past the highest stored, and for every stored (holder, file) pair.  The
+    FK indexes keep no emptied entry."""
+    members, roles_of, holders, files_of, versions = {}, {}, {}, {}, {}
+    for m, r, v in fs.rk:
+        members.setdefault((r, v), []).append(m)
+        roles_of.setdefault(m, set()).add(r)
+    for h, fn, v in fs.fk:
+        holders.setdefault((fn, v), []).append(h)
+        files_of.setdefault(h, set()).add(fn)
+        versions.setdefault((h, fn), []).append(v)
+    top = 1 + max([v for *_, v in (*fs.rk, *fs.fk)], default=0)
+    for name in names:
+        assert fs.member_roles(name) == sorted(roles_of.get(name, ()))
+        assert fs.holder_files(name) == sorted(files_of.get(name, ()))
+        for v in range(top + 1):
+            key = (name, v)
+            assert fs.rk_members(*key) == sorted(members.get(key, ()))
+            assert fs.fk_holders_at(*key) == sorted(holders.get(key, ()))
+    for (h, fn), vs in versions.items():
+        assert fs.fk_versions(h, fn) == sorted(vs)
+    assert set(fs._fk_by_file) == {fn for fn, _ in holders}
+    assert set(fs._fk_by_holder) == set(files_of)
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+@pytest.mark.parametrize("seed", range(4))
+def test_indexes_agree_with_store_scans(binding, seed):
+    rng = random.Random(seed)
+    eng = seed_engine(FORK_START, binding)
+    start = FORK_START
+    names = {SUPERUSER, *start.users, *start.roles, *start.perms}
+    _drive(rng, eng, 200, names)
+    _assert_indexes_agree(eng.fs, names)
+    before = eng.dump()
+    fork = eng.fork()
+    fork_names = set(names)
+    _drive(rng, fork, 200, fork_names)
+    assert eng.dump() == before
+    _assert_indexes_agree(eng.fs, fork_names)
+    _assert_indexes_agree(fork.fs, fork_names)
+
+
+# -- records
+
+
+def _records(binding):
+    """One instance of every record type, from a small engine."""
+    eng = engine_with(
+        users=["u1"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1")], pa=[("r1", "f1", RW)], binding=binding,
+    )
+    rk, fk = eng.fs.rk[("u1", "r1", 1)], eng.fs.fk[("r1", "f1", 1)]
+    return [
+        fk.holder, eng.users["u1"].dec_key, fk.ct, fk.sig,
+        rk, fk, eng.fs.f["f1"], eng.users["u1"], eng.roles["r1"],
+    ]
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_records_are_slotted_frozen_and_round_trip(binding):
+    records = _records(binding)
+    assert [type(r).__name__ for r in records] == [
+        "Identity", "SymbolicKey", "SymbolicCiphertext", "SymbolicSignature",
+        "RkTuple", "FkTuple", "FTuple", "KeyRing", "RoleRec",
+    ]
+    for rec in records:
+        name = dataclasses.fields(rec)[0].name
+        assert not hasattr(rec, "__dict__"), type(rec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            object.__setattr__(rec, "extra", 1)
+        for twin in (
+            copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))
+        ):
+            assert type(twin) is type(rec)
+            assert twin == rec and hash(twin) == hash(rec)
+
+
+def test_file_deletion_order_is_holder_then_version():
+    # the store's mutation hook sees the deletions in this order
+    eng = engine_with(
+        users=["u1", "u2"], roles=["r2", "r1"], files=["f1"],
+        ur=[("u1", "r1"), ("u2", "r1"), ("u1", "r2")],
+        pa=[("r2", "f1", READ), ("r1", "f1", RW)],
+    )
+    eng.revoke_user("u2", "r1")  # f1 moves to file-key version 2
+    deleted = []
+    real = eng.fs.del_fk
+
+    def del_fk(holder, fn, version):
+        deleted.append((holder, version))
+        real(holder, fn, version)
+
+    eng.fs.del_fk = del_fk
+    eng.del_file("f1")
+    assert deleted == [(h, v) for h in ("SU", "r1", "r2") for v in (1, 2)]
+    assert not eng.fs.fk
