@@ -142,9 +142,11 @@ class FileStore:
     grow with the store.  Their leaves are unsorted lists, smaller than
     sets (on CPython 3.11, 184 bytes against 728 at 11 entries).  A put
     indexes only a key that is new to ``fk`` (a replacement is listed
-    already), so no list holds a duplicate; the queries sort.  A list or
-    inner map goes with its last entry.  RK tuples are few, one per member
-    and current role version, so their indexes keep sets of pairs."""
+    already), so no list holds a duplicate; the queries sort.  RK tuples
+    are few, one per member and current role version, so their indexes
+    keep sets of pairs.  In every index, an entry (set, list or inner map)
+    goes with its last item, so retired role versions and departed
+    members or holders leave nothing behind."""
 
     def __init__(self) -> None:
         self.rk: dict[tuple[str, str, int], RkTuple] = {}
@@ -187,8 +189,14 @@ class FileStore:
 
     def del_rk(self, member: str, role: str, version: int) -> None:
         del self.rk[(member, role, version)]
-        self._rk_by_role[(role, version)].discard(member)
-        self._rk_by_member[member].discard((role, version))
+        for index, key, item in (
+            (self._rk_by_role, (role, version), member),
+            (self._rk_by_member, member, (role, version)),
+        ):
+            items = index[key]
+            items.discard(item)
+            if not items:
+                del index[key]
         self._fire()
 
     def rk_members(self, role: str, version: int) -> list[str]:

@@ -13,16 +13,12 @@ import random
 import pytest
 
 from rolecrypt.costmodel import data_op_cost
+import faults
 from rolecrypt.crypto import (
     IBE_TO_PKI,
     INVOKER,
     REFERENCE_MONITOR,
-    SU_IDENTITY,
-    Identity,
-    SymbolicCiphertext,
     UnauthorizedDecrypt,
-    role_identity,
-    user_identity,
 )
 from rolecrypt.engine import (
     BINDINGS,
@@ -347,59 +343,31 @@ def test_without_versioning_cached_key_leaks_new_content():
 # -- integrity
 
 
-def test_tampered_rk_tuple_detected():
-    eng = _reader_engine()
-    t = eng.fs.rk[("u1", "r1", 1)]
-    forged_ct = eng.provider.ibe_enc(user_identity("u1"), "junk")
-    eng.fs.put_rk(dataclasses.replace(t, ct=forged_ct))
-    assert not eng.query_member("u1", "r1")
-    with pytest.raises(IntegrityError):
-        eng.read_file("u1", "f1")
-
-
-def test_tampered_fk_tuple_detected():
-    eng = _reader_engine()
-    t = eng.fs.fk[("r1", "f1", 1)]
-    forged_ct = eng.provider.ibe_enc(t.holder, "junk")
-    eng.fs.put_fk(dataclasses.replace(t, ct=forged_ct))
-    assert not eng.query_holds("r1", "f1", READ)
-    assert not eng.query_auth("u1", "f1", READ)
-    with pytest.raises(IntegrityError):
-        eng.read_file("u1", "f1")
-
-
-def _other(v):
-    """Another value of ``v``'s type, one a tamperer could put in its place."""
-    if type(v) is Identity:
-        if v.kind == "role":
-            return role_identity(v.name, v.version + 1)
-        return user_identity("u2") if v == SU_IDENTITY else SU_IDENTITY
-    if type(v) is SymbolicCiphertext:
-        return dataclasses.replace(v, payload=("junk",))
-    if type(v) is int:
-        return v + 1
-    return {READ: RW, RW: READ}.get(v, v + "x")
-
-
 @pytest.mark.parametrize("binding", sorted(BINDINGS))
 def test_signature_covers_every_field(binding):
     eng = engine_with(
         users=["u1", "u2"], roles=["r1"], files=["f1"],
         ur=[("u1", "r1")], pa=[("r1", "f1", READ)], binding=binding,
     )
-    fk = eng.fs.fk[("r1", "f1", 1)]
-    for t in (eng.fs.rk[("u1", "r1", 1)], fk, eng.fs.f["f1"]):
-        assert eng._valid(t)
-        for field in dataclasses.fields(t):
-            if field.name == "sig":
-                continue
-            value = getattr(t, field.name)
-            other = _other(value)
-            assert type(other) is type(value) and other != value
-            forged = dataclasses.replace(t, **{field.name: other})
-            assert not eng._valid(forged), (type(t).__name__, field.name)
+    for tag, fields in faults.FIELDS.items():
+        for t in faults.stored(eng, tag).values():
+            assert eng._valid(t)
+            for field in fields:
+                value = getattr(t, field)
+                for other in faults.others(value):
+                    assert type(other) is type(value) and other != value
+                    forged = dataclasses.replace(t, **{field: other})
+                    assert not eng._valid(forged), (tag, field, other)
+    # a read checks both tuples it opens, and so do the queries
+    for tag, key in (("RK", ("u1", "r1", 1)), ("FK", ("r1", "f1", 1))):
+        fork = eng.fork()
+        ct = faults.stored(fork, tag)[key].ct
+        faults.tamper(fork, tag, key, "ct", faults.others(ct)[0])
+        assert not fork.query_auth("u1", "f1", READ)
+        with pytest.raises(IntegrityError, match=f"by SU on {tag}"):
+            fork.read_file("u1", "f1")
     # the escalation that matters most: a Read key relabelled RW
-    eng.fs.put_fk(dataclasses.replace(fk, op=RW))
+    faults.tamper(eng, "FK", ("r1", "f1", 1), "op", RW)
     assert not eng.query_holds("r1", "f1", RW)
     with pytest.raises(IntegrityError, match="bad signature by SU on FK"):
         eng.write_file("u1", "f1", b"escalated")
@@ -411,12 +379,12 @@ def test_unknown_signer_is_a_bad_signature(binding):
         users=["u1"], roles=["r1"], files=["f1"],
         ur=[("u1", "r1")], pa=[("r1", "f1", READ)], binding=binding,
     )
-    fk = eng.fs.fk[("r1", "f1", 1)]
-    forged = dataclasses.replace(fk, issuer=user_identity("ghost"))
+    key = ("r1", "f1", 1)
+    forged = dataclasses.replace(eng.fs.fk[key], issuer=faults.GHOST)
     before = eng.provider.snapshot()
     assert not eng._valid(forged)
     assert eng.provider.snapshot() == before  # rejected before any primitive
-    eng.fs.put_fk(forged)
+    faults.tamper(eng, "FK", key, "issuer", faults.GHOST)
     with pytest.raises(IntegrityError) as exc:
         eng.read_file("u1", "f1")
     assert str(exc.value) == "bad signature by ghost on FK"
@@ -441,29 +409,24 @@ def test_reader_forged_body_is_returned(binding):
     assert eng.read_file("u1", "f1") == b"forged"
 
 
-def _drop_older_su_key(eng):
-    eng.revoke_user("u2", "r1")  # f1 moves to file-key version 2
-    eng.fs.del_fk(SUPERUSER, "f1", 1)
-
-
-DROPPED_TUPLES = {  # case: (drop, operation, its error message)
+DROPPED_TUPLES = {  # case: (dropped tuple, operation, its error message)
     "F": (
-        lambda eng: eng.fs.del_f("f1"),
+        ("F", "f1"),
         lambda eng: eng.read_file("u1", "f1"),
         "missing body of 'f1'",
     ),
     "RK": (
-        lambda eng: eng.fs.del_rk(SUPERUSER, "r2", 1),
+        ("RK", (SUPERUSER, "r2", 1)),
         lambda eng: eng.assign_user("u1", "r2"),
         "assignU: missing SU's RK tuple of 'r2'",
     ),
     "FK": (
-        lambda eng: eng.fs.del_fk(SUPERUSER, "f1", 1),
+        ("FK", (SUPERUSER, "f1", 2)),
         lambda eng: eng.assign_perm("r2", "f1", RW),
         "assignP: missing SU's FK tuples of 'f1'",
     ),
     "FK-older-version": (
-        _drop_older_su_key,
+        ("FK", (SUPERUSER, "f1", 1)),
         lambda eng: eng.assign_perm("r2", "f1", READ),
         "assignP: missing SU's FK tuples of 'f1'",
     ),
@@ -480,8 +443,9 @@ def test_dropped_tuple_raises_integrity_error(binding, case):
         ur=[("u1", "r1"), ("u2", "r1")], pa=[("r1", "f1", RW)],
         binding=binding,
     )
-    drop, operation, message = DROPPED_TUPLES[case]
-    drop(eng)
+    eng.revoke_user("u2", "r1")  # f1 moves to file-key version 2
+    dropped, operation, message = DROPPED_TUPLES[case]
+    faults.drop(eng, *dropped)
     before = eng.provider.snapshot()
     with pytest.raises(IntegrityError) as exc:
         operation(eng)
@@ -502,8 +466,9 @@ def test_replayed_stale_body_detected(binding):
         binding=binding,
     )
     names = IBE_TO_PKI if binding == "pki" else {}
+    history = faults.History()
     eng.write_file("u1", "f1", b"v1")
-    stale = eng.fs.f["f1"]
+    history.record(eng)
     eng.revoke_user("u2", "r1")
     before_write = eng.fork()
     cost, _ = measure(eng, eng.write_file, "u1", "f1", b"v2")
@@ -512,11 +477,72 @@ def test_replayed_stale_body_detected(binding):
     assert body == b"v2" and cost == data_op_cost("read").renamed(names)
     assert before_write.read_file("u1", "f1") == b"v1"  # its own record
 
-    eng.fs.put_f(stale)
+    (stale,) = [t for tag, _, t in history.replays(eng) if tag == "F"]
+    assert stale.body.payload == b"v1"
+    faults.replay(eng, "F", stale)
     with pytest.raises(IntegrityError, match="'f1'"):
         eng.read_file("u1", "f1")
     eng.del_file("f1")
     assert "f1" not in eng.body_versions
+
+
+PARTIAL_OPERATIONS = {
+    "revokeU": Label("revokeU", user="u1", role="r1"),
+    "delU": Label("delU", user="u1"),
+    "revokeP": Label("revokeP", role="r1", file="f1", op=RW),
+    "delR": Label("delR", role="r1"),
+    "assignP": Label("assignP", role="r3", file="f1", op=READ),  # fresh
+}
+
+
+def _verified(eng, label):
+    """The tag and key of every stored tuple whose signature ``label``
+    checks."""
+    fork, seen = eng.fork(), []
+    verify = fork._verify
+
+    def spy(t):
+        seen.append(t)
+        verify(t)
+
+    fork._verify = spy
+    fork.apply_label(label)
+    return [
+        (tag, key)
+        for tag in faults.FIELDS
+        for key, t in faults.stored(eng, tag).items()
+        if any(t is s for s in seen)
+    ]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="partial operations: ROADMAP item 3 makes them all-or-nothing",
+)
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+@pytest.mark.parametrize("case", sorted(PARTIAL_OPERATIONS))
+def test_operation_on_a_tampered_store_writes_nothing(binding, case):
+    eng = engine_with(
+        users=["u1", "u2", "u3"], roles=["r1", "r2", "r3"],
+        files=["f1", "f2"],
+        ur=[("u1", "r1"), ("u2", "r1"), ("u3", "r1"), ("u1", "r2")],
+        pa=[("r1", "f1", RW), ("r1", "f2", READ), ("r2", "f2", RW),
+            ("r3", "f1", READ)],
+        binding=binding,
+    )
+    eng.revoke_perm("r3", "f1", RW)  # f1 moves to file-key version 2
+    label = PARTIAL_OPERATIONS[case]
+    read = _verified(eng, label)
+    if not read:
+        pytest.fail(f"{label} checks no stored tuple")
+    for tag, key in read:
+        fork = eng.fork()
+        ct = faults.stored(fork, tag)[key].ct
+        faults.tamper(fork, tag, key, "ct", faults.others(ct)[0])
+        before = fork.dump()
+        with pytest.raises(IntegrityError):
+            fork.apply_label(label)
+        assert fork.dump() == before, (tag, key)
 
 
 def test_failed_upload_check_leaves_invoker_charged(monkeypatch):
@@ -802,16 +828,10 @@ def test_fork_is_independent_of_original(binding):
     assert fired == []  # the mutation hook is not inherited
     assert eng.dump() == before
     assert eng.provider.snapshot() == snap
-    # each store's holder index lists exactly the files and versions of its
-    # own FK tuples, so the fork shares no inner version set
+    # each store's indexes list exactly its own tuples, so the fork shares
+    # no inner set or list
     for store in (eng.fs, fork.fs):
-        held = {}
-        for h, fn, v in store.fk:
-            held.setdefault(h, {}).setdefault(fn, []).append(v)
-        for h, files in held.items():
-            assert store.holder_files(h) == sorted(files), h
-            for fn, vs in files.items():
-                assert store.fk_versions(h, fn) == sorted(vs), (h, fn)
+        _assert_indexes_agree(store, ())
     # the original's indexes were not touched either: replaying the trace
     # on it reaches the fork's state
     eng.fs.on_mutation = None
@@ -847,40 +867,18 @@ def _random_label(rng, eng, n):
     )
 
 
-def _tamper(rng, eng):
-    """One direct store mutation: drop a tuple, put one at a version no
-    operation reached, or put one whose ciphertext no signature covers."""
-    fs = eng.fs
-    kind = rng.choice(("rk", "fk"))
-    store, put, delete = (
-        (fs.rk, fs.put_rk, fs.del_rk) if kind == "rk"
-        else (fs.fk, fs.put_fk, fs.del_fk)
-    )
-    if not store:
-        return
-    key = rng.choice(sorted(store))
-    t = store[key]
-    action = rng.choice(("drop", "ahead", "forge"))
-    if action == "drop":
-        delete(*key)
-    elif action == "forge":
-        junk = dataclasses.replace(t.ct, payload=("junk",))
-        put(dataclasses.replace(t, ct=junk))
-    elif kind == "rk":
-        ahead = role_identity(t.role.name, t.role.version + rng.randint(1, 3))
-        put(dataclasses.replace(t, role=ahead))
-    else:
-        put(dataclasses.replace(t, version=t.version + rng.randint(1, 3)))
-
-
 def _drive(rng, eng, steps, names):
-    """``steps`` random labels and tampers; the indexes are checked after
-    every tenth step."""
+    """``steps`` random labels and store faults; the indexes are checked
+    after every tenth step."""
+    history = faults.History()
     for n in range(steps):
         if n % 10 == 0:
             _assert_indexes_agree(eng.fs, names)
+        history.record(eng)
         if rng.random() < 0.1:
-            _tamper(rng, eng)
+            fault = faults.draw(rng, eng, history, rng.choice(faults.KINDS))
+            if fault is not None:
+                fault[1](eng)
             continue
         lbl = _random_label(rng, eng, n)
         names.update(v for v in (lbl.user, lbl.role, lbl.file) if v)
@@ -896,9 +894,9 @@ def _drive(rng, eng, steps, names):
 
 def _assert_indexes_agree(fs, names):
     """Every index query answers what one scan of ``fs.rk`` and ``fs.fk``
-    does: for each of ``names``, held or not, at every version up to one
-    past the highest stored, and for every stored (holder, file) pair.  The
-    FK indexes keep no emptied entry."""
+    does: for each of ``names`` and every stored name, held or not, at every
+    version up to one past the highest stored, and for every stored (holder,
+    file) pair.  No index keeps an emptied entry."""
     members, roles_of, holders, files_of, versions = {}, {}, {}, {}, {}
     for m, r, v in fs.rk:
         members.setdefault((r, v), []).append(m)
@@ -907,6 +905,8 @@ def _assert_indexes_agree(fs, names):
         holders.setdefault((fn, v), []).append(h)
         files_of.setdefault(h, set()).add(fn)
         versions.setdefault((h, fn), []).append(v)
+    names = {*names, *roles_of, *files_of}
+    names.update(n for n, _ in (*members, *holders))
     top = 1 + max([v for *_, v in (*fs.rk, *fs.fk)], default=0)
     for name in names:
         assert fs.member_roles(name) == sorted(roles_of.get(name, ()))
@@ -917,6 +917,8 @@ def _assert_indexes_agree(fs, names):
             assert fs.fk_holders_at(*key) == sorted(holders.get(key, ()))
     for (h, fn), vs in versions.items():
         assert fs.fk_versions(h, fn) == sorted(vs)
+    assert set(fs._rk_by_role) == set(members)
+    assert set(fs._rk_by_member) == set(roles_of)
     assert set(fs._fk_by_file) == {fn for fn, _ in holders}
     assert set(fs._fk_by_holder) == set(files_of)
 

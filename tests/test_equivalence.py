@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faults
 import rolecrypt.equivalence as eqv
 from rolecrypt.engine import Engine, FileStore
 from rolecrypt.equivalence import (
@@ -85,25 +86,19 @@ def test_state_inverts_sigma(binding):
 @pytest.mark.parametrize("binding", ["ibe", "pki"])
 def test_state_tracks_model_and_ignores_stale_tuples(binding):
     # after every label the engine reads back as the model's state, also from
-    # a store that puts back every RK and FK tuple it was told to delete: an
-    # honest engine deletes only tuples at a superseded version or of a
-    # deleted user, role or file, and state() must not count those
+    # a store that replays every tuple it was told to delete: an honest
+    # engine deletes only tuples at a superseded version or of a deleted
+    # user, role or file, and state() must not count those
     for seed in range(100):
-        oracle, eng = RbacState(), Engine(binding)
-        rk_written, fk_written = {}, {}
+        oracle, eng, history = RbacState(), Engine(binding), faults.History()
         for lbl in random_trace(random.Random(500 + seed), 30):
             oracle = apply_label(oracle, lbl)
             eng.apply_label(lbl)
             assert eng.state() == oracle, lbl
-            rk_written.update(eng.fs.rk)
-            fk_written.update(eng.fs.fk)
+            history.record(eng)
             replaying = eng.fork()
-            for key, t in rk_written.items():
-                if key not in eng.fs.rk:
-                    replaying.fs.put_rk(t)
-            for key, t in fk_written.items():
-                if key not in eng.fs.fk:
-                    replaying.fs.put_fk(t)
+            for tag, _, t in history.replays(eng):
+                faults.replay(replaying, tag, t)
             assert replaying.state() == oracle, lbl
 
 
