@@ -32,7 +32,10 @@ logic is shared.
 Mutation ordering is deliberate: new tuples are written at not-yet-current
 versions, then the ROLES/FILES version counters are bumped, then stale tuples
 are deleted, so the set of granted requests never transiently leaves the
-envelope of the pre- and post-states.
+envelope of the pre- and post-states.  A revocation issues the RK tuples at
+v_r+1, then installs the role's new record, then for each file the role
+holds issues its FK tuples and bumps its version, then deletes the stale RK
+tuples; every FK tuple is wrapped for its holder's current record.
 
 Cost attribution: every primitive is charged to the invoker, the provider's
 default principal, except the reference monitor's checks of an upload in
@@ -130,45 +133,41 @@ class FileStore:
     secondary indexes the operations' wildcard scans and deletes need.
     Every put/delete fires ``on_mutation`` once (replacement counts once).
 
-    Index layout:
+    All four indexes share one layout: object -> version -> list of names,
+    and name -> object -> list of versions.
 
-    * ``_rk_by_role``: (role, version) -> set of members;
-    * ``_rk_by_member``: member -> set of (role, version) pairs;
+    * ``_rk_by_role``: role -> version -> list of members;
+    * ``_rk_by_member``: member -> role -> list of versions;
     * ``_fk_by_file``: file -> version -> list of holders;
     * ``_fk_by_holder``: holder -> file -> list of versions.
 
-    The FK indexes hold one name or version per FK tuple and no tuple of
-    their own: lazy revocation keeps every old file-key version, so they
-    grow with the store.  Their leaves are unsorted lists, smaller than
-    sets (on CPython 3.11, 184 bytes against 728 at 11 entries).  A put
-    indexes only a key that is new to ``fk`` (a replacement is listed
-    already), so no list holds a duplicate; the queries sort.  RK tuples
-    are few, one per member and current role version, so their indexes
-    keep sets of pairs.  In every index, an entry (set, list or inner map)
-    goes with its last item, so retired role versions and departed
-    members or holders leave nothing behind."""
+    The indexes hold one name or version per tuple and no tuple of their
+    own: lazy revocation keeps every old file-key version, so the FK
+    indexes grow with the store.  Their leaves are unsorted lists, smaller
+    than sets (on CPython 3.11, 184 bytes against 728 at 11 entries).  A put
+    indexes only a key that is new to its map (a replacement is listed
+    already), so no list holds a duplicate; the queries sort.  In every
+    index, an entry (list or inner map) goes with its last item, so retired
+    role versions and departed members or holders leave nothing behind."""
 
     def __init__(self) -> None:
         self.rk: dict[tuple[str, str, int], RkTuple] = {}
         self.fk: dict[tuple[str, str, int], FkTuple] = {}
         self.f: dict[str, FTuple] = {}
-        self._rk_by_role: dict[tuple[str, int], set[str]] = defaultdict(set)
-        self._rk_by_member: dict[str, set[tuple[str, int]]] = defaultdict(set)
+        self._rk_by_role: dict[str, dict[int, list[str]]] = defaultdict(dict)
+        self._rk_by_member: dict[str, dict[str, list[int]]] = defaultdict(dict)
         self._fk_by_file: dict[str, dict[int, list[str]]] = defaultdict(dict)
         self._fk_by_holder: dict[str, dict[str, list[int]]] = defaultdict(dict)
         self.on_mutation: Optional[Callable[[], None]] = None
 
     def fork(self) -> "FileStore":
         """An independent store holding the same (shared, immutable) tuples:
-        the maps and every index set and list are copied; ``on_mutation``
+        the maps and every index map and list are copied; ``on_mutation``
         is not."""
         fs = FileStore()
         fs.rk, fs.fk, fs.f = dict(self.rk), dict(self.fk), dict(self.f)
-        for name in ("_rk_by_role", "_rk_by_member"):
-            index = getattr(fs, name)
-            for k, v in getattr(self, name).items():
-                index[k] = set(v)
-        for name in ("_fk_by_file", "_fk_by_holder"):
+        for name in ("_rk_by_role", "_rk_by_member", "_fk_by_file",
+                     "_fk_by_holder"):
             index = getattr(fs, name)
             for k, inner in getattr(self, name).items():
                 index[k] = {k2: v.copy() for k2, v in inner.items()}
@@ -178,53 +177,51 @@ class FileStore:
         if self.on_mutation is not None:
             self.on_mutation()
 
+    def _put(self, store, by_obj, by_name, key, t) -> None:
+        """Store ``t`` at ``key`` = (name, object, version) and index it."""
+        if key not in store:  # a replacement is indexed already
+            name, obj, version = key
+            by_obj[obj].setdefault(version, []).append(name)
+            by_name[name].setdefault(obj, []).append(version)
+        store[key] = t
+        self._fire()
+
+    def _del(self, store, by_obj, by_name, key) -> None:
+        del store[key]
+        name, obj, version = key
+        _discard(by_obj, obj, version, name)
+        _discard(by_name, name, obj, version)
+        self._fire()
+
     # -- RK
 
     def put_rk(self, t: RkTuple) -> None:
         key = (t.member.name, t.role.name, t.role.version)
-        self.rk[key] = t
-        self._rk_by_role[(key[1], key[2])].add(key[0])
-        self._rk_by_member[key[0]].add((key[1], key[2]))
-        self._fire()
+        self._put(self.rk, self._rk_by_role, self._rk_by_member, key, t)
 
     def del_rk(self, member: str, role: str, version: int) -> None:
-        del self.rk[(member, role, version)]
-        for index, key, item in (
-            (self._rk_by_role, (role, version), member),
-            (self._rk_by_member, member, (role, version)),
-        ):
-            items = index[key]
-            items.discard(item)
-            if not items:
-                del index[key]
-        self._fire()
+        key = (member, role, version)
+        self._del(self.rk, self._rk_by_role, self._rk_by_member, key)
 
     def rk_members(self, role: str, version: int) -> list[str]:
-        return sorted(self._rk_by_role.get((role, version), ()))
+        return sorted(self._rk_by_role.get(role, {}).get(version, ()))
 
     def delete_rk_role_version(self, role: str, version: int) -> None:
         for m in self.rk_members(role, version):
             self.del_rk(m, role, version)
 
     def member_roles(self, member: str) -> list[str]:
-        return sorted({r for r, _ in self._rk_by_member.get(member, ())})
+        return sorted(self._rk_by_member.get(member, ()))
 
     # -- FK
 
     def put_fk(self, t: FkTuple) -> None:
-        holder, fn, version = t.holder.name, t.fn, t.version
-        key = (holder, fn, version)
-        if key not in self.fk:  # a replacement is indexed already
-            self._fk_by_file[fn].setdefault(version, []).append(holder)
-            self._fk_by_holder[holder].setdefault(fn, []).append(version)
-        self.fk[key] = t
-        self._fire()
+        key = (t.holder.name, t.fn, t.version)
+        self._put(self.fk, self._fk_by_file, self._fk_by_holder, key, t)
 
     def del_fk(self, holder: str, fn: str, version: int) -> None:
-        del self.fk[(holder, fn, version)]
-        _discard(self._fk_by_file, fn, version, holder)
-        _discard(self._fk_by_holder, holder, fn, version)
-        self._fire()
+        key = (holder, fn, version)
+        self._del(self.fk, self._fk_by_file, self._fk_by_holder, key)
 
     def fk_versions(self, holder: str, fn: str) -> list[int]:
         return sorted(self._fk_by_holder.get(holder, {}).get(fn, ()))
@@ -350,7 +347,7 @@ class Engine:
     def fork(self) -> "Engine":
         """An independent engine in the same state, with the same counts and
         next serial.  Records (tuples, key rings, role records) are immutable
-        and shared; every dict and index set or list is copied."""
+        and shared; every dict and index list is copied."""
         eng = copy.copy(self)
         eng.provider = self.provider.fork()
         eng.fs = self.fs.fork()
@@ -560,18 +557,22 @@ class Engine:
                 self.provider, self._keyring_of(m).enc_ref, payload
             )
             self._issue_rk(user_identity(m), new_ident, ct)
+        self.roles[r] = RoleRec(v + 1, new_ring)
         for fn in self.fs.holder_files(r):
             # roll the role's own wrapped file keys onto the new role keys
-            self._rewrap_fks(
-                r, rec.keys.dec_key, fn, new_ident, new_ring.enc_ref
-            )
-            self._issue_new_file_key(fn, {r: (new_ident, new_ring.enc_ref)})
-        self.roles[r] = RoleRec(v + 1, new_ring)
+            self._rewrap_fks(r, rec.keys.dec_key, fn, r)
+            self._issue_new_file_key(fn)
         self.fs.delete_rk_role_version(r, v)
 
-    def _issue_new_file_key(
-        self, fn: str, role_overrides: dict[str, tuple[Identity, object]]
-    ) -> None:
+    def _wrap_target(self, h: str) -> tuple[Identity, object]:
+        """The identity an FK tuple for holder ``h`` names and the reference
+        its key is encrypted under: SU's, or role ``h``'s current record's."""
+        if h == SUPERUSER:
+            return SU_IDENTITY, self.su.enc_ref
+        rec = self.roles[h]
+        return role_identity(h, rec.version), rec.keys.enc_ref
+
+    def _issue_new_file_key(self, fn: str) -> None:
         """Mint a fresh file key and wrap it for every current holder, at the
         next file-key version; then make that version current."""
         vfn = self.files[fn]
@@ -579,23 +580,16 @@ class Engine:
         for h in self.fs.fk_holders_at(fn, vfn):
             old = self.fs.fk[(h, fn, vfn)]
             self._verify(old)
-            if h == SUPERUSER:
-                ident, ref = SU_IDENTITY, self.su.enc_ref
-            elif h in role_overrides:
-                ident, ref = role_overrides[h]
-            else:
-                rrec = self.roles[h]
-                ident, ref = role_identity(h, rrec.version), rrec.keys.enc_ref
+            ident, ref = self._wrap_target(h)
             ct = self.binding.enc(self.provider, ref, k2)
             self._issue_fk(ident, fn, old.op, vfn + 1, ct)
         self.files[fn] = vfn + 1
 
-    def _rewrap_fks(
-        self, src: str, dec_key, fn: str, ident: Identity, ref, op=None
-    ) -> None:
+    def _rewrap_fks(self, src: str, dec_key, fn: str, dst: str, op=None) -> None:
         """Open ``src``'s key for ``fn`` at every version it holds with
-        ``dec_key`` and issue it to ``ident``, encrypted under ``ref``; each
-        version keeps its op unless ``op`` is given."""
+        ``dec_key`` and issue it to holder ``dst``; each version keeps its
+        op unless ``op`` is given."""
+        ident, ref = self._wrap_target(dst)
         for vv in self.fs.fk_versions(src, fn):
             old = self.fs.fk[(src, fn, vv)]
             self._verify(old)
@@ -630,11 +624,7 @@ class Engine:
         versions = range(1, self.files[fn] + 1)
         if any((SUPERUSER, fn, v) not in self.fs.fk for v in versions):
             raise IntegrityError(f"assignP: missing SU's FK tuples of {fn!r}")
-        rrec = self.roles[r]
-        self._rewrap_fks(
-            SUPERUSER, self.su.dec_key, fn,
-            role_identity(r, rrec.version), rrec.keys.enc_ref, op,
-        )
+        self._rewrap_fks(SUPERUSER, self.su.dec_key, fn, r, op)
 
     def revoke_perm(self, r: str, fn: str, op: str) -> None:
         if op not in (WRITE, RW):
@@ -658,7 +648,7 @@ class Engine:
 
     def _revoke_perm_full(self, r: str, fn: str) -> None:
         self.fs.delete_fk_holder_file(r, fn)
-        self._issue_new_file_key(fn, {})
+        self._issue_new_file_key(fn)
 
     # -- data path
 

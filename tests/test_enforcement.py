@@ -917,7 +917,10 @@ def _assert_indexes_agree(fs, names):
             assert fs.fk_holders_at(*key) == sorted(holders.get(key, ()))
     for (h, fn), vs in versions.items():
         assert fs.fk_versions(h, fn) == sorted(vs)
-    assert set(fs._rk_by_role) == set(members)
+    assert set(fs._rk_by_role) == {r for r, _ in members}
+    assert {
+        (r, v) for r, by_version in fs._rk_by_role.items() for v in by_version
+    } == set(members)
     assert set(fs._rk_by_member) == set(roles_of)
     assert set(fs._fk_by_file) == {fn for fn, _ in holders}
     assert set(fs._fk_by_holder) == set(files_of)
