@@ -479,9 +479,10 @@ class Engine:
         if r not in self.roles:
             self._warn(f"delR: {r!r} missing")
             return
+        files = self._held_files(r)
         rec = self.roles.pop(r)
         self.fs.delete_rk_role_version(r, rec.version)
-        for fn in self.fs.holder_files(r):
+        for fn in files:
             self._revoke_perm_full(r, fn)
 
     def add_file(self, uploader: str, fn: str, body: bytes) -> None:
@@ -543,7 +544,20 @@ class Engine:
             return
         self._revoke_user_inner(u, r)
 
+    def _held_files(self, r: str) -> list[str]:
+        """The files role ``r`` holds FK tuples for.  A tuple of a file the
+        engine does not know (a replay of a deleted file's) raises before
+        any primitive runs."""
+        files = self.fs.holder_files(r)
+        for fn in files:
+            if fn not in self.files:
+                raise IntegrityError(
+                    f"FK tuple of {r!r} for unknown file {fn!r}"
+                )
+        return files
+
     def _revoke_user_inner(self, u: str, r: str) -> None:
+        files = self._held_files(r)
         rec = self.roles[r]
         v = rec.version
         new_ident = role_identity(r, v + 1)
@@ -558,7 +572,7 @@ class Engine:
             )
             self._issue_rk(user_identity(m), new_ident, ct)
         self.roles[r] = RoleRec(v + 1, new_ring)
-        for fn in self.fs.holder_files(r):
+        for fn in files:
             # roll the role's own wrapped file keys onto the new role keys
             self._rewrap_fks(r, rec.keys.dec_key, fn, r)
             self._issue_new_file_key(fn)

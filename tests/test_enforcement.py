@@ -486,6 +486,27 @@ def test_replayed_stale_body_detected(binding):
     assert "f1" not in eng.body_versions
 
 
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+@pytest.mark.parametrize("kind", ["revokeU", "delU", "delR"])
+def test_replayed_key_of_a_deleted_file_raises_integrity_error(binding, kind):
+    # a replayed FK tuple lists a deleted file among the role's files again;
+    # the revocation refuses it before any primitive or write
+    eng = engine_with(
+        users=["u1", "u2"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1"), ("u2", "r1")], pa=[("r1", "f1", RW)],
+        binding=binding,
+    )
+    replayed = eng.fs.fk[("r1", "f1", 1)]
+    eng.del_file("f1")
+    faults.replay(eng, "FK", replayed)
+    before, counts = eng.dump(), eng.provider.snapshot()
+    with pytest.raises(IntegrityError) as exc:
+        eng.apply_label(Label(kind, user="u1", role="r1"))
+    assert str(exc.value) == "FK tuple of 'r1' for unknown file 'f1'"
+    assert eng.dump() == before
+    assert eng.provider.snapshot() == counts
+
+
 PARTIAL_OPERATIONS = {
     "revokeU": Label("revokeU", user="u1", role="r1"),
     "delU": Label("delU", user="u1"),

@@ -29,8 +29,8 @@ from rolecrypt.equivalence import TraceBuilder, canonicalize
 from rolecrypt.rbac import READ, RW, WRITE, Label
 
 PINNED_SHA256 = {
-    "ibe": "7e2772d663978f1be801e03c1c1381049d876ee1606e1b0c07813d3d32582c66",
-    "pki": "826f3451dc1cf110f0627325876a4a9dc636cbe59a7c199a1ab35b0421edde24",
+    "ibe": "275e722fb8ef367ee98503f42e54d92fe97ae2bf94d83208ea2684b7d2409de8",
+    "pki": "7cec1f7afe5607846075a4531082da1bd92e127625dc0e53b213bb4addd2430b",
 }
 TRACES, LABELS = 10, 50
 CAPS = dict(max_users=5, max_roles=3, max_files=5, version_cap=4)
