@@ -180,6 +180,10 @@ def run_differential(
     versions.  Each step reads ``eng.state()`` once, after the label, for
     the theory check: equal ``(roles, ur, pa)`` triples mean equal
     theories, so both theories are built only to word a mismatch.
+
+    The engine's exceptions are reported, never raised: a decryption with
+    a mismatched key is ``unauthorized``, and any other exception but an
+    ``RbacError`` matching the model's is ``error-mismatch``.
     """
     labels = list(labels)
     oracle = RbacState()
@@ -214,21 +218,24 @@ def run_differential(
         try:
             measured = measure_label(eng, lbl)
             eng_err: Optional[Exception] = None
-        except RbacError as e:
+        except Exception as e:  # any engine failure is a finding
             eng_err = e
         finally:
             eng.fs.on_mutation = None
-        if (oracle_err is None) != (eng_err is None):
+        if eng.provider.unauthorized_events:
+            return fail(
+                i, "unauthorized", repr(eng.provider.unauthorized_events[0])
+            )
+        if not (
+            eng_err is None if oracle_err is None
+            else isinstance(eng_err, RbacError)
+        ):
             return fail(
                 i, "error-mismatch",
                 f"model {oracle_err!r} vs engine {eng_err!r}",
             )
         if violations:
             return fail(i, "safety", violations[0])
-        if eng.provider.unauthorized_events:
-            return fail(
-                i, "unauthorized", repr(eng.provider.unauthorized_events[0])
-            )
         if check_costs and oracle_err is None:
             diff = reconcile(measured, lbl, oracle, versions, binding)
             if diff:

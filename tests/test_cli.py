@@ -5,8 +5,14 @@ import json
 
 import pytest
 
+import rolecrypt.equivalence as eqv
 from rolecrypt.cli import main
 from rolecrypt.workload import load_dataset
+from test_equivalence import _StaleRewrapEngine
+
+
+def _rows(path):
+    return list(csv.DictReader(path.read_text().splitlines()))
 
 
 def test_no_arguments_is_a_usage_error():
@@ -50,6 +56,19 @@ def test_check_options(capsys):
     assert rc == 0
 
 
+def test_check_reports_a_divergence(monkeypatch, capsys):
+    monkeypatch.setattr(eqv, "Engine", _StaleRewrapEngine)
+    assert main(["check", "--traces", "20"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert " DIVERGED: label " in lines[0]
+    assert lines[1].startswith("  minimized to ")
+    assert all(line.startswith("    ") for line in lines[2:-1])
+    assert len(lines) - 3 == int(lines[1].split()[2])
+    assert lines[-1].startswith("FAIL after ")
+    assert err == ""
+
+
 def test_gen_dataset_writes_file(tmp_path, capsys):
     out = tmp_path / "hc.json"
     assert main(["gen-dataset", "--name", "healthcare", "--seed", "2",
@@ -80,7 +99,7 @@ def test_simulate_bundled_dataset(tmp_path, capsys):
         "--seed", "3", "--out", str(tmp_path),
     ])
     assert rc == 0
-    rows = list(csv.DictReader((tmp_path / "runs.csv").open()))
+    rows = _rows(tmp_path / "runs.csv")
     assert len(rows) == 2
     assert {r["variant"] for r in rows} == {"ibe"}
     assert (tmp_path / "summary.csv").exists()
@@ -95,12 +114,12 @@ def test_simulate_both_variants_with_events(tmp_path):
         "--out", str(tmp_path),
     ])
     assert rc == 0
-    rows = list(csv.DictReader((tmp_path / "runs.csv").open()))
+    rows = _rows(tmp_path / "runs.csv")
     assert [r["variant"] for r in rows] == ["ibe", "pki"]
     # identical seeds: both variants saw the same arrival sequence
     assert rows[0]["arrivals"] == rows[1]["arrivals"]
     assert rows[0]["ibe_enc"] == rows[1]["ibe_enc"]  # neutral-named counters
-    events = list(csv.DictReader((tmp_path / "events.csv").open()))
+    events = _rows(tmp_path / "events.csv")
     assert events and {e["variant"] for e in events} == {"ibe", "pki"}
 
 
@@ -121,7 +140,7 @@ def test_simulate_dataset_file_and_check_costs(tmp_path):
         "--out", str(tmp_path),
     ])
     assert rc == 0
-    rows = list(csv.DictReader((tmp_path / "runs.csv").open()))
+    rows = _rows(tmp_path / "runs.csv")
     assert len(rows) == 3 and rows[0]["dataset"] == "micro"
     assert "max_revocations_per_window" in rows[0]
 
@@ -176,7 +195,7 @@ def test_simulate_dataset_without_users(tmp_path):
         "--out", str(tmp_path),
     ])
     assert rc == 0
-    rows = list(csv.DictReader((tmp_path / "runs.csv").open()))
+    rows = _rows(tmp_path / "runs.csv")
     assert len(rows) == 4
     assert {(r["arrivals"], r["applied"]) for r in rows} == {("0", "0")}
 

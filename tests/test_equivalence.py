@@ -1,5 +1,6 @@
 """State mapping, canonical forms, and the differential harness."""
 
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import faults
 import rolecrypt.equivalence as eqv
+from rolecrypt.crypto import role_identity
 from rolecrypt.engine import Engine, FileStore
 from rolecrypt.equivalence import (
     TraceBuilder,
@@ -395,6 +397,130 @@ def test_differential_reads_state_once_per_step(monkeypatch, binding):
     assert run_differential(labels, binding=binding, check_costs=True).ok
     assert calls["mutation"] > 0
     assert calls["state"] == len(labels) + calls["mutation"]
+
+
+class _StaleRewrapEngine(Engine):
+    """Deliberately broken: a revocation re-wraps the role's file keys for
+    the role version it leaves, at the honest cost, so the role's next
+    revocation cannot open them."""
+
+    def _rewrap_fks(self, src, dec_key, fn, dst, op=None):
+        if src != dst:  # a grant copies SU's keys honestly
+            return super()._rewrap_fks(src, dec_key, fn, dst, op)
+        ident = self._wrap_target(dst)[0]
+        for vv in self.fs.fk_versions(src, fn):
+            old = self.fs.fk[(src, fn, vv)]
+            self._verify(old)
+            k = self.binding.dec(self.provider, dec_key, old.ct)
+            ct = self.binding.enc(self.provider, old.ct.recipient, k)
+            self._issue_fk(ident, fn, old.op, vv, ct)
+
+
+# u1 and u2 leave r1 in turn; the second revocation reads r1's file keys
+TWO_REVOCATIONS = BREAKING_TRACE + [Label("revokeU", user="u1", role="r1")]
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_differential_reports_unauthorized_decryption(monkeypatch, binding):
+    monkeypatch.setattr(eqv, "Engine", _StaleRewrapEngine)
+    rep = run_differential(TWO_REVOCATIONS, binding=binding, check_costs=True)
+    assert (rep.ok, rep.failure_kind, rep.failure_index) == (
+        False, "unauthorized", 8,
+    )
+    padded = [Label("addU", user="u3")] + TWO_REVOCATIONS + [
+        Label("addP", file="f2"),
+    ]
+    minimal = minimize_counterexample(padded, binding=binding)
+    assert len(minimal) < len(padded)
+    assert run_differential(minimal, binding=binding).failure_kind == (
+        "unauthorized"
+    )
+
+
+class _FlickerEngine(Engine):
+    """Deliberately broken: assignU makes the user a member of every other
+    role for a moment, then takes it back; only the envelope sees it."""
+
+    def assign_user(self, u, r):
+        super().assign_user(u, r)
+        t = self.fs.rk[(u, r, self.roles[r].version)]
+        for other, rec in sorted(self.roles.items()):
+            if other != r and (u, other, rec.version) not in self.fs.rk:
+                role = role_identity(other, rec.version)
+                self.fs.put_rk(dataclasses.replace(t, role=role))
+                self.fs.del_rk(u, other, rec.version)
+
+
+class _BalkingEngine(Engine):
+    """Deliberately broken: deleting a file or revoking a member fails with
+    a KeyError."""
+
+    def del_file(self, fn):
+        raise KeyError(fn)
+
+    def revoke_user(self, u, r):
+        raise KeyError(u)
+
+
+class _SplitKeyEngine(Engine):
+    """Deliberately broken: a roll wraps one fresh file key for SU and a
+    second one for every role holder."""
+
+    def _issue_new_file_key(self, fn):
+        super()._issue_new_file_key(fn)
+        v, k = self.files[fn], self.provider.sym_gen()
+        for h in self.fs.fk_holders_at(fn, v):
+            if h != SUPERUSER:
+                ident, ref = self._wrap_target(h)
+                ct = self.binding.enc(self.provider, ref, k)
+                self._issue_fk(ident, fn, self.fs.fk[(h, fn, v)].op, v, ct)
+
+
+GRANTS = [
+    Label("addU", user="u1"),
+    Label("addR", role="r1"),
+    Label("addR", role="r2"),
+    Label("addP", file="f1"),
+    Label("assignP", role="r2", file="f1", op=READ),
+    Label("assignU", user="u1", role="r1"),
+    Label("revokeP", role="r1", file="f1", op=RW),  # a no-op: r1 holds none
+    Label("delP", file="f1"),
+]
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+@pytest.mark.parametrize("engine, labels, kind, index, step", [
+    (_FlickerEngine, GRANTS, "safety", 5, False),
+    (_BalkingEngine, GRANTS, "error-mismatch", 7, False),
+    (_SplitKeyEngine, BREAKING_TRACE + [Label("addU", user="u3")],
+     "congruence", 8, False),
+    (_SplitKeyEngine, BREAKING_TRACE + [Label("addU", user="u3")],
+     "congruence", 7, True),
+])
+def test_differential_failure_kinds(
+    monkeypatch, binding, engine, labels, kind, index, step
+):
+    monkeypatch.setattr(eqv, "Engine", engine)
+    rep = run_differential(labels, binding=binding, step_congruence=step)
+    assert (rep.ok, rep.failure_kind, rep.failure_index) == (
+        False, kind, index,
+    )
+
+
+def test_differential_names_both_sides_of_an_error_mismatch(monkeypatch):
+    monkeypatch.setattr(eqv, "Engine", _BalkingEngine)
+    rep = run_differential(GRANTS)
+    assert rep.detail == (
+        "label 7 delP(f1): model None vs engine KeyError('f1')"
+    )
+    # both refuse a revocation of a missing user, but the engine's error is
+    # no RbacError
+    rep = run_differential([Label("revokeU", user="u1", role="r1")])
+    assert (rep.failure_kind, rep.failure_index) == ("error-mismatch", 0)
+    assert rep.detail == (
+        "label 0 revokeU(u1, r1): model RbacError(\"revokeU: no user 'u1'\")"
+        " vs engine KeyError('u1')"
+    )
 
 
 def test_minimizer_shrinks_failing_trace(monkeypatch):
