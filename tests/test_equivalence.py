@@ -483,7 +483,6 @@ GRANTS = [
     Label("addP", file="f1"),
     Label("assignP", role="r2", file="f1", op=READ),
     Label("assignU", user="u1", role="r1"),
-    Label("revokeP", role="r1", file="f1", op=RW),  # a no-op: r1 holds none
     Label("delP", file="f1"),
 ]
 
@@ -491,7 +490,7 @@ GRANTS = [
 @pytest.mark.parametrize("binding", ["ibe", "pki"])
 @pytest.mark.parametrize("engine, labels, kind, index, step", [
     (_FlickerEngine, GRANTS, "safety", 5, False),
-    (_BalkingEngine, GRANTS, "error-mismatch", 7, False),
+    (_BalkingEngine, GRANTS, "error-mismatch", 6, False),
     (_SplitKeyEngine, BREAKING_TRACE + [Label("addU", user="u3")],
      "congruence", 8, False),
     (_SplitKeyEngine, BREAKING_TRACE + [Label("addU", user="u3")],
@@ -511,7 +510,7 @@ def test_differential_names_both_sides_of_an_error_mismatch(monkeypatch):
     monkeypatch.setattr(eqv, "Engine", _BalkingEngine)
     rep = run_differential(GRANTS)
     assert rep.detail == (
-        "label 7 delP(f1): model None vs engine KeyError('f1')"
+        "label 6 delP(f1): model None vs engine KeyError('f1')"
     )
     # both refuse a revocation of a missing user, but the engine's error is
     # no RbacError
