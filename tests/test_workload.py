@@ -12,9 +12,10 @@ from collections import Counter
 import pytest
 
 import rolecrypt.equivalence as eqv
+from rolecrypt.costmodel import algebraic_cost, reconcile
 from rolecrypt.crypto import CostVector
-from rolecrypt.engine import Engine
-from rolecrypt.rbac import RW, theory
+from rolecrypt.engine import Engine, measure_label
+from rolecrypt.rbac import Label, RW, theory
 from rolecrypt.workload import (
     _NEUTRAL_OPS,
     ActorRates,
@@ -338,6 +339,32 @@ def test_closed_forms_hold_at_dataset_scale(variant):
     assert sum(sum(r.applied.values()) for r in results) >= 100
     assert sum(r.applied["revokeU"] for r in results) >= 10
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("variant", ["ibe", "pki"])
+def test_composite_labels_reconcile_at_dataset_scale(variant):
+    # the actor issues no delU or delR, so price the largest of each on the
+    # `gen-dataset --name firewall1 --seed 0` instance: the user with the
+    # most roles and the role with the most files (ties to the least name)
+    ds = synthesize_dataset("firewall1", random.Random(derive_seed(0, -1)))
+    state = ds.state()
+    n_roles = Counter(u for u, _ in state.ur)
+    n_files = Counter(r for r, _, _ in state.pa)
+    u = min(n_roles, key=lambda x: (-n_roles[x], x))
+    r = min(n_files, key=lambda x: (-n_files[x], x))
+    assert (u, n_roles[u], r, n_files[r]) == ("u1", 14, "r43", 617)
+    start = seed_engine(ds, variant)
+    versions = dict(start.files)
+    for label, primitives in [
+        (Label("delU", user=u), 27_240),
+        (Label("delR", role=r), 10_565),
+    ]:
+        measured = measure_label(start.fork(), label)
+        assert sum(measured.totals().values()) == primitives
+        t0 = time.monotonic()
+        algebraic_cost(label, state, versions)
+        assert time.monotonic() - t0 < 0.05
+        assert not reconcile(measured, label, state, versions, variant)
 
 
 def test_revocation_window_tracking():
