@@ -7,7 +7,10 @@ Two layers:
   primitives a label will cost (``algebraic_cost``).  Membership, grants and
   holders come from the state's UR and PA; the key versions are the one fact
   the model does not hold.  This is what the differential harness reconciles
-  against measured counters.
+  against measured counters.  The composite labels cost the revocations they
+  consist of: ``delU`` one ``revokeU`` per role of the user, in name order,
+  each rolling the file-key versions forward for the next, and ``delR`` one
+  ``revokeP(RW)`` per file of the role.
 * A unit-cost layer prices each primitive in elliptic-curve multiplication
   units for a chosen pair of published IBE/IBS schemes (``scheme_profile``
   builds a ``SchemeProfile``): an operation's group-operation counts times
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from typing import Collection, Mapping, Optional
+from typing import Mapping, Optional
 
 from .crypto import (
     CostVector, IBE_TO_PKI, INVOKER, PKI_TO_IBE, REFERENCE_MONITOR,
@@ -51,60 +54,43 @@ def _add(bag: _Bag, op: str, n: int = 1, principal: str = INVOKER) -> None:
         bag[k] = bag.get(k, 0) + n
 
 
-def _rekey_membership(bag: _Bag, kept: int) -> None:
-    """Re-issue role keys to ``kept`` recipients: verify each old wrapped-key
-    tuple, wrap the new keys, sign the replacement."""
-    _add(bag, "ibs_ver", kept)
-    _add(bag, "ibe_enc", kept)
-    _add(bag, "ibs_sign", kept)
+def _reissue(bag: _Bag, n: int, opened: bool = False) -> None:
+    """Replace ``n`` signed tuples: verify each old one, open its key when
+    ``opened``, wrap the key for the recipient and sign the new tuple."""
+    _add(bag, "ibs_ver", n)
+    _add(bag, "ibe_dec", n if opened else 0)
+    _add(bag, "ibe_enc", n)
+    _add(bag, "ibs_sign", n)
 
 
-def _rekey_file(bag: _Bag, recipients: int) -> None:
+def _roll_file(bag: _Bag, recipients: int) -> None:
     """Fresh symmetric key wrapped for every current holder of a file."""
     _add(bag, "sym_gen", 1)
-    _add(bag, "ibs_ver", recipients)
-    _add(bag, "ibe_enc", recipients)
-    _add(bag, "ibs_sign", recipients)
+    _reissue(bag, recipients)
 
 
-def _files_of(state: RbacState, r: str) -> list[str]:
-    return sorted(fn for role, fn, _ in state.pa if role == r)
-
-
-def _holder_counts(state: RbacState, files: Collection[str]) -> Counter[str]:
+def _holders(state: RbacState, r: str) -> Counter[str]:
     """file -> number of roles holding it (the superuser not counted), for
-    ``files`` only."""
+    each file ``r`` holds."""
+    files = {fn for role, fn, _ in state.pa if role == r}
     return Counter([fn for _, fn, _ in state.pa if fn in files])
 
 
 def _revoke_user_cost(
-    bag: _Bag,
-    r: str,
-    files: list[str],
-    state: RbacState,
-    versions: Mapping[str, int],
-    holders: Mapping[str, int],
-    bumped: dict[str, int],
+    bag: _Bag, r: str, state: RbacState, versions: dict[str, int]
 ) -> None:
-    """Price revoking one member of ``r``, which holds ``files``.
-    ``holders`` counts the roles holding each of them.  ``bumped`` holds the
-    file-key versions that earlier revocations within the same label have
-    already rolled, and is updated the way the operation would; each role is
-    priced at most once per label, so its member set needs no update."""
+    """Price revoking one member of ``r`` and roll ``versions`` forward the
+    way the operation does."""
     _add(bag, "ibe_keygen", 1)
     _add(bag, "ibs_keygen", 1)
     # remaining members plus the superuser get the new role keys
-    _rekey_membership(bag, len(state.members_of(r)) - 1 + 1)
-    for fn in files:
-        vfn = bumped.get(fn, versions[fn])
+    _reissue(bag, len(state.members_of(r)) - 1 + 1)
+    for fn, n in _holders(state, r).items():
         # roll the role's own wrapped file keys onto the new role keys
-        _add(bag, "ibs_ver", vfn)
-        _add(bag, "ibe_dec", vfn)
-        _add(bag, "ibe_enc", vfn)
-        _add(bag, "ibs_sign", vfn)
+        _reissue(bag, versions[fn], opened=True)
         # then a fresh file key for every holder (roles + superuser)
-        _rekey_file(bag, holders[fn] + 1)
-        bumped[fn] = vfn + 1
+        _roll_file(bag, n + 1)
+        versions[fn] += 1
 
 
 def algebraic_cost(
@@ -137,38 +123,21 @@ def algebraic_cost(
         pass  # tuple deletion only
     elif k == "assignU":
         if (label.user, label.role) not in state.ur:
-            _add(bag, "ibs_ver", 1)
-            _add(bag, "ibe_dec", 1)
-            _add(bag, "ibe_enc", 1)
-            _add(bag, "ibs_sign", 1)
+            _reissue(bag, 1, opened=True)
     elif k == "revokeU":
         if (label.user, label.role) in state.ur:
-            files = _files_of(state, label.role)
-            holders = _holder_counts(state, set(files))
-            _revoke_user_cost(
-                bag, label.role, files, state, versions, holders, {}
-            )
+            _revoke_user_cost(bag, label.role, state, dict(versions))
     elif k == "delU":
-        u = label.user
-        if u in state.users:
-            role_files = {
-                r: _files_of(state, r) for r in sorted(state.roles_of(u))
-            }
-            holders = _holder_counts(state, set().union(*role_files.values()))
-            bumped: dict[str, int] = {}
-            for r, files in role_files.items():
-                _revoke_user_cost(
-                    bag, r, files, state, versions, holders, bumped
-                )
+        if label.user in state.users:
+            rolled = dict(versions)
+            for r in sorted(state.roles_of(label.user)):
+                _revoke_user_cost(bag, r, state, rolled)
     elif k == "assignP":
         held = state.pa_op(label.role, label.file)
         vfn = versions.get(label.file, 0)
         if held is None:
             # copy the superuser's wrapped key at every version
-            _add(bag, "ibs_ver", vfn)
-            _add(bag, "ibe_dec", vfn)
-            _add(bag, "ibe_enc", vfn)
-            _add(bag, "ibs_sign", vfn)
+            _reissue(bag, vfn, opened=True)
         elif held == READ and label.op == RW:
             # add write: re-sign each version in place
             _add(bag, "ibs_ver", vfn)
@@ -182,16 +151,13 @@ def algebraic_cost(
                     _add(bag, "ibs_ver", vfn)
                     _add(bag, "ibs_sign", vfn)
             else:
-                others = state.holders_of(label.file) - {label.role}
-                _rekey_file(bag, len(others) + 1)
-    elif k == "delR":
-        r = label.role
-        if r in state.roles:
-            files = _files_of(state, r)
-            holders = _holder_counts(state, set(files))
-            for fn in files:
                 # the other holders plus the superuser
-                _rekey_file(bag, holders[fn] - 1 + 1)
+                _roll_file(bag, len(state.holders_of(label.file)))
+    elif k == "delR":
+        if label.role in state.roles:
+            for n in _holders(state, label.role).values():
+                # the other holders plus the superuser
+                _roll_file(bag, n - 1 + 1)
     else:
         raise AssertionError(k)
     return CostVector(bag)
