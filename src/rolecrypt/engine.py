@@ -18,8 +18,13 @@ uploads (new files and writes); administrative traffic is signed but not
 re-verified server-side.
 
 The signed layout lives in one table, ``_SIGNED``: each tuple is signed by
-its signer over its tag and every field but ``sig``.  A tuple an operation
-needs that the store dropped raises ``IntegrityError`` before any primitive.
+its signer over its tag and every field but ``sig``, and its fields name the
+store key it belongs at.  A tuple an operation needs that the store dropped
+raises ``IntegrityError`` before any primitive.  A tuple read from the store
+must name the key it was read from, and an FK tuple the holder identity the
+engine expects, before its signature is checked: a validly signed tuple moved
+to another key (a swap) or one naming a retired role version (a replay)
+raises ``IntegrityError`` instead of opening with the wrong key.
 
 One engine serves both crypto bindings.  The identity-based binding encrypts
 and verifies directly against identities; the conventional public-key binding
@@ -45,7 +50,7 @@ default principal, except the reference monitor's checks of an upload in
 from __future__ import annotations
 
 import copy
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Optional
@@ -104,14 +109,20 @@ class FTuple:
     sig: SymbolicSignature  # by the writer
 
 
+_Layout = namedtuple("_Layout", ("tag", "fields_of", "signer_of", "key_of"))
+
 #: Each store tuple's tag, the getter of the fields its signature covers
-#: (every field but the trailing ``sig``, in constructor order) and its signer.
+#: (every field but the trailing ``sig``, in constructor order), its signer,
+#: and the getter of the store key it belongs at.
 _SIGNED = {
-    cls: (tag, attrgetter(*[f.name for f in fields(cls)][:-1]), signer_of)
-    for cls, tag, signer_of in (
-        (RkTuple, "RK", lambda t: SU_IDENTITY),
-        (FkTuple, "FK", attrgetter("issuer")),
-        (FTuple, "F", attrgetter("writer")),
+    cls: _Layout(tag, attrgetter(*[f.name for f in fields(cls)][:-1]),
+                 signer_of, key_of)
+    for cls, tag, signer_of, key_of in (
+        (RkTuple, "RK", lambda t: SU_IDENTITY,
+         lambda t: (t.member.name, t.role.name, t.role.version)),
+        (FkTuple, "FK", attrgetter("issuer"),
+         lambda t: (t.holder.name, t.fn, t.version)),
+        (FTuple, "F", attrgetter("writer"), attrgetter("fn")),
     )
 }
 
@@ -196,7 +207,7 @@ class FileStore:
     # -- RK
 
     def put_rk(self, t: RkTuple) -> None:
-        key = (t.member.name, t.role.name, t.role.version)
+        key = _SIGNED[RkTuple].key_of(t)
         self._put(self.rk, self._rk_by_role, self._rk_by_member, key, t)
 
     def del_rk(self, member: str, role: str, version: int) -> None:
@@ -216,7 +227,7 @@ class FileStore:
     # -- FK
 
     def put_fk(self, t: FkTuple) -> None:
-        key = (t.holder.name, t.fn, t.version)
+        key = _SIGNED[FkTuple].key_of(t)
         self._put(self.fk, self._fk_by_file, self._fk_by_holder, key, t)
 
     def del_fk(self, holder: str, fn: str, version: int) -> None:
@@ -379,14 +390,14 @@ class Engine:
     def _signed(self, cls: type, sig_key: SymbolicKey, *values):
         """A ``cls`` tuple of ``values``, signed under ``sig_key``."""
         sig = self.binding.sign(
-            self.provider, sig_key, (_SIGNED[cls][0], *values)
+            self.provider, sig_key, (_SIGNED[cls].tag, *values)
         )
         return cls(*values, sig)
 
     def _valid(self, t) -> bool:
         """Whether ``t``'s signature by its signer covers its fields.  An
         unknown signer makes a bad signature, with no primitive run."""
-        tag, fields_of, signer_of = _SIGNED[type(t)]
+        tag, fields_of, signer_of, _ = _SIGNED[type(t)]
         ref = self._ver_ref_of(signer_of(t))
         if ref is None:
             return False
@@ -394,10 +405,34 @@ class Engine:
             self.provider, ref, (tag, *fields_of(t)), t.sig
         )
 
-    def _verify(self, t) -> None:
+    def _check_place(self, t, key, holder: Optional[Identity] = None) -> None:
+        """Raise unless ``t`` names the store ``key`` it was read from and,
+        when ``holder`` is given, names that identity as its (FK) holder."""
+        tag, _, _, key_of = _SIGNED[type(t)]
+        if key_of(t) != key:
+            raise IntegrityError(
+                f"{tag} tuple of {key_of(t)!r} stored at {key!r}"
+            )
+        if holder is not None and t.holder != holder:
+            raise IntegrityError(
+                f"FK tuple stored at {key!r} is for {t.holder}, not {holder}"
+            )
+
+    def _verify(self, t, key, holder: Optional[Identity] = None) -> None:
+        """Check that ``t`` belongs at ``key`` (see ``_check_place``), then
+        its signature."""
+        self._check_place(t, key, holder)
         if not self._valid(t):
-            tag, _, signer_of = _SIGNED[type(t)]
+            tag, _, signer_of, _ = _SIGNED[type(t)]
             raise IntegrityError(f"bad signature by {signer_of(t)} on {tag}")
+
+    def _sound(self, t, key, holder: Optional[Identity] = None) -> bool:
+        """Whether ``t``, read from ``key``, passes ``_verify``."""
+        try:
+            self._verify(t, key, holder)
+        except IntegrityError:
+            return False
+        return True
 
     def _issue_rk(self, member: Identity, role: Identity, ct) -> None:
         self.fs.put_rk(self._signed(RkTuple, self.su.sig_key, member, role, ct))
@@ -501,8 +536,8 @@ class Engine:
             FkTuple, ring.sig_key, SU_IDENTITY, fn, RW, 1, kct, wident
         )
         with self.provider.scope(REFERENCE_MONITOR):
-            self._verify(ftup)
-            self._verify(fktup)
+            self._verify(ftup, fn)
+            self._verify(fktup, (SUPERUSER, fn, 1), SU_IDENTITY)
         self.files[fn] = 1
         self.body_versions[fn] = 1
         self.fs.put_f(ftup)
@@ -526,10 +561,11 @@ class Engine:
         if (u, r, v) in self.fs.rk:
             self._warn(f"assignU: {u!r} already in {r!r}")
             return
-        sut = self.fs.rk.get((SUPERUSER, r, v))
+        key = (SUPERUSER, r, v)
+        sut = self.fs.rk.get(key)
         if sut is None:
             raise IntegrityError(f"assignU: missing SU's RK tuple of {r!r}")
-        self._verify(sut)
+        self._verify(sut, key)
         payload = self.binding.dec(self.provider, self.su.dec_key, sut.ct)
         ct = self.binding.enc(self.provider, self.users[u].enc_ref, payload)
         self._issue_rk(user_identity(u), role_identity(r, v), ct)
@@ -566,7 +602,7 @@ class Engine:
         for m in self.fs.rk_members(r, v):
             if m == u:
                 continue
-            self._verify(self.fs.rk[(m, r, v)])
+            self._verify(self.fs.rk[(m, r, v)], (m, r, v))
             ct = self.binding.enc(
                 self.provider, self._keyring_of(m).enc_ref, payload
             )
@@ -580,10 +616,13 @@ class Engine:
 
     def _wrap_target(self, h: str) -> tuple[Identity, object]:
         """The identity an FK tuple for holder ``h`` names and the reference
-        its key is encrypted under: SU's, or role ``h``'s current record's."""
+        its key is encrypted under: SU's, or role ``h``'s current record's.
+        A holder that is neither raises ``IntegrityError``."""
         if h == SUPERUSER:
             return SU_IDENTITY, self.su.enc_ref
-        rec = self.roles[h]
+        rec = self.roles.get(h)
+        if rec is None:
+            raise IntegrityError(f"FK tuple for unknown holder {h!r}")
         return role_identity(h, rec.version), rec.keys.enc_ref
 
     def _issue_new_file_key(self, fn: str) -> None:
@@ -592,31 +631,35 @@ class Engine:
         vfn = self.files[fn]
         k2 = self.provider.sym_gen()
         for h in self.fs.fk_holders_at(fn, vfn):
-            old = self.fs.fk[(h, fn, vfn)]
-            self._verify(old)
+            key = (h, fn, vfn)
+            old = self.fs.fk[key]
             ident, ref = self._wrap_target(h)
+            self._verify(old, key, ident)
             ct = self.binding.enc(self.provider, ref, k2)
             self._issue_fk(ident, fn, old.op, vfn + 1, ct)
         self.files[fn] = vfn + 1
 
     def _rewrap_fks(self, src: str, dec_key, fn: str, dst: str, op=None) -> None:
         """Open ``src``'s key for ``fn`` at every version it holds with
-        ``dec_key`` and issue it to holder ``dst``; each version keeps its
-        op unless ``op`` is given."""
+        ``dec_key``, whose owner each tuple must name, and issue it to holder
+        ``dst``; each version keeps its op unless ``op`` is given."""
         ident, ref = self._wrap_target(dst)
         for vv in self.fs.fk_versions(src, fn):
-            old = self.fs.fk[(src, fn, vv)]
-            self._verify(old)
+            key = (src, fn, vv)
+            old = self.fs.fk[key]
+            self._verify(old, key, dec_key.owner)
             k = self.binding.dec(self.provider, dec_key, old.ct)
             ct = self.binding.enc(self.provider, ref, k)
             self._issue_fk(ident, fn, op or old.op, vv, ct)
 
     def _set_fk_op(self, r: str, fn: str, op: str) -> None:
         """Re-sign role ``r``'s key for ``fn`` at every version with ``op``."""
+        ident = self._wrap_target(r)[0]
         for vv in self.fs.fk_versions(r, fn):
-            old = self.fs.fk[(r, fn, vv)]
-            self._verify(old)
-            self._issue_fk(old.holder, fn, op, vv, old.ct)
+            key = (r, fn, vv)
+            old = self.fs.fk[key]
+            self._verify(old, key, ident)
+            self._issue_fk(ident, fn, op, vv, old.ct)
 
     def assign_perm(self, r: str, fn: str, op: str) -> None:
         if op not in (READ, RW):
@@ -693,6 +736,7 @@ class Engine:
         else:
             if fn not in self.fs.f:
                 raise IntegrityError(f"missing body of {fn!r}")
+            self._check_place(self.fs.f[fn], fn)
             version = self.fs.f[fn].version
             if version != self.body_versions[fn]:
                 raise IntegrityError(f"replayed stale body of {fn!r}")
@@ -700,13 +744,14 @@ class Engine:
         if not roles:
             raise AuthorizationError(f"{u!r} may not {verb} {fn!r}")
         r = roles[0]
-        rkt = self.fs.rk[(u, r, self.roles[r].version)]
-        self._verify(rkt)
+        rk_key = (u, r, self.roles[r].version)
+        rkt = self.fs.rk[rk_key]
+        self._verify(rkt, rk_key)
         _, role_dec, role_sig = self.binding.dec(
             self.provider, self.users[u].dec_key, rkt.ct
         )
         fkt = self.fs.fk[(r, fn, version)]
-        self._verify(fkt)
+        self._verify(fkt, (r, fn, version), role_dec.owner)
         k = self.binding.dec(self.provider, role_dec, fkt.ct)
         return r, role_sig, fkt, k
 
@@ -723,8 +768,8 @@ class Engine:
         with self.provider.scope(REFERENCE_MONITOR):
             if ftup.version != self.files[fn]:
                 raise IntegrityError(f"stale write to {fn!r}")
-            self._verify(ftup)
-            self._verify(fkt)
+            self._verify(ftup, fn)
+            self._verify(fkt, (r, fn, vfn), wident)
         self.body_versions[fn] = vfn
         self.fs.put_f(ftup)
 
@@ -734,16 +779,19 @@ class Engine:
         rec = self.roles.get(r)
         if rec is None:
             return False
-        t = self.fs.rk.get((u, r, rec.version))
-        return t is not None and self._valid(t)
+        key = (u, r, rec.version)
+        t = self.fs.rk.get(key)
+        return t is not None and self._sound(t, key)
 
     def query_holds(self, r: str, fn: str, op: str) -> bool:
-        if fn not in self.files:
+        rec = self.roles.get(r)
+        if rec is None or fn not in self.files:
             return False
-        t = self.fs.fk.get((r, fn, self.files[fn]))
+        key = (r, fn, self.files[fn])
+        t = self.fs.fk.get(key)
         if t is None or t.op != op or t.issuer != SU_IDENTITY:
             return False
-        return self._valid(t)
+        return self._sound(t, key, role_identity(r, rec.version))
 
     def query_role(self, r: str) -> bool:
         return r in self.roles
@@ -756,10 +804,12 @@ class Engine:
             rec = self.roles.get(rn)
             if rec is None:
                 continue
-            t = self.fs.fk.get((rn, fn, vfn))
+            key = (rn, fn, vfn)
+            t = self.fs.fk.get(key)
             if t is None or not grants(t.op, op) or t.issuer != SU_IDENTITY:
                 continue
-            if self.query_member(u, rn) and self._valid(t):
+            ident = role_identity(rn, rec.version)
+            if self.query_member(u, rn) and self._sound(t, key, ident):
                 return True
         return False
 

@@ -27,8 +27,8 @@ KINDS = ("tamper", "drop", "replay", "swap", "replay_same")
 GHOST = user_identity("ghost")  # a signer no engine knows
 #: each tag's signed fields: every field but the trailing ``sig``
 FIELDS = {
-    tag: [f.name for f in dataclasses.fields(cls)][:-1]
-    for cls, (tag, _, _) in _SIGNED.items()
+    layout.tag: [f.name for f in dataclasses.fields(cls)][:-1]
+    for cls, layout in _SIGNED.items()
 }
 
 

@@ -507,6 +507,53 @@ def test_replayed_key_of_a_deleted_file_raises_integrity_error(binding, kind):
     assert eng.provider.snapshot() == counts
 
 
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_swapped_key_tuples_raise_integrity_error(binding):
+    # r1's Read tuple and r2's RW tuple swap places: both stay validly
+    # signed, so only their keys betray them.  Rolling f1 must not copy
+    # r2's RW op to r1, and u1 must not write through r2's tuple.
+    eng = engine_with(
+        users=["u1", "u2", "u3"], roles=["r1", "r2", "r3"], files=["f1"],
+        ur=[("u1", "r1"), ("u2", "r2"), ("u3", "r3")],
+        pa=[("r1", "f1", READ), ("r2", "f1", RW), ("r3", "f1", RW)],
+        binding=binding,
+    )
+    faults.swap(eng, "FK", ("r1", "f1", 1), ("r2", "f1", 1))
+    with pytest.raises(IntegrityError) as exc:
+        eng.revoke_perm("r3", "f1", RW)
+    assert str(exc.value) == (
+        "FK tuple of ('r2', 'f1', 1) stored at ('r1', 'f1', 1)"
+    )
+    assert ("r1", "f1", 2) not in eng.fs.fk
+    body = eng.fs.f["f1"]
+    with pytest.raises(IntegrityError):
+        eng.write_file("u1", "f1", b"forged by a reader")
+    assert eng.fs.f["f1"] == body
+    assert not eng.provider.unauthorized_events
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_replayed_key_of_a_retired_role_version_raises_integrity_error(
+    binding,
+):
+    # after u2 leaves r1, the store puts back r1's FK tuple that names
+    # (r1,v1); the read must refuse it, not open it with the v2 key
+    eng = engine_with(
+        users=["u1", "u2"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1"), ("u2", "r1")], pa=[("r1", "f1", READ)],
+        binding=binding,
+    )
+    replayed = eng.fs.fk[("r1", "f1", 1)]
+    eng.revoke_user("u2", "r1")
+    faults.replay(eng, "FK", replayed)
+    with pytest.raises(IntegrityError) as exc:
+        eng.read_file("u1", "f1")
+    assert str(exc.value) == (
+        "FK tuple stored at ('r1', 'f1', 1) is for (r1,v1), not (r1,v2)"
+    )
+    assert not eng.provider.unauthorized_events
+
+
 PARTIAL_OPERATIONS = {
     "revokeU": Label("revokeU", user="u1", role="r1"),
     "delU": Label("delU", user="u1"),
@@ -522,9 +569,9 @@ def _verified(eng, label):
     fork, seen = eng.fork(), []
     verify = fork._verify
 
-    def spy(t):
+    def spy(t, *args):
         seen.append(t)
-        verify(t)
+        verify(t, *args)
 
     fork._verify = spy
     fork.apply_label(label)

@@ -410,7 +410,7 @@ class _StaleRewrapEngine(Engine):
         ident = self._wrap_target(dst)[0]
         for vv in self.fs.fk_versions(src, fn):
             old = self.fs.fk[(src, fn, vv)]
-            self._verify(old)
+            self._verify(old, (src, fn, vv), dec_key.owner)
             k = self.binding.dec(self.provider, dec_key, old.ct)
             ct = self.binding.enc(self.provider, old.ct.recipient, k)
             self._issue_fk(ident, fn, old.op, vv, ct)

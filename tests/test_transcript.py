@@ -29,8 +29,8 @@ from rolecrypt.equivalence import TraceBuilder, canonicalize
 from rolecrypt.rbac import READ, RW, WRITE, Label
 
 PINNED_SHA256 = {
-    "ibe": "275e722fb8ef367ee98503f42e54d92fe97ae2bf94d83208ea2684b7d2409de8",
-    "pki": "7cec1f7afe5607846075a4531082da1bd92e127625dc0e53b213bb4addd2430b",
+    "ibe": "ad927798e40eddfaec5ac8ffa9b2c802b8ad3c2ff7e194dd58c6ad51aa1640d0",
+    "pki": "a2eeaed3713fa5f71f19e42fb6b67a1cb01c9c38e86badf09b11241b049bb68b",
 }
 TRACES, LABELS = 10, 50
 CAPS = dict(max_users=5, max_roles=3, max_files=5, version_cap=4)
