@@ -8,11 +8,15 @@ Subcommands:
 * ``gen-dataset`` — synthesize a benchmark-shaped dataset to a JSON file.
 * ``simulate``    — monte-carlo administrative workload on a live engine,
   writing runs.csv / summary.csv (and optionally events.csv).
+
+Files are read and written as UTF-8 whatever the locale.  Terminal output
+follows the locale; a character it cannot encode prints as an escape.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import random
@@ -280,6 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # a dataset name the terminal cannot encode must not fail the run
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -211,7 +211,8 @@ class SchemeProfile:
 
 
 def load_scheme_data() -> dict:
-    with resources.files("rolecrypt.data").joinpath("schemes.json").open() as fh:
+    ref = resources.files("rolecrypt.data").joinpath("schemes.json")
+    with ref.open(encoding="utf-8") as fh:
         return json.load(fh)
 
 

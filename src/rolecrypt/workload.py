@@ -164,14 +164,14 @@ def _pairs(d: dict, key: str) -> tuple[tuple[str, str], ...]:
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(ds.to_dict(), fh, indent=1)
         fh.write("\n")
 
 
 def load_dataset(path: str) -> Dataset:
     """Raises ValueError, naming the file, when it is not a valid dataset."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return Dataset.from_dict(json.load(fh))
         except ValueError as e:
@@ -180,7 +180,7 @@ def load_dataset(path: str) -> Dataset:
 
 def load_marginals() -> dict[str, dict]:
     ref = resources.files("rolecrypt.data").joinpath("dataset_marginals.json")
-    with ref.open() as fh:
+    with ref.open(encoding="utf-8") as fh:
         return json.load(fh)["datasets"]
 
 
@@ -715,7 +715,7 @@ def write_runs_csv(
     results = sorted(results, key=lambda r: (r.dataset, r.variant, r.run_index))
     unit_cols = [f"units_{p}" for p in profiles]
     rev_cols = [f"units_per_user_revocation_{p}" for p in profiles]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         header = (
             ["dataset", "variant", "run", "seed", "days",
@@ -760,7 +760,7 @@ def write_runs_csv(
 
 def write_events_csv(path: str, results: Sequence[RunResult]) -> None:
     results = sorted(results, key=lambda r: (r.dataset, r.variant, r.run_index))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(
             ["dataset", "variant", "run", "index", "t_days", "kind",
@@ -796,7 +796,7 @@ def write_summary_csv(
     groups: dict[tuple[str, str], list[RunResult]] = {}
     for r in results:
         groups.setdefault((r.dataset, r.variant), []).append(r)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         header = [
             "dataset", "variant", "runs",

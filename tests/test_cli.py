@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rolecrypt
 import rolecrypt.equivalence as eqv
 from rolecrypt.cli import main
 from rolecrypt.workload import load_dataset
@@ -12,7 +17,7 @@ from test_equivalence import _StaleRewrapEngine
 
 
 def _rows(path):
-    return list(csv.DictReader(path.read_text().splitlines()))
+    return list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
 
 
 def test_no_arguments_is_a_usage_error():
@@ -133,7 +138,7 @@ def test_simulate_dataset_file_and_check_costs(tmp_path):
         "ur": [["u1", "r1"], ["u2", "r2"]],
         "pa": [["r1", "p1"], ["r2", "p2"]],
     }
-    path.write_text(json.dumps(ds))
+    path.write_text(json.dumps(ds), encoding="utf-8")
     rc = main([
         "simulate", "--dataset", str(path), "--runs", "3", "--seed", "1",
         "--duration-days", "60", "--check-costs", "--revocation-window", "7",
@@ -165,7 +170,7 @@ MICRO = {
 def _simulate_broken(tmp_path, capsys, **change):
     path = tmp_path / "ds.json"
     ds = {k: v for k, v in {**MICRO, **change}.items() if v is not None}
-    path.write_text(json.dumps(ds))
+    path.write_text(json.dumps(ds), encoding="utf-8")
     rc = main(["simulate", "--dataset", str(path), "--runs", "1",
                "--out", str(tmp_path)])
     return rc, capsys.readouterr().err
@@ -188,7 +193,9 @@ def test_simulate_dataset_unencodable_user(tmp_path, capsys):
 def test_simulate_dataset_without_users(tmp_path):
     # an actor whose rate is 0 has no arrivals
     path = tmp_path / "ds.json"
-    path.write_text(json.dumps({**MICRO, "users": [], "ur": []}))
+    path.write_text(
+        json.dumps({**MICRO, "users": [], "ur": []}), encoding="utf-8"
+    )
     rc = main([
         "simulate", "--dataset", str(path), "--runs", "2", "--variant",
         "both", "--check-costs", "--events", "--revocation-window", "7",
@@ -265,7 +272,7 @@ def test_revocation_window_column_without_runs(tmp_path):
         "--revocation-window", "5", "--out", str(tmp_path),
     ])
     assert rc == 0
-    header = (tmp_path / "runs.csv").read_text().splitlines()
+    header = (tmp_path / "runs.csv").read_text(encoding="utf-8").splitlines()
     assert header == [header[0]]
     assert header[0].endswith(",max_revocations_per_window")
 
@@ -282,7 +289,7 @@ def test_revocation_window_column_without_runs(tmp_path):
 def test_unusable_path_is_an_error(argv, culprit, tmp_path, capsys):
     a_dir, a_file = tmp_path / "d", tmp_path / "f.txt"
     a_dir.mkdir()
-    a_file.write_text("")
+    a_file.write_text("", encoding="utf-8")
     names = dict(dir=a_dir, file=a_file)
     argv = [a.format(**names) for a in argv]
     if argv[0] == "simulate":
@@ -292,3 +299,28 @@ def test_unusable_path_is_an_error(argv, culprit, tmp_path, capsys):
     assert err.startswith("error: ") and culprit.format(**names) in err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv")) and not (a_dir / "out").exists()
+
+
+def test_simulate_reads_and_writes_utf8_whatever_the_locale(tmp_path):
+    # a non-ASCII dataset name under the C locale, with UTF-8 mode and
+    # locale coercion off, so the locale's encoding is ASCII
+    path = tmp_path / "ds.json"
+    ds = {**MICRO, "name": "caf\u00e9"}
+    path.write_bytes(json.dumps(ds, ensure_ascii=False).encode("utf-8"))
+    src = str(Path(rolecrypt.__file__).parents[1])
+    env = {
+        **os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "rolecrypt.cli", "simulate", "--dataset",
+         str(path), "--runs", "1", "--out", str(tmp_path)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = (tmp_path / "runs.csv").read_bytes()
+    assert runs.splitlines()[1].startswith("caf\u00e9,ibe,0,".encode("utf-8"))
+    assert b"caf\\xe9 [ibe]: 1 runs" in proc.stdout

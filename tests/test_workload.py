@@ -121,7 +121,9 @@ def test_dataset_save_load_round_trip(tmp_path):
 ])
 def test_load_dataset_rejects_malformed_files(tmp_path, change, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**TOY.to_dict(), **change}))
+    path.write_text(
+        json.dumps({**TOY.to_dict(), **change}), encoding="utf-8"
+    )
     with pytest.raises(ValueError) as exc:
         load_dataset(str(path))
     assert str(exc.value) == f"{path}: {message}"
@@ -139,7 +141,7 @@ def test_load_dataset_accepts_non_ascii_names(tmp_path):
 
 def test_load_dataset_rejects_non_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("[1, 2")
+    path.write_text("[1, 2", encoding="utf-8")
     with pytest.raises(ValueError, match="bad.json: "):
         load_dataset(str(path))
 
@@ -413,7 +415,7 @@ def test_runs_csv_is_deterministic_and_order_insensitive(tmp_path):
     write_runs_csv(str(p1), results)
     write_runs_csv(str(p2), list(reversed(results)))
     assert p1.read_bytes() == p2.read_bytes()
-    rows = list(csv.DictReader(p1.read_text().splitlines()))
+    rows = list(csv.DictReader(p1.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == 3
     assert rows[0]["dataset"] == "toy"
     assert int(rows[0]["arrivals"]) >= int(rows[0]["applied"])
@@ -424,7 +426,7 @@ def test_summary_csv_contents(tmp_path):
     results += monte_carlo(TOY, runs=2, seed=5, days=40.0, variant="pki")
     path = tmp_path / "summary.csv"
     write_summary_csv(str(path), results)
-    rows = list(csv.DictReader(path.read_text().splitlines()))
+    rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
     assert [(r["dataset"], r["variant"], int(r["runs"])) for r in rows] == [
         ("toy", "ibe", 3), ("toy", "pki", 2),
     ]
@@ -434,7 +436,7 @@ def test_events_csv_row_counts(tmp_path):
     results = monte_carlo(TOY, runs=2, seed=6, days=30.0)
     path = tmp_path / "events.csv"
     write_events_csv(str(path), results)
-    rows = list(csv.DictReader(path.read_text().splitlines()))
+    rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == sum(sum(r.arrivals.values()) for r in results)
     applied = [r for r in rows if r["applied"] == "1"]
     assert all(r["target"] != "-" for r in applied)
