@@ -17,14 +17,20 @@ on the next write.  A minimal reference monitor verifies signatures on user
 uploads (new files and writes); administrative traffic is signed but not
 re-verified server-side.
 
+The administrator keeps UR and PA as it issued them, and takes every
+decision and every list of tuples to re-key, open or delete from that
+record, never from what the store lists.  So a tuple the store withholds
+raises ``IntegrityError`` where the record says it must be opened or
+verified, and is no matter where it would only be deleted; a tuple the
+record does not list is never read.
+
 The signed layout lives in one table, ``_SIGNED``: each tuple is signed by
 its signer over its tag and every field but ``sig``, and its fields name the
-store key it belongs at.  A tuple an operation needs that the store dropped
-raises ``IntegrityError`` before any primitive.  A tuple read from the store
-must name the key it was read from, and an FK tuple the holder identity the
-engine expects, before its signature is checked: a validly signed tuple moved
-to another key (a swap) or one naming a retired role version (a replay)
-raises ``IntegrityError`` instead of opening with the wrong key.
+store key it belongs at.  A tuple read from the store must name the key it
+was read from, and an FK tuple the holder identity the engine expects,
+before its signature is checked: a validly signed tuple moved to another key
+(a swap) or one naming a retired role version (a replay) raises
+``IntegrityError`` instead of opening with the wrong key.
 
 One engine serves both crypto bindings.  The identity-based binding encrypts
 and verifies directly against identities; the conventional public-key binding
@@ -50,7 +56,7 @@ default principal, except the reference monitor's checks of an upload in
 from __future__ import annotations
 
 import copy
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Optional
@@ -127,141 +133,55 @@ _SIGNED = {
 }
 
 
-def _discard(index: dict, outer, inner, item) -> None:
-    """Remove ``item`` from the list ``index[outer][inner]``; a list or an
-    inner map left empty goes with it."""
-    by_inner = index[outer]
-    items = by_inner[inner]
-    items.remove(item)
-    if not items:
-        del by_inner[inner]
-        if not by_inner:
-            del index[outer]
-
-
 class FileStore:
-    """Tuple store keyed by (kind, subject, object, version), with the
-    secondary indexes the operations' wildcard scans and deletes need.
-    Every put/delete fires ``on_mutation`` once (replacement counts once).
-
-    All four indexes share one layout: object -> version -> list of names,
-    and name -> object -> list of versions.
-
-    * ``_rk_by_role``: role -> version -> list of members;
-    * ``_rk_by_member``: member -> role -> list of versions;
-    * ``_fk_by_file``: file -> version -> list of holders;
-    * ``_fk_by_holder``: holder -> file -> list of versions.
-
-    The indexes hold one name or version per tuple and no tuple of their
-    own: lazy revocation keeps every old file-key version, so the FK
-    indexes grow with the store.  Their leaves are unsorted lists, smaller
-    than sets (on CPython 3.11, 184 bytes against 728 at 11 entries).  A put
-    indexes only a key that is new to its map (a replacement is listed
-    already), so no list holds a duplicate; the queries sort.  In every
-    index, an entry (list or inner map) goes with its last item, so retired
-    role versions and departed members or holders leave nothing behind."""
+    """The untrusted tuple store: the RK, FK and F maps, each tuple at the key
+    ``_SIGNED`` gives it.  It keeps no index; the engine finds every tuple it
+    needs from its own record.  Every put, and every delete of a stored tuple,
+    fires ``on_mutation`` once (a replacement counts once); deleting an absent
+    tuple is a no-op."""
 
     def __init__(self) -> None:
         self.rk: dict[tuple[str, str, int], RkTuple] = {}
         self.fk: dict[tuple[str, str, int], FkTuple] = {}
         self.f: dict[str, FTuple] = {}
-        self._rk_by_role: dict[str, dict[int, list[str]]] = defaultdict(dict)
-        self._rk_by_member: dict[str, dict[str, list[int]]] = defaultdict(dict)
-        self._fk_by_file: dict[str, dict[int, list[str]]] = defaultdict(dict)
-        self._fk_by_holder: dict[str, dict[str, list[int]]] = defaultdict(dict)
         self.on_mutation: Optional[Callable[[], None]] = None
 
     def fork(self) -> "FileStore":
         """An independent store holding the same (shared, immutable) tuples:
-        the maps and every index map and list are copied; ``on_mutation``
-        is not."""
+        the maps are copied; ``on_mutation`` is not."""
         fs = FileStore()
         fs.rk, fs.fk, fs.f = dict(self.rk), dict(self.fk), dict(self.f)
-        for name in ("_rk_by_role", "_rk_by_member", "_fk_by_file",
-                     "_fk_by_holder"):
-            index = getattr(fs, name)
-            for k, inner in getattr(self, name).items():
-                index[k] = {k2: v.copy() for k2, v in inner.items()}
         return fs
 
     def _fire(self) -> None:
         if self.on_mutation is not None:
             self.on_mutation()
 
-    def _put(self, store, by_obj, by_name, key, t) -> None:
-        """Store ``t`` at ``key`` = (name, object, version) and index it."""
-        if key not in store:  # a replacement is indexed already
-            name, obj, version = key
-            by_obj[obj].setdefault(version, []).append(name)
-            by_name[name].setdefault(obj, []).append(version)
-        store[key] = t
+    def _put(self, store: dict, t) -> None:
+        store[_SIGNED[type(t)].key_of(t)] = t
         self._fire()
 
-    def _del(self, store, by_obj, by_name, key) -> None:
-        del store[key]
-        name, obj, version = key
-        _discard(by_obj, obj, version, name)
-        _discard(by_name, name, obj, version)
-        self._fire()
-
-    # -- RK
+    def _del(self, store: dict, key) -> None:
+        if store.pop(key, None) is not None:
+            self._fire()
 
     def put_rk(self, t: RkTuple) -> None:
-        key = _SIGNED[RkTuple].key_of(t)
-        self._put(self.rk, self._rk_by_role, self._rk_by_member, key, t)
+        self._put(self.rk, t)
 
     def del_rk(self, member: str, role: str, version: int) -> None:
-        key = (member, role, version)
-        self._del(self.rk, self._rk_by_role, self._rk_by_member, key)
-
-    def rk_members(self, role: str, version: int) -> list[str]:
-        return sorted(self._rk_by_role.get(role, {}).get(version, ()))
-
-    def delete_rk_role_version(self, role: str, version: int) -> None:
-        for m in self.rk_members(role, version):
-            self.del_rk(m, role, version)
-
-    def member_roles(self, member: str) -> list[str]:
-        return sorted(self._rk_by_member.get(member, ()))
-
-    # -- FK
+        self._del(self.rk, (member, role, version))
 
     def put_fk(self, t: FkTuple) -> None:
-        key = _SIGNED[FkTuple].key_of(t)
-        self._put(self.fk, self._fk_by_file, self._fk_by_holder, key, t)
+        self._put(self.fk, t)
 
     def del_fk(self, holder: str, fn: str, version: int) -> None:
-        key = (holder, fn, version)
-        self._del(self.fk, self._fk_by_file, self._fk_by_holder, key)
-
-    def fk_versions(self, holder: str, fn: str) -> list[int]:
-        return sorted(self._fk_by_holder.get(holder, {}).get(fn, ()))
-
-    def fk_holders_at(self, fn: str, version: int) -> list[str]:
-        return sorted(self._fk_by_file.get(fn, {}).get(version, ()))
-
-    def holder_files(self, holder: str) -> list[str]:
-        return sorted(self._fk_by_holder.get(holder, ()))
-
-    def delete_fk_holder_file(self, holder: str, fn: str) -> None:
-        for v in self.fk_versions(holder, fn):
-            self.del_fk(holder, fn, v)
-
-    def delete_fk_file(self, fn: str) -> None:
-        """Delete every FK tuple of ``fn``, in (holder, version) order."""
-        holders = set().union(*self._fk_by_file.get(fn, {}).values())
-        for h in sorted(holders):
-            self.delete_fk_holder_file(h, fn)
-
-    # -- F
+        self._del(self.fk, (holder, fn, version))
 
     def put_f(self, t: FTuple) -> None:
-        self.f[t.fn] = t
-        self._fire()
+        self._put(self.f, t)
 
     def del_f(self, fn: str) -> None:
-        del self.f[fn]
-        self._fire()
+        self._del(self.f, fn)
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,7 +259,15 @@ def default_content(fn: str) -> bytes:
 
 
 class Engine:
-    """One mutable enforcement state driven by a single logical thread."""
+    """One mutable enforcement state driven by a single logical thread.
+
+    The administrator keeps UR and PA as it issued them: ``members`` (role ->
+    users), ``ops`` (role -> file -> op) and ``holders`` (file -> roles).
+    Every decision, and every tuple an operation re-keys, opens or deletes,
+    comes from that record, walked in sorted order, never from what the
+    store lists.  SU holds an RK tuple of every role and an RW key of every
+    file, and a holder of a file holds its key at every version from 1 to
+    ``files[fn]``."""
 
     def __init__(self, binding: str = "ibe") -> None:
         self.binding = BINDINGS[binding]()
@@ -348,6 +276,9 @@ class Engine:
         self.users: dict[str, KeyRing] = {}
         self.roles: dict[str, RoleRec] = {}
         self.files: dict[str, int] = {}
+        self.members: dict[str, set[str]] = {}
+        self.ops: dict[str, dict[str, str]] = {}
+        self.holders: dict[str, set[str]] = {}
         # file -> version of the last body the reference monitor accepted
         self.body_versions: dict[str, int] = {}
         self.warnings = 0
@@ -358,13 +289,16 @@ class Engine:
     def fork(self) -> "Engine":
         """An independent engine in the same state, with the same counts and
         next serial.  Records (tuples, key rings, role records) are immutable
-        and shared; every dict and index list is copied."""
+        and shared; every dict and set is copied."""
         eng = copy.copy(self)
         eng.provider = self.provider.fork()
         eng.fs = self.fs.fork()
         eng.users = dict(self.users)
         eng.roles = dict(self.roles)
         eng.files = dict(self.files)
+        eng.members = {r: set(ms) for r, ms in self.members.items()}
+        eng.ops = {r: dict(ops) for r, ops in self.ops.items()}
+        eng.holders = {fn: set(rs) for fn, rs in self.holders.items()}
         eng.body_versions = dict(self.body_versions)
         eng._ver_refs = dict(self._ver_refs)
         return eng
@@ -434,6 +368,26 @@ class Engine:
             return False
         return True
 
+    def _get(self, tag: str, key):
+        """The stored ``tag`` tuple at ``key``, which the record says was
+        issued; a store that withholds it raises ``IntegrityError``."""
+        t = getattr(self.fs, tag.lower()).get(key)
+        if t is None:
+            raise IntegrityError(f"missing {tag} tuple at {key!r}")
+        return t
+
+    def _rk_holders(self, r: str) -> list[str]:
+        return sorted({SUPERUSER, *self.members[r]})
+
+    def _fk_holders(self, fn: str) -> list[str]:
+        return sorted({SUPERUSER, *self.holders[fn]})
+
+    def _fks(self, h: str, fn: str) -> list:
+        """Holder ``h``'s FK tuples of ``fn`` at every version, each with its
+        key, all fetched before the caller opens any."""
+        keys = [(h, fn, v) for v in range(1, self.files[fn] + 1)]
+        return [(key, self._get("FK", key)) for key in keys]
+
     def _issue_rk(self, member: Identity, role: Identity, ct) -> None:
         self.fs.put_rk(self._signed(RkTuple, self.su.sig_key, member, role, ct))
 
@@ -490,7 +444,7 @@ class Engine:
         if u not in self.users:
             self._warn(f"delU: {u!r} missing")
             return
-        for r in self.fs.member_roles(u):
+        for r in sorted(r for r, ms in self.members.items() if u in ms):
             self._revoke_user_inner(u, r)
         del self.users[u]
 
@@ -503,6 +457,7 @@ class Engine:
         ident = role_identity(r, 1)
         ring = self._mint_keyring(ident)
         self.roles[r] = RoleRec(1, ring)
+        self.members[r], self.ops[r] = set(), {}
         ct = self.binding.enc(
             self.provider,
             self.su.enc_ref,
@@ -514,11 +469,13 @@ class Engine:
         if r not in self.roles:
             self._warn(f"delR: {r!r} missing")
             return
-        files = self._held_files(r)
-        rec = self.roles.pop(r)
-        self.fs.delete_rk_role_version(r, rec.version)
-        for fn in files:
+        v = self.roles.pop(r).version
+        for m in self._rk_holders(r):
+            self.fs.del_rk(m, r, v)
+        del self.members[r]
+        for fn in sorted(self.ops[r]):
             self._revoke_perm_full(r, fn)
+        del self.ops[r]
 
     def add_file(self, uploader: str, fn: str, body: bytes) -> None:
         if fn in self.files:
@@ -539,127 +496,118 @@ class Engine:
             self._verify(ftup, fn)
             self._verify(fktup, (SUPERUSER, fn, 1), SU_IDENTITY)
         self.files[fn] = 1
+        self.holders[fn] = set()
         self.body_versions[fn] = 1
         self.fs.put_f(ftup)
         self.fs.put_fk(fktup)
 
     def del_file(self, fn: str) -> None:
+        """Delete ``fn``, then every FK tuple of it, in (holder, version)
+        order."""
         if fn not in self.files:
             self._warn(f"delP: {fn!r} missing")
             return
-        del self.files[fn]
         del self.body_versions[fn]
         self.fs.del_f(fn)
-        self.fs.delete_fk_file(fn)
+        for h in self._fk_holders(fn):
+            for v in range(1, self.files[fn] + 1):
+                self.fs.del_fk(h, fn, v)
+        for r in self.holders.pop(fn):
+            del self.ops[r][fn]
+        del self.files[fn]
 
     def assign_user(self, u: str, r: str) -> None:
         if u not in self.users:
             raise RbacError(f"assignU: no user {u!r}")
         if r not in self.roles:
             raise RbacError(f"assignU: no role {r!r}")
-        v = self.roles[r].version
-        if (u, r, v) in self.fs.rk:
+        if u in self.members[r]:
             self._warn(f"assignU: {u!r} already in {r!r}")
             return
+        v = self.roles[r].version
         key = (SUPERUSER, r, v)
-        sut = self.fs.rk.get(key)
-        if sut is None:
-            raise IntegrityError(f"assignU: missing SU's RK tuple of {r!r}")
+        sut = self._get("RK", key)
         self._verify(sut, key)
         payload = self.binding.dec(self.provider, self.su.dec_key, sut.ct)
         ct = self.binding.enc(self.provider, self.users[u].enc_ref, payload)
         self._issue_rk(user_identity(u), role_identity(r, v), ct)
+        self.members[r].add(u)
 
     def revoke_user(self, u: str, r: str) -> None:
         if u not in self.users:
             raise RbacError(f"revokeU: no user {u!r}")
         if r not in self.roles:
             raise RbacError(f"revokeU: no role {r!r}")
-        if (u, r, self.roles[r].version) not in self.fs.rk:
+        if u not in self.members[r]:
             self._warn(f"revokeU: {u!r} not in {r!r}")
             return
         self._revoke_user_inner(u, r)
 
-    def _held_files(self, r: str) -> list[str]:
-        """The files role ``r`` holds FK tuples for.  A tuple of a file the
-        engine does not know (a replay of a deleted file's) raises before
-        any primitive runs."""
-        files = self.fs.holder_files(r)
-        for fn in files:
-            if fn not in self.files:
-                raise IntegrityError(
-                    f"FK tuple of {r!r} for unknown file {fn!r}"
-                )
-        return files
-
     def _revoke_user_inner(self, u: str, r: str) -> None:
-        files = self._held_files(r)
         rec = self.roles[r]
         v = rec.version
+        holders = self._rk_holders(r)
+        stay = [(m, self._get("RK", (m, r, v))) for m in holders if m != u]
         new_ident = role_identity(r, v + 1)
         new_ring = self._mint_keyring(new_ident)
         payload = ("role-keys", new_ring.dec_key, new_ring.sig_key)
-        for m in self.fs.rk_members(r, v):
-            if m == u:
-                continue
-            self._verify(self.fs.rk[(m, r, v)], (m, r, v))
+        for m, t in stay:
+            self._verify(t, (m, r, v))
             ct = self.binding.enc(
                 self.provider, self._keyring_of(m).enc_ref, payload
             )
             self._issue_rk(user_identity(m), new_ident, ct)
         self.roles[r] = RoleRec(v + 1, new_ring)
-        for fn in files:
+        for fn, op in sorted(self.ops[r].items()):
             # roll the role's own wrapped file keys onto the new role keys
-            self._rewrap_fks(r, rec.keys.dec_key, fn, r)
+            self._rewrap_fks(r, rec.keys.dec_key, fn, r, op)
             self._issue_new_file_key(fn)
-        self.fs.delete_rk_role_version(r, v)
+        for m in holders:
+            self.fs.del_rk(m, r, v)
+        self.members[r].discard(u)
 
     def _wrap_target(self, h: str) -> tuple[Identity, object]:
         """The identity an FK tuple for holder ``h`` names and the reference
-        its key is encrypted under: SU's, or role ``h``'s current record's.
-        A holder that is neither raises ``IntegrityError``."""
+        its key is encrypted under: SU's, or role ``h``'s current record's."""
         if h == SUPERUSER:
             return SU_IDENTITY, self.su.enc_ref
-        rec = self.roles.get(h)
-        if rec is None:
-            raise IntegrityError(f"FK tuple for unknown holder {h!r}")
+        rec = self.roles[h]
         return role_identity(h, rec.version), rec.keys.enc_ref
 
     def _issue_new_file_key(self, fn: str) -> None:
         """Mint a fresh file key and wrap it for every current holder, at the
         next file-key version; then make that version current."""
         vfn = self.files[fn]
+        olds = [
+            (h, self._get("FK", (h, fn, vfn))) for h in self._fk_holders(fn)
+        ]
         k2 = self.provider.sym_gen()
-        for h in self.fs.fk_holders_at(fn, vfn):
-            key = (h, fn, vfn)
-            old = self.fs.fk[key]
+        for h, old in olds:
             ident, ref = self._wrap_target(h)
-            self._verify(old, key, ident)
+            self._verify(old, (h, fn, vfn), ident)
             ct = self.binding.enc(self.provider, ref, k2)
-            self._issue_fk(ident, fn, old.op, vfn + 1, ct)
+            op = RW if h == SUPERUSER else self.ops[h][fn]
+            self._issue_fk(ident, fn, op, vfn + 1, ct)
         self.files[fn] = vfn + 1
 
-    def _rewrap_fks(self, src: str, dec_key, fn: str, dst: str, op=None) -> None:
-        """Open ``src``'s key for ``fn`` at every version it holds with
-        ``dec_key``, whose owner each tuple must name, and issue it to holder
-        ``dst``; each version keeps its op unless ``op`` is given."""
+    def _rewrap_fks(self, src: str, dec_key, fn: str, dst: str, op) -> None:
+        """Open ``src``'s key for ``fn`` at every version with ``dec_key``,
+        whose owner each tuple must name, and issue it to holder ``dst`` with
+        ``op``."""
         ident, ref = self._wrap_target(dst)
-        for vv in self.fs.fk_versions(src, fn):
-            key = (src, fn, vv)
-            old = self.fs.fk[key]
+        for key, old in self._fks(src, fn):
             self._verify(old, key, dec_key.owner)
             k = self.binding.dec(self.provider, dec_key, old.ct)
             ct = self.binding.enc(self.provider, ref, k)
-            self._issue_fk(ident, fn, op or old.op, vv, ct)
+            self._issue_fk(ident, fn, op, key[2], ct)
 
     def _set_fk_op(self, r: str, fn: str, op: str) -> None:
         """Re-sign role ``r``'s key for ``fn`` at every version with ``op``."""
         ident = self._wrap_target(r)[0]
-        for vv in self.fs.fk_versions(r, fn):
-            key = (r, fn, vv)
-            old = self.fs.fk[key]
+        for key, old in self._fks(r, fn):
             self._verify(old, key, ident)
-            self._issue_fk(ident, fn, op, vv, old.ct)
+            self._issue_fk(ident, fn, op, key[2], old.ct)
+        self.ops[r][fn] = op
 
     def assign_perm(self, r: str, fn: str, op: str) -> None:
         if op not in (READ, RW):
@@ -668,8 +616,7 @@ class Engine:
             raise RbacError(f"assignP: no role {r!r}")
         if fn not in self.files:
             raise RbacError(f"assignP: no file {fn!r}")
-        cur = self.fs.fk.get((r, fn, self.files[fn]))
-        held = cur.op if cur is not None else None
+        held = self.ops[r].get(fn)
         if held == RW or held == op:
             self._warn(f"assignP: {r!r} already holds {held} on {fn!r}")
             return
@@ -678,10 +625,9 @@ class Engine:
             self._set_fk_op(r, fn, RW)
             return
         # fresh grant: copy SU's wrapped key at every version
-        versions = range(1, self.files[fn] + 1)
-        if any((SUPERUSER, fn, v) not in self.fs.fk for v in versions):
-            raise IntegrityError(f"assignP: missing SU's FK tuples of {fn!r}")
         self._rewrap_fks(SUPERUSER, self.su.dec_key, fn, r, op)
+        self.ops[r][fn] = op
+        self.holders[fn].add(r)
 
     def revoke_perm(self, r: str, fn: str, op: str) -> None:
         if op not in (WRITE, RW):
@@ -690,8 +636,7 @@ class Engine:
             raise RbacError(f"revokeP: no role {r!r}")
         if fn not in self.files:
             raise RbacError(f"revokeP: no file {fn!r}")
-        cur = self.fs.fk.get((r, fn, self.files[fn]))
-        held = cur.op if cur is not None else None
+        held = self.ops[r].get(fn)
         if held is None:
             self._warn(f"revokeP: {r!r} holds nothing on {fn!r}")
             return
@@ -704,22 +649,21 @@ class Engine:
         self._revoke_perm_full(r, fn)
 
     def _revoke_perm_full(self, r: str, fn: str) -> None:
-        self.fs.delete_fk_holder_file(r, fn)
+        for v in range(1, self.files[fn] + 1):
+            self.fs.del_fk(r, fn, v)
+        del self.ops[r][fn]
+        self.holders[fn].discard(r)
         self._issue_new_file_key(fn)
 
     # -- data path
 
-    def _qualifying_roles(self, u: str, fn: str, version: int, write: bool):
-        out = []
-        for rn in self.fs.member_roles(u):
-            rec = self.roles.get(rn)
-            if rec is None or (u, rn, rec.version) not in self.fs.rk:
-                continue
-            t = self.fs.fk.get((rn, fn, version))
-            if t is None or (write and t.op != RW):
-                continue
-            out.append(rn)
-        return out
+    def _qualifying_roles(self, u: str, fn: str, write: bool) -> list[str]:
+        """The roles, in sorted order, through which the record lets ``u``
+        read ``fn``, or write it when ``write``."""
+        return [
+            r for r in sorted(self.holders[fn])
+            if u in self.members[r] and (not write or self.ops[r][fn] == RW)
+        ]
 
     def _open_file_key(self, verb: str, u: str, fn: str):
         """The data path up to the file key: check the request (``verb`` is
@@ -734,24 +678,24 @@ class Engine:
         if write:
             version = self.files[fn]
         else:
-            if fn not in self.fs.f:
-                raise IntegrityError(f"missing body of {fn!r}")
-            self._check_place(self.fs.f[fn], fn)
-            version = self.fs.f[fn].version
+            body = self._get("F", fn)
+            self._check_place(body, fn)
+            version = body.version
             if version != self.body_versions[fn]:
                 raise IntegrityError(f"replayed stale body of {fn!r}")
-        roles = self._qualifying_roles(u, fn, version, write)
+        roles = self._qualifying_roles(u, fn, write)
         if not roles:
             raise AuthorizationError(f"{u!r} may not {verb} {fn!r}")
         r = roles[0]
         rk_key = (u, r, self.roles[r].version)
-        rkt = self.fs.rk[rk_key]
+        rkt = self._get("RK", rk_key)
         self._verify(rkt, rk_key)
         _, role_dec, role_sig = self.binding.dec(
             self.provider, self.users[u].dec_key, rkt.ct
         )
-        fkt = self.fs.fk[(r, fn, version)]
-        self._verify(fkt, (r, fn, version), role_dec.owner)
+        fk_key = (r, fn, version)
+        fkt = self._get("FK", fk_key)
+        self._verify(fkt, fk_key, role_dec.owner)
         k = self.binding.dec(self.provider, role_dec, fkt.ct)
         return r, role_sig, fkt, k
 
@@ -793,27 +737,21 @@ class Engine:
             return False
         return self._sound(t, key, role_identity(r, rec.version))
 
-    def query_role(self, r: str) -> bool:
-        return r in self.roles
-
     def query_auth(self, u: str, fn: str, op: str) -> bool:
         if fn not in self.files:
             return False
         vfn = self.files[fn]
-        for rn in self.fs.member_roles(u):
-            rec = self.roles.get(rn)
-            if rec is None:
-                continue
+        for rn in sorted(self.holders[fn]):
             key = (rn, fn, vfn)
             t = self.fs.fk.get(key)
             if t is None or not grants(t.op, op) or t.issuer != SU_IDENTITY:
                 continue
-            ident = role_identity(rn, rec.version)
+            ident = role_identity(rn, self.roles[rn].version)
             if self.query_member(u, rn) and self._sound(t, key, ident):
                 return True
         return False
 
-    # -- instrumentation (uncounted index walks)
+    # -- instrumentation (uncounted store walks)
 
     def state(self) -> RbacState:
         """The abstract state this engine enforces, the inverse of

@@ -67,6 +67,16 @@ class Label:
             raise ValueError(f"assignP op must be one of {_ASSIGN_OPS}")
         if self.kind == "revokeP" and self.op not in _REVOKE_OPS:
             raise ValueError(f"revokeP op must be one of {_REVOKE_OPS}")
+        # signed terms UTF-8 encode every name, which a lone surrogate fails
+        for f in ("user", "role", "file"):
+            v = getattr(self, f)
+            if v is not None and not v.isascii():
+                try:
+                    v.encode()
+                except UnicodeEncodeError:
+                    raise ValueError(
+                        f"label {self.kind} {f} {v!r}: UTF-8 cannot encode it"
+                    ) from None
 
     def __str__(self) -> str:
         args = [

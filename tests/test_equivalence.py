@@ -404,16 +404,15 @@ class _StaleRewrapEngine(Engine):
     the role version it leaves, at the honest cost, so the role's next
     revocation cannot open them."""
 
-    def _rewrap_fks(self, src, dec_key, fn, dst, op=None):
+    def _rewrap_fks(self, src, dec_key, fn, dst, op):
         if src != dst:  # a grant copies SU's keys honestly
             return super()._rewrap_fks(src, dec_key, fn, dst, op)
         ident = self._wrap_target(dst)[0]
-        for vv in self.fs.fk_versions(src, fn):
-            old = self.fs.fk[(src, fn, vv)]
-            self._verify(old, (src, fn, vv), dec_key.owner)
+        for key, old in self._fks(src, fn):
+            self._verify(old, key, dec_key.owner)
             k = self.binding.dec(self.provider, dec_key, old.ct)
             ct = self.binding.enc(self.provider, old.ct.recipient, k)
-            self._issue_fk(ident, fn, old.op, vv, ct)
+            self._issue_fk(ident, fn, op, key[2], ct)
 
 
 # u1 and u2 leave r1 in turn; the second revocation reads r1's file keys
@@ -469,11 +468,10 @@ class _SplitKeyEngine(Engine):
     def _issue_new_file_key(self, fn):
         super()._issue_new_file_key(fn)
         v, k = self.files[fn], self.provider.sym_gen()
-        for h in self.fs.fk_holders_at(fn, v):
-            if h != SUPERUSER:
-                ident, ref = self._wrap_target(h)
-                ct = self.binding.enc(self.provider, ref, k)
-                self._issue_fk(ident, fn, self.fs.fk[(h, fn, v)].op, v, ct)
+        for h in sorted(self.holders[fn]):
+            ident, ref = self._wrap_target(h)
+            ct = self.binding.enc(self.provider, ref, k)
+            self._issue_fk(ident, fn, self.ops[h][fn], v, ct)
 
 
 GRANTS = [

@@ -92,6 +92,17 @@ def test_label_rejects_unknown_kind():
     assert str(exc.value) == "unknown label kind 'frobnicate'"
 
 
+@pytest.mark.parametrize("field", ["user", "role", "file"])
+def test_label_rejects_a_name_utf8_cannot_encode(field):
+    Label("assignP", role="r\u00e9", file="f\u00e9", op=READ)  # encodable
+    kind = {"user": "addU", "role": "addR", "file": "addP"}[field]
+    with pytest.raises(ValueError) as exc:
+        Label(kind, **{field: "\ud800"})
+    assert str(exc.value) == (
+        f"label {kind} {field} '\\ud800': UTF-8 cannot encode it"
+    )
+
+
 def test_label_op_domains():
     Label("assignP", role="r", file="f", op=READ)
     Label("assignP", role="r", file="f", op=RW)

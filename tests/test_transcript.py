@@ -29,8 +29,8 @@ from rolecrypt.equivalence import TraceBuilder, canonicalize
 from rolecrypt.rbac import READ, RW, WRITE, Label
 
 PINNED_SHA256 = {
-    "ibe": "ad927798e40eddfaec5ac8ffa9b2c802b8ad3c2ff7e194dd58c6ad51aa1640d0",
-    "pki": "a2eeaed3713fa5f71f19e42fb6b67a1cb01c9c38e86badf09b11241b049bb68b",
+    "ibe": "94d39edaefe60e1bacb2c141d6b3d5af7b0f1f3ff8047cd34992ac6b0c4e9e4b",
+    "pki": "8e25118e02f94648bf9446186d3088ad598dea5ed58e7525e19b302b2e7cacd5",
 }
 TRACES, LABELS = 10, 50
 CAPS = dict(max_users=5, max_roles=3, max_files=5, version_cap=4)
@@ -71,14 +71,14 @@ def _operation(rng, eng, kind, names=frozenset()):
     if none is named, and the user from all."""
     def current(r):  # the files r holds at their current key version
         return {
-            fn for fn in eng.fs.holder_files(r)
-            if (r, fn, eng.files.get(fn)) in eng.fs.fk
+            fn for h, fn, v in eng.fs.fk if h == r and eng.files.get(fn) == v
         }
 
     def members(r):
-        return eng.users.keys() & set(
-            eng.fs.rk_members(r, eng.roles[r].version)
-        )
+        v = eng.roles[r].version
+        return eng.users.keys() & {
+            m for m, rr, vv in eng.fs.rk if (rr, vv) == (r, v)
+        }
 
     grant, request = kind in ("assignU", "assignP"), kind in REQUESTS
     files, roles = eng.files.keys() & names, eng.roles.keys() & names

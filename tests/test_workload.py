@@ -264,13 +264,14 @@ def test_run_simulation_accounting():
 
 
 class _ForgetfulEngine(Engine):
-    """Deliberately broken: assignU pays for the member's RK tuple and then
-    deletes it.  The engine's own state agrees with what it spent, so only a
-    check priced from the model's state sees the drift."""
+    """Deliberately broken: assignU issues the member's RK tuple but leaves
+    the member out of the record, so a later revocation of the member warns
+    instead of re-keying.  The engine's own record agrees with what it
+    spent, so only a check priced from the model's state sees the drift."""
 
     def assign_user(self, u, r):
         super().assign_user(u, r)
-        self.fs.del_rk(u, r, self.roles[r].version)
+        self.members[r].discard(u)
 
 
 @pytest.mark.parametrize("variant", ["ibe", "pki"])
