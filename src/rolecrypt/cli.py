@@ -6,8 +6,10 @@ Subcommands:
 * ``check``       — randomized differential checking of an engine against the
   reference model (exit 1 on divergence, with a minimized failing trace).
 * ``gen-dataset`` — synthesize a benchmark-shaped dataset to a JSON file.
-* ``simulate``    — monte-carlo administrative workload on a live engine,
-  writing runs.csv / summary.csv (and optionally events.csv).
+* ``simulate``    — monte-carlo administrative workload priced by the
+  closed-form cost model, writing runs.csv / summary.csv (and optionally
+  events.csv); ``--check-costs`` also runs it on a seeded engine and fails
+  on any event whose counted primitives differ from the priced ones.
 
 Files are read and written as UTF-8 whatever the locale.  Terminal output
 follows the locale; a character it cannot encode prints as an escape.
@@ -277,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--check-costs", action="store_true",
-        help="reconcile measured counters against the closed form per event",
+        help="also run every event on a seeded engine and fail (exit 1) "
+        "unless its counted primitives equal the closed form's",
     )
     p.set_defaults(fn=cmd_simulate)
     return parser

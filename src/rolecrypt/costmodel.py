@@ -10,7 +10,9 @@ Two layers:
   against measured counters.  The composite labels cost the revocations they
   consist of: ``delU`` one ``revokeU`` per role of the user, in name order,
   each rolling the file-key versions forward for the next, and ``delR`` one
-  ``revokeP(RW)`` per file of the role.
+  ``revokeP(RW)`` per file of the role.  ``roll_versions`` carries the key
+  versions past a label; with ``rbac.apply_label`` carrying the state, a
+  caller prices a whole trace without an engine, as ``simulate`` does.
 * A unit-cost layer prices each primitive in elliptic-curve multiplication
   units for a chosen pair of published IBE/IBS schemes (``scheme_profile``
   builds a ``SchemeProfile``): an operation's group-operation counts times
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .crypto import (
     CostVector, IBE_TO_PKI, INVOKER, PKI_TO_IBE, REFERENCE_MONITOR,
@@ -69,18 +71,56 @@ def _roll_file(bag: _Bag, recipients: int) -> None:
     _reissue(bag, recipients)
 
 
+def _files_of(state: RbacState, r: str) -> set[str]:
+    return {fn for role, fn, _ in state.pa if role == r}
+
+
 def _holders(state: RbacState, r: str) -> Counter[str]:
     """file -> number of roles holding it (the superuser not counted), for
     each file ``r`` holds."""
-    files = {fn for role, fn, _ in state.pa if role == r}
+    files = _files_of(state, r)
     return Counter([fn for _, fn, _ in state.pa if fn in files])
 
 
-def _revoke_user_cost(
-    bag: _Bag, r: str, state: RbacState, versions: dict[str, int]
+def roll_versions(
+    label: Label, state: RbacState, versions: dict[str, int]
 ) -> None:
-    """Price revoking one member of ``r`` and roll ``versions`` forward the
-    way the operation does."""
+    """Advance ``versions`` (file -> current key version) in place to the
+    versions after applying ``label`` to ``state``: ``revokeU`` of a member
+    rolls every file the role holds, ``delU`` does so for each role of the
+    user, a ``revokeP`` that drops a held grant (any op but ``Write``) rolls
+    the file it names, ``delR`` rolls every file of the role, and ``addP``
+    and ``delP`` add and drop a file.  Labels the model rejects or reduces
+    to a warning roll nothing."""
+    k, r = label.kind, label.role
+    roles: Iterable[str] = ()
+    if k == "revokeU" and (label.user, r) in state.ur or k == "delR":
+        roles = (r,)
+    elif k == "delU":
+        roles = state.roles_of(label.user)
+    elif k == "revokeP" and label.op != WRITE and state.pa_op(r, label.file):
+        versions[label.file] += 1
+    elif k == "addP":
+        versions.setdefault(label.file, 1)
+    elif k == "delP":
+        versions.pop(label.file, None)
+    _roll_roles(roles, state, versions)
+
+
+def _roll_roles(
+    roles: Iterable[str], state: RbacState, versions: dict[str, int]
+) -> None:
+    """Roll every file each of ``roles`` holds, once per role, as revoking
+    a member of the role or deleting it does."""
+    for r in roles:
+        for fn in _files_of(state, r):
+            versions[fn] += 1
+
+
+def _revoke_user_cost(
+    bag: _Bag, r: str, state: RbacState, versions: Mapping[str, int]
+) -> None:
+    """Price revoking one member of ``r`` at the file-key ``versions``."""
     _add(bag, "ibe_keygen", 1)
     _add(bag, "ibs_keygen", 1)
     # remaining members plus the superuser get the new role keys
@@ -90,7 +130,6 @@ def _revoke_user_cost(
         _reissue(bag, versions[fn], opened=True)
         # then a fresh file key for every holder (roles + superuser)
         _roll_file(bag, n + 1)
-        versions[fn] += 1
 
 
 def algebraic_cost(
@@ -126,12 +165,13 @@ def algebraic_cost(
             _reissue(bag, 1, opened=True)
     elif k == "revokeU":
         if (label.user, label.role) in state.ur:
-            _revoke_user_cost(bag, label.role, state, dict(versions))
+            _revoke_user_cost(bag, label.role, state, versions)
     elif k == "delU":
         if label.user in state.users:
             rolled = dict(versions)
             for r in sorted(state.roles_of(label.user)):
                 _revoke_user_cost(bag, r, state, rolled)
+                _roll_roles((r,), state, rolled)
     elif k == "assignP":
         held = state.pa_op(label.role, label.file)
         vfn = versions.get(label.file, 0)

@@ -718,33 +718,38 @@ class Engine:
         self.fs.put_f(ftup)
 
     # -- counted query forms
+    #
+    # Each query answers from the record first: no membership or grant there
+    # is False, whatever the store holds.  Only a recorded fact is checked
+    # against its tuple, which must be present and sound.
 
     def query_member(self, u: str, r: str) -> bool:
-        rec = self.roles.get(r)
-        if rec is None:
+        if u not in self.members.get(r, ()):
             return False
-        key = (u, r, rec.version)
+        key = (u, r, self.roles[r].version)
         t = self.fs.rk.get(key)
         return t is not None and self._sound(t, key)
 
     def query_holds(self, r: str, fn: str, op: str) -> bool:
-        rec = self.roles.get(r)
-        if rec is None or fn not in self.files:
+        if self.ops.get(r, {}).get(fn) != op:
             return False
         key = (r, fn, self.files[fn])
         t = self.fs.fk.get(key)
         if t is None or t.op != op or t.issuer != SU_IDENTITY:
             return False
-        return self._sound(t, key, role_identity(r, rec.version))
+        return self._sound(t, key, role_identity(r, self.roles[r].version))
 
     def query_auth(self, u: str, fn: str, op: str) -> bool:
         if fn not in self.files:
             return False
         vfn = self.files[fn]
         for rn in sorted(self.holders[fn]):
+            held = self.ops[rn][fn]
+            if not grants(held, op):
+                continue
             key = (rn, fn, vfn)
             t = self.fs.fk.get(key)
-            if t is None or not grants(t.op, op) or t.issuer != SU_IDENTITY:
+            if t is None or t.op != held or t.issuer != SU_IDENTITY:
                 continue
             ident = role_identity(rn, self.roles[rn].version)
             if self.query_member(u, rn) and self._sound(t, key, ident):

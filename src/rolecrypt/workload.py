@@ -2,7 +2,11 @@
 
 A simulation starts from a realistic access-control state, runs an
 administrator actor for a simulated month, and records the cryptographic
-primitives each administrative action costs on a live enforcement engine.
+primitives each administrative action costs.  The closed-form cost model
+prices every action from the model state and the file-key versions, which
+the run carries forward itself, so no engine is built.  A cost-checked run
+also applies every action to a seeded enforcement engine and fails unless
+the engine spends exactly the priced primitives.
 The actor is a continuous-time Markov process: events arrive at rate
 ``0.1 * sqrt(|U|)`` per day and are split among user/permission assignment
 and revocation by an add bias sampled from [0.7, 1.0] and a user-role bias
@@ -41,8 +45,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
-from .costmodel import HEADLINE_PROFILES, reconcile, scheme_profile
-from .crypto import CostVector, OP_NAMES, PKI_TO_IBE
+from .costmodel import (
+    HEADLINE_PROFILES, algebraic_cost, roll_versions, scheme_profile,
+)
+from .crypto import CostVector, IBE_TO_PKI, OP_NAMES, PKI_TO_IBE
 from .engine import Engine, measure_label
 from .equivalence import sigma
 from .rbac import Label, RbacState, RW, SUPERUSER, apply_label
@@ -389,10 +395,9 @@ class IndexedSet:
     """Set with O(1) membership, add, discard, and uniform random choice."""
 
     def __init__(self, items: Iterable = ()) -> None:
-        self._list: list = []
-        self._pos: dict = {}
-        for x in items:
-            self.add(x)
+        # the order ``add`` would give: first occurrences, in order
+        self._list: list = list(dict.fromkeys(items))
+        self._pos: dict = {x: i for i, x in enumerate(self._list)}
 
     def add(self, x) -> None:
         if x not in self._pos:
@@ -566,39 +571,47 @@ def seed_engine(dataset: Dataset, variant: str) -> Engine:
 
 
 def run_simulation(
-    eng: Engine,
     dataset: Dataset,
+    variant: str = "ibe",
     *,
     days: float = 30.0,
     seed: int = 0,
     run_index: int = 0,
-    check_costs: bool = False,
+    engine: Optional[Engine] = None,
 ) -> RunResult:
-    """One simulated period on ``eng``, which holds the seeded dataset (see
-    ``seed_engine``) and is consumed; the variant is the engine's binding.
-    ``check_costs`` prices each label from the model state as it evolves."""
-    variant = eng.binding.name
+    """One simulated period from ``dataset`` in ``variant``.  Each applied
+    event is priced by ``algebraic_cost`` from the model state, advanced by
+    ``apply_label``, and the file-key versions, advanced by
+    ``roll_versions``; no engine runs.
+
+    Given ``engine``, which holds the seeded dataset (see ``seed_engine``)
+    and is consumed, the run audits it: every label is also applied to the
+    engine, and the run raises ``AssertionError`` unless the engine spends
+    exactly the priced cost and decrypts nothing without authorization."""
     run_seed = derive_seed(seed, run_index)
     rng = random.Random(run_seed)
     rates = ActorRates.sample(rng, len(dataset.users))
     events = sample_events(rng, dataset, rates, days)
 
     costs: list[CostVector] = []
-    state = dataset.state() if check_costs else None
+    state = dataset.state()
+    versions = dict.fromkeys(dataset.perms, 1)
     for ev in events:
-        if ev.label is None:
+        label = ev.label
+        if label is None:
             costs.append(CostVector())
             continue
-        if check_costs:
-            versions = dict(eng.files)
-        delta = measure_label(eng, ev.label)
-        if check_costs:
-            diff = reconcile(delta, ev.label, state, versions, variant=variant)
+        cost = algebraic_cost(label, state, versions)
+        if variant == "pki":
+            cost = cost.renamed(IBE_TO_PKI)
+        if engine is not None:
+            diff = measure_label(engine, label) - cost
             if diff:
-                raise AssertionError(f"cost mismatch at {ev.label}: {diff!r}")
-            state = apply_label(state, ev.label)
-        costs.append(delta)
-    if eng.provider.unauthorized_events:
+                raise AssertionError(f"cost mismatch at {label}: {diff!r}")
+        roll_versions(label, state, versions)
+        state = apply_label(state, label)
+        costs.append(cost)
+    if engine is not None and engine.provider.unauthorized_events:
         raise AssertionError("unauthorized decryption during simulation")
     return RunResult(
         dataset=dataset.name,
@@ -613,11 +626,15 @@ def run_simulation(
 
 
 def _run_chunk(args: tuple) -> list[RunResult]:
-    """Seed one engine and run every index of the chunk on a fork of it."""
-    dataset, indices, variant, kwargs = args
-    start = seed_engine(dataset, variant)
+    """Run every index of the chunk; a cost-checked chunk seeds one engine
+    and audits every run on a fork of it."""
+    dataset, indices, variant, check_costs, kwargs = args
+    start = seed_engine(dataset, variant) if check_costs else None
     return [
-        run_simulation(start.fork(), dataset, run_index=i, **kwargs)
+        run_simulation(
+            dataset, variant, run_index=i,
+            engine=None if start is None else start.fork(), **kwargs,
+        )
         for i in indices
     ]
 
@@ -634,12 +651,15 @@ def monte_carlo(
 ) -> list[RunResult]:
     """Independent runs with per-run derived seeds; identical results for any
     worker count.  The run indices are split into one contiguous chunk per
-    worker (at most one per run), and each chunk seeds its start state once
-    and gives every run a fork of it."""
-    kwargs = dict(days=days, seed=seed, check_costs=check_costs)
+    worker (at most one per run).  With ``check_costs`` each chunk seeds its
+    start engine once and gives every run a fork of it to audit."""
+    kwargs = dict(days=days, seed=seed)
     n = min(max(workers, 1), runs)
     jobs = [
-        (dataset, range(runs * k // n, runs * (k + 1) // n), variant, kwargs)
+        (
+            dataset, range(runs * k // n, runs * (k + 1) // n), variant,
+            check_costs, kwargs,
+        )
         for k in range(n)
     ]
     if n > 1:

@@ -1,8 +1,10 @@
 """Closed-form pricing: scheme unit costs, prediction formulas, reconciliation."""
 
+from collections import Counter
 from fractions import Fraction
 
 import hashlib
+import random
 
 import pytest
 
@@ -14,12 +16,16 @@ from rolecrypt.costmodel import (
     format_units,
     load_scheme_data,
     reconcile,
+    roll_versions,
     scheme_profile,
     static_cost_table,
 )
 from rolecrypt.crypto import CostVector, INVOKER, REFERENCE_MONITOR
 from rolecrypt.engine import Engine, measure_label
-from rolecrypt.rbac import Label, RbacState, READ, RW, SUPERUSER, WRITE
+from rolecrypt.equivalence import TraceBuilder
+from rolecrypt.rbac import (
+    Label, RbacState, READ, RW, SUPERUSER, WRITE, apply_label,
+)
 
 F = Fraction
 
@@ -226,6 +232,27 @@ def test_delete_role_formula():
         "sym_gen": 1, "ibs_ver": 2, "ibe_enc": 2, "ibs_sign": 2,
     }
     assert not algebraic_cost(Label("delR", role="zz"), s, v)
+
+
+def test_roll_versions_follows_the_engine():
+    # random traces of every label kind, no-ops included: the versions the
+    # model rolls forward label by label stay the engine's
+    kinds, rolled = Counter(), 0
+    for seed in range(8):
+        labels = TraceBuilder(random.Random(seed)).build(80)
+        eng, state, versions = Engine(), RbacState(), {}
+        for lbl in labels:
+            eng.apply_label(lbl)
+            roll_versions(lbl, state, versions)
+            state = apply_label(state, lbl)
+            assert versions == eng.files, lbl
+            kinds[lbl.kind] += 1
+            rolled = max(rolled, *versions.values(), 0)
+    assert set(kinds) == {
+        "addU", "delU", "addP", "delP", "addR", "delR",
+        "assignU", "revokeU", "assignP", "revokeP",
+    }
+    assert rolled > 1
 
 
 def test_data_op_costs():

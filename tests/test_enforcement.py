@@ -553,6 +553,47 @@ def test_replayed_key_of_a_deleted_file_is_ignored(binding, kind):
 
 
 @pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_queries_answer_from_the_record(binding):
+    # a deleted name comes back at version 1, and the store replays the old
+    # name's tuples, which SU signed and which sit at current keys: the
+    # queries follow the record, as the data path does
+    eng = engine_with(
+        users=["u1"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1")], pa=[("r1", "f1", RW)], binding=binding,
+    )
+    old_fk, old_rk = eng.fs.fk[("r1", "f1", 1)], eng.fs.rk[("u1", "r1", 1)]
+    eng.apply_label(Label("delP", file="f1"))
+    eng.apply_label(Label("addP", file="f1"))
+    faults.replay(eng, "FK", old_fk)
+    assert eng.ops == {"r1": {}}
+    assert not eng.query_holds("r1", "f1", RW)
+    assert not eng.query_auth("u1", "f1", READ)
+    with pytest.raises(AuthorizationError):
+        eng.read_file("u1", "f1")
+    eng.apply_label(Label("delR", role="r1"))
+    eng.apply_label(Label("addR", role="r1"))
+    faults.replay(eng, "RK", old_rk)
+    assert eng.members == {"r1": set()}
+    assert not eng.query_member("u1", "r1")
+    assert eng.warnings == 0
+    assert not eng.provider.unauthorized_events
+    # a write revoked in place: the old RW tuple sits at the current key
+    # and names the current role version
+    eng = engine_with(
+        users=["u1"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1")], pa=[("r1", "f1", RW)], binding=binding,
+    )
+    old_fk = eng.fs.fk[("r1", "f1", 1)]
+    eng.revoke_perm("r1", "f1", WRITE)
+    faults.replay(eng, "FK", old_fk)
+    assert eng.ops == {"r1": {"f1": READ}}
+    assert not eng.query_holds("r1", "f1", RW)
+    assert not eng.query_auth("u1", "f1", RW)
+    with pytest.raises(AuthorizationError):
+        eng.write_file("u1", "f1", b"escalated")
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
 def test_swapped_key_tuples_raise_integrity_error(binding):
     # r1's Read tuple and r2's RW tuple swap places: both stay validly
     # signed, so only their keys betray them.  Rolling f1 must not copy

@@ -241,7 +241,7 @@ def test_seed_engine_builds_dataset_state():
 
 def test_run_simulation_accounting():
     res = run_simulation(
-        seed_engine(TOY, "ibe"), TOY, days=60.0, seed=9, check_costs=True,
+        TOY, "ibe", days=60.0, seed=9, engine=seed_engine(TOY, "ibe")
     )
     assert res.dataset == "toy" and res.variant == "ibe"
     for k in EVENT_KINDS:
@@ -282,14 +282,17 @@ def test_check_costs_catches_engine_drift(monkeypatch, variant):
     eng = seed_engine(ds, variant)
     assert type(eng) is _ForgetfulEngine
     with pytest.raises(AssertionError, match=r"^cost mismatch at revokeU"):
-        run_simulation(eng, ds, days=60.0, seed=7, check_costs=True)
+        run_simulation(ds, variant, days=60.0, seed=7, engine=eng)
+    # a cost-checked batch seeds the broken engine too
+    with pytest.raises(AssertionError, match=r"^cost mismatch at revokeU"):
+        monte_carlo(
+            ds, runs=1, variant=variant, days=60.0, seed=7, check_costs=True
+        )
 
 
 def test_run_simulation_is_deterministic():
     def run(i):
-        return run_simulation(
-            seed_engine(TOY, "ibe"), TOY, days=30.0, seed=4, run_index=i
-        )
+        return run_simulation(TOY, "ibe", days=30.0, seed=4, run_index=i)
 
     a, b, c = run(2), run(2), run(3)
     assert a.totals == b.totals and a.arrivals == b.arrivals
@@ -297,16 +300,16 @@ def test_run_simulation_is_deterministic():
 
 
 def test_variants_agree_under_renaming():
-    a = run_simulation(seed_engine(TOY, "ibe"), TOY, days=45.0, seed=12)
-    b = run_simulation(seed_engine(TOY, "pki"), TOY, days=45.0, seed=12)
+    a = run_simulation(TOY, "ibe", days=45.0, seed=12)
+    b = run_simulation(TOY, "pki", days=45.0, seed=12)
     assert a.arrivals == b.arrivals and a.applied == b.applied
     assert a.neutral_totals() == b.neutral_totals()
     assert a.rekeys_by_kind == b.rekeys_by_kind
 
 
 def test_monte_carlo_worker_count_invariance():
-    # each worker seeds one engine and forks it per run of its chunk of
-    # indices; uneven, oversized and empty splits must not show
+    # each worker runs one contiguous chunk of indices; uneven, oversized
+    # and empty splits must not show
     key = lambda r: (
         r.run_index, r.seed, r.by_kind, r.arrivals, r.applied, r.rates,
         r.events, r.costs,
@@ -321,10 +324,14 @@ def test_monte_carlo_worker_count_invariance():
 
 
 def test_monte_carlo_runs_equal_fresh_simulations():
-    batch = monte_carlo(TOY, runs=3, variant="pki", seed=4, days=40.0)
+    # a cost-checked batch audits every run on a fork of one seeded engine
+    batch = monte_carlo(
+        TOY, runs=3, variant="pki", seed=4, days=40.0, check_costs=True
+    )
     for i, r in enumerate(batch):
         fresh = run_simulation(
-            seed_engine(TOY, "pki"), TOY, seed=4, days=40.0, run_index=i
+            TOY, "pki", seed=4, days=40.0, run_index=i,
+            engine=seed_engine(TOY, "pki"),
         )
         assert (r.by_kind, r.applied, r.rates) == (
             fresh.by_kind, fresh.applied, fresh.rates
@@ -342,6 +349,28 @@ def test_closed_forms_hold_at_dataset_scale(variant):
     assert sum(sum(r.applied.values()) for r in results) >= 100
     assert sum(r.applied["revokeU"] for r in results) >= 10
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("variant", ["ibe", "pki"])
+def test_cost_model_meters_what_the_engine_spends(variant):
+    # every bundled dataset: each run priced by the cost model alone must
+    # match, event by event, the same run audited on a seeded engine
+    revocations = 0
+    for name in sorted(load_marginals()):
+        ds = synthesize_dataset(name, random.Random(derive_seed(0, -1)))
+        start = seed_engine(ds, variant)
+        for i in range(3):
+            eng = start.fork()
+            audited = run_simulation(
+                ds, variant, seed=3, run_index=i, engine=eng
+            )
+            metered = run_simulation(ds, variant, seed=3, run_index=i)
+            assert metered.events == audited.events
+            assert metered.costs == audited.costs
+            assert not eng.provider.unauthorized_events
+            revocations += metered.applied["revokeU"]
+            revocations += metered.applied["revokeP"]
+    assert revocations >= 20
 
 
 @pytest.mark.parametrize("variant", ["ibe", "pki"])
@@ -371,17 +400,17 @@ def test_composite_labels_reconcile_at_dataset_scale(variant):
 
 
 def test_revocation_window_tracking():
-    res = run_simulation(seed_engine(TOY, "ibe"), TOY, days=90.0, seed=1)
+    res = run_simulation(TOY, "ibe", days=90.0, seed=1)
     revs = res.applied["revokeU"] + res.applied["revokeP"]
     assert 0 < res.max_revocations_per_window(7.0) <= revs
     # one window spanning the run holds every applied revocation
     assert res.max_revocations_per_window(90.0) == revs
-    none = run_simulation(seed_engine(TOY, "ibe"), TOY, days=0.01, seed=3)
+    none = run_simulation(TOY, "ibe", days=0.01, seed=3)
     assert none.max_revocations_per_window(7.0) == 0
 
 
 def test_per_revocation_units_empty_case():
-    res = run_simulation(seed_engine(TOY, "ibe"), TOY, days=0.01, seed=3)
+    res = run_simulation(TOY, "ibe", days=0.01, seed=3)
     assert res.applied["revokeU"] == 0
     assert per_revocation_units(res, "BF+CC") is None
     summ = user_revocation_summary([res])
