@@ -94,7 +94,7 @@ def roll_versions(
     to a warning roll nothing."""
     k, r = label.kind, label.role
     roles: Iterable[str] = ()
-    if k == "revokeU" and (label.user, r) in state.ur or k == "delR":
+    if (k == "revokeU" and (label.user, r) in state.ur) or k == "delR":
         roles = (r,)
     elif k == "delU":
         roles = state.roles_of(label.user)

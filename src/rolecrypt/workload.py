@@ -2,12 +2,8 @@
 
 A simulation starts from a realistic access-control state, runs an
 administrator actor for a simulated month, and records the cryptographic
-primitives each administrative action costs.  The closed-form cost model
-prices every action from the model state and the file-key versions, which
-the run carries forward itself, so no engine is built.  A cost-checked run
-also applies every action to a seeded enforcement engine and fails unless
-the engine spends exactly the priced primitives.
-The actor is a continuous-time Markov process: events arrive at rate
+primitives each administrative action costs.  The actor is a
+continuous-time Markov process: events arrive at rate
 ``0.1 * sqrt(|U|)`` per day and are split among user/permission assignment
 and revocation by an add bias sampled from [0.7, 1.0] and a user-role bias
 sampled from [0.3, 0.7], fresh per run.  Only the four assignment/revocation
@@ -21,6 +17,11 @@ degree sequences drawn from a truncated zipfian distribution clamped to the
 published per-degree ranges and realized by stub matching with swap repair.
 Every synthesized dataset reproduces its published |U|, |P|, |R|, |UR|, |PA|
 exactly.
+
+The closed-form cost model prices every action from the model state and the
+file-key versions, which the run carries forward itself, so no engine is
+built.  A cost-checked run also applies every action to a seeded enforcement
+engine and fails unless the engine spends exactly the priced primitives.
 
 Permission grants carry the full read-write level throughout: the source
 relations do not distinguish levels, and revocation experiments remove the
@@ -395,9 +396,10 @@ class IndexedSet:
     """Set with O(1) membership, add, discard, and uniform random choice."""
 
     def __init__(self, items: Iterable = ()) -> None:
-        # the order ``add`` would give: first occurrences, in order
-        self._list: list = list(dict.fromkeys(items))
-        self._pos: dict = {x: i for i, x in enumerate(self._list)}
+        self._list: list = []
+        self._pos: dict = {}
+        for x in items:
+            self.add(x)
 
     def add(self, x) -> None:
         if x not in self._pos:
