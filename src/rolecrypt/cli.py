@@ -9,7 +9,8 @@ Subcommands:
 * ``simulate``    — monte-carlo administrative workload priced by the
   closed-form cost model, writing runs.csv / summary.csv (and optionally
   events.csv); ``--check-costs`` also runs it on a seeded engine and fails
-  on any event whose counted primitives differ from the priced ones.
+  at the first event where the engine raises, decrypts without
+  authorization or counts other primitives than the priced ones.
 
 Files are read and written as UTF-8 whatever the locale.  Terminal output
 follows the locale; a character it cannot encode prints as an escape.

@@ -22,9 +22,9 @@ Scheme data lives in ``data/schemes.json``: per-operation group-operation
 counts for eight identity-based encryption schemes and five identity-based
 signature schemes, plus the relative cost of each group operation.  The file
 also transcribes the published key, ciphertext and signature sizes; pricing
-reads only the operation counts.  Symmetric primitives are treated as free;
-the conventional public-key variant is priced by mapping its counters onto
-the identity-based ones.
+reads only the operation counts.  Symmetric primitives are treated as free.
+Prices use the identity-based counter names for both variants; only
+``reconcile`` renames them, to compare with a ``pki`` engine's counters.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from importlib import resources
 from typing import Iterable, Mapping, Optional
 
 from .crypto import (
-    CostVector, IBE_TO_PKI, INVOKER, PKI_TO_IBE, REFERENCE_MONITOR,
+    CostVector, IBE_TO_PKI, INVOKER, MODEL_OPS, REFERENCE_MONITOR,
 )
 from .rbac import Label, RbacState, READ, RW, WRITE
 
@@ -232,14 +232,15 @@ _Row = namedtuple("_Row", ("g1_mult", "g2_mult", "gt_exp", "pairing"))
 @dataclass(frozen=True)
 class SchemeProfile:
     """A pairing of one encryption scheme with one signature scheme, priced in
-    G-multiplication units.  ``op_costs`` keys are the six asymmetric provider
-    counters; symmetric and unknown counters price at zero."""
+    G-multiplication units.  ``op_costs`` prices the six identity-based
+    counters; symmetric ones cost zero, any other name raises ``KeyError``."""
 
     name: str
     op_costs: Mapping[str, Fraction]
 
     def unit_cost(self, op: str) -> Fraction:
-        op = PKI_TO_IBE.get(op, op)
+        if op not in MODEL_OPS:
+            raise KeyError(op)
         return self.op_costs.get(op, Fraction(0))
 
     def units_of(self, cost: CostVector, principal: Optional[str] = None) -> Fraction:
@@ -359,9 +360,9 @@ def reconcile(
     versions: Mapping[str, int],
     variant: str = "ibe",
 ) -> CostVector:
-    """Difference between measured counters and the closed-form prediction for
-    one label applied to ``state`` at file-key ``versions``; zero (falsy) when
-    the engine matches the model exactly."""
+    """Difference between an engine of ``variant``'s counters, in its own
+    names, and the closed-form prediction for one label applied to ``state``
+    at file-key ``versions``; zero (falsy) when the two match exactly."""
     predicted = algebraic_cost(label, state, versions)
     if variant == "pki":
         predicted = predicted.renamed(IBE_TO_PKI)

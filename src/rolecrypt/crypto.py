@@ -41,10 +41,12 @@ _SYM = ("sym_gen", "sym_enc", "sym_dec")
 
 OP_NAMES = _IBE + _PKI + _SYM
 
+#: The counters the cost model prices both variants in.
+MODEL_OPS = _IBE + _SYM
+
 #: Counter renaming that maps identity-based measurements onto the
 #: conventional public-key family (used for cross-variant comparisons).
 IBE_TO_PKI = dict(zip(_IBE, _PKI))
-PKI_TO_IBE = dict(zip(_PKI, _IBE))
 
 
 @dataclass(frozen=True, slots=True)

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .costmodel import reconcile
+from .costmodel import reconcile, roll_versions
 from .crypto import (
     Identity,
     SymbolicCiphertext,
@@ -176,10 +176,10 @@ def run_differential(
     """Replay ``labels`` through the reference model and one engine in
     lockstep.  Stops at the first divergence.
 
-    Costs are priced from the model's pre-state and the engine's key
-    versions.  Each step reads ``eng.state()`` once, after the label, for
-    the theory check: equal ``(roles, ur, pa)`` triples mean equal
-    theories, so both theories are built only to word a mismatch.
+    Costs are priced from the model alone: its pre-state and the file-key
+    versions ``roll_versions`` carries.  Each step reads ``eng.state()``
+    once, after the label, for the theory check: equal ``(roles, ur, pa)``
+    triples mean equal theories, so both are built only to word a mismatch.
 
     The engine's exceptions are reported, never raised: a decryption with
     a mismatched key is ``unauthorized``, and any other exception but an
@@ -187,6 +187,7 @@ def run_differential(
     """
     labels = list(labels)
     oracle = RbacState()
+    versions: dict[str, int] = {}
     eng = Engine(binding=binding)
 
     def fail(i: int, kind: str, detail: str) -> DifferentialReport:
@@ -213,7 +214,6 @@ def run_differential(
                 missing = sorted(lower - cur)
                 violations.append(f"outside envelope +{extra} -{missing}")
 
-        versions = dict(eng.files)
         eng.fs.on_mutation = hook
         try:
             measured = measure_label(eng, lbl)
@@ -240,6 +240,7 @@ def run_differential(
             diff = reconcile(measured, lbl, oracle, versions, binding)
             if diff:
                 return fail(i, "cost", f"measured-predicted {diff!r}")
+            roll_versions(lbl, oracle, versions)
         eng_state = eng.state()
         if (eng_state.roles, eng_state.ur, eng_state.pa) != (
             new_oracle.roles, new_oracle.ur, new_oracle.pa

@@ -39,6 +39,12 @@ _ASSIGN_OPS = (READ, RW)
 _REVOKE_OPS = (WRITE, RW)
 
 
+def utf8_encodable(name: str) -> bool:
+    """Whether UTF-8 can encode ``name``, as signed terms encode every name;
+    surrogates are the only characters it cannot."""
+    return name.isascii() or not any("\ud800" <= c <= "\udfff" for c in name)
+
+
 @dataclass(frozen=True)
 class Label:
     """One administrative command.
@@ -67,16 +73,12 @@ class Label:
             raise ValueError(f"assignP op must be one of {_ASSIGN_OPS}")
         if self.kind == "revokeP" and self.op not in _REVOKE_OPS:
             raise ValueError(f"revokeP op must be one of {_REVOKE_OPS}")
-        # signed terms UTF-8 encode every name, which a lone surrogate fails
         for f in ("user", "role", "file"):
             v = getattr(self, f)
-            if v is not None and not v.isascii():
-                try:
-                    v.encode()
-                except UnicodeEncodeError:
-                    raise ValueError(
-                        f"label {self.kind} {f} {v!r}: UTF-8 cannot encode it"
-                    ) from None
+            if v is not None and not utf8_encodable(v):
+                raise ValueError(
+                    f"label {self.kind} {f} {v!r}: UTF-8 cannot encode it"
+                )
 
     def __str__(self) -> str:
         args = [

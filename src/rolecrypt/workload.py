@@ -20,8 +20,10 @@ exactly.
 
 The closed-form cost model prices every action from the model state and the
 file-key versions, which the run carries forward itself, so no engine is
-built.  A cost-checked run also applies every action to a seeded enforcement
-engine and fails unless the engine spends exactly the priced primitives.
+built; both variants' costs carry the identity-based counter names.  A
+cost-checked run also applies every action to a seeded engine of its variant
+and fails at the first action where the engine raises, decrypts without
+authorization, or spends other primitives than ``reconcile`` expects.
 
 Permission grants carry the full read-write level throughout: the source
 relations do not distinguish levels, and revocation experiments remove the
@@ -47,12 +49,13 @@ from importlib import resources
 from typing import Iterable, Optional, Sequence
 
 from .costmodel import (
-    HEADLINE_PROFILES, algebraic_cost, roll_versions, scheme_profile,
+    HEADLINE_PROFILES, algebraic_cost, reconcile, roll_versions,
+    scheme_profile,
 )
-from .crypto import CostVector, IBE_TO_PKI, OP_NAMES, PKI_TO_IBE
+from .crypto import CostVector, MODEL_OPS
 from .engine import Engine, measure_label
 from .equivalence import sigma
-from .rbac import Label, RbacState, RW, SUPERUSER, apply_label
+from .rbac import Label, RbacState, RW, SUPERUSER, apply_label, utf8_encodable
 
 EVENT_KINDS = ("assignU", "revokeU", "assignP", "revokeP")
 
@@ -102,16 +105,12 @@ class Dataset:
             ur=_pairs(d, "ur"),
             pa=_pairs(d, "pa"),
         )
-        # signed terms UTF-8 encode every name, which a lone surrogate fails
         for key in ("name", "users", "roles", "perms"):
             for x in [ds.name] if key == "name" else getattr(ds, key):
-                if not x.isascii():
-                    try:
-                        x.encode()
-                    except UnicodeEncodeError:
-                        raise ValueError(
-                            f"{key!r} holds {x!r}, which UTF-8 cannot encode"
-                        ) from None
+                if not utf8_encodable(x):
+                    raise ValueError(
+                        f"{key!r} holds {x!r}, which UTF-8 cannot encode"
+                    )
         for key, kind in (("users", "user"), ("roles", "role")):
             if SUPERUSER in getattr(ds, key):
                 raise ValueError(f"{kind} name {SUPERUSER!r} is reserved")
@@ -553,11 +552,6 @@ class RunResult:
         )
         return max(buckets.values(), default=0)
 
-    def neutral_totals(self) -> dict[str, int]:
-        """Counter totals under the identity-based names regardless of
-        variant, so runs of both variants tabulate identically."""
-        return self.totals.renamed(PKI_TO_IBE).totals()
-
     def units(self, profile: str, kind: Optional[str] = None) -> Fraction:
         cost = self.totals if kind is None else self.by_kind[kind]
         return scheme_profile(profile).units_of(cost)
@@ -584,12 +578,14 @@ def run_simulation(
     """One simulated period from ``dataset`` in ``variant``.  Each applied
     event is priced by ``algebraic_cost`` from the model state, advanced by
     ``apply_label``, and the file-key versions, advanced by
-    ``roll_versions``; no engine runs.
+    ``roll_versions``; no engine runs.  The costs carry the identity-based
+    counter names in both variants, which spend the same primitives.
 
     Given ``engine``, which holds the seeded dataset (see ``seed_engine``)
     and is consumed, the run audits it: every label is also applied to the
-    engine, and the run raises ``AssertionError`` unless the engine spends
-    exactly the priced cost and decrypts nothing without authorization."""
+    engine, and the run raises ``AssertionError`` naming the first label at
+    which the engine raises, decrypts without authorization or fails
+    ``reconcile``."""
     run_seed = derive_seed(seed, run_index)
     rng = random.Random(run_seed)
     rates = ActorRates.sample(rng, len(dataset.users))
@@ -603,18 +599,20 @@ def run_simulation(
         if label is None:
             costs.append(CostVector())
             continue
-        cost = algebraic_cost(label, state, versions)
-        if variant == "pki":
-            cost = cost.renamed(IBE_TO_PKI)
         if engine is not None:
-            diff = measure_label(engine, label) - cost
+            try:
+                measured = measure_label(engine, label)
+            except Exception as e:  # any engine failure fails the audit
+                raise AssertionError(f"engine failed at {label}: {e!r}") from e
+            if engine.provider.unauthorized_events:
+                raise AssertionError(f"unauthorized decryption at {label}")
+            diff = reconcile(measured, label, state, versions, variant)
             if diff:
                 raise AssertionError(f"cost mismatch at {label}: {diff!r}")
+        cost = algebraic_cost(label, state, versions)
         roll_versions(label, state, versions)
         state = apply_label(state, label)
         costs.append(cost)
-    if engine is not None and engine.provider.unauthorized_events:
-        raise AssertionError("unauthorized decryption during simulation")
     return RunResult(
         dataset=dataset.name,
         variant=variant,
@@ -699,10 +697,7 @@ def user_revocation_summary(
     """Experiment-level revocation costs: mean encryptions per user revoked
     (over all revocations in all runs) and the median over runs of
     multiplication units per user revoked."""
-    total_enc = sum(
-        r.by_kind["revokeU"].renamed(PKI_TO_IBE).get("ibe_enc")
-        for r in results
-    )
+    total_enc = sum(r.by_kind["revokeU"].get("ibe_enc") for r in results)
     total_rev = sum(r.applied["revokeU"] for r in results)
     per_run = _per_run_units(results, profile)
     return {
@@ -715,11 +710,6 @@ def user_revocation_summary(
         ),
         "runs_with_user_revocations": len(per_run),
     }
-
-
-# The provider's counter names minus the public-key family: runs of both
-# variants are tabulated under these.
-_NEUTRAL_OPS = tuple(op for op in OP_NAMES if op not in PKI_TO_IBE)
 
 
 def _fmt_units(x: Fraction) -> str:
@@ -744,7 +734,7 @@ def write_runs_csv(
              "admin_rate", "add_bias", "ur_bias",
              "arrivals", "applied", "skipped"]
             + [f"applied_{k}" for k in EVENT_KINDS]
-            + list(_NEUTRAL_OPS)
+            + list(MODEL_OPS)
             + unit_cols
             + ["rekeys_revokeU", "rekeys_per_user_revocation"]
             + rev_cols
@@ -752,7 +742,7 @@ def write_runs_csv(
         )
         w.writerow(header)
         for r in results:
-            totals = r.neutral_totals()
+            totals = r.totals.totals()
             n_rev = r.applied["revokeU"]
             row = [
                 r.dataset, r.variant, r.run_index, r.seed,
@@ -765,7 +755,7 @@ def write_runs_csv(
                 sum(r.skipped.values()),
             ]
             row += [r.applied[k] for k in EVENT_KINDS]
-            row += [totals.get(op, 0) for op in _NEUTRAL_OPS]
+            row += [totals.get(op, 0) for op in MODEL_OPS]
             row += [_fmt_units(r.units(p)) for p in profiles]
             row += [
                 r.rekeys_by_kind["revokeU"],
@@ -787,16 +777,16 @@ def write_events_csv(path: str, results: Sequence[RunResult]) -> None:
         w.writerow(
             ["dataset", "variant", "run", "index", "t_days", "kind",
              "target", "applied"]
-            + list(_NEUTRAL_OPS)
+            + list(MODEL_OPS)
         )
         for r in results:
             for i, (ev, cost) in enumerate(zip(r.events, r.costs)):
-                totals = cost.renamed(PKI_TO_IBE).totals()
+                totals = cost.totals()
                 w.writerow(
                     [r.dataset, r.variant, r.run_index, i, f"{ev.t:.6f}",
                      ev.kind, "-" if ev.label is None else str(ev.label),
                      int(ev.label is not None)]
-                    + [totals.get(op, 0) for op in _NEUTRAL_OPS]
+                    + [totals.get(op, 0) for op in MODEL_OPS]
                 )
 
 

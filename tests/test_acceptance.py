@@ -13,7 +13,12 @@ import statistics
 import time
 from fractions import Fraction
 
-from rolecrypt.costmodel import HEADLINE_PROFILES, reconcile, static_cost_table
+from rolecrypt.costmodel import (
+    HEADLINE_PROFILES,
+    reconcile,
+    roll_versions,
+    static_cost_table,
+)
 from rolecrypt.crypto import IBE_TO_PKI
 from rolecrypt.engine import Engine, measure_label
 from rolecrypt.equivalence import (
@@ -108,11 +113,12 @@ def test_criterion_2_cost_reconciliation(capsys):
     n_labels = 0
     mismatches = []
     for trace in corpus:
-        eng, state = Engine("ibe"), RbacState()
+        # the model carries the key versions; the engine is only measured
+        eng, state, versions = Engine("ibe"), RbacState(), {}
         for lbl in trace:
-            versions = dict(eng.files)
             measured = measure_label(eng, lbl)
             diff = reconcile(measured, lbl, state, versions, "ibe")
+            roll_versions(lbl, state, versions)
             state = apply_label(state, lbl)
             n_labels += 1
             if diff:

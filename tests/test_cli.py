@@ -74,6 +74,24 @@ def test_check_reports_a_divergence(monkeypatch, capsys):
     assert err == ""
 
 
+def test_simulate_check_costs_reports_an_engine_failure(
+    monkeypatch, tmp_path, capsys
+):
+    # an exception inside the audited engine exits 1 with an error line
+    # naming the event, not with a traceback
+    monkeypatch.setattr(eqv, "Engine", _StaleRewrapEngine)
+    rc = main([
+        "simulate", "--dataset", "healthcare", "--runs", "2", "--seed", "1",
+        "--variant", "both", "--check-costs", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(
+        "error: engine failed at revokeU(u44, r10): UnauthorizedDecrypt("
+    )
+    assert err.count("\n") == 1
+
+
 def test_gen_dataset_writes_file(tmp_path, capsys):
     out = tmp_path / "hc.json"
     assert main(["gen-dataset", "--name", "healthcare", "--seed", "2",

@@ -72,18 +72,25 @@ def test_profile_caching_and_unknown_names():
         scheme_profile("nope")
 
 
-def test_unit_cost_handles_both_families():
+def test_unit_cost_prices_only_the_model_counters():
+    # prices are written in the identity-based names for both variants; a
+    # public-key or unknown name is a caller's error, not a free primitive
     p = scheme_profile("BF+CC")
-    assert p.unit_cost("pke_enc") == p.unit_cost("ibe_enc") == 11
+    assert p.unit_cost("ibe_enc") == 11
     assert p.unit_cost("sym_enc") == 0
+    for op in ("pke_enc", "sig_ver", "bogus"):
+        with pytest.raises(KeyError):
+            p.unit_cost(op)
     v = CostVector({
-        (INVOKER, "pke_enc"): 2,
+        (INVOKER, "ibe_enc"): 2,
         (INVOKER, "sym_gen"): 5,
-        (REFERENCE_MONITOR, "sig_ver"): 1,
+        (REFERENCE_MONITOR, "ibs_ver"): 1,
     })
     assert p.units_of(v) == 2 * 11 + 19
     assert p.units_of(v, INVOKER) == 22
     assert p.units_of(v, REFERENCE_MONITOR) == 19
+    with pytest.raises(KeyError):
+        p.units_of(CostVector({(INVOKER, "pke_enc"): 1}))
 
 
 def test_all_scheme_profiles_are_pinned():

@@ -13,11 +13,10 @@ import pytest
 
 import rolecrypt.equivalence as eqv
 from rolecrypt.costmodel import algebraic_cost, reconcile
-from rolecrypt.crypto import CostVector
+from rolecrypt.crypto import MODEL_OPS, CostVector, UnauthorizedDecrypt
 from rolecrypt.engine import Engine, measure_label
 from rolecrypt.rbac import Label, RW, theory
 from rolecrypt.workload import (
-    _NEUTRAL_OPS,
     ActorRates,
     Dataset,
     EVENT_KINDS,
@@ -38,6 +37,8 @@ from rolecrypt.workload import (
     write_runs_csv,
     write_summary_csv,
 )
+from test_equivalence import _StaleRewrapEngine
+
 
 TOY = Dataset(
     name="toy",
@@ -290,6 +291,38 @@ def test_check_costs_catches_engine_drift(monkeypatch, variant):
         )
 
 
+class _QuietStaleRewrapEngine(_StaleRewrapEngine):
+    """Deliberately broken: the stale re-wrap of its parent, but a
+    revocation that cannot open a key gives up without raising."""
+
+    def revoke_user(self, u, r):
+        try:
+            super().revoke_user(u, r)
+        except UnauthorizedDecrypt:
+            pass
+
+
+@pytest.mark.parametrize("variant", ["ibe", "pki"])
+@pytest.mark.parametrize("engine, message", [
+    (
+        _StaleRewrapEngine,
+        "engine failed at revokeU(u2, r9): UnauthorizedDecrypt(",
+    ),
+    (_QuietStaleRewrapEngine, "unauthorized decryption at revokeU(u2, r9)"),
+], ids=["raises", "quiet"])
+def test_audit_names_the_event_an_engine_fails(
+    monkeypatch, variant, engine, message
+):
+    # the audit stops at the first failing event and names its label
+    ds = synthesize_dataset("healthcare", random.Random(derive_seed(0, -1)))
+    monkeypatch.setattr(eqv, "Engine", engine)
+    eng = seed_engine(ds, variant)
+    assert type(eng) is engine
+    with pytest.raises(AssertionError) as exc:
+        run_simulation(ds, variant, days=60.0, seed=1, engine=eng)
+    assert str(exc.value).startswith(message)
+
+
 def test_run_simulation_is_deterministic():
     def run(i):
         return run_simulation(TOY, "ibe", days=30.0, seed=4, run_index=i)
@@ -300,10 +333,11 @@ def test_run_simulation_is_deterministic():
 
 
 def test_variants_agree_under_renaming():
+    # the model prices both variants in one counter vocabulary
     a = run_simulation(TOY, "ibe", days=45.0, seed=12)
     b = run_simulation(TOY, "pki", days=45.0, seed=12)
     assert a.arrivals == b.arrivals and a.applied == b.applied
-    assert a.neutral_totals() == b.neutral_totals()
+    assert a.costs == b.costs
     assert a.rekeys_by_kind == b.rekeys_by_kind
 
 
@@ -433,7 +467,7 @@ def test_user_revocation_summary_counts():
 
 def test_runs_csv_counter_columns_are_pinned():
     # the identity-based names and the symmetric ones, in OP_NAMES order
-    assert _NEUTRAL_OPS == (
+    assert MODEL_OPS == (
         "ibe_keygen", "ibe_enc", "ibe_dec", "ibs_keygen", "ibs_sign", "ibs_ver",
         "sym_gen", "sym_enc", "sym_dec",
     )
