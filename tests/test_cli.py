@@ -85,7 +85,7 @@ def test_simulate_check_costs_reports_an_engine_failure(
         "--variant", "both", "--check-costs", "--out", str(tmp_path),
     ])
     assert rc == 1
-    out, err = capsys.readouterr()
+    err = capsys.readouterr().err
     assert err.startswith(
         "error: engine failed at revokeU(u44, r10): UnauthorizedDecrypt("
     )
