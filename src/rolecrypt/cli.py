@@ -8,9 +8,10 @@ Subcommands:
 * ``gen-dataset`` — synthesize a benchmark-shaped dataset to a JSON file.
 * ``simulate``    — monte-carlo administrative workload priced by the
   closed-form cost model, writing runs.csv / summary.csv (and optionally
-  events.csv); ``--check-costs`` also runs it on a seeded engine and fails
-  at the first event where the engine raises, decrypts without
-  authorization or counts other primitives than the priced ones.
+  events.csv), pricing each run once for both variants; ``--check-costs``
+  also runs it on a seeded engine of each variant and fails at the first
+  event where the engine raises, decrypts without authorization or counts
+  other primitives than the priced ones.
 
 Files are read and written as UTF-8 whatever the locale.  Terminal output
 follows the locale; a character it cannot encode prints as an escape.
@@ -24,6 +25,7 @@ import math
 import os
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .costmodel import (
@@ -168,8 +170,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     variants = ("ibe", "pki") if args.variant == "both" else (args.variant,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the model prices both variants alike: unless each variant's engine is
+    # audited, the first variant's runs stand for the others under their name
+    priced = variants if args.check_costs else variants[:1]
     results = []
-    for variant in variants:
+    for variant in priced:
         results += monte_carlo(
             dataset,
             runs=args.runs,
@@ -179,6 +184,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             workers=args.parallel,
             check_costs=args.check_costs,
         )
+    results += [
+        replace(r, variant=v) for v in variants[len(priced):] for r in results
+    ]
     runs_path = out_dir / "runs.csv"
     summary_path = out_dir / "summary.csv"
     write_runs_csv(str(runs_path), results, profiles, args.revocation_window)

@@ -30,7 +30,7 @@ Prices use the identity-based counter names for both variants; only
 from __future__ import annotations
 
 import json
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -71,17 +71,6 @@ def _roll_file(bag: _Bag, recipients: int) -> None:
     _reissue(bag, recipients)
 
 
-def _files_of(state: RbacState, r: str) -> set[str]:
-    return {fn for role, fn, _ in state.pa if role == r}
-
-
-def _holders(state: RbacState, r: str) -> Counter[str]:
-    """file -> number of roles holding it (the superuser not counted), for
-    each file ``r`` holds."""
-    files = _files_of(state, r)
-    return Counter([fn for _, fn, _ in state.pa if fn in files])
-
-
 def roll_versions(
     label: Label, state: RbacState, versions: dict[str, int]
 ) -> None:
@@ -113,7 +102,7 @@ def _roll_roles(
     """Roll every file each of ``roles`` holds, once per role, as revoking
     a member of the role or deleting it does."""
     for r in roles:
-        for fn in _files_of(state, r):
+        for fn in state.files_of(r):
             versions[fn] += 1
 
 
@@ -125,11 +114,11 @@ def _revoke_user_cost(
     _add(bag, "ibs_keygen", 1)
     # remaining members plus the superuser get the new role keys
     _reissue(bag, len(state.members_of(r)) - 1 + 1)
-    for fn, n in _holders(state, r).items():
+    for fn in state.files_of(r):
         # roll the role's own wrapped file keys onto the new role keys
         _reissue(bag, versions[fn], opened=True)
         # then a fresh file key for every holder (roles + superuser)
-        _roll_file(bag, n + 1)
+        _roll_file(bag, len(state.holders_of(fn)) + 1)
 
 
 def algebraic_cost(
@@ -195,9 +184,9 @@ def algebraic_cost(
                 _roll_file(bag, len(state.holders_of(label.file)))
     elif k == "delR":
         if label.role in state.roles:
-            for n in _holders(state, label.role).values():
+            for fn in state.files_of(label.role):
                 # the other holders plus the superuser
-                _roll_file(bag, n - 1 + 1)
+                _roll_file(bag, len(state.holders_of(fn)) - 1 + 1)
     else:
         raise AssertionError(k)
     return CostVector(bag)
@@ -354,16 +343,12 @@ def format_units(x: Fraction) -> str:
 
 
 def reconcile(
-    measured: CostVector,
-    label: Label,
-    state: RbacState,
-    versions: Mapping[str, int],
-    variant: str = "ibe",
+    measured: CostVector, predicted: CostVector, variant: str = "ibe"
 ) -> CostVector:
     """Difference between an engine of ``variant``'s counters, in its own
-    names, and the closed-form prediction for one label applied to ``state``
-    at file-key ``versions``; zero (falsy) when the two match exactly."""
-    predicted = algebraic_cost(label, state, versions)
+    names, and the price ``predicted`` for the same label (an
+    ``algebraic_cost``, in identity-based names); zero (falsy) when the two
+    match exactly."""
     if variant == "pki":
         predicted = predicted.renamed(IBE_TO_PKI)
     return measured - predicted

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .costmodel import reconcile, roll_versions
+from .costmodel import algebraic_cost, reconcile, roll_versions
 from .crypto import (
     Identity,
     SymbolicCiphertext,
@@ -237,7 +237,8 @@ def run_differential(
         if violations:
             return fail(i, "safety", violations[0])
         if check_costs and oracle_err is None:
-            diff = reconcile(measured, lbl, oracle, versions, binding)
+            predicted = algebraic_cost(lbl, oracle, versions)
+            diff = reconcile(measured, predicted, binding)
             if diff:
                 return fail(i, "cost", f"measured-predicted {diff!r}")
             roll_versions(lbl, oracle, versions)

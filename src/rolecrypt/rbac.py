@@ -10,7 +10,8 @@ but not for exact assignment queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional
 
 READ = "Read"
 RW = "RW"
@@ -89,6 +90,43 @@ class Label:
         return f"{self.kind}({', '.join(args)})"
 
 
+_NONE: frozenset = frozenset()
+
+#: Positions in ``RbacState._index`` of its four maps: role -> files it
+#: holds, file -> roles holding it, role -> members, user -> roles.
+_FILES, _HOLDERS, _MEMBERS, _ROLES = range(4)
+
+
+def _entries(ur: Iterable[tuple], pa: Iterable[tuple]) -> Iterator[tuple]:
+    """(index, key, value) of each index entry of UR pairs and PA triples."""
+    for u, r in ur:
+        yield _ROLES, u, r
+        yield _MEMBERS, r, u
+    for r, f, _ in pa:
+        yield _FILES, r, f
+        yield _HOLDERS, f, r
+
+
+def _reindexed(index: tuple, gone: Iterable, new: Iterable) -> tuple:
+    """``index`` with the ``gone`` entries removed, then the ``new`` ones
+    added, as the counting algorithm keeps an incremental view (Gupta,
+    Mumick & Subrahmanian, SIGMOD 1993).  Copy on write: a map that changes
+    is copied, and every other map and set is shared."""
+    out = list(index)
+    for added, entries in ((False, gone), (True, new)):
+        delta: dict[tuple[int, str], set[str]] = {}
+        for i, k, v in entries:
+            delta.setdefault((i, k), set()).add(v)
+        for (i, k), vs in delta.items():
+            if out[i] is index[i]:
+                out[i] = dict(index[i])
+            held = out[i].get(k, _NONE)
+            out[i][k] = held = held | vs if added else held - vs
+            if not held:
+                del out[i][k]
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class RbacState:
     """Immutable snapshot: users, roles, permission objects, UR and PA relations.
@@ -96,6 +134,9 @@ class RbacState:
     ``perms`` holds permission object names (files); each object induces the
     two ground query permissions (fn, Read) and (fn, RW).  ``pa`` entries are
     (role, file, op) with op in {Read, RW}, at most one per (role, file).
+
+    The per-name accessors answer from indexes of ``ur`` and ``pa``, built
+    on first use and carried by ``apply_label`` to the successor state.
     """
 
     users: frozenset[str] = frozenset()
@@ -103,6 +144,10 @@ class RbacState:
     perms: frozenset[str] = frozenset()
     ur: frozenset[tuple[str, str]] = frozenset()
     pa: frozenset[tuple[str, str, str]] = frozenset()
+
+    @cached_property
+    def _index(self) -> tuple[dict[str, frozenset[str]], ...]:
+        return _reindexed(({}, {}, {}, {}), (), _entries(self.ur, self.pa))
 
     def pa_op(self, role: str, fn: str) -> Optional[str]:
         """The op the role holds for the file, or None."""
@@ -112,13 +157,37 @@ class RbacState:
         return None
 
     def roles_of(self, user: str) -> frozenset[str]:
-        return frozenset(r for u, r in self.ur if u == user)
+        return self._index[_ROLES].get(user, _NONE)
 
     def members_of(self, role: str) -> frozenset[str]:
-        return frozenset(u for u, r in self.ur if r == role)
+        return self._index[_MEMBERS].get(role, _NONE)
 
     def holders_of(self, fn: str) -> frozenset[str]:
-        return frozenset(r for r, f, _ in self.pa if f == fn)
+        return self._index[_HOLDERS].get(fn, _NONE)
+
+    def files_of(self, role: str) -> frozenset[str]:
+        return self._index[_FILES].get(role, _NONE)
+
+
+def _moved(
+    state: RbacState, ur_gone=(), ur_new=(), pa_gone=(), pa_new=(), **fields
+) -> RbacState:
+    """The successor of ``state`` with the given lists of UR pairs and PA
+    triples removed and added and ``fields`` replaced.  It carries
+    ``state``'s indexes with only the entries those pairs and triples touch
+    edited."""
+    ur = state.ur.difference(ur_gone) if ur_gone else state.ur
+    pa = state.pa.difference(pa_gone) if pa_gone else state.pa
+    new = replace(
+        state,
+        ur=ur.union(ur_new) if ur_new else ur,
+        pa=pa.union(pa_new) if pa_new else pa,
+        **fields,
+    )
+    new.__dict__["_index"] = _reindexed(
+        state._index, _entries(ur_gone, pa_gone), _entries(ur_new, pa_new)
+    )
+    return new
 
 
 class RbacError(ValueError):
@@ -126,7 +195,8 @@ class RbacError(ValueError):
 
 
 def check_invariants(state: RbacState) -> None:
-    """Raise AssertionError if referential integrity is broken."""
+    """Raise AssertionError if referential integrity is broken, or if the
+    indexes the state carries differ from those ``ur`` and ``pa`` give."""
     assert SUPERUSER not in state.users and SUPERUSER not in state.roles
     for u, r in state.ur:
         assert u in state.users and r in state.roles, (u, r)
@@ -136,6 +206,7 @@ def check_invariants(state: RbacState) -> None:
         assert op in (READ, RW), op
         assert (r, f) not in seen, f"two ops for {(r, f)}"
         seen.add((r, f))
+    assert state._index == replace(state)._index, "stale index"
 
 
 def _warn(on_warning: Optional[Callable[[str], None]], message: str) -> None:
@@ -162,17 +233,17 @@ def apply_label(
         if u in state.users:
             _warn(on_warning, f"addU: {u!r} already exists")
             return state
-        return replace(state, users=state.users | {u})
+        return _moved(state, users=state.users | {u})
 
     if k == "delU":
         u = label.user
         if u not in state.users:
             _warn(on_warning, f"delU: {u!r} does not exist")
             return state
-        return replace(
+        return _moved(
             state,
+            ur_gone=[(u, r) for r in state.roles_of(u)],
             users=state.users - {u},
-            ur=frozenset(p for p in state.ur if p[0] != u),
         )
 
     if k == "addR":
@@ -182,18 +253,18 @@ def apply_label(
         if r in state.roles:
             _warn(on_warning, f"addR: {r!r} already exists")
             return state
-        return replace(state, roles=state.roles | {r})
+        return _moved(state, roles=state.roles | {r})
 
     if k == "delR":
         r = label.role
         if r not in state.roles:
             _warn(on_warning, f"delR: {r!r} does not exist")
             return state
-        return replace(
+        return _moved(
             state,
+            ur_gone=[(u, r) for u in state.members_of(r)],
+            pa_gone=[(r, fn, state.pa_op(r, fn)) for fn in state.files_of(r)],
             roles=state.roles - {r},
-            ur=frozenset(p for p in state.ur if p[1] != r),
-            pa=frozenset(p for p in state.pa if p[0] != r),
         )
 
     if k == "addP":
@@ -201,17 +272,17 @@ def apply_label(
         if fn in state.perms:
             _warn(on_warning, f"addP: {fn!r} already exists")
             return state
-        return replace(state, perms=state.perms | {fn})
+        return _moved(state, perms=state.perms | {fn})
 
     if k == "delP":
         fn = label.file
         if fn not in state.perms:
             _warn(on_warning, f"delP: {fn!r} does not exist")
             return state
-        return replace(
+        return _moved(
             state,
+            pa_gone=[(r, fn, state.pa_op(r, fn)) for r in state.holders_of(fn)],
             perms=state.perms - {fn},
-            pa=frozenset(p for p in state.pa if p[1] != fn),
         )
 
     if k == "assignU":
@@ -223,7 +294,7 @@ def apply_label(
         if (u, r) in state.ur:
             _warn(on_warning, f"assignU: {u!r} already in {r!r}")
             return state
-        return replace(state, ur=state.ur | {(u, r)})
+        return _moved(state, ur_new=[(u, r)])
 
     if k == "revokeU":
         u, r = label.user, label.role
@@ -234,7 +305,7 @@ def apply_label(
         if (u, r) not in state.ur:
             _warn(on_warning, f"revokeU: {u!r} not in {r!r}")
             return state
-        return replace(state, ur=state.ur - {(u, r)})
+        return _moved(state, ur_gone=[(u, r)])
 
     if k == "assignP":
         r, fn, op = label.role, label.file, label.op
@@ -246,10 +317,8 @@ def apply_label(
         if held == RW or held == op:
             _warn(on_warning, f"assignP: {r!r} already holds {held} on {fn!r}")
             return state
-        pa = state.pa
-        if held is not None:
-            pa = pa - {(r, fn, held)}
-        return replace(state, pa=pa | {(r, fn, op)})
+        gone = [] if held is None else [(r, fn, held)]
+        return _moved(state, pa_gone=gone, pa_new=[(r, fn, op)])
 
     if k == "revokeP":
         r, fn, op = label.role, label.file, label.op
@@ -265,10 +334,10 @@ def apply_label(
             if held != RW:
                 _warn(on_warning, f"revokeP: {r!r} holds no write on {fn!r}")
                 return state
-            return replace(
-                state, pa=(state.pa - {(r, fn, RW)}) | {(r, fn, READ)}
+            return _moved(
+                state, pa_gone=[(r, fn, RW)], pa_new=[(r, fn, READ)]
             )
-        return replace(state, pa=state.pa - {(r, fn, held)})
+        return _moved(state, pa_gone=[(r, fn, held)])
 
     raise AssertionError(k)
 

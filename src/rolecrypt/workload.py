@@ -133,14 +133,21 @@ class Dataset:
         return ds
 
     def state(self) -> RbacState:
-        """The dataset as a reference-model state, every grant at RW."""
-        return RbacState(
+        """The dataset as a reference-model state, every grant at RW: one
+        immutable object per dataset, so every run shares its indexes."""
+        return self._state
+
+    @cached_property
+    def _state(self) -> RbacState:
+        state = RbacState(
             users=frozenset(self.users),
             roles=frozenset(self.roles),
             perms=frozenset(self.perms),
             ur=frozenset(self.ur),
             pa=frozenset((r, fn, RW) for r, fn in self.pa),
         )
+        state._index  # built here, once per dataset, not in the first run
+        return state
 
     def marginals(self) -> dict[str, int]:
         return {
@@ -599,6 +606,7 @@ def run_simulation(
         if label is None:
             costs.append(CostVector())
             continue
+        cost = algebraic_cost(label, state, versions)
         if engine is not None:
             try:
                 measured = measure_label(engine, label)
@@ -606,10 +614,9 @@ def run_simulation(
                 raise AssertionError(f"engine failed at {label}: {e!r}") from e
             if engine.provider.unauthorized_events:
                 raise AssertionError(f"unauthorized decryption at {label}")
-            diff = reconcile(measured, label, state, versions, variant)
+            diff = reconcile(measured, cost, variant)
             if diff:
                 raise AssertionError(f"cost mismatch at {label}: {diff!r}")
-        cost = algebraic_cost(label, state, versions)
         roll_versions(label, state, versions)
         state = apply_label(state, label)
         costs.append(cost)

@@ -12,6 +12,7 @@ import pytest
 import rolecrypt
 import rolecrypt.equivalence as eqv
 from rolecrypt.cli import main
+from rolecrypt.engine import Engine
 from rolecrypt.workload import load_dataset
 from test_equivalence import _StaleRewrapEngine
 
@@ -90,6 +91,52 @@ def test_simulate_check_costs_reports_an_engine_failure(
         "error: engine failed at revokeU(u44, r10): UnauthorizedDecrypt("
     )
     assert err.count("\n") == 1
+
+
+class _PkiStaleRewrapEngine(_StaleRewrapEngine):
+    """Broken in the pki binding only: the ibe audit of a run passes."""
+
+    def _rewrap_fks(self, src, dec_key, fn, dst, op):
+        cls = _StaleRewrapEngine if self.binding.name == "pki" else Engine
+        return cls._rewrap_fks(self, src, dec_key, fn, dst, op)
+
+
+def test_simulate_check_costs_audits_each_variant(
+    monkeypatch, tmp_path, capsys
+):
+    # the runs are priced once for both variants, but each variant's engine
+    # is still audited: an engine broken only in pki fails the command
+    monkeypatch.setattr(eqv, "Engine", _PkiStaleRewrapEngine)
+    argv = [
+        "simulate", "--dataset", "healthcare", "--runs", "2", "--seed", "1",
+        "--check-costs", "--out", str(tmp_path),
+    ]
+    assert main(argv + ["--variant", "ibe"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--variant", "both"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: engine failed at revokeU(u44, r10): ")
+    assert err.count("\n") == 1
+
+
+def test_simulate_both_writes_what_each_variant_writes(tmp_path):
+    # `--variant both` prices each run once; every row it writes under a
+    # variant's name is the row that variant writes alone
+    def simulate(variant):
+        out = tmp_path / variant
+        assert main([
+            "simulate", "--dataset", "healthcare", "--runs", "3",
+            "--seed", "5", "--variant", variant, "--events",
+            "--out", str(out),
+        ]) == 0
+        return out
+
+    both = simulate("both")
+    for variant in ("ibe", "pki"):
+        alone = simulate(variant)
+        for name in ("runs.csv", "events.csv", "summary.csv"):
+            rows = [r for r in _rows(both / name) if r["variant"] == variant]
+            assert rows and rows == _rows(alone / name), (variant, name)
 
 
 def test_gen_dataset_writes_file(tmp_path, capsys):

@@ -307,7 +307,7 @@ def test_reconcile_zero_on_exact_match():
     lbl = Label("addU", user="u1")
     state, versions = eng.state(), dict(eng.files)
     measured = measure_label(eng, lbl)
-    assert not reconcile(measured, lbl, state, versions)
+    assert not reconcile(measured, algebraic_cost(lbl, state, versions))
 
 
 def test_reconcile_flags_discrepancies():
@@ -315,11 +315,12 @@ def test_reconcile_flags_discrepancies():
     lbl = Label("addU", user="u1")
     state, versions = eng.state(), dict(eng.files)
     measured = measure_label(eng, lbl)
+    predicted = algebraic_cost(lbl, state, versions)
     doctored = measured + CostVector({(INVOKER, "ibe_enc"): 1})
-    diff = reconcile(doctored, lbl, state, versions)
+    diff = reconcile(doctored, predicted)
     assert diff and diff.get("ibe_enc") == 1
     short = measured - CostVector({(INVOKER, "ibe_keygen"): 1})
-    assert reconcile(short, lbl, state, versions).get("ibe_keygen") == -1
+    assert reconcile(short, predicted).get("ibe_keygen") == -1
 
 
 def test_reconcile_renames_for_pki():
@@ -327,6 +328,7 @@ def test_reconcile_renames_for_pki():
     lbl = Label("addR", role="r1")
     state, versions = eng.state(), dict(eng.files)
     measured = measure_label(eng, lbl)
-    assert not reconcile(measured, lbl, state, versions, variant="pki")
+    predicted = algebraic_cost(lbl, state, versions)
+    assert not reconcile(measured, predicted, variant="pki")
     # names differ
-    assert reconcile(measured, lbl, state, versions, variant="ibe")
+    assert reconcile(measured, predicted, variant="ibe")

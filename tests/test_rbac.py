@@ -1,5 +1,7 @@
 """Reference-model semantics: labels, warnings, errors, queries."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from rolecrypt.rbac import (
     grants,
     theory,
 )
+from rolecrypt.equivalence import TraceBuilder
 
 
 def lab(kind, **kw):
@@ -273,6 +276,38 @@ def test_helpers():
     assert BASE.roles_of("u1") == {"r1"}
     assert BASE.members_of("r1") == {"u1"}
     assert BASE.holders_of("f1") == {"r1", "r2"}
+
+
+def test_carried_indexes_equal_rebuilt_ones():
+    # TraceBuilder traces cover every label kind, including the delU, delR
+    # and delP that the simulate actor never issues
+    kinds = set()
+    for seed in range(20):
+        s = RbacState()
+        for lbl in TraceBuilder(random.Random(seed)).build(60):
+            s = apply_label(s, lbl)
+            kinds.add(lbl.kind)
+            rebuilt = RbacState(s.users, s.roles, s.perms, s.ur, s.pa)
+            assert s._index == rebuilt._index, lbl
+            check_invariants(s)
+    assert kinds == set(LABEL_KINDS)
+
+
+def test_successor_shares_untouched_index_entries():
+    s = apply_label(BASE, lab("assignU", user="u2", role="r1"))
+    assert s.members_of("r1") == {"u1", "u2"} and s.roles_of("u2") == {"r1"}
+    assert s.roles_of("u1") is BASE.roles_of("u1")
+    assert s.files_of("r1") is BASE.files_of("r1")
+    assert s.holders_of("f1") is BASE.holders_of("f1")
+
+
+def test_check_invariants_rejects_a_stale_index():
+    s = RbacState(BASE.users, BASE.roles, BASE.perms, BASE.ur, BASE.pa)
+    s.__dict__["_index"] = apply_label(
+        BASE, lab("revokeU", user="u1", role="r1")
+    )._index
+    with pytest.raises(AssertionError, match="stale index"):
+        check_invariants(s)
 
 
 # -- property: invariants hold along any trace of well-formed labels

@@ -428,9 +428,9 @@ def test_composite_labels_reconcile_at_dataset_scale(variant):
         measured = measure_label(start.fork(), label)
         assert sum(measured.totals().values()) == primitives
         t0 = time.monotonic()
-        algebraic_cost(label, state, versions)
+        predicted = algebraic_cost(label, state, versions)
         assert time.monotonic() - t0 < 0.05
-        assert not reconcile(measured, label, state, versions, variant)
+        assert not reconcile(measured, predicted, variant)
 
 
 def test_revocation_window_tracking():
