@@ -170,8 +170,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     variants = ("ibe", "pki") if args.variant == "both" else (args.variant,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the model prices both variants alike: unless each variant's engine is
-    # audited, the first variant's runs stand for the others under their name
+    # the model prices all variants alike, so only an audit runs each one
     priced = variants if args.check_costs else variants[:1]
     results = []
     for variant in priced:

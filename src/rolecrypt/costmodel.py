@@ -346,9 +346,8 @@ def reconcile(
     measured: CostVector, predicted: CostVector, variant: str = "ibe"
 ) -> CostVector:
     """Difference between an engine of ``variant``'s counters, in its own
-    names, and the price ``predicted`` for the same label (an
-    ``algebraic_cost``, in identity-based names); zero (falsy) when the two
-    match exactly."""
+    names, and ``predicted``, the ``algebraic_cost`` of the same label; zero
+    (falsy) when the two match exactly."""
     if variant == "pki":
         predicted = predicted.renamed(IBE_TO_PKI)
     return measured - predicted

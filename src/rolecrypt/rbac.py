@@ -9,9 +9,10 @@ but not for exact assignment queries.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 READ = "Read"
 RW = "RW"
@@ -97,26 +98,23 @@ _NONE: frozenset = frozenset()
 _FILES, _HOLDERS, _MEMBERS, _ROLES = range(4)
 
 
-def _entries(ur: Iterable[tuple], pa: Iterable[tuple]) -> Iterator[tuple]:
-    """(index, key, value) of each index entry of UR pairs and PA triples."""
-    for u, r in ur:
-        yield _ROLES, u, r
-        yield _MEMBERS, r, u
-    for r, f, _ in pa:
-        yield _FILES, r, f
-        yield _HOLDERS, f, r
-
-
-def _reindexed(index: tuple, gone: Iterable, new: Iterable) -> tuple:
-    """``index`` with the ``gone`` entries removed, then the ``new`` ones
-    added, as the counting algorithm keeps an incremental view (Gupta,
-    Mumick & Subrahmanian, SIGMOD 1993).  Copy on write: a map that changes
-    is copied, and every other map and set is shared."""
+def _reindexed(index: tuple, ur_gone, ur_new, pa_gone, pa_new) -> tuple:
+    """``index`` with the entries of the ``gone`` UR pairs and PA triples
+    removed, then those of the ``new`` ones added, as the counting algorithm
+    keeps an incremental view (Gupta, Mumick & Subrahmanian, SIGMOD 1993).
+    Copy on write: a map that changes is copied, and every other map and
+    set is shared."""
     out = list(index)
-    for added, entries in ((False, gone), (True, new)):
-        delta: dict[tuple[int, str], set[str]] = {}
-        for i, k, v in entries:
-            delta.setdefault((i, k), set()).add(v)
+    for added, ur, pa in ((False, ur_gone, pa_gone), (True, ur_new, pa_new)):
+        if not (ur or pa):
+            continue
+        delta: defaultdict[tuple[int, str], set[str]] = defaultdict(set)
+        for u, r in ur:
+            delta[_ROLES, u].add(r)
+            delta[_MEMBERS, r].add(u)
+        for r, f, _ in pa:
+            delta[_FILES, r].add(f)
+            delta[_HOLDERS, f].add(r)
         for (i, k), vs in delta.items():
             if out[i] is index[i]:
                 out[i] = dict(index[i])
@@ -147,7 +145,7 @@ class RbacState:
 
     @cached_property
     def _index(self) -> tuple[dict[str, frozenset[str]], ...]:
-        return _reindexed(({}, {}, {}, {}), (), _entries(self.ur, self.pa))
+        return _reindexed(({}, {}, {}, {}), (), self.ur, (), self.pa)
 
     def pa_op(self, role: str, fn: str) -> Optional[str]:
         """The op the role holds for the file, or None."""
@@ -178,14 +176,15 @@ def _moved(
     edited."""
     ur = state.ur.difference(ur_gone) if ur_gone else state.ur
     pa = state.pa.difference(pa_gone) if pa_gone else state.pa
-    new = replace(
-        state,
-        ur=ur.union(ur_new) if ur_new else ur,
-        pa=pa.union(pa_new) if pa_new else pa,
-        **fields,
+    new = RbacState(
+        fields.get("users", state.users),
+        fields.get("roles", state.roles),
+        fields.get("perms", state.perms),
+        ur.union(ur_new) if ur_new else ur,
+        pa.union(pa_new) if pa_new else pa,
     )
     new.__dict__["_index"] = _reindexed(
-        state._index, _entries(ur_gone, pa_gone), _entries(ur_new, pa_new)
+        state._index, ur_gone, ur_new, pa_gone, pa_new
     )
     return new
 
