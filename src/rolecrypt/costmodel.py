@@ -20,11 +20,10 @@ Two layers:
 
 Scheme data lives in ``data/schemes.json``: per-operation group-operation
 counts for eight identity-based encryption schemes and five identity-based
-signature schemes, plus the relative cost of each group operation.  The file
-also transcribes the published key, ciphertext and signature sizes; pricing
-reads only the operation counts.  Symmetric primitives are treated as free.
-Prices use the identity-based counter names for both variants; only
-``reconcile`` renames them, to compare with a ``pki`` engine's counters.
+signature schemes, plus the relative cost of each group operation.
+Symmetric primitives are treated as free.  Prices use the identity-based
+counter names for both variants; only ``reconcile`` renames them, to compare
+with a ``pki`` engine's counters.
 """
 
 from __future__ import annotations

@@ -360,14 +360,6 @@ class Engine:
             tag, _, signer_of, _ = _SIGNED[type(t)]
             raise IntegrityError(f"bad signature by {signer_of(t)} on {tag}")
 
-    def _sound(self, t, key, holder: Optional[Identity] = None) -> bool:
-        """Whether ``t``, read from ``key``, passes ``_verify``."""
-        try:
-            self._verify(t, key, holder)
-        except IntegrityError:
-            return False
-        return True
-
     def _get(self, tag: str, key):
         """The stored ``tag`` tuple at ``key``, which the record says was
         issued; a store that withholds it raises ``IntegrityError``."""
@@ -375,6 +367,29 @@ class Engine:
         if t is None:
             raise IntegrityError(f"missing {tag} tuple at {key!r}")
         return t
+
+    def _sound(self, tag: str, key, holder: Optional[Identity] = None):
+        """The ``tag`` tuple at ``key`` if ``_get`` finds it and it passes
+        ``_verify``, else None: the queries' form of the checked fetch."""
+        try:
+            t = self._get(tag, key)
+            self._verify(t, key, holder)
+        except IntegrityError:
+            return None
+        return t
+
+    def _require(self, verb: str, user=None, role=None, file=None) -> None:
+        """Raise ``RbacError`` naming the first of ``user``, ``role`` and
+        ``file`` (those given) that the engine does not know."""
+        if user is not None and user not in self.users:
+            kind, name = "user", user
+        elif role is not None and role not in self.roles:
+            kind, name = "role", role
+        elif file is not None and file not in self.files:
+            kind, name = "file", file
+        else:
+            return
+        raise RbacError(f"{verb}: no {kind} {name!r}")
 
     def _rk_holders(self, r: str) -> list[str]:
         return sorted({SUPERUSER, *self.members[r]})
@@ -517,10 +532,7 @@ class Engine:
         del self.files[fn]
 
     def assign_user(self, u: str, r: str) -> None:
-        if u not in self.users:
-            raise RbacError(f"assignU: no user {u!r}")
-        if r not in self.roles:
-            raise RbacError(f"assignU: no role {r!r}")
+        self._require("assignU", user=u, role=r)
         if u in self.members[r]:
             self._warn(f"assignU: {u!r} already in {r!r}")
             return
@@ -534,10 +546,7 @@ class Engine:
         self.members[r].add(u)
 
     def revoke_user(self, u: str, r: str) -> None:
-        if u not in self.users:
-            raise RbacError(f"revokeU: no user {u!r}")
-        if r not in self.roles:
-            raise RbacError(f"revokeU: no role {r!r}")
+        self._require("revokeU", user=u, role=r)
         if u not in self.members[r]:
             self._warn(f"revokeU: {u!r} not in {r!r}")
             return
@@ -612,10 +621,7 @@ class Engine:
     def assign_perm(self, r: str, fn: str, op: str) -> None:
         if op not in (READ, RW):
             raise RbacError(f"assignP: bad op {op!r}")
-        if r not in self.roles:
-            raise RbacError(f"assignP: no role {r!r}")
-        if fn not in self.files:
-            raise RbacError(f"assignP: no file {fn!r}")
+        self._require("assignP", role=r, file=fn)
         held = self.ops[r].get(fn)
         if held == RW or held == op:
             self._warn(f"assignP: {r!r} already holds {held} on {fn!r}")
@@ -632,10 +638,7 @@ class Engine:
     def revoke_perm(self, r: str, fn: str, op: str) -> None:
         if op not in (WRITE, RW):
             raise RbacError(f"revokeP: bad op {op!r}")
-        if r not in self.roles:
-            raise RbacError(f"revokeP: no role {r!r}")
-        if fn not in self.files:
-            raise RbacError(f"revokeP: no file {fn!r}")
+        self._require("revokeP", role=r, file=fn)
         held = self.ops[r].get(fn)
         if held is None:
             self._warn(f"revokeP: {r!r} holds nothing on {fn!r}")
@@ -657,24 +660,23 @@ class Engine:
 
     # -- data path
 
-    def _qualifying_roles(self, u: str, fn: str, write: bool) -> list[str]:
-        """The roles, in sorted order, through which the record lets ``u``
-        read ``fn``, or write it when ``write``."""
+    def _qualifying_roles(self, u: str, fn: str, op: str) -> list[str]:
+        """The roles, in sorted order, through which the record grants ``u``
+        ``op`` on ``fn``: the engine's one access rule."""
         return [
             r for r in sorted(self.holders[fn])
-            if u in self.members[r] and (not write or self.ops[r][fn] == RW)
+            if u in self.members[r] and grants(self.ops[r][fn], op)
         ]
 
     def _open_file_key(self, verb: str, u: str, fn: str):
         """The data path up to the file key: check the request (``verb`` is
         "read" or "write"), take the lexicographically least qualifying role,
         and unwrap its role keys and its key for ``fn``.  Returns the role,
-        the role's signing key, the FK tuple and the file key."""
-        if u not in self.users:
-            raise RbacError(f"{verb}: no user {u!r}")
-        if fn not in self.files:
-            raise RbacError(f"{verb}: no file {fn!r}")
+        the role's signing key, the FK tuple, the file key and, for a read,
+        the F tuple."""
+        self._require(verb, user=u, file=fn)
         write = verb == "write"
+        body = None
         if write:
             version = self.files[fn]
         else:
@@ -683,7 +685,7 @@ class Engine:
             version = body.version
             if version != self.body_versions[fn]:
                 raise IntegrityError(f"replayed stale body of {fn!r}")
-        roles = self._qualifying_roles(u, fn, write)
+        roles = self._qualifying_roles(u, fn, RW if write else READ)
         if not roles:
             raise AuthorizationError(f"{u!r} may not {verb} {fn!r}")
         r = roles[0]
@@ -697,17 +699,17 @@ class Engine:
         fkt = self._get("FK", fk_key)
         self._verify(fkt, fk_key, role_dec.owner)
         k = self.binding.dec(self.provider, role_dec, fkt.ct)
-        return r, role_sig, fkt, k
+        return r, role_sig, fkt, k, body
 
     def read_file(self, u: str, fn: str) -> bytes:
-        k = self._open_file_key("read", u, fn)[3]
-        return self.provider.sym_dec(k, self.fs.f[fn].body)
+        *_, k, ft = self._open_file_key("read", u, fn)
+        return self.provider.sym_dec(k, ft.body)
 
     def write_file(self, u: str, fn: str, body: bytes) -> None:
-        r, role_sig, fkt, k = self._open_file_key("write", u, fn)
+        r, role_sig, fkt, k, _ = self._open_file_key("write", u, fn)
         vfn = self.files[fn]
         body_ct = self.provider.sym_enc(k, body)
-        wident = role_identity(r, self.roles[r].version)
+        wident = self._wrap_target(r)[0]
         ftup = self._signed(FTuple, role_sig, fn, vfn, body_ct, wident)
         with self.provider.scope(REFERENCE_MONITOR):
             if ftup.version != self.files[fn]:
@@ -721,40 +723,25 @@ class Engine:
     #
     # Each query answers from the record first: no membership or grant there
     # is False, whatever the store holds.  Only a recorded fact is checked
-    # against its tuple, which must be present and sound.
+    # against its tuple, which must be present and sound.  ``query_auth`` is
+    # the data path's rule: a qualifying role that holds both tuples.
 
     def query_member(self, u: str, r: str) -> bool:
         if u not in self.members.get(r, ()):
             return False
-        key = (u, r, self.roles[r].version)
-        t = self.fs.rk.get(key)
-        return t is not None and self._sound(t, key)
+        return self._sound("RK", (u, r, self.roles[r].version)) is not None
 
     def query_holds(self, r: str, fn: str, op: str) -> bool:
         if self.ops.get(r, {}).get(fn) != op:
             return False
-        key = (r, fn, self.files[fn])
-        t = self.fs.fk.get(key)
-        if t is None or t.op != op or t.issuer != SU_IDENTITY:
-            return False
-        return self._sound(t, key, role_identity(r, self.roles[r].version))
+        t = self._sound("FK", (r, fn, self.files[fn]), self._wrap_target(r)[0])
+        return t is not None and t.op == op and t.issuer == SU_IDENTITY
 
     def query_auth(self, u: str, fn: str, op: str) -> bool:
-        if fn not in self.files:
-            return False
-        vfn = self.files[fn]
-        for rn in sorted(self.holders[fn]):
-            held = self.ops[rn][fn]
-            if not grants(held, op):
-                continue
-            key = (rn, fn, vfn)
-            t = self.fs.fk.get(key)
-            if t is None or t.op != held or t.issuer != SU_IDENTITY:
-                continue
-            ident = role_identity(rn, self.roles[rn].version)
-            if self.query_member(u, rn) and self._sound(t, key, ident):
-                return True
-        return False
+        return fn in self.files and any(
+            self.query_member(u, r) and self.query_holds(r, fn, self.ops[r][fn])
+            for r in self._qualifying_roles(u, fn, op)
+        )
 
     # -- instrumentation (uncounted store walks)
 

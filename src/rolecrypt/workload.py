@@ -715,7 +715,6 @@ def user_revocation_summary(
         "median_units_per_user_revocation": (
             statistics.median(per_run) if per_run else 0.0
         ),
-        "runs_with_user_revocations": len(per_run),
     }
 
 

@@ -20,6 +20,7 @@ from rolecrypt.crypto import (
     REFERENCE_MONITOR,
     UnauthorizedDecrypt,
 )
+from rolecrypt.equivalence import random_trace
 from rolecrypt.engine import (
     BINDINGS,
     AuthorizationError,
@@ -37,6 +38,8 @@ from rolecrypt.rbac import (
     RbacError,
     RbacState,
 )
+from rolecrypt.rbac import apply_label as oracle_apply
+from rolecrypt.rbac import eval_query
 from rolecrypt.rbac import theory as oracle_theory
 from rolecrypt.workload import Dataset, seed_engine
 
@@ -785,6 +788,48 @@ def test_errors_on_unknown_names():
         eng.assign_perm("r1", "f1", WRITE)  # not a grantable level
 
 
+def _refusal(call, *args):
+    """The message of the ``RbacError`` that ``call(*args)`` raises, or
+    None if it raises none."""
+    try:
+        call(*args)
+    except RbacError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_unknown_names_are_refused_in_the_models_words(binding):
+    eng = engine_with(
+        users=["u1"], roles=["r1"], files=["f1"], binding=binding
+    )
+    state = eng.state()
+    labels = [
+        Label(kind, user=u, role=r, file=fn, op=op)
+        for kind, ops in (
+            ("assignU", [None]), ("revokeU", [None]),
+            ("assignP", [READ, RW]), ("revokeP", [WRITE, RW]),
+        )
+        for u in ("u1", "x") for r in ("r1", "y") for fn in ("f1", "z")
+        for op in ops
+    ]
+    refused = 0
+    for lbl in labels:
+        said = _refusal(oracle_apply, state, lbl)
+        assert _refusal(eng.fork().apply_label, lbl) == said, lbl
+        refused += said is not None
+    assert (len(labels), refused) == (48, 36)
+    # the data path names a missing user before a missing file
+    for call, args, said in (
+        (eng.read_file, ("x", "f1"), "read: no user 'x'"),
+        (eng.read_file, ("x", "z"), "read: no user 'x'"),
+        (eng.read_file, ("u1", "z"), "read: no file 'z'"),
+        (eng.write_file, ("x", "z", b"w"), "write: no user 'x'"),
+        (eng.write_file, ("u1", "z", b"w"), "write: no file 'z'"),
+    ):
+        assert _refusal(call, *args) == said
+
+
 # -- queries and derived facts
 
 
@@ -798,6 +843,40 @@ def test_query_costs_and_answers():
     cost, ok = measure(eng, eng.query_auth, "u1", "f1", READ)
     assert ok and cost.totals() == {"ibs_ver": 2}
     assert not eng.query_auth("u2", "f1", READ)
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_queries_answer_as_the_model_on_reachable_states(binding):
+    """After every label of a trace, each counted query answers as
+    ``rbac.eval_query`` on the model's state, and ``query_auth`` costs two
+    verifications when it grants and none when it refuses."""
+    ver = {"ibe": "ibs_ver", "pki": IBE_TO_PKI["ibs_ver"]}[binding]
+    checks = 0
+    for seed in range(20):
+        eng, state = Engine(binding), RbacState()
+        for lbl in random_trace(random.Random(seed), 40):
+            eng.apply_label(lbl)
+            state = oracle_apply(state, lbl)
+            users, roles = sorted(state.users), sorted(state.roles)
+            files = sorted(state.perms)
+            for u in users:
+                for r in roles:
+                    said = eval_query(state, ("UR", u, r))
+                    assert eng.query_member(u, r) == said, (lbl, u, r)
+                for fn in files:
+                    for op in (READ, RW, WRITE):
+                        cost, ok = measure(eng, eng.query_auth, u, fn, op)
+                        said = eval_query(state, ("auth", u, fn, op))
+                        assert ok == said, (lbl, u, fn, op)
+                        assert cost.totals() == ({ver: 2} if ok else {})
+            for r in roles:
+                for fn in files:
+                    for op in (READ, RW):
+                        said = eval_query(state, ("PA", r, fn, op))
+                        assert eng.query_holds(r, fn, op) == said
+            checks += len(users) * (len(roles) + 3 * len(files))
+            checks += 2 * len(roles) * len(files)
+    assert checks > 40000
 
 
 def test_theory_matches_reference_model():
