@@ -20,7 +20,6 @@ from rolecrypt.crypto import (
     REFERENCE_MONITOR,
     UnauthorizedDecrypt,
 )
-from rolecrypt.equivalence import random_trace
 from rolecrypt.engine import (
     BINDINGS,
     AuthorizationError,
@@ -28,6 +27,7 @@ from rolecrypt.engine import (
     IntegrityError,
     measure_label,
 )
+from rolecrypt.equivalence import random_trace
 from rolecrypt.rbac import (
     LABEL_KINDS,
     READ,
@@ -37,9 +37,9 @@ from rolecrypt.rbac import (
     Label,
     RbacError,
     RbacState,
+    eval_query,
 )
 from rolecrypt.rbac import apply_label as oracle_apply
-from rolecrypt.rbac import eval_query
 from rolecrypt.rbac import theory as oracle_theory
 from rolecrypt.workload import Dataset, seed_engine
 
