@@ -82,7 +82,7 @@ def roll_versions(
     to a warning roll nothing."""
     k, r = label.kind, label.role
     roles: Iterable[str] = ()
-    if (k == "revokeU" and (label.user, r) in state.ur) or k == "delR":
+    if (k == "revokeU" and r in state.roles_of(label.user)) or k == "delR":
         roles = (r,)
     elif k == "delU":
         roles = state.roles_of(label.user)
@@ -149,10 +149,10 @@ def algebraic_cost(
     elif k == "delP":
         pass  # tuple deletion only
     elif k == "assignU":
-        if (label.user, label.role) not in state.ur:
+        if label.role not in state.roles_of(label.user):
             _reissue(bag, 1, opened=True)
     elif k == "revokeU":
-        if (label.user, label.role) in state.ur:
+        if label.role in state.roles_of(label.user):
             _revoke_user_cost(bag, label.role, state, versions)
     elif k == "delU":
         if label.user in state.users:

@@ -9,10 +9,9 @@ but not for exact assignment queries.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 READ = "Read"
 RW = "RW"
@@ -93,36 +92,101 @@ class Label:
 
 _NONE: frozenset = frozenset()
 
-#: Positions in ``RbacState._index`` of its four maps: role -> files it
-#: holds, file -> roles holding it, role -> members, user -> roles.
-_FILES, _HOLDERS, _MEMBERS, _ROLES = range(4)
+#: Positions in ``RbacState._index`` of its four maps: role -> {file: op it
+#: holds}, file -> roles holding it, role -> members, user -> roles.
+_OPS, _HOLDERS, _MEMBERS, _ROLES = range(4)
+
+_NO_OPS: dict[str, str] = {}
 
 
 def _reindexed(index: tuple, ur_gone, ur_new, pa_gone, pa_new) -> tuple:
     """``index`` with the entries of the ``gone`` UR pairs and PA triples
     removed, then those of the ``new`` ones added, as the counting algorithm
     keeps an incremental view (Gupta, Mumick & Subrahmanian, SIGMOD 1993).
-    Copy on write: a map that changes is copied, and every other map and
-    set is shared."""
+    Copy on write: a map or entry that changes is copied, and every other
+    map and entry is shared."""
+    edits: dict[tuple[int, str], set | dict] = {}
+
+    def edit(i: int, key: str):
+        e = edits.get((i, key))
+        if e is None:
+            held = index[i].get(key, ())
+            e = edits[i, key] = dict(held) if i == _OPS else set(held)
+        return e
+
+    for u, r in ur_gone:
+        edit(_ROLES, u).discard(r)
+        edit(_MEMBERS, r).discard(u)
+    for r, f, _ in pa_gone:
+        del edit(_OPS, r)[f]
+        edit(_HOLDERS, f).discard(r)
+    for u, r in ur_new:
+        edit(_ROLES, u).add(r)
+        edit(_MEMBERS, r).add(u)
+    for r, f, op in pa_new:
+        edit(_OPS, r)[f] = op
+        edit(_HOLDERS, f).add(r)
     out = list(index)
-    for added, ur, pa in ((False, ur_gone, pa_gone), (True, ur_new, pa_new)):
-        if not (ur or pa):
-            continue
-        delta: defaultdict[tuple[int, str], set[str]] = defaultdict(set)
-        for u, r in ur:
-            delta[_ROLES, u].add(r)
-            delta[_MEMBERS, r].add(u)
-        for r, f, _ in pa:
-            delta[_FILES, r].add(f)
-            delta[_HOLDERS, f].add(r)
-        for (i, k), vs in delta.items():
-            if out[i] is index[i]:
-                out[i] = dict(index[i])
-            held = out[i].get(k, _NONE)
-            out[i][k] = held = held | vs if added else held - vs
-            if not held:
-                del out[i][k]
+    for (i, key), e in edits.items():
+        if out[i] is index[i]:
+            out[i] = dict(index[i])
+        if not e:
+            out[i].pop(key, None)
+        else:
+            out[i][key] = e if i == _OPS else frozenset(e)
     return tuple(out)
+
+
+class _Trail:
+    """Where an unread successor's UR and PA come from: ``base`` is either
+    the (UR, PA) pair of the nearest state that built them or the trail of
+    an unread predecessor, and ``edits`` is the label's (UR gone, UR new,
+    PA gone, PA new).  A chain of trails holds edits only, never a state or
+    its indexes, the path sharing of persistent structures (Driscoll,
+    Sarnak, Sleator & Tarjan, JCSS 1989)."""
+
+    __slots__ = ("base", "edits")
+
+    def __init__(self, base, edits: tuple) -> None:
+        self.base = base
+        self.edits = edits
+
+
+def _build_relations(state: "RbacState") -> None:
+    """Build ``state``'s UR and PA from its trail, starting from the nearest
+    built pair, by the same set algebra step by step; iterative, so a chain
+    of any length builds.  The trail then holds the built pair, where every
+    later read of a successor starts."""
+    trail = state.__dict__.pop("_trail")
+    chain = []
+    t = trail
+    while isinstance(t, _Trail):
+        chain.append(t.edits)
+        t = t.base
+    ur, pa = t
+    for ur_gone, ur_new, pa_gone, pa_new in reversed(chain):
+        ur = ur.difference(ur_gone) if ur_gone else ur
+        pa = pa.difference(pa_gone) if pa_gone else pa
+        ur = ur.union(ur_new) if ur_new else ur
+        pa = pa.union(pa_new) if pa_new else pa
+    trail.base, trail.edits = (ur, pa), ((), (), (), ())
+    state.__dict__.update(ur=ur, pa=pa)
+
+
+class _Relation:
+    """A relation field of ``RbacState``: its default is the empty set, and
+    on a successor that has not yet been read it builds UR and PA on first
+    access.  After that, or on a state built with its relations, the value
+    sits in the instance and this descriptor is never consulted."""
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return _NONE
+        _build_relations(state)
+        return state.__dict__[self.name]
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -133,26 +197,32 @@ class RbacState:
     two ground query permissions (fn, Read) and (fn, RW).  ``pa`` entries are
     (role, file, op) with op in {Read, RW}, at most one per (role, file).
 
-    The per-name accessors answer from indexes of ``ur`` and ``pa``, built
-    on first use and carried by ``apply_label`` to the successor state.
+    The per-name accessors and ``pa_op`` answer from indexes of ``ur`` and
+    ``pa``, built on first use and carried by ``apply_label`` to the
+    successor state with only the touched entries edited.  A successor
+    carries its relations as the label's edits and builds ``ur`` and ``pa``
+    by set algebra only when something reads them, so applying a label
+    copies neither relation.  Equality, hashing, ``repr``, ``replace`` and
+    pickling read the built relations.
     """
 
     users: frozenset[str] = frozenset()
     roles: frozenset[str] = frozenset()
     perms: frozenset[str] = frozenset()
-    ur: frozenset[tuple[str, str]] = frozenset()
-    pa: frozenset[tuple[str, str, str]] = frozenset()
+    ur: frozenset[tuple[str, str]] = _Relation()
+    pa: frozenset[tuple[str, str, str]] = _Relation()
 
     @cached_property
-    def _index(self) -> tuple[dict[str, frozenset[str]], ...]:
+    def _index(self) -> tuple[dict, ...]:
         return _reindexed(({}, {}, {}, {}), (), self.ur, (), self.pa)
+
+    def __getstate__(self) -> dict:
+        self.ur  # an unread successor builds its relations
+        return self.__dict__
 
     def pa_op(self, role: str, fn: str) -> Optional[str]:
         """The op the role holds for the file, or None."""
-        for op in (RW, READ):
-            if (role, fn, op) in self.pa:
-                return op
-        return None
+        return self._index[_OPS].get(role, _NO_OPS).get(fn)
 
     def roles_of(self, user: str) -> frozenset[str]:
         return self._index[_ROLES].get(user, _NONE)
@@ -163,8 +233,9 @@ class RbacState:
     def holders_of(self, fn: str) -> frozenset[str]:
         return self._index[_HOLDERS].get(fn, _NONE)
 
-    def files_of(self, role: str) -> frozenset[str]:
-        return self._index[_FILES].get(role, _NONE)
+    def files_of(self, role: str) -> Mapping[str, str]:
+        """The files the role holds, each mapped to the op it holds."""
+        return self._index[_OPS].get(role, _NO_OPS)
 
 
 def _moved(
@@ -173,18 +244,16 @@ def _moved(
     """The successor of ``state`` with the given lists of UR pairs and PA
     triples removed and added and ``fields`` replaced.  It carries
     ``state``'s indexes with only the entries those pairs and triples touch
-    edited."""
-    ur = state.ur.difference(ur_gone) if ur_gone else state.ur
-    pa = state.pa.difference(pa_gone) if pa_gone else state.pa
-    new = RbacState(
-        fields.get("users", state.users),
-        fields.get("roles", state.roles),
-        fields.get("perms", state.perms),
-        ur.union(ur_new) if ur_new else ur,
-        pa.union(pa_new) if pa_new else pa,
-    )
-    new.__dict__["_index"] = _reindexed(
-        state._index, ur_gone, ur_new, pa_gone, pa_new
+    edited, and its relations as a trail of edits from ``state``'s."""
+    d = state.__dict__
+    base = d["_trail"] if "_trail" in d else (d["ur"], d["pa"])
+    new = object.__new__(RbacState)
+    new.__dict__.update(
+        users=fields.get("users", state.users),
+        roles=fields.get("roles", state.roles),
+        perms=fields.get("perms", state.perms),
+        _trail=_Trail(base, (ur_gone, ur_new, pa_gone, pa_new)),
+        _index=_reindexed(state._index, ur_gone, ur_new, pa_gone, pa_new),
     )
     return new
 
@@ -262,7 +331,7 @@ def apply_label(
         return _moved(
             state,
             ur_gone=[(u, r) for u in state.members_of(r)],
-            pa_gone=[(r, fn, state.pa_op(r, fn)) for fn in state.files_of(r)],
+            pa_gone=[(r, fn, op) for fn, op in state.files_of(r).items()],
             roles=state.roles - {r},
         )
 
@@ -290,7 +359,7 @@ def apply_label(
             raise RbacError(f"assignU: no user {u!r}")
         if r not in state.roles:
             raise RbacError(f"assignU: no role {r!r}")
-        if (u, r) in state.ur:
+        if r in state.roles_of(u):
             _warn(on_warning, f"assignU: {u!r} already in {r!r}")
             return state
         return _moved(state, ur_new=[(u, r)])
@@ -301,7 +370,7 @@ def apply_label(
             raise RbacError(f"revokeU: no user {u!r}")
         if r not in state.roles:
             raise RbacError(f"revokeU: no role {r!r}")
-        if (u, r) not in state.ur:
+        if r not in state.roles_of(u):
             _warn(on_warning, f"revokeU: {u!r} not in {r!r}")
             return state
         return _moved(state, ur_gone=[(u, r)])

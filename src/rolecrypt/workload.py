@@ -149,6 +149,12 @@ class Dataset:
         state._index  # built here, once per dataset, not in the first run
         return state
 
+    @cached_property
+    def _pair_sets(self) -> tuple["IndexedSet", "IndexedSet"]:
+        """UR and PA as the sets ``sample_events`` draws from, built once
+        per dataset; each run edits a copy."""
+        return IndexedSet(self.ur), IndexedSet(self.pa)
+
     def marginals(self) -> dict[str, int]:
         return {
             "users": len(self.users),
@@ -421,6 +427,14 @@ class IndexedSet:
             self._list[i] = last
             self._pos[last] = i
 
+    def copy(self) -> "IndexedSet":
+        """An independent set with the same elements in the same order, so
+        ``choose`` draws the same element for the same ``rng`` state."""
+        new = IndexedSet()
+        new._list = self._list.copy()
+        new._pos = self._pos.copy()
+        return new
+
     def choose(self, rng: random.Random):
         return self._list[rng.randrange(len(self._list))]
 
@@ -444,8 +458,7 @@ def sample_events(
     """One run's administrative arrivals.  Targets are uniform over the
     eligible pairs at the moment of the event."""
     users, roles, perms = dataset.users, dataset.roles, dataset.perms
-    ur = IndexedSet(dataset.ur)
-    pa = IndexedSet(dataset.pa)
+    ur, pa = (pairs.copy() for pairs in dataset._pair_sets)
     kind_rates = rates.kind_rates()
     kinds = list(kind_rates)
     weights = [kind_rates[k] for k in kinds]

@@ -23,6 +23,7 @@ from rolecrypt.rbac import (
     grants,
     theory,
 )
+from rolecrypt.rbac import _OPS
 from rolecrypt.equivalence import TraceBuilder
 
 
@@ -310,6 +311,103 @@ def test_check_invariants_rejects_a_stale_index():
         check_invariants(s)
 
 
+def test_check_invariants_rejects_a_stale_op_entry():
+    s = RbacState(BASE.users, BASE.roles, BASE.perms, BASE.ur, BASE.pa)
+    index = list(BASE._index)
+    assert index[_OPS]["r1"] == {"f1": RW}
+    index[_OPS] = {**index[_OPS], "r1": {"f1": READ}}
+    s.__dict__["_index"] = tuple(index)
+    with pytest.raises(AssertionError, match="stale index"):
+        check_invariants(s)
+
+
+# -- relations: an independent oracle of each label's effect on UR and PA
+
+
+def _effect(state, label):
+    """The UR and PA after ``label``, as plain sets computed from
+    ``state``'s relations alone."""
+    ur, pa = set(state.ur), set(state.pa)
+    k, u, r, f, op = label.kind, label.user, label.role, label.file, label.op
+    held = {t for t in pa if t[:2] == (r, f)}
+    if k == "delU":
+        ur = {p for p in ur if p[0] != u}
+    elif k == "delR":
+        ur = {p for p in ur if p[1] != r}
+        pa = {t for t in pa if t[0] != r}
+    elif k == "delP":
+        pa = {t for t in pa if t[1] != f}
+    elif k == "assignU":
+        ur.add((u, r))
+    elif k == "revokeU":
+        ur.discard((u, r))
+    elif k == "assignP" and not held & {(r, f, RW), (r, f, op)}:
+        pa = pa - held | {(r, f, op)}
+    elif k == "revokeP" and op == RW:
+        pa -= held
+    elif k == "revokeP" and (r, f, RW) in held:
+        pa = pa - held | {(r, f, READ)}
+    return ur, pa
+
+
+def _oracle_walk(labels, read_at_once):
+    """Apply ``labels`` from the empty state, skipping those the model
+    rejects; return each successor with the relations the oracle expects of
+    it.  With ``read_at_once`` every successor's relations are read as soon
+    as it exists, else none is read during the walk."""
+    s, out = RbacState(), []
+    for lbl in labels:
+        expected = _effect(s, lbl) if read_at_once else None
+        try:
+            nxt = apply_label(s, lbl)
+        except RbacError:
+            continue
+        if read_at_once:
+            assert (nxt.ur, nxt.pa) == expected, lbl
+        out.append((lbl, s, nxt))
+        s = nxt
+    return out
+
+
+def _trace_kinds_and_check(labels):
+    """Every successor's relations equal the oracle's, read at once and
+    read only after the whole trace, in reverse order; returns the kinds."""
+    _oracle_walk(labels, read_at_once=True)
+    walk = _oracle_walk(labels, read_at_once=False)
+    for lbl, pre, s in reversed(walk):
+        assert (s.ur, s.pa) == _effect(pre, lbl), lbl
+        check_invariants(s)
+    return {lbl.kind for lbl, _, _ in walk}
+
+
+def test_relations_equal_an_independent_oracle():
+    kinds = set()
+    for seed in range(20):
+        kinds |= _trace_kinds_and_check(
+            TraceBuilder(random.Random(seed)).build(60)
+        )
+    assert kinds == set(LABEL_KINDS)
+
+
+def test_long_unread_chain_builds_its_relations():
+    s = run(*[lab("addU", user=f"u{i}") for i in range(10)],
+            lab("addR", role="r"), lab("addP", file="f"))
+    want_ur, want_pa = set(), set()
+    for i in range(5000):
+        if i % 2:
+            pair = (f"u{i % 10}", "r")
+            kind = "revokeU" if pair in want_ur else "assignU"
+            want_ur ^= {pair}
+            s = apply_label(s, lab(kind, user=pair[0], role="r"))
+        else:
+            kind = "revokeP" if want_pa else "assignP"
+            want_pa ^= {("r", "f", RW)}
+            s = apply_label(s, lab(kind, role="r", file="f", op=RW))
+    assert "ur" not in vars(s)  # nothing has read the chain's relations
+    assert (s.ur, s.pa) == (want_ur, want_pa)
+    check_invariants(s)
+
+
 # -- property: invariants hold along any trace of well-formed labels
 
 _USERS = st.sampled_from(["a", "b", "c"])
@@ -353,3 +451,9 @@ def test_trace_preserves_invariants(labels):
         for f in facts:
             if f[0] == "auth" and f[3] == RW:
                 assert ("auth", f[1], f[2], READ) in facts
+
+
+@settings(deadline=None)
+@given(st.lists(_labels(), max_size=60))
+def test_relations_equal_an_independent_oracle_on_any_trace(labels):
+    _trace_kinds_and_check(labels)

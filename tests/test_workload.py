@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
 import time
 from collections import Counter
@@ -221,6 +222,45 @@ def test_indexed_set():
     picks = {s.choose(rng) for _ in range(50)}
     assert picks <= {"a", "c", "d"}
     assert len(picks) == 3
+
+
+def test_indexed_set_copy_is_independent_and_keeps_choose_order():
+    s = IndexedSet(["a", "b", "c", "d"])
+    s.discard("b")
+    c = s.copy()
+    assert [c.choose(random.Random(i)) for i in range(20)] == [
+        s.choose(random.Random(i)) for i in range(20)
+    ]
+    c.discard("a")
+    c.add("e")
+    assert "a" in s and "e" not in s and len(s) == 3
+    assert "a" not in c and "e" in c and len(c) == 3
+    s.discard("c")
+    assert "c" in c
+
+
+def _shared_sets(ds):
+    return [(list(x._list), dict(x._pos)) for x in ds._pair_sets]
+
+
+def test_sample_events_draws_from_the_datasets_sets_without_editing_them():
+    ds = synthesize_dataset("healthcare", random.Random(2))
+    rates = ActorRates(admin_rate=3.0, add_bias=0.8, ur_bias=0.5)
+
+    def events(d):
+        return sample_events(random.Random(7), d, rates, days=30.0)
+
+    first = events(ds)
+    before = _shared_sets(ds)
+    assert events(ds) == first
+    assert _shared_sets(ds) == before
+    assert any(e.kind.startswith("revoke") and e.label for e in first)
+    # a freshly loaded copy, and one that crossed a process boundary
+    # carrying the built sets, draw the same events
+    assert events(Dataset.from_dict(ds.to_dict())) == first
+    moved = pickle.loads(pickle.dumps(ds))
+    assert "_pair_sets" in vars(moved)
+    assert events(moved) == first
 
 
 def test_derive_seed_matches_direct_hash():
