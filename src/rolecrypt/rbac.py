@@ -5,6 +5,15 @@ against.  States are immutable; labels (administrative commands) produce new
 states.  Permissions are files, and a role holds at most one access level per
 file: ``Read`` or ``RW``.  ``RW`` subsumes ``Read`` for authorization queries
 but not for exact assignment queries.
+
+A label never copies a relation.  The successor it makes carries the
+predecessor's indexes (user -> roles, role -> members, role -> {file: op},
+file -> holders) with only the touched entries edited, and holds its UR and
+PA as the label's edits on top of the nearest state that built them; it
+builds them, by the same set algebra, only when something reads them.  Every
+per-name query, ``pa_op`` included, answers from the indexes, so pricing and
+applying a trace (as ``simulate`` does) reads neither relation, and
+``check_invariants`` can still compare the indexes with the relations.
 """
 
 from __future__ import annotations
