@@ -1,6 +1,6 @@
 """Lockstep checking of the enforcement engines against the reference model.
 
-Three pieces:
+Four pieces:
 
 * ``sigma`` maps model to engine: it builds the enforcement image of an
   abstract state directly, by replaying its contents in sorted order onto a
@@ -11,12 +11,11 @@ Three pieces:
   normal form.  Two states are *congruent* when their normal forms are equal:
   same users, roles, files, memberships, grants, and plaintexts, ignoring how
   many times keys have been rolled and which opaque key handles were drawn.
-* ``run_differential`` drives a trace through the reference model and an
-  engine together, checking after every label that the engine's derivable
-  facts match the model exactly, that measured primitive counts match the
-  closed-form prediction, that no decryption was ever attempted with a
-  mismatched key, and that between tuple writes the set of granted requests
-  never leaves the envelope of the pre- and post-states.
+* ``Lockstep`` advances the reference model and an engine together, label
+  by label, and checks each step.  Every checker steps it: the differential
+  check, the ``simulate --check-costs`` audit and cost reconciliation.
+* ``run_differential`` steps a trace from the empty state, and checks at its
+  end that the engine is congruent to the image of the model's state.
 
 Normal form details: stale file-key tuples (below the file's current version)
 are dropped, role versions are erased, signatures reduce to their signer, and
@@ -38,6 +37,7 @@ from typing import Optional, Sequence, Union
 
 from .costmodel import algebraic_cost, reconcile, roll_versions
 from .crypto import (
+    CostVector,
     Identity,
     SymbolicCiphertext,
     SymbolicKey,
@@ -150,6 +150,96 @@ def congruent(
     return canonicalize(a) == canonicalize(b)
 
 
+# --- lockstep -------------------------------------------------------------------
+
+
+class Lockstep:
+    """The reference model and an engine advanced together, one label at a
+    time.  The engine must hold ``sigma(state)``, and the stepper carries
+    the file-key versions on from that image's, every file at 1.
+
+    ``step`` applies a label to both and returns the first failed check as
+    ``(kind, detail)``, or None.  The kinds, in the order checked:
+
+    * ``unauthorized``: the engine decrypted with a mismatched key;
+    * ``error-mismatch``: the engine raised where the model did not, or
+      anything but an ``RbacError`` where the model raised one;
+    * ``safety``, with ``envelope``: between tuple writes, the granted
+      requests left the envelope of the pre- and post-states;
+    * ``cost``, with ``costs``: measured primitives differ from
+      ``algebraic_cost`` of the model's pre-state and versions;
+    * ``theory``: ``eng.state()``, read once per step, differs from the
+      model's post-state.  Equal ``(roles, ur, pa)`` triples mean equal
+      theories, so both are built only to word a mismatch.
+
+    ``error`` holds the exception the engine raised on the last step and
+    ``price`` the step's ``algebraic_cost``, each None if there was none.
+    A failed step leaves the stepper spent."""
+
+    def __init__(
+        self, engine: Engine, state: RbacState = RbacState(), *,
+        costs: bool = True, envelope: bool = True,
+    ) -> None:
+        self.engine, self.state = engine, state
+        self.versions = dict.fromkeys(state.perms, 1)
+        self.costs, self.envelope = costs, envelope
+        self.error: Optional[Exception] = None
+        self.price: Optional[CostVector] = None
+        self._auth = auth_facts(state) if envelope else None
+
+    def step(self, label: Label) -> Optional[tuple[str, str]]:
+        eng, pre = self.engine, self.state
+        self.error = self.price = None
+        try:
+            post, model_err = apply_label(pre, label), None
+        except RbacError as e:
+            post, model_err = pre, e
+        violations: list[str] = []
+        if self.envelope:
+            post_auth = auth_facts(post)
+            lower, upper = self._auth & post_auth, self._auth | post_auth
+
+            def hook() -> None:
+                cur = eng.auth_facts()
+                if not (lower <= cur <= upper):
+                    extra = sorted(cur - upper)
+                    missing = sorted(lower - cur)
+                    violations.append(f"outside envelope +{extra} -{missing}")
+
+            eng.fs.on_mutation = hook
+        try:
+            measured = measure_label(eng, label)
+        except Exception as e:  # any engine failure is a finding
+            self.error = e
+        finally:
+            eng.fs.on_mutation = None
+        if eng.provider.unauthorized_events:
+            return "unauthorized", repr(eng.provider.unauthorized_events[0])
+        if not (
+            self.error is None if model_err is None
+            else isinstance(self.error, RbacError)
+        ):
+            return "error-mismatch", (
+                f"model {model_err!r} vs engine {self.error!r}"
+            )
+        if violations:
+            return "safety", violations[0]
+        if self.costs and model_err is None:
+            self.price = algebraic_cost(label, pre, self.versions)
+            diff = reconcile(measured, self.price, eng.binding.name)
+            if diff:
+                return "cost", f"measured-predicted {diff!r}"
+            roll_versions(label, pre, self.versions)
+        got = eng.state()
+        if (got.roles, got.ur, got.pa) != (post.roles, post.ur, post.pa):
+            got, want = theory(got), theory(post)
+            return "theory", f"+{sorted(got - want)} -{sorted(want - got)}"
+        self.state = post
+        if self.envelope:
+            self._auth = post_auth
+        return None
+
+
 # --- differential harness -------------------------------------------------------
 
 
@@ -157,8 +247,7 @@ def congruent(
 class DifferentialReport:
     ok: bool
     steps: int
-    failure_kind: Optional[str] = None  # theory|safety|unauthorized|cost|
-    #                                     congruence|error-mismatch
+    failure_kind: Optional[str] = None  # a Lockstep kind or congruence
     failure_index: Optional[int] = None
     detail: str = ""
 
@@ -173,88 +262,27 @@ def run_differential(
     check_costs: bool = False,
     step_congruence: bool = False,
 ) -> DifferentialReport:
-    """Replay ``labels`` through the reference model and one engine in
-    lockstep.  Stops at the first divergence.
-
-    Costs are priced from the model alone: its pre-state and the file-key
-    versions ``roll_versions`` carries.  Each step reads ``eng.state()``
-    once, after the label, for the theory check: equal ``(roles, ur, pa)``
-    triples mean equal theories, so both are built only to word a mismatch.
-
-    The engine's exceptions are reported, never raised: a decryption with
-    a mismatched key is ``unauthorized``, and any other exception but an
-    ``RbacError`` matching the model's is ``error-mismatch``.
-    """
+    """Replay ``labels`` from the empty state through a ``Lockstep`` of the
+    reference model and one engine, with the envelope on and the cost check
+    as ``check_costs`` says.  Stops at the first divergence; the engine's
+    exceptions are reported, never raised.  The engine must end congruent
+    to ``sigma`` of the model's state, and with ``step_congruence`` after
+    every label."""
     labels = list(labels)
-    oracle = RbacState()
-    versions: dict[str, int] = {}
     eng = Engine(binding=binding)
-
-    def fail(i: int, kind: str, detail: str) -> DifferentialReport:
-        return DifferentialReport(
-            False, i, failure_kind=kind, failure_index=i,
-            detail=f"label {i} {labels[i]}: {detail}",
-        )
-
-    pre_auth = auth_facts(oracle)
+    lock = Lockstep(eng, costs=check_costs)
     for i, lbl in enumerate(labels):
-        try:
-            new_oracle = apply_label(oracle, lbl)
-            oracle_err: Optional[Exception] = None
-        except RbacError as e:
-            new_oracle, oracle_err = oracle, e
-        post_auth = auth_facts(new_oracle)
-        lower, upper = pre_auth & post_auth, pre_auth | post_auth
-        violations: list[str] = []
-
-        def hook() -> None:
-            cur = eng.auth_facts()
-            if not (lower <= cur <= upper):
-                extra = sorted(cur - upper)
-                missing = sorted(lower - cur)
-                violations.append(f"outside envelope +{extra} -{missing}")
-
-        eng.fs.on_mutation = hook
-        try:
-            measured = measure_label(eng, lbl)
-            eng_err: Optional[Exception] = None
-        except Exception as e:  # any engine failure is a finding
-            eng_err = e
-        finally:
-            eng.fs.on_mutation = None
-        if eng.provider.unauthorized_events:
-            return fail(
-                i, "unauthorized", repr(eng.provider.unauthorized_events[0])
-            )
-        if not (
-            eng_err is None if oracle_err is None
-            else isinstance(eng_err, RbacError)
+        failure = lock.step(lbl)
+        if failure is None and step_congruence and not congruent(
+            eng, sigma(lock.state, binding)
         ):
-            return fail(
-                i, "error-mismatch",
-                f"model {oracle_err!r} vs engine {eng_err!r}",
+            failure = "congruence", "not congruent to mapped state"
+        if failure is not None:
+            kind, detail = failure
+            return DifferentialReport(
+                False, i, kind, i, f"label {i} {lbl}: {detail}"
             )
-        if violations:
-            return fail(i, "safety", violations[0])
-        if check_costs and oracle_err is None:
-            predicted = algebraic_cost(lbl, oracle, versions)
-            diff = reconcile(measured, predicted, binding)
-            if diff:
-                return fail(i, "cost", f"measured-predicted {diff!r}")
-            roll_versions(lbl, oracle, versions)
-        eng_state = eng.state()
-        if (eng_state.roles, eng_state.ur, eng_state.pa) != (
-            new_oracle.roles, new_oracle.ur, new_oracle.pa
-        ):
-            got, want = theory(eng_state), theory(new_oracle)
-            return fail(
-                i, "theory",
-                f"+{sorted(got - want)} -{sorted(want - got)}",
-            )
-        if step_congruence and not congruent(eng, sigma(new_oracle, binding)):
-            return fail(i, "congruence", "not congruent to mapped state")
-        oracle, pre_auth = new_oracle, post_auth
-    if not congruent(eng, sigma(oracle, binding)):
+    if not congruent(eng, sigma(lock.state, binding)):
         return DifferentialReport(
             False, len(labels), failure_kind="congruence",
             failure_index=len(labels) - 1 if labels else None,

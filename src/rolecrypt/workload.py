@@ -21,9 +21,10 @@ exactly.
 The closed-form cost model prices every action from the model state and the
 file-key versions, which the run carries forward itself, so no engine is
 built; both variants' costs carry the identity-based counter names.  A
-cost-checked run also applies every action to a seeded engine of its variant
-and fails at the first action where the engine raises, decrypts without
-authorization, or spends other primitives than ``reconcile`` expects.
+cost-checked run also steps every action through a seeded engine of its
+variant in lockstep with the model, and fails at the first action where the
+engine raises, decrypts without authorization, spends other primitives than
+``reconcile`` expects, or leaves UR and PA unlike the model's.
 
 Permission grants carry the full read-write level throughout: the source
 relations do not distinguish levels, and revocation experiments remove the
@@ -49,12 +50,11 @@ from importlib import resources
 from typing import Iterable, Optional, Sequence
 
 from .costmodel import (
-    HEADLINE_PROFILES, algebraic_cost, reconcile, roll_versions,
-    scheme_profile,
+    HEADLINE_PROFILES, algebraic_cost, roll_versions, scheme_profile,
 )
 from .crypto import CostVector, MODEL_OPS
-from .engine import Engine, measure_label
-from .equivalence import sigma
+from .engine import Engine
+from .equivalence import Lockstep, sigma
 from .rbac import Label, RbacState, RW, SUPERUSER, apply_label, utf8_encodable
 
 EVENT_KINDS = ("assignU", "revokeU", "assignP", "revokeP")
@@ -602,10 +602,11 @@ def run_simulation(
     counter names in both variants, which spend the same primitives.
 
     Given ``engine``, which holds the seeded dataset (see ``seed_engine``)
-    and is consumed, the run audits it: every label is also applied to the
-    engine, and the run raises ``AssertionError`` naming the first label at
-    which the engine raises, decrypts without authorization or fails
-    ``reconcile``."""
+    and is consumed, the run audits it: a ``Lockstep`` without the envelope
+    steps every label through the engine and the model, and its prices are
+    the costs.  The run raises ``AssertionError`` naming the first label at
+    which the engine raises, decrypts without authorization, fails
+    ``reconcile`` or leaves UR and PA unlike the model's."""
     run_seed = derive_seed(seed, run_index)
     rng = random.Random(run_seed)
     rates = ActorRates.sample(rng, len(dataset.users))
@@ -614,25 +615,29 @@ def run_simulation(
     costs: list[CostVector] = []
     state = dataset.state()
     versions = dict.fromkeys(dataset.perms, 1)
+    lock = None if engine is None else Lockstep(engine, state, envelope=False)
     for ev in events:
         label = ev.label
         if label is None:
             costs.append(CostVector())
-            continue
-        cost = algebraic_cost(label, state, versions)
-        if engine is not None:
-            try:
-                measured = measure_label(engine, label)
-            except Exception as e:  # any engine failure fails the audit
-                raise AssertionError(f"engine failed at {label}: {e!r}") from e
-            if engine.provider.unauthorized_events:
-                raise AssertionError(f"unauthorized decryption at {label}")
-            diff = reconcile(measured, cost, variant)
-            if diff:
-                raise AssertionError(f"cost mismatch at {label}: {diff!r}")
-        roll_versions(label, state, versions)
-        state = apply_label(state, label)
-        costs.append(cost)
+        elif lock is None:
+            costs.append(algebraic_cost(label, state, versions))
+            roll_versions(label, state, versions)
+            state = apply_label(state, label)
+        else:
+            failure = lock.step(label)
+            if failure is not None and lock.error is not None:
+                raise AssertionError(
+                    f"engine failed at {label}: {lock.error!r}"
+                ) from lock.error
+            if failure is not None:
+                kind, detail = failure
+                if kind == "unauthorized":
+                    kind = "unauthorized decryption"
+                else:
+                    kind += " mismatch"
+                raise AssertionError(f"{kind} at {label}: {detail}")
+            costs.append(lock.price)
     return RunResult(
         dataset=dataset.name,
         variant=variant,

@@ -13,22 +13,17 @@ import statistics
 import time
 from fractions import Fraction
 
-from rolecrypt.costmodel import (
-    HEADLINE_PROFILES,
-    algebraic_cost,
-    reconcile,
-    roll_versions,
-    static_cost_table,
-)
+from rolecrypt.costmodel import HEADLINE_PROFILES, static_cost_table
 from rolecrypt.crypto import IBE_TO_PKI
 from rolecrypt.engine import Engine, measure_label
 from rolecrypt.equivalence import (
+    Lockstep,
     canonicalize,
     congruent,
     random_trace,
     run_differential,
 )
-from rolecrypt.rbac import RW, Label, RbacState, apply_label, theory
+from rolecrypt.rbac import RW, Label, theory
 from rolecrypt.workload import (
     ActorRates,
     admin_rate,
@@ -114,17 +109,13 @@ def test_criterion_2_cost_reconciliation(capsys):
     n_labels = 0
     mismatches = []
     for trace in corpus:
-        # the model carries the key versions; the engine is only measured
-        eng, state, versions = Engine("ibe"), RbacState(), {}
+        lock = Lockstep(Engine("ibe"), envelope=False)
         for lbl in trace:
-            measured = measure_label(eng, lbl)
-            predicted = algebraic_cost(lbl, state, versions)
-            diff = reconcile(measured, predicted, "ibe")
-            roll_versions(lbl, state, versions)
-            state = apply_label(state, lbl)
             n_labels += 1
-            if diff:
-                mismatches.append((lbl, diff))
+            failure = lock.step(lbl)
+            if failure is not None:
+                mismatches.append((lbl, failure))
+                break
     elapsed = time.monotonic() - t0
 
     ok = n_labels >= 10_000 and not mismatches and elapsed < 60.0

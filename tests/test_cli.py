@@ -15,6 +15,7 @@ from rolecrypt.cli import main
 from rolecrypt.engine import Engine
 from rolecrypt.workload import load_dataset
 from test_equivalence import _StaleRewrapEngine
+from test_workload import _LingeringMemberEngine
 
 
 def _rows(path):
@@ -89,6 +90,24 @@ def test_simulate_check_costs_reports_an_engine_failure(
     err = capsys.readouterr().err
     assert err.startswith(
         "error: engine failed at revokeU(u44, r10): UnauthorizedDecrypt("
+    )
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("variant", ["ibe", "pki"])
+def test_simulate_check_costs_reports_a_theory_mismatch(
+    monkeypatch, tmp_path, capsys, variant
+):
+    # the revoked member's UR pair lingers in the engine alone
+    monkeypatch.setattr(eqv, "Engine", _LingeringMemberEngine)
+    rc = main([
+        "simulate", "--dataset", "healthcare", "--runs", "2", "--seed", "1",
+        "--variant", variant, "--check-costs", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: theory mismatch at revokeU(u17, r10): +[('UR', 'u17', 'r10'), "
     )
     assert err.count("\n") == 1
 

@@ -14,7 +14,9 @@ import pytest
 
 import rolecrypt.equivalence as eqv
 from rolecrypt.costmodel import algebraic_cost, reconcile
-from rolecrypt.crypto import MODEL_OPS, CostVector, UnauthorizedDecrypt
+from rolecrypt.crypto import (
+    MODEL_OPS, CostVector, UnauthorizedDecrypt, role_identity,
+)
 from rolecrypt.engine import Engine, measure_label
 from rolecrypt.rbac import Label, RW, theory
 from rolecrypt.workload import (
@@ -342,6 +344,19 @@ class _QuietStaleRewrapEngine(_StaleRewrapEngine):
             pass
 
 
+class _LingeringMemberEngine(Engine):
+    """Deliberately broken: a revocation spends what an honest one spends,
+    then puts the revoked member's RK tuple back at the role's new version.
+    The engine's record and its costs say the member left, but its UR does
+    not."""
+
+    def _revoke_user_inner(self, u, r):
+        old = self.fs.rk[(u, r, self.roles[r].version)]
+        super()._revoke_user_inner(u, r)
+        role = role_identity(r, self.roles[r].version)
+        self.fs.put_rk(dataclasses.replace(old, role=role))
+
+
 @pytest.mark.parametrize("variant", ["ibe", "pki"])
 @pytest.mark.parametrize("engine, message", [
     (
@@ -349,11 +364,16 @@ class _QuietStaleRewrapEngine(_StaleRewrapEngine):
         "engine failed at revokeU(u2, r9): UnauthorizedDecrypt(",
     ),
     (_QuietStaleRewrapEngine, "unauthorized decryption at revokeU(u2, r9)"),
-], ids=["raises", "quiet"])
+    (
+        _LingeringMemberEngine,
+        "theory mismatch at revokeU(u23, r1): +[('UR', 'u23', 'r1'), ",
+    ),
+], ids=["raises", "quiet", "lingering"])
 def test_audit_names_the_event_an_engine_fails(
     monkeypatch, variant, engine, message
 ):
-    # the audit stops at the first failing event and names its label
+    # the audit stops at the first failing event and names its label;
+    # revokeU(u23, r1) is the run's first revocation
     ds = synthesize_dataset("healthcare", random.Random(derive_seed(0, -1)))
     monkeypatch.setattr(eqv, "Engine", engine)
     eng = seed_engine(ds, variant)
@@ -361,6 +381,20 @@ def test_audit_names_the_event_an_engine_fails(
     with pytest.raises(AssertionError) as exc:
         run_simulation(ds, variant, days=60.0, seed=1, engine=eng)
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("variant", ["ibe", "pki"])
+def test_audit_reads_state_once_per_applied_label(monkeypatch, variant):
+    # no envelope hook at dataset scale: one theory read per label
+    eng, reads, hooks = seed_engine(TOY, variant), [], []
+    state = eng.state
+    monkeypatch.setattr(eng, "state", lambda: reads.append(1) or state())
+    monkeypatch.setattr(
+        eng.fs, "_fire", lambda: hooks.append(eng.fs.on_mutation)
+    )
+    res = run_simulation(TOY, variant, days=60.0, seed=4, engine=eng)
+    assert hooks and set(hooks) == {None}
+    assert len(reads) == sum(res.applied.values()) > 0
 
 
 def test_run_simulation_is_deterministic():
