@@ -25,7 +25,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .costmodel import (
@@ -184,7 +183,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             check_costs=args.check_costs,
         )
     results += [
-        replace(r, variant=v) for v in variants[len(priced):] for r in results
+        r.as_variant(v) for v in variants[len(priced):] for r in results
     ]
     runs_path = out_dir / "runs.csv"
     summary_path = out_dir / "summary.csv"

@@ -7,12 +7,16 @@ Two layers:
   primitives a label will cost (``algebraic_cost``).  Membership, grants and
   holders come from the state's UR and PA; the key versions are the one fact
   the model does not hold.  This is what the differential harness reconciles
-  against measured counters.  The composite labels cost the revocations they
-  consist of: ``delU`` one ``revokeU`` per role of the user, in name order,
-  each rolling the file-key versions forward for the next, and ``delR`` one
-  ``revokeP(RW)`` per file of the role.  ``roll_versions`` carries the key
-  versions past a label; with ``rbac.apply_label`` carrying the state, a
-  caller prices a whole trace without an engine, as ``simulate`` does.
+  against measured counters.  Revocations are priced in closed form from
+  sums over the role's F files, with M its members, V = Σ versions[fn] and
+  H = Σ (|holders(fn)| + 1): ``revokeU`` costs M + V + H each of ``ibs_ver``,
+  ``ibe_enc`` and ``ibs_sign``, V ``ibe_dec``, F ``sym_gen`` and one of each
+  keygen; ``delR``, one ``revokeP(RW)`` per file, costs H - F each of
+  those three and F ``sym_gen``; ``delU`` costs one ``revokeU`` per role of
+  the user, in name order, each rolling the file-key versions forward for
+  the next.  ``roll_versions`` carries the key versions past a label;
+  with ``rbac.apply_label`` carrying the state, a caller prices a whole
+  trace without an engine, as ``simulate`` does.
 * A unit-cost layer prices each primitive in elliptic-curve multiplication
   units for a chosen pair of published IBE/IBS schemes (``scheme_profile``
   builds a ``SchemeProfile``): an operation's group-operation counts times
@@ -64,12 +68,6 @@ def _reissue(bag: _Bag, n: int, opened: bool = False) -> None:
     _add(bag, "ibs_sign", n)
 
 
-def _roll_file(bag: _Bag, recipients: int) -> None:
-    """Fresh symmetric key wrapped for every current holder of a file."""
-    _add(bag, "sym_gen", 1)
-    _reissue(bag, recipients)
-
-
 def roll_versions(
     label: Label, state: RbacState, versions: dict[str, int]
 ) -> None:
@@ -92,14 +90,6 @@ def roll_versions(
         versions.setdefault(label.file, 1)
     elif k == "delP":
         versions.pop(label.file, None)
-    _roll_roles(roles, state, versions)
-
-
-def _roll_roles(
-    roles: Iterable[str], state: RbacState, versions: dict[str, int]
-) -> None:
-    """Roll every file each of ``roles`` holds, once per role, as revoking
-    a member of the role or deleting it does."""
     for r in roles:
         for fn in state.files_of(r):
             versions[fn] += 1
@@ -108,16 +98,16 @@ def _roll_roles(
 def _revoke_user_cost(
     bag: _Bag, r: str, state: RbacState, versions: Mapping[str, int]
 ) -> None:
-    """Price revoking one member of ``r`` at the file-key ``versions``."""
+    """Price revoking one member of ``r`` at the file-key ``versions``, by
+    the closed form in the module docstring."""
+    files = state.files_of(r)
+    v = sum(map(versions.__getitem__, files))
+    h = sum(map(len, map(state.holders_of, files))) + len(files)
     _add(bag, "ibe_keygen", 1)
     _add(bag, "ibs_keygen", 1)
-    # remaining members plus the superuser get the new role keys
-    _reissue(bag, len(state.members_of(r)) - 1 + 1)
-    for fn in state.files_of(r):
-        # roll the role's own wrapped file keys onto the new role keys
-        _reissue(bag, versions[fn], opened=True)
-        # then a fresh file key for every holder (roles + superuser)
-        _roll_file(bag, len(state.holders_of(fn)) + 1)
+    _reissue(bag, len(state.members_of(r)) + v + h)
+    _add(bag, "ibe_dec", v)
+    _add(bag, "sym_gen", len(files))
 
 
 def algebraic_cost(
@@ -159,7 +149,8 @@ def algebraic_cost(
             rolled = dict(versions)
             for r in sorted(state.roles_of(label.user)):
                 _revoke_user_cost(bag, r, state, rolled)
-                _roll_roles((r,), state, rolled)
+                for fn in state.files_of(r):
+                    rolled[fn] += 1
     elif k == "assignP":
         held = state.pa_op(label.role, label.file)
         vfn = versions.get(label.file, 0)
@@ -179,13 +170,15 @@ def algebraic_cost(
                     _add(bag, "ibs_ver", vfn)
                     _add(bag, "ibs_sign", vfn)
             else:
-                # the other holders plus the superuser
-                _roll_file(bag, len(state.holders_of(label.file)))
+                # a fresh file key for the other holders plus the superuser
+                _add(bag, "sym_gen", 1)
+                _reissue(bag, len(state.holders_of(label.file)))
     elif k == "delR":
         if label.role in state.roles:
-            for fn in state.files_of(label.role):
-                # the other holders plus the superuser
-                _roll_file(bag, len(state.holders_of(fn)) - 1 + 1)
+            # a fresh key per file for its other holders plus the superuser
+            files = state.files_of(label.role)
+            _add(bag, "sym_gen", len(files))
+            _reissue(bag, sum(map(len, map(state.holders_of, files))))
     else:
         raise AssertionError(k)
     return CostVector(bag)

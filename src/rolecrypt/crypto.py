@@ -24,7 +24,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 INVOKER = "invoker"
 REFERENCE_MONITOR = "reference_monitor"
@@ -173,10 +173,16 @@ class CostVector:
         return CostVector(c)
 
     def __add__(self, other: "CostVector") -> "CostVector":
-        c = dict(self._counts)
-        for k, v in other._counts.items():
-            c[k] = c.get(k, 0) + v
-        return CostVector._of({k: v for k, v in c.items() if v > 0})
+        return CostVector.sum((self, other))
+
+    @classmethod
+    def sum(cls, vectors: Iterable["CostVector"]) -> "CostVector":
+        """``+`` folded over ``vectors`` in one dict, as no price is negative."""
+        c: dict[tuple[str, str], int] = {}
+        for v in vectors:
+            for k, n in v._counts.items():
+                c[k] = c.get(k, 0) + n
+        return cls._of({k: n for k, n in c.items() if n > 0})
 
     def __sub__(self, other: "CostVector") -> "CostVector":
         c = dict(self._counts)

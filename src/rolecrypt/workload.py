@@ -43,7 +43,7 @@ import multiprocessing
 import random
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from importlib import resources
@@ -105,31 +105,31 @@ class Dataset:
             ur=_pairs(d, "ur"),
             pa=_pairs(d, "pa"),
         )
+        # whole-list checks; only a failing one walks to the first offender
         for key in ("name", "users", "roles", "perms"):
-            for x in [ds.name] if key == "name" else getattr(ds, key):
-                if not utf8_encodable(x):
-                    raise ValueError(
-                        f"{key!r} holds {x!r}, which UTF-8 cannot encode"
-                    )
+            xs = [ds.name] if key == "name" else getattr(ds, key)
+            if not utf8_encodable("".join(xs)):
+                x = next(x for x in xs if not utf8_encodable(x))
+                raise ValueError(f"{key!r} holds {x!r}, which UTF-8 cannot encode")
         for key, kind in (("users", "user"), ("roles", "role")):
             if SUPERUSER in getattr(ds, key):
                 raise ValueError(f"{kind} name {SUPERUSER!r} is reserved")
         for key in ("users", "roles", "perms", "ur", "pa"):
-            seen: set = set()
-            for x in getattr(ds, key):
-                if x in seen:
-                    raise ValueError(f"duplicate {key} entry {x!r}")
-                seen.add(x)
+            xs, seen = getattr(ds, key), set()
+            if len(set(xs)) < len(xs):
+                x = next(x for x in xs if x in seen or seen.add(x))
+                raise ValueError(f"duplicate {key} entry {x!r}")
         known = {
             "user": set(ds.users), "role": set(ds.roles), "file": set(ds.perms)
         }
         for key, kinds in (("ur", ("user", "role")), ("pa", ("role", "file"))):
-            for pair in getattr(ds, key):
-                for kind, name in zip(kinds, pair):
-                    if name not in known[kind]:
-                        raise ValueError(
-                            f"{key} pair {pair!r} names unknown {kind} {name!r}"
-                        )
+            pairs = getattr(ds, key)
+            if not all(map(set.issuperset, map(known.get, kinds), zip(*pairs))):
+                pair, kind, name = next(
+                    (p, k, n) for p in pairs for k, n in zip(kinds, p)
+                    if n not in known[k]
+                )
+                raise ValueError(f"{key} pair {pair!r} names unknown {kind} {name!r}")
         return ds
 
     def state(self) -> RbacState:
@@ -165,21 +165,25 @@ class Dataset:
         }
 
 
+def _all_are(xs: Iterable, cls: type) -> bool:
+    return all(map(isinstance, xs, itertools.repeat(cls)))
+
+
 def _names(d: dict, key: str) -> tuple[str, ...]:
     v = d[key]
-    if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+    if not isinstance(v, list) or not _all_are(v, str):
         raise ValueError(f"{key!r} must be a list of names")
     return tuple(v)
 
 
 def _pairs(d: dict, key: str) -> tuple[tuple[str, str], ...]:
     v = d[key]
-    if not isinstance(v, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
-        for p in v
+    if not (
+        isinstance(v, list) and _all_are(v, list) and set(map(len, v)) <= {2}
+        and _all_are(itertools.chain.from_iterable(v), str)
     ):
         raise ValueError(f"{key!r} must be a list of [name, name] pairs")
-    return tuple((a, b) for a, b in v)
+    return tuple(map(tuple, v))
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
@@ -408,10 +412,9 @@ class IndexedSet:
     """Set with O(1) membership, add, discard, and uniform random choice."""
 
     def __init__(self, items: Iterable = ()) -> None:
-        self._list: list = []
-        self._pos: dict = {}
-        for x in items:
-            self.add(x)
+        # as adding each item in turn: first occurrences, in order
+        self._list: list = list(dict.fromkeys(items))
+        self._pos: dict = dict(zip(self._list, itertools.count()))
 
     def add(self, x) -> None:
         if x not in self._pos:
@@ -518,11 +521,20 @@ def sample_events(
 # --- running ---------------------------------------------------------------------
 
 
+def _derived(fn):
+    """A run's property, computed once into the ``derived`` dict its copies share."""
+    def get(run):
+        if fn.__name__ not in run.derived:
+            run.derived[fn.__name__] = fn(run)
+        return run.derived[fn.__name__]
+    return property(get, doc=fn.__doc__)
+
+
 @dataclass
 class RunResult:
     """One run: its sampled arrivals and, for each, the primitive operations
     it cost (an empty vector for a skipped arrival).  Every count is derived
-    from these two lists."""
+    from these two lists, once per run and its ``as_variant`` copies."""
 
     dataset: str
     variant: str
@@ -532,33 +544,41 @@ class RunResult:
     rates: ActorRates
     events: list[Event]
     costs: list[CostVector]
+    derived: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
-    @cached_property
+    def as_variant(self, variant: str) -> "RunResult":
+        """This run under ``variant``'s name, sharing every number derived
+        from it, now or later: the model prices every variant alike."""
+        new = replace(self, variant=variant)
+        new.derived = self.derived
+        return new
+
+    @_derived
     def arrivals(self) -> dict[str, int]:
         n = Counter(ev.kind for ev in self.events)
         return {k: n[k] for k in EVENT_KINDS}
 
-    @cached_property
+    @_derived
     def applied(self) -> dict[str, int]:
         n = Counter(ev.kind for ev in self.events if ev.label is not None)
         return {k: n[k] for k in EVENT_KINDS}
 
-    @cached_property
+    @_derived
     def skipped(self) -> dict[str, int]:
         return {k: n - self.applied[k] for k, n in self.arrivals.items()}
 
-    @cached_property
+    @_derived
     def by_kind(self) -> dict[str, CostVector]:
-        out = dict.fromkeys(EVENT_KINDS, CostVector())
+        costs: dict[str, list[CostVector]] = {k: [] for k in EVENT_KINDS}
         for ev, cost in zip(self.events, self.costs):
-            out[ev.kind] = out[ev.kind] + cost
-        return out
+            costs[ev.kind].append(cost)
+        return {k: CostVector.sum(c) for k, c in costs.items()}
 
-    @property
+    @_derived
     def totals(self) -> CostVector:
-        return sum(self.by_kind.values(), CostVector())
+        return CostVector.sum(self.by_kind.values())
 
-    @property
+    @_derived
     def rekeys_by_kind(self) -> dict[str, int]:
         """File re-keys (fresh file keys minted) per event kind."""
         return {k: c.get("sym_gen") for k, c in self.by_kind.items()}
@@ -573,8 +593,11 @@ class RunResult:
         return max(buckets.values(), default=0)
 
     def units(self, profile: str, kind: Optional[str] = None) -> Fraction:
-        cost = self.totals if kind is None else self.by_kind[kind]
-        return scheme_profile(profile).units_of(cost)
+        key = ("units", profile, kind)
+        if key not in self.derived:
+            cost = self.totals if kind is None else self.by_kind[kind]
+            self.derived[key] = scheme_profile(profile).units_of(cost)
+        return self.derived[key]
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -709,11 +732,8 @@ def per_revocation_units(
 
 def _per_run_units(results: Sequence[RunResult], profile: str) -> list[float]:
     """Units per user revocation of each run that revoked a user."""
-    return [
-        float(u)
-        for u in (per_revocation_units(r, profile) for r in results)
-        if u is not None
-    ]
+    per_run = (per_revocation_units(r, profile) for r in results)
+    return [float(u) for u in per_run if u is not None]
 
 
 def user_revocation_summary(
@@ -819,8 +839,7 @@ def _quartiles(vals: list[float]) -> tuple[float, float, float]:
         return (0.0, 0.0, 0.0)
     if len(vals) == 1:
         return (vals[0], vals[0], vals[0])
-    q1, q2, q3 = statistics.quantiles(vals, n=4, method="inclusive")
-    return (q1, q2, q3)
+    return tuple(statistics.quantiles(vals, n=4, method="inclusive"))
 
 
 def write_summary_csv(

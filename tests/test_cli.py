@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, outputs, written files."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -156,6 +157,29 @@ def test_simulate_both_writes_what_each_variant_writes(tmp_path):
         for name in ("runs.csv", "events.csv", "summary.csv"):
             rows = [r for r in _rows(both / name) if r["variant"] == variant]
             assert rows and rows == _rows(alone / name), (variant, name)
+
+
+# Output bytes of `simulate` on the synthesized firewall1 dataset, recorded
+# before revocations were priced in closed form and before the second
+# variant's rows reused the numbers derived for the first: the closed forms
+# at firewall1's deep key versions and the rows both variants share must
+# leave both files byte-identical.
+FIREWALL1_SHA256 = {
+    "runs.csv": "df1cc45f32057cbbb0eb7ed226de8ff6ba0e07da3527d8242612cb5e6e5c9c3b",
+    "summary.csv": "ef0375672a56f6acaf5b9d23a4632c05765ab311f17f448e4b90dd73dc4b9cfb",
+}
+
+
+def test_simulate_firewall1_output_is_pinned(tmp_path):
+    assert main([
+        "simulate", "--dataset", "firewall1", "--runs", "7", "--variant", "both",
+        "--seed", "3", "--out", str(tmp_path),
+    ]) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in FIREWALL1_SHA256
+    }
+    assert got == FIREWALL1_SHA256
 
 
 def test_gen_dataset_writes_file(tmp_path, capsys):

@@ -11,6 +11,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rolecrypt.equivalence as eqv
 from rolecrypt.costmodel import algebraic_cost, reconcile
@@ -18,7 +20,7 @@ from rolecrypt.crypto import (
     MODEL_OPS, CostVector, UnauthorizedDecrypt, role_identity,
 )
 from rolecrypt.engine import Engine, measure_label
-from rolecrypt.rbac import Label, RW, theory
+from rolecrypt.rbac import Label, RW, check_invariants, theory, utf8_encodable
 from rolecrypt.workload import (
     ActorRates,
     Dataset,
@@ -122,6 +124,15 @@ def test_dataset_save_load_round_trip(tmp_path):
      "'roles' holds 'r\\udfff', which UTF-8 cannot encode"),
     ({"perms": ["p1", "p2", "p3", "\udc80"]},
      "'perms' holds '\\udc80', which UTF-8 cannot encode"),
+    # the first offender in file order, and each type shape
+    ({"users": ["u1", 5]}, "'users' must be a list of names"),
+    ({"ur": ["u1"]}, "'ur' must be a list of [name, name] pairs"),
+    ({"ur": [["u1"]]}, "'ur' must be a list of [name, name] pairs"),
+    ({"pa": [["r1", 5]]}, "'pa' must be a list of [name, name] pairs"),
+    ({"ur": [["u1", "r8"], ["u2", "r9"]]},
+     "ur pair ('u1', 'r8') names unknown role 'r8'"),
+    ({"ur": [["u2", "r9"]], "users": ["u1", "u1", "u2"]},
+     "duplicate users entry 'u1'"),
 ])
 def test_load_dataset_rejects_malformed_files(tmp_path, change, message):
     path = tmp_path / "bad.json"
@@ -141,6 +152,123 @@ def test_load_dataset_accepts_non_ascii_names(tmp_path):
     )
     save_dataset(ds, str(path))
     assert load_dataset(str(path)) == ds
+
+
+def _first_fault(d):
+    """The message the dataset check gives for ``d``, or None: each check
+    walks its entries one by one, in file order."""
+    if not isinstance(d, dict):
+        return "not a JSON object"
+    for key in ("name", "users", "roles", "perms", "ur", "pa"):
+        if key not in d:
+            return f"missing key {key!r}"
+    if not isinstance(d["name"], str):
+        return "'name' must be a string"
+    for key in ("users", "roles", "perms"):
+        if not isinstance(d[key], list) or any(not isinstance(x, str) for x in d[key]):
+            return f"{key!r} must be a list of names"
+    for key in ("ur", "pa"):
+        v = d[key]
+        if not isinstance(v, list) or any(
+            not isinstance(p, list) or len(p) != 2
+            or any(not isinstance(x, str) for x in p)
+            for p in v
+        ):
+            return f"{key!r} must be a list of [name, name] pairs"
+    d = {**d, "ur": [tuple(p) for p in d["ur"]], "pa": [tuple(p) for p in d["pa"]]}
+    for key in ("name", "users", "roles", "perms"):
+        for x in [d["name"]] if key == "name" else d[key]:
+            if not utf8_encodable(x):
+                return f"{key!r} holds {x!r}, which UTF-8 cannot encode"
+    for key, kind in (("users", "user"), ("roles", "role")):
+        if "SU" in d[key]:
+            return f"{kind} name 'SU' is reserved"
+    for key in ("users", "roles", "perms", "ur", "pa"):
+        for i, x in enumerate(d[key]):
+            if x in d[key][:i]:
+                return f"duplicate {key} entry {x!r}"
+    known = {"user": d["users"], "role": d["roles"], "file": d["perms"]}
+    for key, kinds in (("ur", ("user", "role")), ("pa", ("role", "file"))):
+        for pair in d[key]:
+            for kind, name in zip(kinds, pair):
+                if name not in known[kind]:
+                    return f"{key} pair {pair!r} names unknown {kind} {name!r}"
+    return None
+
+
+# names that are known, unknown, reserved, unencodable or of the wrong type
+_NAME = st.one_of(
+    st.sampled_from(["u1", "u2", "r1", "r2", "p1", "p2", "x", "é"]),
+    st.sampled_from(["SU", "\ud800", "x\udfff"]),
+    st.integers(-1, 1),
+    st.lists(st.sampled_from(["u1", "r1"]), max_size=2),
+)
+
+
+@st.composite
+def _dataset_shapes(draw):
+    """A valid dataset, then up to two faults: a key dropped, a value
+    replaced by a name or list of names, or an entry appended (a duplicate,
+    an unknown or odd name, a pair of 0 to 3 names)."""
+
+    def subset(names):
+        return draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+
+    users, roles, perms = subset(["u1", "u2", "é"]), subset(["r1", "r2"]), subset(["p1", "p2"])
+    d = {
+        "name": draw(st.sampled_from(["shape", "ü"])),
+        "users": users, "roles": roles, "perms": perms,
+        "ur": [[u, r] for u, r in subset([(u, r) for u in users for r in roles])],
+        "pa": [[r, f] for r, f in subset([(r, f) for r in roles for f in perms])],
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(d) or ["name"]))
+        fault = draw(st.sampled_from(["drop", "replace", "append", "append"]))
+        if fault == "drop":
+            d.pop(key, None)
+        elif fault == "replace" or not isinstance(d.get(key), list):
+            d[key] = draw(st.one_of(_NAME, st.lists(_NAME, max_size=3)))
+        elif key in ("ur", "pa"):
+            known = st.sampled_from(["u1", "r1", "r2", "p1", "x"])
+            pair = st.one_of(st.lists(known, min_size=2, max_size=2),
+                             st.lists(_NAME, max_size=3))
+            d[key] = d[key] + [draw(pair)]
+        else:
+            d[key] = d[key] + [draw(st.sampled_from(d[key] or ["u1"]) | _NAME)]
+    return d
+
+
+_DATASET_SHAPES = st.one_of(_dataset_shapes(), _NAME)
+
+
+def test_dataset_shapes_load_or_raise_value_error(tmp_path):
+    # any JSON shape either loads as a dataset whose state is sound or raises
+    # ValueError with the message the entry-by-entry check gives, naming the
+    # file through load_dataset
+    path = tmp_path / "shape.json"
+    outcomes = Counter()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_DATASET_SHAPES)
+    def check(d):
+        path.write_text(json.dumps(d), encoding="utf-8")
+        want = _first_fault(d)
+        try:
+            ds = Dataset.from_dict(d)
+        except ValueError as e:
+            assert str(e) == want
+            with pytest.raises(ValueError) as exc:
+                load_dataset(str(path))
+            assert str(exc.value) == f"{path}: {want}"
+            outcomes["rejected"] += 1
+        else:
+            assert want is None
+            check_invariants(ds.state())
+            assert load_dataset(str(path)) == ds
+            outcomes["loaded"] += 1
+
+    check()
+    assert outcomes["loaded"] and outcomes["rejected"], outcomes
 
 
 def test_load_dataset_rejects_non_json(tmp_path):
@@ -226,6 +354,22 @@ def test_indexed_set():
     assert len(picks) == 3
 
 
+@pytest.mark.parametrize("items", [
+    [], ["a"], ["c", "a", "c", "b", "a", "d", "b"], [("u1", "r1"), ("u2", "r1"), ("u1", "r1")],
+])
+def test_indexed_set_built_at_once_equals_adding_one_at_a_time(items):
+    at_once = IndexedSet(items)
+    one_by_one = IndexedSet()
+    for x in items:
+        one_by_one.add(x)
+    assert at_once._list == one_by_one._list
+    assert at_once._pos == one_by_one._pos
+    if items:
+        assert [at_once.choose(random.Random(i)) for i in range(20)] == [
+            one_by_one.choose(random.Random(i)) for i in range(20)
+        ]
+
+
 def test_indexed_set_copy_is_independent_and_keeps_choose_order():
     s = IndexedSet(["a", "b", "c", "d"])
     s.discard("b")
@@ -304,6 +448,11 @@ def test_run_simulation_accounting():
     # every revocation that re-keyed shows up in the sym_gen tally
     assert res.rekeys_by_kind["revokeU"] == res.by_kind["revokeU"].get("sym_gen")
     assert res.units("BF+CC") >= 0
+    # a copy under another variant's name shares every derived number
+    pki = res.as_variant("pki")
+    assert (pki.variant, res.variant) == ("pki", "ibe")
+    assert pki.by_kind is res.by_kind and pki.units("BF+CC") is res.units("BF+CC")
+    assert pki.units("LW+PS", "revokeU") is res.units("LW+PS", "revokeU")
 
 
 class _ForgetfulEngine(Engine):
