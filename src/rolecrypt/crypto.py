@@ -177,7 +177,7 @@ class CostVector:
 
     @classmethod
     def sum(cls, vectors: Iterable["CostVector"]) -> "CostVector":
-        """``+`` folded over ``vectors`` in one dict, as no price is negative."""
+        """Sum ``vectors`` in one dict, as a fold of ``+`` when none is negative."""
         c: dict[tuple[str, str], int] = {}
         for v in vectors:
             for k, n in v._counts.items():

@@ -214,7 +214,8 @@ def _dataset_shapes(draw):
     def subset(names):
         return draw(st.lists(st.sampled_from(names), unique=True)) if names else []
 
-    users, roles, perms = subset(["u1", "u2", "é"]), subset(["r1", "r2"]), subset(["p1", "p2"])
+    users = subset(["u1", "u2", "é"])
+    roles, perms = subset(["r1", "r2"]), subset(["p1", "p2"])
     d = {
         "name": draw(st.sampled_from(["shape", "ü"])),
         "users": users, "roles": roles, "perms": perms,
@@ -355,7 +356,8 @@ def test_indexed_set():
 
 
 @pytest.mark.parametrize("items", [
-    [], ["a"], ["c", "a", "c", "b", "a", "d", "b"], [("u1", "r1"), ("u2", "r1"), ("u1", "r1")],
+    [], ["a"], ["c", "a", "c", "b", "a", "d", "b"],
+    [("u1", "r1"), ("u2", "r1"), ("u1", "r1")],
 ])
 def test_indexed_set_built_at_once_equals_adding_one_at_a_time(items):
     at_once = IndexedSet(items)
