@@ -8,10 +8,11 @@ Subcommands:
 * ``gen-dataset`` — synthesize a benchmark-shaped dataset to a JSON file.
 * ``simulate``    — monte-carlo administrative workload priced by the
   closed-form cost model, writing runs.csv / summary.csv (and optionally
-  events.csv), pricing each run once for both variants; ``--check-costs``
-  also runs it on a seeded engine of each variant and fails at the first
-  event where the engine raises, decrypts without authorization or counts
-  other primitives than the priced ones.
+  events.csv).  A run names no variant: each is priced once and its rows
+  are written under every requested variant's name.  ``--check-costs``
+  also audits every run on a seeded engine of each variant and fails at the
+  first event where the engine raises, decrypts without authorization or
+  counts other primitives than the priced ones.
 
 Files are read and written as UTF-8 whatever the locale.  Terminal output
 follows the locale; a character it cannot encode prints as an escape.
@@ -169,36 +170,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     variants = ("ibe", "pki") if args.variant == "both" else (args.variant,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the model prices all variants alike, so only an audit runs each one
-    priced = variants if args.check_costs else variants[:1]
-    results = []
-    for variant in priced:
-        results += monte_carlo(
+    # the model prices all variants alike, so only an audit runs each one;
+    # every audited pass returns the same runs
+    for audit in variants if args.check_costs else (None,):
+        results = monte_carlo(
             dataset,
             runs=args.runs,
-            variant=variant,
             days=args.duration_days,
             seed=args.seed,
             workers=args.parallel,
-            check_costs=args.check_costs,
+            audit=audit,
         )
-    results += [
-        r.as_variant(v) for v in variants[len(priced):] for r in results
-    ]
     runs_path = out_dir / "runs.csv"
     summary_path = out_dir / "summary.csv"
-    write_runs_csv(str(runs_path), results, profiles, args.revocation_window)
-    write_summary_csv(str(summary_path), results, profiles)
+    write_runs_csv(
+        str(runs_path), results, variants, profiles, args.revocation_window
+    )
+    write_summary_csv(str(summary_path), results, variants, profiles)
     written = [runs_path, summary_path]
     if args.events:
         events_path = out_dir / "events.csv"
-        write_events_csv(str(events_path), results)
+        write_events_csv(str(events_path), results, variants)
         written.append(events_path)
+    summ = user_revocation_summary(results, profiles[0])
     for variant in variants:
-        sub = [r for r in results if r.variant == variant]
-        summ = user_revocation_summary(sub, profiles[0])
         print(
-            f"{dataset.name} [{variant}]: {len(sub)} runs, "
+            f"{dataset.name} [{variant}]: {len(results)} runs, "
             f"{summ['user_revocations']} user revocations, "
             f"mean {summ['mean_enc_per_user_revocation']:.1f} enc/revocation, "
             f"median {summ['median_units_per_user_revocation']:.1f} "

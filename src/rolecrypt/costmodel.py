@@ -232,7 +232,9 @@ class SchemeProfile:
         return total
 
 
+@cache
 def load_scheme_data() -> dict:
+    """``data/schemes.json``, parsed once per process: do not mutate it."""
     ref = resources.files("rolecrypt.data").joinpath("schemes.json")
     with ref.open(encoding="utf-8") as fh:
         return json.load(fh)

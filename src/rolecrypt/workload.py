@@ -20,11 +20,12 @@ exactly.
 
 The closed-form cost model prices every action from the model state and the
 file-key versions, which the run carries forward itself, so no engine is
-built; both variants' costs carry the identity-based counter names.  A
-cost-checked run also steps every action through a seeded engine of its
-variant in lockstep with the model, and fails at the first action where the
-engine raises, decrypts without authorization, spends other primitives than
-``reconcile`` expects, or leaves UR and PA unlike the model's.
+built.  Both variants spend the same primitives, so a run names no variant:
+its costs carry the identity-based counter names and the writers name its
+rows.  An audited run also steps every action through a seeded engine of
+one variant in lockstep with the model, and fails at the first action where
+the engine raises, decrypts without authorization, spends other primitives
+than ``reconcile`` expects, or leaves UR and PA unlike the model's.
 
 Permission grants carry the full read-write level throughout: the source
 relations do not distinguish levels, and revocation experiments remove the
@@ -43,7 +44,7 @@ import multiprocessing
 import random
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from importlib import resources
@@ -521,64 +522,48 @@ def sample_events(
 # --- running ---------------------------------------------------------------------
 
 
-def _derived(fn):
-    """A run's property, computed once into the ``derived`` dict its copies share."""
-    def get(run):
-        if fn.__name__ not in run.derived:
-            run.derived[fn.__name__] = fn(run)
-        return run.derived[fn.__name__]
-    return property(get, doc=fn.__doc__)
-
-
 @dataclass
 class RunResult:
     """One run: its sampled arrivals and, for each, the primitive operations
     it cost (an empty vector for a skipped arrival).  Every count is derived
-    from these two lists, once per run and its ``as_variant`` copies."""
+    from these two lists, once per run.  A run names no variant: the model
+    prices every variant alike, and the writers name its rows."""
 
     dataset: str
-    variant: str
     run_index: int
     seed: int
     days: float
     rates: ActorRates
     events: list[Event]
     costs: list[CostVector]
-    derived: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _units: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
-    def as_variant(self, variant: str) -> "RunResult":
-        """This run under ``variant``'s name, sharing every number derived
-        from it, now or later: the model prices every variant alike."""
-        new = replace(self, variant=variant)
-        new.derived = self.derived
-        return new
-
-    @_derived
+    @cached_property
     def arrivals(self) -> dict[str, int]:
         n = Counter(ev.kind for ev in self.events)
         return {k: n[k] for k in EVENT_KINDS}
 
-    @_derived
+    @cached_property
     def applied(self) -> dict[str, int]:
         n = Counter(ev.kind for ev in self.events if ev.label is not None)
         return {k: n[k] for k in EVENT_KINDS}
 
-    @_derived
+    @cached_property
     def skipped(self) -> dict[str, int]:
         return {k: n - self.applied[k] for k, n in self.arrivals.items()}
 
-    @_derived
+    @cached_property
     def by_kind(self) -> dict[str, CostVector]:
         costs: dict[str, list[CostVector]] = {k: [] for k in EVENT_KINDS}
         for ev, cost in zip(self.events, self.costs):
             costs[ev.kind].append(cost)
         return {k: CostVector.sum(c) for k, c in costs.items()}
 
-    @_derived
+    @cached_property
     def totals(self) -> CostVector:
         return CostVector.sum(self.by_kind.values())
 
-    @_derived
+    @cached_property
     def rekeys_by_kind(self) -> dict[str, int]:
         """File re-keys (fresh file keys minted) per event kind."""
         return {k: c.get("sym_gen") for k, c in self.by_kind.items()}
@@ -593,11 +578,11 @@ class RunResult:
         return max(buckets.values(), default=0)
 
     def units(self, profile: str, kind: Optional[str] = None) -> Fraction:
-        key = ("units", profile, kind)
-        if key not in self.derived:
+        key = (profile, kind)
+        if key not in self._units:
             cost = self.totals if kind is None else self.by_kind[kind]
-            self.derived[key] = scheme_profile(profile).units_of(cost)
-        return self.derived[key]
+            self._units[key] = scheme_profile(profile).units_of(cost)
+        return self._units[key]
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -611,25 +596,25 @@ def seed_engine(dataset: Dataset, variant: str) -> Engine:
 
 def run_simulation(
     dataset: Dataset,
-    variant: str = "ibe",
     *,
     days: float = 30.0,
     seed: int = 0,
     run_index: int = 0,
     engine: Optional[Engine] = None,
 ) -> RunResult:
-    """One simulated period from ``dataset`` in ``variant``.  Each applied
-    event is priced by ``algebraic_cost`` from the model state, advanced by
-    ``apply_label``, and the file-key versions, advanced by
-    ``roll_versions``; no engine runs.  The costs carry the identity-based
-    counter names in both variants, which spend the same primitives.
+    """One simulated period from ``dataset``.  Each applied event is priced
+    by ``algebraic_cost`` from the model state, advanced by ``apply_label``,
+    and the file-key versions, advanced by ``roll_versions``; no engine
+    runs.  The costs carry the identity-based counter names, and both
+    variants spend the same primitives, so the run names no variant.
 
     Given ``engine``, which holds the seeded dataset (see ``seed_engine``)
-    and is consumed, the run audits it: a ``Lockstep`` without the envelope
-    steps every label through the engine and the model, and its prices are
-    the costs.  The run raises ``AssertionError`` naming the first label at
-    which the engine raises, decrypts without authorization, fails
-    ``reconcile`` or leaves UR and PA unlike the model's."""
+    and is consumed, the run audits it in the engine's binding: a
+    ``Lockstep`` without the envelope steps every label through the engine
+    and the model, and its prices are the costs.  The run raises
+    ``AssertionError`` naming the first label at which the engine raises,
+    decrypts without authorization, fails ``reconcile`` or leaves UR and PA
+    unlike the model's."""
     run_seed = derive_seed(seed, run_index)
     rng = random.Random(run_seed)
     rates = ActorRates.sample(rng, len(dataset.users))
@@ -663,7 +648,6 @@ def run_simulation(
             costs.append(lock.price)
     return RunResult(
         dataset=dataset.name,
-        variant=variant,
         run_index=run_index,
         seed=run_seed,
         days=days,
@@ -674,13 +658,13 @@ def run_simulation(
 
 
 def _run_chunk(args: tuple) -> list[RunResult]:
-    """Run every index of the chunk; a cost-checked chunk seeds one engine
-    and audits every run on a fork of it."""
-    dataset, indices, variant, check_costs, kwargs = args
-    start = seed_engine(dataset, variant) if check_costs else None
+    """Run every index of the chunk; an audited chunk seeds one engine and
+    audits every run on a fork of it."""
+    dataset, indices, audit, kwargs = args
+    start = None if audit is None else seed_engine(dataset, audit)
     return [
         run_simulation(
-            dataset, variant, run_index=i,
+            dataset, run_index=i,
             engine=None if start is None else start.fork(), **kwargs,
         )
         for i in indices
@@ -691,23 +675,20 @@ def monte_carlo(
     dataset: Dataset,
     runs: int = 100,
     *,
-    variant: str = "ibe",
     days: float = 30.0,
     seed: int = 0,
     workers: int = 1,
-    check_costs: bool = False,
+    audit: Optional[str] = None,
 ) -> list[RunResult]:
     """Independent runs with per-run derived seeds; identical results for any
     worker count.  The run indices are split into one contiguous chunk per
-    worker (at most one per run).  With ``check_costs`` each chunk seeds its
-    start engine once and gives every run a fork of it to audit."""
+    worker (at most one per run).  With ``audit``, a variant name, each
+    chunk seeds a start engine of that variant once and gives every run a
+    fork of it to audit; the runs are the same with or without."""
     kwargs = dict(days=days, seed=seed)
     n = min(max(workers, 1), runs)
     jobs = [
-        (
-            dataset, range(runs * k // n, runs * (k + 1) // n), variant,
-            check_costs, kwargs,
-        )
+        (dataset, range(runs * k // n, runs * (k + 1) // n), audit, kwargs)
         for k in range(n)
     ]
     if n > 1:
@@ -760,78 +741,92 @@ def _fmt_units(x: Fraction) -> str:
     return f"{float(x):.1f}"
 
 
+def _write_csv(
+    path: str, header: list[str], rows: list[tuple[str, list]],
+    variants: Sequence[str],
+) -> None:
+    """Write ``header``, then the row of each ``(dataset, row)`` pair once
+    under every name in ``variants``, led by its dataset and that name: in
+    (dataset, variant) order, each row computed once."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for ds, group in itertools.groupby(rows, key=lambda x: x[0]):
+            group = [row for _, row in group]
+            for v in sorted(variants):
+                w.writerows([ds, v, *row] for row in group)
+
+
 def write_runs_csv(
     path: str,
     results: Sequence[RunResult],
+    variants: Sequence[str],
     profiles: Sequence[str] = HEADLINE_PROFILES,
     window: Optional[float] = None,
 ) -> None:
-    """One row per run; with ``window`` (days), a last column holds each
-    run's ``max_revocations_per_window(window)``."""
-    results = sorted(results, key=lambda r: (r.dataset, r.variant, r.run_index))
-    unit_cols = [f"units_{p}" for p in profiles]
-    rev_cols = [f"units_per_user_revocation_{p}" for p in profiles]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        header = (
-            ["dataset", "variant", "run", "seed", "days",
-             "admin_rate", "add_bias", "ur_bias",
-             "arrivals", "applied", "skipped"]
-            + [f"applied_{k}" for k in EVENT_KINDS]
-            + list(MODEL_OPS)
-            + unit_cols
-            + ["rekeys_revokeU", "rekeys_per_user_revocation"]
-            + rev_cols
-            + (["max_revocations_per_window"] if window is not None else [])
-        )
-        w.writerow(header)
-        for r in results:
-            totals = r.totals.totals()
-            n_rev = r.applied["revokeU"]
-            row = [
-                r.dataset, r.variant, r.run_index, r.seed,
-                f"{r.days:.6f}",
-                f"{r.rates.admin_rate:.6f}",
-                f"{r.rates.add_bias:.6f}",
-                f"{r.rates.ur_bias:.6f}",
-                sum(r.arrivals.values()),
-                sum(r.applied.values()),
-                sum(r.skipped.values()),
-            ]
-            row += [r.applied[k] for k in EVENT_KINDS]
-            row += [totals.get(op, 0) for op in MODEL_OPS]
-            row += [_fmt_units(r.units(p)) for p in profiles]
-            row += [
-                r.rekeys_by_kind["revokeU"],
-                f"{r.rekeys_by_kind['revokeU'] / n_rev:.1f}" if n_rev else "",
-            ]
-            row += [
-                _fmt_units(per_revocation_units(r, p)) if n_rev else ""
-                for p in profiles
-            ]
-            if window is not None:
-                row += [r.max_revocations_per_window(window)]
-            w.writerow(row)
+    """One row per run and variant; with ``window`` (days), a last column
+    holds each run's ``max_revocations_per_window(window)``."""
+    header = (
+        ["dataset", "variant", "run", "seed", "days",
+         "admin_rate", "add_bias", "ur_bias",
+         "arrivals", "applied", "skipped"]
+        + [f"applied_{k}" for k in EVENT_KINDS]
+        + list(MODEL_OPS)
+        + [f"units_{p}" for p in profiles]
+        + ["rekeys_revokeU", "rekeys_per_user_revocation"]
+        + [f"units_per_user_revocation_{p}" for p in profiles]
+        + (["max_revocations_per_window"] if window is not None else [])
+    )
+    rows = []
+    for r in sorted(results, key=lambda r: (r.dataset, r.run_index)):
+        totals = r.totals.totals()
+        n_rev = r.applied["revokeU"]
+        row = [
+            r.run_index, r.seed,
+            f"{r.days:.6f}",
+            f"{r.rates.admin_rate:.6f}",
+            f"{r.rates.add_bias:.6f}",
+            f"{r.rates.ur_bias:.6f}",
+            sum(r.arrivals.values()),
+            sum(r.applied.values()),
+            sum(r.skipped.values()),
+        ]
+        row += [r.applied[k] for k in EVENT_KINDS]
+        row += [totals.get(op, 0) for op in MODEL_OPS]
+        row += [_fmt_units(r.units(p)) for p in profiles]
+        row += [
+            r.rekeys_by_kind["revokeU"],
+            f"{r.rekeys_by_kind['revokeU'] / n_rev:.1f}" if n_rev else "",
+        ]
+        row += [
+            _fmt_units(per_revocation_units(r, p)) if n_rev else ""
+            for p in profiles
+        ]
+        if window is not None:
+            row += [r.max_revocations_per_window(window)]
+        rows.append((r.dataset, row))
+    _write_csv(path, header, rows, variants)
 
 
-def write_events_csv(path: str, results: Sequence[RunResult]) -> None:
-    results = sorted(results, key=lambda r: (r.dataset, r.variant, r.run_index))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["dataset", "variant", "run", "index", "t_days", "kind",
-             "target", "applied"]
-            + list(MODEL_OPS)
-        )
-        for r in results:
-            for i, (ev, cost) in enumerate(zip(r.events, r.costs)):
-                totals = cost.totals()
-                w.writerow(
-                    [r.dataset, r.variant, r.run_index, i, f"{ev.t:.6f}",
-                     ev.kind, "-" if ev.label is None else str(ev.label),
-                     int(ev.label is not None)]
-                    + [totals.get(op, 0) for op in MODEL_OPS]
-                )
+def write_events_csv(
+    path: str, results: Sequence[RunResult], variants: Sequence[str]
+) -> None:
+    header = (
+        ["dataset", "variant", "run", "index", "t_days", "kind",
+         "target", "applied"]
+        + list(MODEL_OPS)
+    )
+    rows = []
+    for r in sorted(results, key=lambda r: (r.dataset, r.run_index)):
+        for i, (ev, cost) in enumerate(zip(r.events, r.costs)):
+            totals = cost.totals()
+            rows.append((r.dataset, [
+                r.run_index, i, f"{ev.t:.6f}",
+                ev.kind, "-" if ev.label is None else str(ev.label),
+                int(ev.label is not None),
+                *(totals.get(op, 0) for op in MODEL_OPS),
+            ]))
+    _write_csv(path, header, rows, variants)
 
 
 def _quartiles(vals: list[float]) -> tuple[float, float, float]:
@@ -845,37 +840,35 @@ def _quartiles(vals: list[float]) -> tuple[float, float, float]:
 def write_summary_csv(
     path: str,
     results: Sequence[RunResult],
+    variants: Sequence[str],
     profiles: Sequence[str] = HEADLINE_PROFILES,
 ) -> None:
-    """Per (dataset, variant) aggregates over runs."""
-    groups: dict[tuple[str, str], list[RunResult]] = {}
-    for r in results:
-        groups.setdefault((r.dataset, r.variant), []).append(r)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        header = [
-            "dataset", "variant", "runs",
-            "mean_arrivals", "mean_applied",
-            "user_revocations", "mean_enc_per_user_revocation",
+    """Per-dataset aggregates over runs, one row per variant."""
+    header = [
+        "dataset", "variant", "runs",
+        "mean_arrivals", "mean_applied",
+        "user_revocations", "mean_enc_per_user_revocation",
+    ]
+    for p in profiles:
+        header += [
+            f"units_per_user_revocation_{p}_q1",
+            f"units_per_user_revocation_{p}_median",
+            f"units_per_user_revocation_{p}_q3",
+        ]
+    rows = []
+    by_dataset = sorted(results, key=lambda r: r.dataset)
+    for ds, rs in itertools.groupby(by_dataset, key=lambda r: r.dataset):
+        rs = list(rs)
+        summ = user_revocation_summary(rs)
+        row = [
+            len(rs),
+            f"{statistics.fmean(sum(r.arrivals.values()) for r in rs):.6f}",
+            f"{statistics.fmean(sum(r.applied.values()) for r in rs):.6f}",
+            summ["user_revocations"],
+            f"{summ['mean_enc_per_user_revocation']:.1f}",
         ]
         for p in profiles:
-            header += [
-                f"units_per_user_revocation_{p}_q1",
-                f"units_per_user_revocation_{p}_median",
-                f"units_per_user_revocation_{p}_q3",
-            ]
-        w.writerow(header)
-        for (ds, variant) in sorted(groups):
-            rs = groups[(ds, variant)]
-            summ = user_revocation_summary(rs)
-            row = [
-                ds, variant, len(rs),
-                f"{statistics.fmean(sum(r.arrivals.values()) for r in rs):.6f}",
-                f"{statistics.fmean(sum(r.applied.values()) for r in rs):.6f}",
-                summ["user_revocations"],
-                f"{summ['mean_enc_per_user_revocation']:.1f}",
-            ]
-            for p in profiles:
-                q1, q2, q3 = _quartiles(_per_run_units(rs, p))
-                row += [f"{q1:.1f}", f"{q2:.1f}", f"{q3:.1f}"]
-            w.writerow(row)
+            q1, q2, q3 = _quartiles(_per_run_units(rs, p))
+            row += [f"{q1:.1f}", f"{q2:.1f}", f"{q3:.1f}"]
+        rows.append((ds, row))
+    _write_csv(path, header, rows, variants)

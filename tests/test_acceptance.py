@@ -279,7 +279,7 @@ def test_criterion_6_revocation_magnitude(capsys):
     assert shape == (365, 709, 60, 1130, 3455)
 
     results = monte_carlo(
-        ds, 100, variant="ibe", days=30.0, seed=17,
+        ds, 100, days=30.0, seed=17,
         workers=min(8, os.cpu_count() or 1),
     )
     summary = user_revocation_summary(results, profile="BF+CC")

@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import rolecrypt
+import rolecrypt.costmodel as costmodel
 import rolecrypt.equivalence as eqv
 from rolecrypt.cli import main
 from rolecrypt.engine import Engine
@@ -43,6 +45,19 @@ def test_cost_table_all_profiles(capsys):
     assert main(["cost-table", "--profiles", "all"]) == 0
     header = capsys.readouterr().out.splitlines()[0].split()
     assert len(header) == 2 + 40
+
+
+def test_cost_table_parses_scheme_data_once(monkeypatch, capsys):
+    # all 40 profiles read one parse of data/schemes.json
+    parses, load = [], json.load
+    monkeypatch.setattr(
+        costmodel, "json",
+        types.SimpleNamespace(load=lambda fh: parses.append(1) or load(fh)),
+    )
+    costmodel.load_scheme_data.cache_clear()
+    costmodel.scheme_profile.cache_clear()
+    assert main(["cost-table", "--profiles", "all"]) == 0
+    assert len(parses) == 1
 
 
 def test_cost_table_unknown_profile(capsys):

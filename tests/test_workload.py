@@ -429,10 +429,8 @@ def test_seed_engine_builds_dataset_state():
 
 
 def test_run_simulation_accounting():
-    res = run_simulation(
-        TOY, "ibe", days=60.0, seed=9, engine=seed_engine(TOY, "ibe")
-    )
-    assert res.dataset == "toy" and res.variant == "ibe"
+    res = run_simulation(TOY, days=60.0, seed=9, engine=seed_engine(TOY, "ibe"))
+    assert res.dataset == "toy"
     for k in EVENT_KINDS:
         assert res.arrivals[k] == res.applied[k] + res.skipped[k]
     assert len(res.events) == len(res.costs) == sum(res.arrivals.values())
@@ -450,11 +448,9 @@ def test_run_simulation_accounting():
     # every revocation that re-keyed shows up in the sym_gen tally
     assert res.rekeys_by_kind["revokeU"] == res.by_kind["revokeU"].get("sym_gen")
     assert res.units("BF+CC") >= 0
-    # a copy under another variant's name shares every derived number
-    pki = res.as_variant("pki")
-    assert (pki.variant, res.variant) == ("pki", "ibe")
-    assert pki.by_kind is res.by_kind and pki.units("BF+CC") is res.units("BF+CC")
-    assert pki.units("LW+PS", "revokeU") is res.units("LW+PS", "revokeU")
+    # every derived number is computed once
+    assert res.by_kind is res.by_kind and res.units("BF+CC") is res.units("BF+CC")
+    assert res.units("LW+PS", "revokeU") is res.units("LW+PS", "revokeU")
 
 
 class _ForgetfulEngine(Engine):
@@ -476,12 +472,10 @@ def test_check_costs_catches_engine_drift(monkeypatch, variant):
     eng = seed_engine(ds, variant)
     assert type(eng) is _ForgetfulEngine
     with pytest.raises(AssertionError, match=r"^cost mismatch at revokeU"):
-        run_simulation(ds, variant, days=60.0, seed=7, engine=eng)
-    # a cost-checked batch seeds the broken engine too
+        run_simulation(ds, days=60.0, seed=7, engine=eng)
+    # an audited batch seeds the broken engine too
     with pytest.raises(AssertionError, match=r"^cost mismatch at revokeU"):
-        monte_carlo(
-            ds, runs=1, variant=variant, days=60.0, seed=7, check_costs=True
-        )
+        monte_carlo(ds, runs=1, days=60.0, seed=7, audit=variant)
 
 
 class _QuietStaleRewrapEngine(_StaleRewrapEngine):
@@ -530,7 +524,7 @@ def test_audit_names_the_event_an_engine_fails(
     eng = seed_engine(ds, variant)
     assert type(eng) is engine
     with pytest.raises(AssertionError) as exc:
-        run_simulation(ds, variant, days=60.0, seed=1, engine=eng)
+        run_simulation(ds, days=60.0, seed=1, engine=eng)
     assert str(exc.value).startswith(message)
 
 
@@ -543,27 +537,18 @@ def test_audit_reads_state_once_per_applied_label(monkeypatch, variant):
     monkeypatch.setattr(
         eng.fs, "_fire", lambda: hooks.append(eng.fs.on_mutation)
     )
-    res = run_simulation(TOY, variant, days=60.0, seed=4, engine=eng)
+    res = run_simulation(TOY, days=60.0, seed=4, engine=eng)
     assert hooks and set(hooks) == {None}
     assert len(reads) == sum(res.applied.values()) > 0
 
 
 def test_run_simulation_is_deterministic():
     def run(i):
-        return run_simulation(TOY, "ibe", days=30.0, seed=4, run_index=i)
+        return run_simulation(TOY, days=30.0, seed=4, run_index=i)
 
     a, b, c = run(2), run(2), run(3)
     assert a.totals == b.totals and a.arrivals == b.arrivals
     assert (a.totals, a.arrivals) != (c.totals, c.arrivals)
-
-
-def test_variants_agree_under_renaming():
-    # the model prices both variants in one counter vocabulary
-    a = run_simulation(TOY, "ibe", days=45.0, seed=12)
-    b = run_simulation(TOY, "pki", days=45.0, seed=12)
-    assert a.arrivals == b.arrivals and a.applied == b.applied
-    assert a.costs == b.costs
-    assert a.rekeys_by_kind == b.rekeys_by_kind
 
 
 def test_monte_carlo_worker_count_invariance():
@@ -583,18 +568,23 @@ def test_monte_carlo_worker_count_invariance():
 
 
 def test_monte_carlo_runs_equal_fresh_simulations():
-    # a cost-checked batch audits every run on a fork of one seeded engine
-    batch = monte_carlo(
-        TOY, runs=3, variant="pki", seed=4, days=40.0, check_costs=True
-    )
+    # an audited batch audits every run on a fork of one seeded engine
+    batch = monte_carlo(TOY, runs=3, seed=4, days=40.0, audit="pki")
     for i, r in enumerate(batch):
         fresh = run_simulation(
-            TOY, "pki", seed=4, days=40.0, run_index=i,
+            TOY, seed=4, days=40.0, run_index=i,
             engine=seed_engine(TOY, "pki"),
         )
         assert (r.by_kind, r.applied, r.rates) == (
             fresh.by_kind, fresh.applied, fresh.rates
         )
+    # so `simulate --check-costs` writes the rows of the metered runs: an
+    # audited batch of either variant equals the metered one, run by run
+    metered = monte_carlo(TOY, runs=3, seed=4, days=40.0)
+    assert len(metered) == 3
+    for variant in ("ibe", "pki"):
+        audited = monte_carlo(TOY, runs=3, seed=4, days=40.0, audit=variant)
+        assert audited == metered
 
 
 @pytest.mark.parametrize("variant", ["ibe", "pki"])
@@ -603,7 +593,7 @@ def test_closed_forms_hold_at_dataset_scale(variant):
     # roles, 709 files; run_simulation raises on the first cost mismatch
     ds = synthesize_dataset("firewall1", random.Random(derive_seed(0, -1)))
     t0 = time.monotonic()
-    results = monte_carlo(ds, runs=3, variant=variant, check_costs=True)
+    results = monte_carlo(ds, runs=3, audit=variant)
     elapsed = time.monotonic() - t0
     assert sum(sum(r.applied.values()) for r in results) >= 100
     assert sum(r.applied["revokeU"] for r in results) >= 10
@@ -620,10 +610,8 @@ def test_cost_model_meters_what_the_engine_spends(variant):
         start = seed_engine(ds, variant)
         for i in range(3):
             eng = start.fork()
-            audited = run_simulation(
-                ds, variant, seed=3, run_index=i, engine=eng
-            )
-            metered = run_simulation(ds, variant, seed=3, run_index=i)
+            audited = run_simulation(ds, seed=3, run_index=i, engine=eng)
+            metered = run_simulation(ds, seed=3, run_index=i)
             assert metered.events == audited.events
             assert metered.costs == audited.costs
             assert not eng.provider.unauthorized_events
@@ -659,17 +647,17 @@ def test_composite_labels_reconcile_at_dataset_scale(variant):
 
 
 def test_revocation_window_tracking():
-    res = run_simulation(TOY, "ibe", days=90.0, seed=1)
+    res = run_simulation(TOY, days=90.0, seed=1)
     revs = res.applied["revokeU"] + res.applied["revokeP"]
     assert 0 < res.max_revocations_per_window(7.0) <= revs
     # one window spanning the run holds every applied revocation
     assert res.max_revocations_per_window(90.0) == revs
-    none = run_simulation(TOY, "ibe", days=0.01, seed=3)
+    none = run_simulation(TOY, days=0.01, seed=3)
     assert none.max_revocations_per_window(7.0) == 0
 
 
 def test_per_revocation_units_empty_case():
-    res = run_simulation(TOY, "ibe", days=0.01, seed=3)
+    res = run_simulation(TOY, days=0.01, seed=3)
     assert res.applied["revokeU"] == 0
     assert per_revocation_units(res, "BF+CC") is None
     summ = user_revocation_summary([res])
@@ -701,8 +689,8 @@ def test_runs_csv_counter_columns_are_pinned():
 def test_runs_csv_is_deterministic_and_order_insensitive(tmp_path):
     results = monte_carlo(TOY, runs=3, seed=5, days=40.0)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_runs_csv(str(p1), results)
-    write_runs_csv(str(p2), list(reversed(results)))
+    write_runs_csv(str(p1), results, ["ibe"])
+    write_runs_csv(str(p2), list(reversed(results)), ["ibe"])
     assert p1.read_bytes() == p2.read_bytes()
     rows = list(csv.DictReader(p1.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == 3
@@ -712,19 +700,18 @@ def test_runs_csv_is_deterministic_and_order_insensitive(tmp_path):
 
 def test_summary_csv_contents(tmp_path):
     results = monte_carlo(TOY, runs=3, seed=5, days=40.0)
-    results += monte_carlo(TOY, runs=2, seed=5, days=40.0, variant="pki")
     path = tmp_path / "summary.csv"
-    write_summary_csv(str(path), results)
+    write_summary_csv(str(path), results, ["pki", "ibe"])
     rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
     assert [(r["dataset"], r["variant"], int(r["runs"])) for r in rows] == [
-        ("toy", "ibe", 3), ("toy", "pki", 2),
+        ("toy", "ibe", 3), ("toy", "pki", 3),
     ]
 
 
 def test_events_csv_row_counts(tmp_path):
     results = monte_carlo(TOY, runs=2, seed=6, days=30.0)
     path = tmp_path / "events.csv"
-    write_events_csv(str(path), results)
+    write_events_csv(str(path), results, ["ibe"])
     rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == sum(sum(r.arrivals.values()) for r in results)
     applied = [r for r in rows if r["applied"] == "1"]
@@ -743,9 +730,7 @@ PINNED_SHA256 = {
 
 def test_output_bytes_are_pinned(tmp_path):
     ds = synthesize_dataset("healthcare", random.Random(derive_seed(0, -1)))
-    results = []
-    for variant in ("ibe", "pki"):
-        results += monte_carlo(ds, runs=3, variant=variant, seed=5)
+    results = monte_carlo(ds, runs=3, seed=5)
     writers = {
         "runs.csv": write_runs_csv,
         "summary.csv": write_summary_csv,
@@ -753,6 +738,6 @@ def test_output_bytes_are_pinned(tmp_path):
     }
     got = {}
     for name, write in writers.items():
-        write(str(tmp_path / name), results)
+        write(str(tmp_path / name), results, ["ibe", "pki"])
         got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert got == PINNED_SHA256
