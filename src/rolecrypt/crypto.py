@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -49,7 +49,47 @@ MODEL_OPS = _IBE + _SYM
 IBE_TO_PKI = dict(zip(_IBE, _PKI))
 
 
-@dataclass(frozen=True, slots=True)
+def record(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)`` with an ``__init__`` that sets
+    each slot through its member descriptor rather than through
+    ``object.__setattr__``, at about half the cost; the signature, the
+    defaults and the ``__post_init__`` call are the dataclass's own."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    ns: dict[str, object] = {}
+    params, body = [], []
+    for f in fields(cls):
+        ns[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            ns[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"_set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    "
+         + "\n    ".join(body), ns)
+    init = ns["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = dict(cls.__init__.__annotations__)
+    cls.__init__ = init
+    return cls
+
+
+def _freeze_fields(term: object) -> None:
+    """Check that every field of ``term`` can be encoded, raising where
+    ``canonical_bytes`` would, and turn every list in them into a tuple.
+    Each term record runs this when it is built, so a record is checked and
+    frozen for good, and ``_frozen`` returns one without a walk."""
+    _, fields_of, setters = _RECORDS[type(term)]
+    items = fields_of(term)
+    frozen = _frozen(items)
+    if frozen is not items:
+        for set_field, v in zip(setters, frozen):
+            set_field(term, v)
+
+
+@record
 class Identity:
     """A principal a key can be derived for: a user, a role version, or SU."""
 
@@ -62,6 +102,7 @@ class Identity:
             raise ValueError(f"bad identity kind {self.kind!r}")
         if (self.kind == "role") != (self.version is not None):
             raise ValueError("exactly role identities carry a version")
+        _freeze_fields(self)
 
     def __str__(self) -> str:
         if self.kind == "role":
@@ -69,28 +110,7 @@ class Identity:
         return self.name
 
 
-SU_IDENTITY = Identity("superuser", "SU")
-
-
-# The two constructors below intern their terms (hash-consing): every call
-# with the same arguments, compared by value and exact type, returns one
-# shared ``Identity``, so a store holding thousands of tuples for one role
-# version holds one identity object for it.  ``typed=True`` keeps
-# ``role_identity("r", True)`` apart from ``role_identity("r", 1)``, which
-# are different terms.
-
-
-@lru_cache(maxsize=None, typed=True)
-def user_identity(name: str) -> Identity:
-    return SU_IDENTITY if name == "SU" else Identity("user", name)
-
-
-@lru_cache(maxsize=None, typed=True)
-def role_identity(name: str, version: int) -> Identity:
-    return Identity("role", name, version)
-
-
-@dataclass(frozen=True, slots=True)
+@record
 class SymbolicKey:
     """A key record.  alg is one of:
     ibe-dec, ibs-sign (identity-derived private keys);
@@ -102,8 +122,10 @@ class SymbolicKey:
     owner: Optional[Identity] = None
     serial: Optional[int] = None
 
+    __post_init__ = _freeze_fields
 
-@dataclass(frozen=True, slots=True)
+
+@record
 class SymbolicCiphertext:
     """Deterministic ciphertext: recipient reference plus structural payload."""
 
@@ -111,8 +133,10 @@ class SymbolicCiphertext:
     recipient: object  # Identity (ibe), SymbolicKey pke-pub (pke) or sym (sym)
     payload: object
 
+    __post_init__ = _freeze_fields
 
-@dataclass(frozen=True, slots=True)
+
+@record
 class SymbolicSignature:
     """The term sig(k, m): the signing key's owner and serial, and m."""
 
@@ -120,6 +144,8 @@ class SymbolicSignature:
     signer: Identity
     key_serial: Optional[int]  # None for ibs
     fields: tuple  # the signed fields, with every list frozen to a tuple
+
+    __post_init__ = _freeze_fields
 
 
 class UnauthorizedDecrypt(Exception):
@@ -211,17 +237,18 @@ class CostVector:
 
 _u32 = struct.Struct(">I").pack  # the 4-byte big-endian length
 
-_ATOMS = frozenset((str, int, bool, bytes, type(None)))
-_RECORDS = {  # each record type's tag and the fields it encodes, in order
-    Identity: (b"D", operator.attrgetter("kind", "name", "version")),
-    SymbolicKey: (b"K", operator.attrgetter("alg", "owner", "serial")),
-    SymbolicCiphertext: (
-        b"C", operator.attrgetter("alg", "recipient", "payload")
-    ),
-    SymbolicSignature: (
-        b"G", operator.attrgetter("alg", "signer", "key_serial", "fields")
-    ),
+_RECORDS = {  # each term record's tag, its fields' getter and their setters
+    cls: (tag, operator.attrgetter(*[f.name for f in fields(cls)]),
+          tuple([getattr(cls, f.name).__set__ for f in fields(cls)]))
+    for cls, tag in (
+        (Identity, b"D"), (SymbolicKey, b"K"), (SymbolicCiphertext, b"C"),
+        (SymbolicSignature, b"G"),
+    )
 }
+
+#: The types whose values ``_frozen`` returns without a walk: the atoms but
+#: ``str``, and the term records, which check their own fields when built.
+_SETTLED = frozenset((int, bool, bytes, type(None), *_RECORDS))
 
 
 def canonical_bytes(value: object) -> bytes:
@@ -250,7 +277,7 @@ def _framed(v: object) -> bytes:
     record = _RECORDS.get(t)
     if record is None:
         raise TypeError(f"cannot serialize {t.__name__}")
-    tag, fields_of = record
+    tag, fields_of, _ = record
     body = b"".join([_framed(x) for x in fields_of(v)])
     return tag + _u32(len(body)) + body
 
@@ -258,33 +285,25 @@ def _framed(v: object) -> bytes:
 def _frozen(v: object) -> object:
     """``v`` with every list turned into a tuple, and ``v`` itself when it
     holds none; raises where ``canonical_bytes`` would (``TypeError``, or
-    ``UnicodeEncodeError`` for a string with a lone surrogate)."""
+    ``UnicodeEncodeError`` for a string with a lone surrogate).  Only the
+    bare tuples, lists and strings around records are walked."""
     t = type(v)
     if t is tuple:
-        items = v
-    elif t is Identity and type(v.kind) is str and type(v.name) is str and (
-        type(v.version) is int or v.version is None
-    ) and v.name.isascii():
-        return v  # the common case, checked without a walk
-    elif t is list:
+        for x in v:
+            tx = type(x)
+            if tx is str:
+                if not x.isascii():
+                    x.encode()
+            elif tx not in _SETTLED and _frozen(x) is not x:
+                return tuple([_frozen(y) for y in v])
+        return v
+    if t is list:
         return tuple([_frozen(x) for x in v])
-    else:
-        record = _RECORDS.get(t)
-        if record is None:
-            if t is str and not v.isascii():
-                v.encode()
-            elif t not in _ATOMS:
-                raise TypeError(f"cannot serialize {t.__name__}")
-            return v
-        items = record[1](v)
-    for x in items:
-        tx = type(x)
-        if tx is str:
-            if not x.isascii():
-                x.encode()
-        elif tx not in _ATOMS and _frozen(x) is not x:
-            new = [_frozen(y) for y in items]
-            return tuple(new) if t is tuple else t(*new)
+    if t is str:
+        if not v.isascii():
+            v.encode()
+    elif t not in _SETTLED:
+        raise TypeError(f"cannot serialize {t.__name__}")
     return v
 
 
@@ -297,6 +316,8 @@ def _same_term(a: object, b: object) -> bool:
     if t is tuple or t is list:
         if not (tb is tuple or tb is list) or len(a) != len(b):
             return False
+        if all(map(operator.is_, a, b)):
+            return True  # the very items signed, as on every honest verify
         pairs = zip(a, b)
     elif t is not tb:
         return False
@@ -309,6 +330,27 @@ def _same_term(a: object, b: object) -> bool:
         if x is not y and not _same_term(x, y):
             return False
     return True
+
+
+SU_IDENTITY = Identity("superuser", "SU")
+
+
+# The two constructors below intern their terms (hash-consing): every call
+# with the same arguments, compared by value and exact type, returns one
+# shared ``Identity``, so a store holding thousands of tuples for one role
+# version holds one identity object for it.  ``typed=True`` keeps
+# ``role_identity("r", True)`` apart from ``role_identity("r", 1)``, which
+# are different terms.
+
+
+@lru_cache(maxsize=None, typed=True)
+def user_identity(name: str) -> Identity:
+    return SU_IDENTITY if name == "SU" else Identity("user", name)
+
+
+@lru_cache(maxsize=None, typed=True)
+def role_identity(name: str, version: int) -> Identity:
+    return Identity("role", name, version)
 
 
 class CryptoProvider:
@@ -391,7 +433,7 @@ class CryptoProvider:
         self._count("ibs_sign")
         if key.alg != "ibs-sign":
             raise TypeError("ibs_sign requires an ibs-sign key")
-        return SymbolicSignature("ibs", key.owner, None, _frozen(fields))
+        return SymbolicSignature("ibs", key.owner, None, fields)
 
     def ibs_ver(
         self, ident: Identity, fields: tuple, sig: SymbolicSignature
@@ -446,7 +488,7 @@ class CryptoProvider:
         self._count("sig_sign")
         if key.alg != "sig-sign":
             raise TypeError("sig_sign requires a sig-sign key")
-        return SymbolicSignature("sig", key.owner, key.serial, _frozen(fields))
+        return SymbolicSignature("sig", key.owner, key.serial, fields)
 
     def sig_ver(
         self, ver: SymbolicKey, fields: tuple, sig: SymbolicSignature

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import copy
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -70,6 +70,7 @@ from .crypto import (
     SymbolicCiphertext,
     SymbolicKey,
     SymbolicSignature,
+    record,
     role_identity,
     user_identity,
 )
@@ -87,7 +88,7 @@ class IntegrityError(Exception):
     """A signature check failed or a stale version was presented."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RkTuple:
     member: Identity
     role: Identity  # versioned role identity
@@ -95,7 +96,7 @@ class RkTuple:
     sig: SymbolicSignature  # by SU
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FkTuple:
     holder: Identity  # versioned role identity or SU
     fn: str
@@ -106,7 +107,7 @@ class FkTuple:
     sig: SymbolicSignature  # by the issuer
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FTuple:
     fn: str
     version: int  # file-key version the body is encrypted under
@@ -184,7 +185,7 @@ class FileStore:
         self._del(self.f, fn)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class KeyRing:
     enc_ref: object  # what others encrypt to (identity or public key)
     dec_key: SymbolicKey
@@ -192,7 +193,7 @@ class KeyRing:
     sig_key: SymbolicKey
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RoleRec:
     version: int
     keys: KeyRing  # replaced wholesale on re-key
@@ -328,21 +329,12 @@ class Engine:
         )
         return cls(*values, sig)
 
-    def _valid(self, t) -> bool:
-        """Whether ``t``'s signature by its signer covers its fields.  An
-        unknown signer makes a bad signature, with no primitive run."""
-        tag, fields_of, signer_of, _ = _SIGNED[type(t)]
-        ref = self._ver_ref_of(signer_of(t))
-        if ref is None:
-            return False
-        return self.binding.verify(
-            self.provider, ref, (tag, *fields_of(t)), t.sig
-        )
-
-    def _check_place(self, t, key, holder: Optional[Identity] = None) -> None:
-        """Raise unless ``t`` names the store ``key`` it was read from and,
-        when ``holder`` is given, names that identity as its (FK) holder."""
-        tag, _, _, key_of = _SIGNED[type(t)]
+    def _verify(self, t, key, holder: Optional[Identity] = None) -> None:
+        """Raise unless ``t`` names the store ``key`` it was read from, names
+        ``holder`` as its (FK) holder when one is given, and carries its
+        signer's signature over its fields.  An unknown signer makes a bad
+        signature, with no primitive run."""
+        tag, fields_of, signer_of, key_of = _SIGNED[type(t)]
         if key_of(t) != key:
             raise IntegrityError(
                 f"{tag} tuple of {key_of(t)!r} stored at {key!r}"
@@ -351,14 +343,12 @@ class Engine:
             raise IntegrityError(
                 f"FK tuple stored at {key!r} is for {t.holder}, not {holder}"
             )
-
-    def _verify(self, t, key, holder: Optional[Identity] = None) -> None:
-        """Check that ``t`` belongs at ``key`` (see ``_check_place``), then
-        its signature."""
-        self._check_place(t, key, holder)
-        if not self._valid(t):
-            tag, _, signer_of, _ = _SIGNED[type(t)]
-            raise IntegrityError(f"bad signature by {signer_of(t)} on {tag}")
+        signer = signer_of(t)
+        ref = self._ver_ref_of(signer)
+        if ref is None or not self.binding.verify(
+            self.provider, ref, (tag, *fields_of(t)), t.sig
+        ):
+            raise IntegrityError(f"bad signature by {signer} on {tag}")
 
     def _get(self, tag: str, key):
         """The stored ``tag`` tuple at ``key``, which the record says was
@@ -681,7 +671,8 @@ class Engine:
             version = self.files[fn]
         else:
             body = self._get("F", fn)
-            self._check_place(body, fn)
+            if body.fn != fn:
+                raise IntegrityError(f"F tuple of {body.fn!r} stored at {fn!r}")
             version = body.version
             if version != self.body_versions[fn]:
                 raise IntegrityError(f"replayed stale body of {fn!r}")

@@ -276,17 +276,24 @@ class RbacError(ValueError):
 
 def check_invariants(state: RbacState) -> None:
     """Raise AssertionError if referential integrity is broken, or if the
-    indexes the state carries differ from those ``ur`` and ``pa`` give."""
-    assert SUPERUSER not in state.users and SUPERUSER not in state.roles
+    indexes the state carries differ from those ``ur`` and ``pa`` give.
+    It raises explicitly, so it checks under ``python -O`` too."""
+    if SUPERUSER in state.users or SUPERUSER in state.roles:
+        raise AssertionError
     for u, r in state.ur:
-        assert u in state.users and r in state.roles, (u, r)
+        if u not in state.users or r not in state.roles:
+            raise AssertionError((u, r))
     seen: set[tuple[str, str]] = set()
     for r, f, op in state.pa:
-        assert r in state.roles and f in state.perms, (r, f)
-        assert op in (READ, RW), op
-        assert (r, f) not in seen, f"two ops for {(r, f)}"
+        if r not in state.roles or f not in state.perms:
+            raise AssertionError((r, f))
+        if op not in (READ, RW):
+            raise AssertionError(op)
+        if (r, f) in seen:
+            raise AssertionError(f"two ops for {(r, f)}")
         seen.add((r, f))
-    assert state._index == replace(state)._index, "stale index"
+    if state._index != replace(state)._index:
+        raise AssertionError("stale index")
 
 
 def _warn(on_warning: Optional[Callable[[str], None]], message: str) -> None:

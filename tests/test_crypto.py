@@ -1,5 +1,6 @@
 """Symbolic provider: counting, scopes, key matching, canonical bytes."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from rolecrypt.crypto import (
     SymbolicKey,
     SymbolicSignature,
     UnauthorizedDecrypt,
+    _frozen,
     canonical_bytes,
     role_identity,
     user_identity,
@@ -511,10 +513,13 @@ _FAMILIES = pytest.mark.parametrize(
 )
 
 _terms = st.recursive(
-    _scalars,
+    _scalars
+    | st.builds(user_identity, st.text(alphabet="ab", max_size=2))
+    | st.builds(lambda n: SymbolicKey("sym", serial=n), st.integers(1, 2)),
     lambda s: (
         st.tuples(s) | st.tuples(s, s) | st.lists(s, max_size=2)
         | st.builds(lambda p: SymbolicCiphertext("sym", None, p), s)
+        | st.builds(lambda f: SymbolicSignature("sig", SU_IDENTITY, 1, f), s)
     ),
     max_leaves=6,
 )
@@ -546,24 +551,84 @@ def test_verify_is_exact_type(family, a, b):
 
 @_FAMILIES
 def test_signed_term_cannot_change_after_signing(family):
+    # sign freezes the bare fields it is given; a term freezes its own
+    # fields when it is built
     sign, verify = family(CryptoProvider())
     body = ["a"]
-    fields = ("F", SymbolicCiphertext("sym", None, body))
+    fields = ("F", body)
     sig = sign(fields)
     body.append("b")
     assert not verify(fields, sig)
-    assert verify(("F", SymbolicCiphertext("sym", None, ("a",))), sig)
+    assert verify(("F", ("a",)), sig)
+    payload = ["a"]
+    ct = SymbolicCiphertext("sym", None, payload)
+    payload.append("b")
+    assert ct.payload == ("a",)
+
+
+_BAD = (1.5, "\ud800", "\xe9\ud800", {"a": 1}, [1.5], ("a", ["\ud800"]))
+
+
+def _raises_as_canonical_bytes(bad, build) -> None:
+    """``build()`` raises the exception ``canonical_bytes(bad)`` raises."""
+    with pytest.raises((TypeError, UnicodeEncodeError)) as want:
+        canonical_bytes(bad)
+    with pytest.raises(want.type) as got:
+        build()
+    assert str(got.value) == str(want.value)
 
 
 @_FAMILIES
 def test_sign_raises_where_canonical_bytes_does(family):
+    # bare fields are checked when they are signed, and a term's fields when
+    # the term is built, so no term holds a value canonical_bytes rejects
     sign, _ = family(CryptoProvider())
-    for bad in (
-        1.5, {"a": 1}, SymbolicCiphertext("sym", None, [1.5]),
-        role_identity("r", 1.5), "\ud800", user_identity("\xe9\ud800"),
+    for bad in _BAD:
+        _raises_as_canonical_bytes(("F", bad), lambda: sign(("F", bad)))
+    for bad, build in (
+        ([1.5], lambda: SymbolicCiphertext("sym", None, [1.5])),
+        (1.5, lambda: role_identity("r", 1.5)),
+        ("\xe9\ud800", lambda: user_identity("\xe9\ud800")),
     ):
-        with pytest.raises((TypeError, UnicodeEncodeError)) as want:
-            canonical_bytes(("F", bad))
-        with pytest.raises(want.type) as got:
-            sign(("F", bad))
-        assert str(got.value) == str(want.value)
+        _raises_as_canonical_bytes(bad, build)
+
+
+def _walk(v):
+    """``v`` and every value inside it, the fields of records included."""
+    yield v
+    if type(v) is tuple or type(v) is list:
+        for x in v:
+            yield from _walk(x)
+    elif dataclasses.is_dataclass(v):
+        for f in dataclasses.fields(v):
+            yield from _walk(getattr(v, f.name))
+
+
+def _with_lists(v):
+    """``v`` built again through the constructors, every tuple a list."""
+    if type(v) is tuple or type(v) is list:
+        return [_with_lists(x) for x in v]
+    if dataclasses.is_dataclass(v):
+        return type(v)(
+            *[_with_lists(getattr(v, f.name)) for f in dataclasses.fields(v)]
+        )
+    return v
+
+
+@_FAMILIES
+@given(_terms, _terms)
+def test_terms_are_checked_and_frozen_when_built(family, a, b):
+    sign, verify = family(CryptoProvider())
+    fields = ("F", a)
+    sig = sign(fields)
+    for term in (a, _with_lists(a)):
+        for r in _walk(term):
+            if dataclasses.is_dataclass(r):
+                assert _frozen(r) is r
+                assert list not in map(type, _walk(r))
+                assert _with_lists(r) == r
+        assert canonical_bytes(term) == canonical_bytes(a)
+    # ("F", a) is a fresh tuple with the very items signed
+    for other in (("F", a), ("F", b), ("F", _with_lists(a))):
+        want = canonical_bytes(other) == canonical_bytes(fields)
+        assert verify(other, sig) == want

@@ -7,6 +7,7 @@ count under ``invoker``, upload validation under ``reference_monitor``.
 
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 
@@ -18,9 +19,12 @@ from rolecrypt.crypto import (
     IBE_TO_PKI,
     INVOKER,
     REFERENCE_MONITOR,
+    Identity,
+    SymbolicKey,
     UnauthorizedDecrypt,
 )
 from rolecrypt.engine import (
+    _SIGNED,
     BINDINGS,
     AuthorizationError,
     Engine,
@@ -351,6 +355,16 @@ def test_without_versioning_cached_key_leaks_new_content():
 # -- integrity
 
 
+def _valid(eng, t) -> bool:
+    """Whether ``t`` passes ``_verify`` at the key its own fields name: that
+    is, whether its signer's signature covers its fields."""
+    try:
+        eng._verify(t, _SIGNED[type(t)].key_of(t))
+    except IntegrityError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("binding", sorted(BINDINGS))
 def test_signature_covers_every_field(binding):
     eng = engine_with(
@@ -359,13 +373,13 @@ def test_signature_covers_every_field(binding):
     )
     for tag, fields in faults.FIELDS.items():
         for t in faults.stored(eng, tag).values():
-            assert eng._valid(t)
+            assert _valid(eng, t)
             for field in fields:
                 value = getattr(t, field)
                 for other in faults.others(value):
                     assert type(other) is type(value) and other != value
                     forged = dataclasses.replace(t, **{field: other})
-                    assert not eng._valid(forged), (tag, field, other)
+                    assert not _valid(eng, forged), (tag, field, other)
     # a read checks both tuples it opens, and so do the queries
     for tag, key in (("RK", ("u1", "r1", 1)), ("FK", ("r1", "f1", 1))):
         fork = eng.fork()
@@ -394,7 +408,7 @@ def test_unknown_signer_is_a_bad_signature(binding):
     key = ("r1", "f1", 1)
     forged = dataclasses.replace(eng.fs.fk[key], issuer=faults.GHOST)
     before = eng.provider.snapshot()
-    assert not eng._valid(forged)
+    assert not _valid(eng, forged)
     assert eng.provider.snapshot() == before  # rejected before any primitive
     faults.tamper(eng, "FK", key, "issuer", faults.GHOST)
     with pytest.raises(IntegrityError) as exc:
@@ -1172,11 +1186,27 @@ def test_records_are_slotted_frozen_and_round_trip(binding):
             setattr(rec, name, getattr(rec, name))
         with pytest.raises(AttributeError):
             object.__setattr__(rec, "extra", 1)
+        by_name = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
         for twin in (
-            copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))
+            copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec)),
+            type(rec)(**by_name), dataclasses.replace(rec),
+            dataclasses.replace(rec, **{name: getattr(rec, name)}),
         ):
             assert type(twin) is type(rec)
             assert twin == rec and hash(twin) == hash(rec)
+        # the constructor is the one a plain frozen, slotted dataclass has
+        plain = dataclasses.make_dataclass(
+            type(rec).__name__,
+            [
+                (f.name, f.type, dataclasses.field(default=f.default))
+                for f in dataclasses.fields(rec)
+            ],
+            frozen=True, slots=True,
+        )
+        assert inspect.signature(type(rec)) == inspect.signature(plain)
+    assert SymbolicKey("sym") == SymbolicKey(alg="sym", owner=None, serial=None)
+    with pytest.raises(ValueError, match="bad identity kind"):
+        Identity("bogus", "x")  # __post_init__ still runs
 
 
 def test_file_deletion_order_is_holder_then_version():
