@@ -49,47 +49,49 @@ MODEL_OPS = _IBE + _SYM
 IBE_TO_PKI = dict(zip(_IBE, _PKI))
 
 
-def record(cls: type) -> type:
+def record(cls: type, checked: bool = False) -> type:
     """``dataclass(frozen=True, slots=True)`` with an ``__init__`` that sets
     each slot through its member descriptor rather than through
     ``object.__setattr__``, at about half the cost; the signature, the
-    defaults and the ``__post_init__`` call are the dataclass's own."""
+    defaults and the ``__post_init__`` call are the dataclass's own.  A
+    ``checked`` record first passes each field that is neither an ASCII
+    string nor of a ``_SETTLED`` type through ``_frozen``, so it raises
+    where ``canonical_bytes`` would and holds no list from then on."""
     cls = dataclass(frozen=True, slots=True)(cls)
-    ns: dict[str, object] = {}
+    env: dict[str, object] = {}
     params, body = [], []
     for f in fields(cls):
-        ns[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        n = f.name
+        env[f"_set_{n}"] = getattr(cls, n).__set__
         if f.default is MISSING:
-            params.append(f.name)
+            params.append(n)
         else:
-            ns[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"_set_{f.name}(self, {f.name})")
+            env[f"_default_{n}"] = f.default
+            params.append(f"{n}=_default_{n}")
+        if checked:
+            body.append(f"if type({n}) not in _SETTLED and not (type({n}) "
+                        f"is str and {n}.isascii()): {n} = _frozen({n})")
+        body.append(f"_set_{n}(self, {n})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n    "
-         + "\n    ".join(body), ns)
-    init = ns["__init__"]
+    made: dict[str, object] = {}
+    exec(f"def make({', '.join(env)}):\n"  # _SETTLED and _frozen bind late
+         f" def __init__(self, {', '.join(params)}):\n  "
+         + "\n  ".join(body) + "\n return __init__", globals(), made)
+    init = made["make"](**env)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = dict(cls.__init__.__annotations__)
     cls.__init__ = init
     return cls
 
 
-def _freeze_fields(term: object) -> None:
-    """Check that every field of ``term`` can be encoded, raising where
-    ``canonical_bytes`` would, and turn every list in them into a tuple.
-    Each term record runs this when it is built, so a record is checked and
-    frozen for good, and ``_frozen`` returns one without a walk."""
-    _, fields_of, setters = _RECORDS[type(term)]
-    items = fields_of(term)
-    frozen = _frozen(items)
-    if frozen is not items:
-        for set_field, v in zip(setters, frozen):
-            set_field(term, v)
+def _term(cls: type) -> type:
+    """A ``checked`` record: a term is checked and frozen when it is built,
+    so ``_frozen`` returns one without a walk."""
+    return record(cls, checked=True)
 
 
-@record
+@_term
 class Identity:
     """A principal a key can be derived for: a user, a role version, or SU."""
 
@@ -102,7 +104,6 @@ class Identity:
             raise ValueError(f"bad identity kind {self.kind!r}")
         if (self.kind == "role") != (self.version is not None):
             raise ValueError("exactly role identities carry a version")
-        _freeze_fields(self)
 
     def __str__(self) -> str:
         if self.kind == "role":
@@ -110,7 +111,7 @@ class Identity:
         return self.name
 
 
-@record
+@_term
 class SymbolicKey:
     """A key record.  alg is one of:
     ibe-dec, ibs-sign (identity-derived private keys);
@@ -122,10 +123,8 @@ class SymbolicKey:
     owner: Optional[Identity] = None
     serial: Optional[int] = None
 
-    __post_init__ = _freeze_fields
 
-
-@record
+@_term
 class SymbolicCiphertext:
     """Deterministic ciphertext: recipient reference plus structural payload."""
 
@@ -133,10 +132,8 @@ class SymbolicCiphertext:
     recipient: object  # Identity (ibe), SymbolicKey pke-pub (pke) or sym (sym)
     payload: object
 
-    __post_init__ = _freeze_fields
 
-
-@record
+@_term
 class SymbolicSignature:
     """The term sig(k, m): the signing key's owner and serial, and m."""
 
@@ -144,8 +141,6 @@ class SymbolicSignature:
     signer: Identity
     key_serial: Optional[int]  # None for ibs
     fields: tuple  # the signed fields, with every list frozen to a tuple
-
-    __post_init__ = _freeze_fields
 
 
 class UnauthorizedDecrypt(Exception):
@@ -237,13 +232,15 @@ class CostVector:
 
 _u32 = struct.Struct(">I").pack  # the 4-byte big-endian length
 
-_RECORDS = {  # each term record's tag, its fields' getter and their setters
-    cls: (tag, operator.attrgetter(*[f.name for f in fields(cls)]),
-          tuple([getattr(cls, f.name).__set__ for f in fields(cls)]))
-    for cls, tag in (
-        (Identity, b"D"), (SymbolicKey, b"K"), (SymbolicCiphertext, b"C"),
-        (SymbolicSignature, b"G"),
-    )
+_RECORDS = {  # each record type's tag and the fields it encodes, in order
+    Identity: (b"D", operator.attrgetter("kind", "name", "version")),
+    SymbolicKey: (b"K", operator.attrgetter("alg", "owner", "serial")),
+    SymbolicCiphertext: (
+        b"C", operator.attrgetter("alg", "recipient", "payload")
+    ),
+    SymbolicSignature: (
+        b"G", operator.attrgetter("alg", "signer", "key_serial", "fields")
+    ),
 }
 
 #: The types whose values ``_frozen`` returns without a walk: the atoms but
@@ -277,7 +274,7 @@ def _framed(v: object) -> bytes:
     record = _RECORDS.get(t)
     if record is None:
         raise TypeError(f"cannot serialize {t.__name__}")
-    tag, fields_of, _ = record
+    tag, fields_of = record
     body = b"".join([_framed(x) for x in fields_of(v)])
     return tag + _u32(len(body)) + body
 
@@ -441,7 +438,7 @@ class CryptoProvider:
         self._count("ibs_ver")
         return (
             sig.alg == "ibs"
-            and sig.signer == ident
+            and (sig.signer is ident or sig.signer == ident)
             and _same_term(sig.fields, fields)
         )
 

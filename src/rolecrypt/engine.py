@@ -339,7 +339,9 @@ class Engine:
             raise IntegrityError(
                 f"{tag} tuple of {key_of(t)!r} stored at {key!r}"
             )
-        if holder is not None and t.holder != holder:
+        if holder is not None and (
+            t.holder is not holder and t.holder != holder
+        ):
             raise IntegrityError(
                 f"FK tuple stored at {key!r} is for {t.holder}, not {holder}"
             )
