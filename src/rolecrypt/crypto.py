@@ -24,12 +24,14 @@ import struct
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 INVOKER = "invoker"
 REFERENCE_MONITOR = "reference_monitor"
 
 PRINCIPALS = (INVOKER, REFERENCE_MONITOR)
+
+_T = TypeVar("_T")
 
 # Counter names by family; a public-key name pairs with the identity-based
 # name in the same position.
@@ -350,8 +352,16 @@ def role_identity(name: str, version: int) -> Identity:
     return Identity("role", name, version)
 
 
+def _vector(tallies: dict[str, dict[str, int]]) -> CostVector:
+    return CostVector._of({
+        (p, op): n for p, tally in tallies.items() for op, n in tally.items()
+    })
+
+
 class CryptoProvider:
-    """Counts primitive invocations and evaluates the symbolic algebra."""
+    """Counts primitive invocations and evaluates the symbolic algebra.  Each
+    primitive bumps ``_tally``, the current principal's tally, read when it
+    runs: ``scope`` and ``measure`` swap it."""
 
     def __init__(self) -> None:
         # each principal's counts by op; _tally is the current principal's
@@ -389,32 +399,39 @@ class CryptoProvider:
         finally:
             self.principal, self._tally = saved, self._tallies[saved]
 
-    def _count(self, op: str) -> None:
-        tally = self._tally
-        tally[op] = tally.get(op, 0) + 1
-
     def snapshot(self) -> CostVector:
-        return CostVector._of({
-            (p, op): n
-            for p, tally in self._tallies.items()
-            for op, n in tally.items()
-        })
+        return _vector(self._tallies)
 
-    def diff_since(self, snap: CostVector) -> CostVector:
-        return self.snapshot() - snap
+    def measure(self, call: Callable[..., _T], *args) -> tuple[CostVector, _T]:
+        """``call(*args)``'s primitives and its result.  The call counts on
+        fresh tallies, which join the totals when it returns or raises."""
+        totals, fresh = self._tallies, {INVOKER: {}, REFERENCE_MONITOR: {}}
+        self._tallies, self._tally = fresh, fresh[self.principal]
+        try:
+            out = call(*args)
+        finally:
+            self._tallies, self._tally = totals, totals[self.principal]
+            for p, tally in fresh.items():
+                total = totals[p]
+                for op, n in tally.items():
+                    total[op] = total.get(op, 0) + n
+        return _vector(fresh), out
 
     # -- identity-based family
 
     def ibe_keygen(self, ident: Identity) -> SymbolicKey:
-        self._count("ibe_keygen")
+        t = self._tally
+        t["ibe_keygen"] = t.get("ibe_keygen", 0) + 1
         return SymbolicKey("ibe-dec", owner=ident)
 
     def ibe_enc(self, ident: Identity, payload: object) -> SymbolicCiphertext:
-        self._count("ibe_enc")
+        t = self._tally
+        t["ibe_enc"] = t.get("ibe_enc", 0) + 1
         return SymbolicCiphertext("ibe", ident, payload)
 
     def ibe_dec(self, key: SymbolicKey, ct: SymbolicCiphertext) -> object:
-        self._count("ibe_dec")
+        t = self._tally
+        t["ibe_dec"] = t.get("ibe_dec", 0) + 1
         if ct.alg != "ibe" or key.alg != "ibe-dec" or key.owner != ct.recipient:
             self.unauthorized_events.append(("ibe_dec", key, ct))
             raise UnauthorizedDecrypt(
@@ -423,11 +440,13 @@ class CryptoProvider:
         return ct.payload
 
     def ibs_keygen(self, ident: Identity) -> SymbolicKey:
-        self._count("ibs_keygen")
+        t = self._tally
+        t["ibs_keygen"] = t.get("ibs_keygen", 0) + 1
         return SymbolicKey("ibs-sign", owner=ident)
 
     def ibs_sign(self, key: SymbolicKey, fields: tuple) -> SymbolicSignature:
-        self._count("ibs_sign")
+        t = self._tally
+        t["ibs_sign"] = t.get("ibs_sign", 0) + 1
         if key.alg != "ibs-sign":
             raise TypeError("ibs_sign requires an ibs-sign key")
         return SymbolicSignature("ibs", key.owner, None, fields)
@@ -435,7 +454,8 @@ class CryptoProvider:
     def ibs_ver(
         self, ident: Identity, fields: tuple, sig: SymbolicSignature
     ) -> bool:
-        self._count("ibs_ver")
+        t = self._tally
+        t["ibs_ver"] = t.get("ibs_ver", 0) + 1
         return (
             sig.alg == "ibs"
             and (sig.signer is ident or sig.signer == ident)
@@ -445,7 +465,8 @@ class CryptoProvider:
     # -- conventional public-key family
 
     def pke_gen(self, owner: Identity) -> tuple[SymbolicKey, SymbolicKey]:
-        self._count("pke_gen")
+        t = self._tally
+        t["pke_gen"] = t.get("pke_gen", 0) + 1
         n = self._serial()
         return (
             SymbolicKey("pke-pub", owner=owner, serial=n),
@@ -453,13 +474,15 @@ class CryptoProvider:
         )
 
     def pke_enc(self, pub: SymbolicKey, payload: object) -> SymbolicCiphertext:
-        self._count("pke_enc")
+        t = self._tally
+        t["pke_enc"] = t.get("pke_enc", 0) + 1
         if pub.alg != "pke-pub":
             raise TypeError("pke_enc requires a pke-pub key")
         return SymbolicCiphertext("pke", pub, payload)
 
     def pke_dec(self, priv: SymbolicKey, ct: SymbolicCiphertext) -> object:
-        self._count("pke_dec")
+        t = self._tally
+        t["pke_dec"] = t.get("pke_dec", 0) + 1
         ok = (
             ct.alg == "pke"
             and priv.alg == "pke-priv"
@@ -474,7 +497,8 @@ class CryptoProvider:
         return ct.payload
 
     def sig_gen(self, owner: Identity) -> tuple[SymbolicKey, SymbolicKey]:
-        self._count("sig_gen")
+        t = self._tally
+        t["sig_gen"] = t.get("sig_gen", 0) + 1
         n = self._serial()
         return (
             SymbolicKey("sig-ver", owner=owner, serial=n),
@@ -482,7 +506,8 @@ class CryptoProvider:
         )
 
     def sig_sign(self, key: SymbolicKey, fields: tuple) -> SymbolicSignature:
-        self._count("sig_sign")
+        t = self._tally
+        t["sig_sign"] = t.get("sig_sign", 0) + 1
         if key.alg != "sig-sign":
             raise TypeError("sig_sign requires a sig-sign key")
         return SymbolicSignature("sig", key.owner, key.serial, fields)
@@ -490,7 +515,8 @@ class CryptoProvider:
     def sig_ver(
         self, ver: SymbolicKey, fields: tuple, sig: SymbolicSignature
     ) -> bool:
-        self._count("sig_ver")
+        t = self._tally
+        t["sig_ver"] = t.get("sig_ver", 0) + 1
         return (
             sig.alg == "sig"
             and ver.alg == "sig-ver"
@@ -501,17 +527,20 @@ class CryptoProvider:
     # -- symmetric family
 
     def sym_gen(self) -> SymbolicKey:
-        self._count("sym_gen")
+        t = self._tally
+        t["sym_gen"] = t.get("sym_gen", 0) + 1
         return SymbolicKey("sym", serial=self._serial())
 
     def sym_enc(self, key: SymbolicKey, payload: object) -> SymbolicCiphertext:
-        self._count("sym_enc")
+        t = self._tally
+        t["sym_enc"] = t.get("sym_enc", 0) + 1
         if key.alg != "sym":
             raise TypeError("sym_enc requires a sym key")
         return SymbolicCiphertext("sym", key, payload)
 
     def sym_dec(self, key: SymbolicKey, ct: SymbolicCiphertext) -> object:
-        self._count("sym_dec")
+        t = self._tally
+        t["sym_dec"] = t.get("sym_dec", 0) + 1
         if ct.alg != "sym" or key != ct.recipient:
             self.unauthorized_events.append(("sym_dec", key, ct))
             raise UnauthorizedDecrypt("wrong symmetric key")

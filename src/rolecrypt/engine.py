@@ -48,6 +48,16 @@ v_r+1, then installs the role's new record, then for each file the role
 holds issues its FK tuples and bumps its version, then deletes the stale RK
 tuples; every FK tuple is wrapped for its holder's current record.
 
+Change stream: ``FileStore.on_mutation``, when set, is called once after
+each change, with the map that changed and its key.  The store calls it with
+``(fs.rk, (member, role, version))``, ``(fs.fk, (holder, fn, version))`` or
+``(fs.f, fn)`` after each put and each delete of a stored tuple; the engine
+calls it with ``(users, u)``, ``(roles, r)`` or ``(files, fn)`` after each
+user added or deleted, role added, deleted or re-keyed, and file added,
+deleted or rolled to its next key version.  The hook reads the new value
+from the map.  So a checker can follow every change ``state()`` can see
+without re-reading the store (``equivalence.Lockstep`` does).
+
 Cost attribution: every primitive is charged to the invoker, the provider's
 default principal, except the reference monitor's checks of an upload in
 ``add_file`` and ``write_file``, which run in a ``REFERENCE_MONITOR`` scope.
@@ -74,7 +84,6 @@ from .crypto import (
     role_identity,
     user_identity,
 )
-from . import rbac
 from .rbac import (
     Label, RbacError, RbacState, READ, RW, SUPERUSER, WRITE, grants,
 )
@@ -138,14 +147,15 @@ class FileStore:
     """The untrusted tuple store: the RK, FK and F maps, each tuple at the key
     ``_SIGNED`` gives it.  It keeps no index; the engine finds every tuple it
     needs from its own record.  Every put, and every delete of a stored tuple,
-    fires ``on_mutation`` once (a replacement counts once); deleting an absent
-    tuple is a no-op."""
+    fires ``on_mutation(map, key)`` once, after the write (a replacement
+    counts once); deleting an absent tuple is a no-op.  The engine fires the
+    same hook for each edit of its record (see ``Engine``)."""
 
     def __init__(self) -> None:
         self.rk: dict[tuple[str, str, int], RkTuple] = {}
         self.fk: dict[tuple[str, str, int], FkTuple] = {}
         self.f: dict[str, FTuple] = {}
-        self.on_mutation: Optional[Callable[[], None]] = None
+        self.on_mutation: Optional[Callable[[dict, object], None]] = None
 
     def fork(self) -> "FileStore":
         """An independent store holding the same (shared, immutable) tuples:
@@ -154,17 +164,18 @@ class FileStore:
         fs.rk, fs.fk, fs.f = dict(self.rk), dict(self.fk), dict(self.f)
         return fs
 
-    def _fire(self) -> None:
+    def _fire(self, store: dict, key) -> None:
         if self.on_mutation is not None:
-            self.on_mutation()
+            self.on_mutation(store, key)
 
     def _put(self, store: dict, t) -> None:
-        store[_SIGNED[type(t)].key_of(t)] = t
-        self._fire()
+        key = _SIGNED[type(t)].key_of(t)
+        store[key] = t
+        self._fire(store, key)
 
     def _del(self, store: dict, key) -> None:
         if store.pop(key, None) is not None:
-            self._fire()
+            self._fire(store, key)
 
     def put_rk(self, t: RkTuple) -> None:
         self._put(self.rk, t)
@@ -268,7 +279,13 @@ class Engine:
     comes from that record, walked in sorted order, never from what the
     store lists.  SU holds an RK tuple of every role and an RW key of every
     file, and a holder of a file holds its key at every version from 1 to
-    ``files[fn]``."""
+    ``files[fn]``.
+
+    Each edit of ``users`` (a user added or deleted), ``roles`` (a role
+    added, deleted or re-keyed to its next version) or ``files`` (a file
+    added, deleted or rolled to its next key version) goes through ``_edit``,
+    which fires the store's ``on_mutation(record, name)`` once, after the
+    edit."""
 
     def __init__(self, binding: str = "ibe") -> None:
         self.binding = BINDINGS[binding]()
@@ -405,6 +422,16 @@ class Engine:
             FkTuple, self.su.sig_key, holder, fn, op, version, ct, SU_IDENTITY
         ))
 
+    def _edit(self, record: dict, name: str, value: object = None) -> None:
+        """Set ``record[name]`` to ``value``, or delete it when ``value`` is
+        None, then fire the store's hook: the one path of every edit of
+        ``users``, ``roles`` and ``files``."""
+        if value is None:
+            del record[name]
+        else:
+            record[name] = value
+        self.fs._fire(record, name)
+
     def _warn(self, message: str) -> None:
         self.warnings += 1
 
@@ -444,7 +471,7 @@ class Engine:
             self._warn(f"addU: {u!r} exists")
             return
         ring = self._mint_keyring(user_identity(u))
-        self.users[u] = ring
+        self._edit(self.users, u, ring)
         self._ver_refs[u] = ring.ver_ref
 
     def del_user(self, u: str) -> None:
@@ -453,7 +480,7 @@ class Engine:
             return
         for r in sorted(r for r, ms in self.members.items() if u in ms):
             self._revoke_user_inner(u, r)
-        del self.users[u]
+        self._edit(self.users, u)
 
     def add_role(self, r: str) -> None:
         if r == SUPERUSER:
@@ -463,7 +490,7 @@ class Engine:
             return
         ident = role_identity(r, 1)
         ring = self._mint_keyring(ident)
-        self.roles[r] = RoleRec(1, ring)
+        self._edit(self.roles, r, RoleRec(1, ring))
         self.members[r], self.ops[r] = set(), {}
         ct = self.binding.enc(
             self.provider,
@@ -476,7 +503,8 @@ class Engine:
         if r not in self.roles:
             self._warn(f"delR: {r!r} missing")
             return
-        v = self.roles.pop(r).version
+        v = self.roles[r].version
+        self._edit(self.roles, r)
         for m in self._rk_holders(r):
             self.fs.del_rk(m, r, v)
         del self.members[r]
@@ -502,7 +530,7 @@ class Engine:
         with self.provider.scope(REFERENCE_MONITOR):
             self._verify(ftup, fn)
             self._verify(fktup, (SUPERUSER, fn, 1), SU_IDENTITY)
-        self.files[fn] = 1
+        self._edit(self.files, fn, 1)
         self.holders[fn] = set()
         self.body_versions[fn] = 1
         self.fs.put_f(ftup)
@@ -521,7 +549,7 @@ class Engine:
                 self.fs.del_fk(h, fn, v)
         for r in self.holders.pop(fn):
             del self.ops[r][fn]
-        del self.files[fn]
+        self._edit(self.files, fn)
 
     def assign_user(self, u: str, r: str) -> None:
         self._require("assignU", user=u, role=r)
@@ -558,7 +586,7 @@ class Engine:
                 self.provider, self._keyring_of(m).enc_ref, payload
             )
             self._issue_rk(user_identity(m), new_ident, ct)
-        self.roles[r] = RoleRec(v + 1, new_ring)
+        self._edit(self.roles, r, RoleRec(v + 1, new_ring))
         for fn, op in sorted(self.ops[r].items()):
             # roll the role's own wrapped file keys onto the new role keys
             self._rewrap_fks(r, rec.keys.dec_key, fn, r, op)
@@ -589,7 +617,7 @@ class Engine:
             ct = self.binding.enc(self.provider, ref, k2)
             op = RW if h == SUPERUSER else self.ops[h][fn]
             self._issue_fk(ident, fn, op, vfn + 1, ct)
-        self.files[fn] = vfn + 1
+        self._edit(self.files, fn, vfn + 1)
 
     def _rewrap_fks(self, src: str, dec_key, fn: str, dst: str, op) -> None:
         """Open ``src``'s key for ``fn`` at every version with ``dec_key``,
@@ -758,9 +786,6 @@ class Engine:
             frozenset(self.users), frozenset(roles), frozenset(files), ur, pa
         )
 
-    def auth_facts(self) -> frozenset[tuple]:
-        return rbac.auth_facts(self.state())
-
     def dump(self) -> tuple:
         """Raw state for exact-equality comparisons."""
         return (
@@ -774,7 +799,6 @@ class Engine:
 
 
 def measure_label(engine: Engine, label: Label) -> CostVector:
-    """Apply one label and return the primitive-operation delta it caused."""
-    before = engine.provider.snapshot()
-    engine.apply_label(label)
-    return engine.provider.diff_since(before)
+    """Apply one label and return the primitives it ran, which join the
+    provider's totals even when the label raises."""
+    return engine.provider.measure(engine.apply_label, label)[0]

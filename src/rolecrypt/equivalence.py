@@ -12,18 +12,27 @@ Four pieces:
   same users, roles, files, memberships, grants, and plaintexts, ignoring how
   many times keys have been rolled and which opaque key handles were drawn.
 * ``Lockstep`` advances the reference model and an engine together, label
-  by label, and checks each step.  Every checker steps it: the differential
-  check, the ``simulate --check-costs`` audit and cost reconciliation.
+  by label, and checks each step in the size of the step.  The engine's
+  change stream (every tuple put or deleted and every record edit, see
+  ``engine``) keeps a view of the UR and PA its state has, so the envelope
+  re-derives the grants of only the (user, file) pairs a change can move,
+  and the theory check compares only the UR and PA entries the changes or
+  the label touched, the roles they name and the sizes of UR and PA, as
+  the counting algorithm maintains a view (Gupta, Mumick & Subrahmanian,
+  SIGMOD 1993).  Every checker steps it: the differential check, the
+  ``simulate --check-costs`` audit and cost reconciliation.
 * ``run_differential`` steps a trace from the empty state, and checks at its
-  end that the engine is congruent to the image of the model's state.
+  end that the engine is congruent to the image of the model's state.  That
+  comparison, and ``Lockstep.check_whole_state`` at the end of every
+  audited run, are the whole-state checks: each runs once, not per step.
 
 Normal form details: stale file-key tuples (below the file's current version)
 are dropped, role versions are erased, signatures reduce to their signer, and
 file bodies compare by plaintext and writer.  One walk of each entry yields
 its serial-free projection, in which every generated key serial is a fixed
 marker, and the serials it erased, in walk order.  Entries are sorted by the
-projection alone, and serials are renumbered by first occurrence in that
-order.  A canonical entry is its projection followed by the tuple of its
+``repr`` of the projection alone, and serials are renumbered by first
+occurrence in that order.  A canonical entry is its projection followed by the tuple of its
 renumbered serials.  Every entry is uniquely keyed by its projection and
 renumbering is idempotent, so the normal form is well defined and a fixed
 point of ``canonicalize``.
@@ -53,7 +62,6 @@ from .rbac import (
     SUPERUSER,
     WRITE,
     apply_label,
-    auth_facts,
     theory,
 )
 
@@ -83,47 +91,51 @@ def sigma(state: RbacState, binding: str = "ibe") -> Engine:
 def _canon(v: object, serials: list) -> object:
     """Structural reduction: erase role versions, reduce signatures to their
     signer, replace each generated serial by the marker ``("h",)`` and
-    append it to ``serials`` in walk order."""
-    if isinstance(v, Identity):
+    append it to ``serials`` in walk order.  Dispatched on exact type: the
+    terms' record types have no subclasses, and a term holds no tuple
+    subclass."""
+    t = type(v)
+    if t is Identity:
         return ("id", v.kind, v.name)
-    if isinstance(v, SymbolicKey):
+    if t is SymbolicKey:
         key = ("key", v.alg, _canon(v.owner, serials))
         if v.serial is None:
             return key
         serials.append(v.serial)
         return key + (("h",),)
-    if isinstance(v, SymbolicCiphertext):
+    if t is SymbolicCiphertext:
         recipient = _canon(v.recipient, serials)
         return ("ct", v.alg, recipient, _canon(v.payload, serials))
-    if isinstance(v, SymbolicSignature):
+    if t is SymbolicSignature:
         return ("sig", _canon(v.signer, serials))
-    if isinstance(v, tuple):
+    if t is tuple:
         return ("tup",) + tuple([_canon(x, serials) for x in v])
     return v
 
 
-def _entry(*fields: object) -> tuple[tuple, list]:
-    """An entry's projection, with the serials it erased."""
+def _entry(names: tuple, *terms: object) -> tuple[tuple, list]:
+    """An entry's projection, its tag and store names followed by its terms
+    reduced, with the serials they erased."""
     serials: list = []
-    return tuple([_canon(x, serials) for x in fields]), serials
+    return names + tuple([_canon(x, serials) for x in terms]), serials
 
 
 def _entries(eng: Engine) -> list[tuple[tuple, list]]:
     out: list[tuple[tuple, list]] = []
     for u, ring in eng.users.items():
-        out.append(_entry("U", u, ring.enc_ref, ring.ver_ref))
+        out.append(_entry(("U", u), ring.enc_ref, ring.ver_ref))
     for r, rec in eng.roles.items():
-        out.append(_entry("R", r, rec.keys.enc_ref, rec.keys.ver_ref))
+        out.append(_entry(("R", r), rec.keys.enc_ref, rec.keys.ver_ref))
     for fn in eng.files:
-        out.append(_entry("P", fn))
+        out.append((("P", fn), []))
     for (m, rn, _v), t in eng.fs.rk.items():
-        out.append(_entry("RK", m, rn, t.ct, t.sig))
+        out.append(_entry(("RK", m, rn), t.ct, t.sig))
     for (h, fn, v), t in eng.fs.fk.items():
         if v != eng.files.get(fn):
             continue  # superseded file-key versions do not count
-        out.append(_entry("FK", h, fn, t.op, t.ct, t.issuer, t.sig))
+        out.append(_entry(("FK", h, fn), t.op, t.ct, t.issuer, t.sig))
     for fn, t in eng.fs.f.items():
-        out.append(_entry("F", fn, t.body.payload, t.writer, t.sig))
+        out.append(_entry(("F", fn), t.body.payload, t.writer, t.sig))
     return out
 
 
@@ -153,24 +165,269 @@ def congruent(
 # --- lockstep -------------------------------------------------------------------
 
 
+_NO_OPS: dict[str, str] = {}
+
+
+def _add(index: dict[str, set[str]], key: str, name: str) -> None:
+    names = index.get(key)
+    if names is None:
+        index[key] = {name}
+    else:
+        names.add(name)
+
+
+#: The ops of the auth facts a grant level holds: level n holds the first n.
+_LEVEL_OPS = (READ, RW)
+
+
+def _granted(s, u: str, fn: str) -> int:
+    """The level ``s`` grants ``u`` on ``fn`` through its roles: 0 nothing,
+    1 Read, 2 RW and Read.  ``s`` is an ``RbacState`` or an
+    ``_EngineView``."""
+    level = 0
+    for r in s.roles_of(u):
+        op = s.files_of(r).get(fn)
+        if op == RW:
+            return 2
+        if op is not None:
+            level = 1
+    return level
+
+
+def _outside(view, pre: RbacState, post: RbacState, pairs) -> Optional[str]:
+    """The envelope violation among the (user, file) ``pairs``, worded as
+    the whole-state check words it, or None.  Envelope and grants are
+    nested, so each pair compares three levels."""
+    extra, missing = [], []
+    for u, fn in set(pairs):
+        cur = _granted(view, u, fn)
+        a, b = _granted(pre, u, fn), _granted(post, u, fn)
+        lo, hi = (a, b) if a <= b else (b, a)
+        extra += [("auth", u, fn, op) for op in _LEVEL_OPS[hi:cur]]
+        missing += [("auth", u, fn, op) for op in _LEVEL_OPS[cur:lo]]
+    if extra or missing:
+        return f"outside envelope +{sorted(extra)} -{sorted(missing)}"
+    return None
+
+
+def _label_entries(label: Label, pre: RbacState) -> tuple:
+    """The UR pairs and the (role, file) PA entries ``label`` can change in
+    the model from ``pre``."""
+    k, u, r, fn = label.kind, label.user, label.role, label.file
+    if k == "assignU" or k == "revokeU":
+        return [(u, r)], []
+    if k == "assignP" or k == "revokeP":
+        return [], [(r, fn)]
+    if k == "delU":
+        return [(u, x) for x in pre.roles_of(u)], []
+    if k == "delR":
+        return (
+            [(x, r) for x in pre.members_of(r)],
+            [(r, x) for x in pre.files_of(r)],
+        )
+    if k == "delP":
+        return [], [(x, fn) for x in pre.holders_of(fn)]
+    return (), ()  # the adds change no relation
+
+
+def _worded(got: RbacState, want: RbacState) -> str:
+    got_t, want_t = theory(got), theory(want)
+    return f"+{sorted(got_t - want_t)} -{sorted(want_t - got_t)}"
+
+
+class _EngineView:
+    """UR and PA as ``Engine.state()`` reads them, kept from the engine's
+    change stream instead of re-read.  One ``Engine.state()`` and one scan
+    of the store's keys build it.  Then ``changed``, the store's hook while
+    a step runs, recomputes only the entries a change can move, each as
+    ``Engine.state()`` reads it, from the engine's record and one store
+    lookup:
+
+    * an RK tuple put or deleted at (m, r, v): the UR pair (m, r);
+    * an FK tuple put or deleted at (h, fn, v): the PA entry (h, fn);
+    * a user edit: the user's UR pairs; a role edit: the role's UR pairs
+      and PA entries; a file edit: the file's PA entries.
+
+    A record edit's entries come from a shadow of the store's keys: the
+    (member, role) pairs of the RK keys and the (holder, file) pairs of the
+    FK keys it has seen, by either name, the superuser's left out.  The
+    shadow only grows; every entry it names is read back from the store.
+    Since ``begin``, ``touched_*`` collect the UR pairs, PA entries and
+    roles that changed, and ``violation`` the first envelope violation."""
+
+    def __init__(self, eng: Engine) -> None:
+        self.engine = eng
+        self.ur_roles: dict[str, set[str]] = {}  # user -> roles
+        self.ur_members: dict[str, set[str]] = {}  # role -> users
+        self.pa_ops: dict[str, dict[str, str]] = {}  # role -> {file: op}
+        self.touched_ur: set[tuple[str, str]] = set()
+        self.touched_pa: set[tuple[str, str]] = set()
+        self.touched_roles: set[str] = set()
+        self.envelope: Optional[tuple[RbacState, RbacState]] = None
+        self.violation: Optional[str] = None
+        self._rk_roles: dict[str, set[str]] = {}  # member -> roles
+        self._rk_members: dict[str, set[str]] = {}  # role -> members
+        self._fk_files: dict[str, set[str]] = {}  # holder -> files
+        self._fk_holders: dict[str, set[str]] = {}  # file -> holders
+        state = eng.state()
+        for m, r in state.ur:
+            _add(self.ur_roles, m, r)
+            _add(self.ur_members, r, m)
+        for r, fn, op in state.pa:
+            self.pa_ops.setdefault(r, {})[fn] = op
+        self.n_ur, self.n_pa = len(state.ur), len(state.pa)
+        for m, r, _ in eng.fs.rk:
+            if m != SUPERUSER:
+                _add(self._rk_roles, m, r)
+                _add(self._rk_members, r, m)
+        for h, fn, _ in eng.fs.fk:
+            if h != SUPERUSER:
+                _add(self._fk_files, h, fn)
+                _add(self._fk_holders, fn, h)
+
+    def roles_of(self, u: str):
+        return self.ur_roles.get(u, ())
+
+    def files_of(self, r: str) -> dict[str, str]:
+        return self.pa_ops.get(r, _NO_OPS)
+
+    def begin(self, envelope: Optional[tuple[RbacState, RbacState]]) -> None:
+        """Start a step: clear ``touched_*`` and ``violation``, and check
+        the changes to come against ``envelope``, the pre- and post-states,
+        or against nothing."""
+        self.touched_ur.clear()
+        self.touched_pa.clear()
+        self.touched_roles.clear()
+        self.envelope, self.violation = envelope, None
+
+    def changed(self, store: dict, key) -> None:
+        """The store's hook: follow one change of the stream.  With an
+        envelope, check the (user, file) pairs whose grant it may have
+        moved against it, and keep the first violation.  The superuser's
+        tuples, and a tuple at a version that is not current, hold no fact
+        before the change or after it."""
+        eng = self.engine
+        if store is eng.fs.fk:
+            h, fn, v = key
+            if h == SUPERUSER:
+                return
+            files = self._fk_files.get(h)
+            if files is None or fn not in files:
+                _add(self._fk_files, h, fn)
+                _add(self._fk_holders, fn, h)
+            if v != eng.files.get(fn):
+                return
+            pairs = self._follow_pa(h, fn)
+        elif store is eng.fs.rk:
+            m, r, v = key
+            if m == SUPERUSER:
+                return
+            roles = self._rk_roles.get(m)
+            if roles is None or r not in roles:
+                _add(self._rk_roles, m, r)
+                _add(self._rk_members, r, m)
+            rec = eng.roles.get(r)
+            if rec is None or v != rec.version:
+                return
+            pairs = self._follow_ur(m, r)
+        else:  # a record edit; a body holds no fact
+            pairs = []
+            if store is eng.roles:
+                self.touched_roles.add(key)
+                for m in self._rk_members.get(key, ()):
+                    pairs += self._follow_ur(m, key)
+                for fn in self._fk_files.get(key, ()):
+                    pairs += self._follow_pa(key, fn)
+            elif store is eng.users:
+                for r in self._rk_roles.get(key, ()):
+                    pairs += self._follow_ur(key, r)
+            elif store is eng.files:
+                for h in self._fk_holders.get(key, ()):
+                    pairs += self._follow_pa(h, key)
+        if pairs and self.envelope is not None and self.violation is None:
+            self.violation = _outside(self, *self.envelope, pairs)
+
+    def _follow_ur(self, m: str, r: str) -> Sequence[tuple[str, str]]:
+        """Re-read the UR pair (m, r); if it changed, the (user, file) pairs
+        whose grant it moves."""
+        eng = self.engine
+        rec = eng.roles.get(r)
+        now = (
+            rec is not None and m in eng.users
+            and (m, r, rec.version) in eng.fs.rk
+        )
+        roles = self.ur_roles.get(m)
+        if now == (roles is not None and r in roles):
+            return ()
+        if now:
+            _add(self.ur_roles, m, r)
+            _add(self.ur_members, r, m)
+            self.n_ur += 1
+        else:
+            roles.discard(r)
+            self.ur_members[r].discard(m)
+            self.n_ur -= 1
+        self.touched_ur.add((m, r))
+        return [(m, fn) for fn in self.pa_ops.get(r, _NO_OPS)]
+
+    def _follow_pa(self, h: str, fn: str) -> Sequence[tuple[str, str]]:
+        """Re-read the PA entry (h, fn) of a holder other than SU; if it
+        changed, the (user, file) pairs whose grant it moves."""
+        eng = self.engine
+        v = eng.files.get(fn)
+        t = None
+        if v is not None and h in eng.roles:
+            t = eng.fs.fk.get((h, fn, v))
+        now = None if t is None else t.op
+        ops = self.pa_ops.get(h, _NO_OPS)
+        was = ops.get(fn)
+        if now == was:
+            return ()
+        if now is None:
+            del ops[fn]
+            self.n_pa -= 1
+        else:
+            if ops is _NO_OPS:
+                ops = self.pa_ops[h] = {}
+            ops[fn] = now
+            self.n_pa += was is None
+        self.touched_pa.add((h, fn))
+        return [(u, fn) for u in self.ur_members.get(h, ())]
+
+
 class Lockstep:
     """The reference model and an engine advanced together, one label at a
     time.  The engine must hold ``sigma(state)``, and the stepper carries
     the file-key versions on from that image's, every file at 1.
 
     ``step`` applies a label to both and returns the first failed check as
-    ``(kind, detail)``, or None.  The kinds, in the order checked:
+    ``(kind, detail)``, or None.  Each check reads only what the step
+    changed: the engine's change stream (see ``engine``) keeps an
+    ``_EngineView`` of the UR and PA ``Engine.state()`` would read, which
+    construction starts from one ``Engine.state()``, and the model's side
+    comes from the label and the indexes of the pre- and post-states.  The
+    kinds, in the order checked:
 
     * ``unauthorized``: the engine decrypted with a mismatched key;
     * ``error-mismatch``: the engine raised where the model did not, or
       anything but an ``RbacError`` where the model raised one;
-    * ``safety``, with ``envelope``: between tuple writes, the granted
-      requests left the envelope of the pre- and post-states;
+    * ``safety``, with ``envelope``: after a change in the stream, a
+      (user, file) pair whose grant the change moved left the envelope of
+      the pre- and post-states; pairs no change moved keep their pre-state
+      grant, which is inside;
     * ``cost``, with ``costs``: measured primitives differ from
       ``algebraic_cost`` of the model's pre-state and versions;
-    * ``theory``: ``eng.state()``, read once per step, differs from the
-      model's post-state.  Equal ``(roles, ur, pa)`` triples mean equal
-      theories, so both are built only to word a mismatch.
+    * ``theory``: a UR pair or PA entry that the step's changes or the
+      label touched, the existence of a role either touched, the number of
+      roles, or the size of UR or PA differs from the model's post-state.
+      Entries neither side touched were equal before the step, so they
+      still are.  Only a mismatch reads the whole ``eng.state()``, to word
+      it as the difference of the two theories.
+
+    ``check_whole_state`` compares the whole ``eng.state()`` with the
+    model's state, which sees what the stream did not carry (a record or
+    store map written around ``Engine._edit`` and ``FileStore``); callers
+    run it once, at the end of a trace or run.
 
     ``error`` holds the exception the engine raised on the last step and
     ``price`` the step's ``algebraic_cost``, each None if there was none.
@@ -185,28 +442,18 @@ class Lockstep:
         self.costs, self.envelope = costs, envelope
         self.error: Optional[Exception] = None
         self.price: Optional[CostVector] = None
-        self._auth = auth_facts(state) if envelope else None
+        self._view = _EngineView(engine)
+        self._n_ur, self._n_pa = len(state.ur), len(state.pa)
 
     def step(self, label: Label) -> Optional[tuple[str, str]]:
-        eng, pre = self.engine, self.state
+        eng, pre, view = self.engine, self.state, self._view
         self.error = self.price = None
         try:
             post, model_err = apply_label(pre, label), None
         except RbacError as e:
             post, model_err = pre, e
-        violations: list[str] = []
-        if self.envelope:
-            post_auth = auth_facts(post)
-            lower, upper = self._auth & post_auth, self._auth | post_auth
-
-            def hook() -> None:
-                cur = eng.auth_facts()
-                if not (lower <= cur <= upper):
-                    extra = sorted(cur - upper)
-                    missing = sorted(lower - cur)
-                    violations.append(f"outside envelope +{extra} -{missing}")
-
-            eng.fs.on_mutation = hook
+        view.begin((pre, post) if self.envelope else None)
+        eng.fs.on_mutation = view.changed
         try:
             measured = measure_label(eng, label)
         except Exception as e:  # any engine failure is a finding
@@ -222,21 +469,64 @@ class Lockstep:
             return "error-mismatch", (
                 f"model {model_err!r} vs engine {self.error!r}"
             )
-        if violations:
-            return "safety", violations[0]
+        if view.violation is not None:
+            return "safety", view.violation
         if self.costs and model_err is None:
             self.price = algebraic_cost(label, pre, self.versions)
             diff = reconcile(measured, self.price, eng.binding.name)
             if diff:
                 return "cost", f"measured-predicted {diff!r}"
             roll_versions(label, pre, self.versions)
-        got = eng.state()
-        if (got.roles, got.ur, got.pa) != (post.roles, post.ur, post.pa):
-            got, want = theory(got), theory(post)
-            return "theory", f"+{sorted(got - want)} -{sorted(want - got)}"
+        if not self._theory_holds(label, pre, post):
+            return "theory", _worded(eng.state(), post)
         self.state = post
-        if self.envelope:
-            self._auth = post_auth
+        return None
+
+    def _theory_holds(
+        self, label: Label, pre: RbacState, post: RbacState
+    ) -> bool:
+        """The ``theory`` check of one step, and on success the model's UR
+        and PA sizes carried on to ``post``."""
+        eng, view = self.engine, self._view
+        if len(eng.roles) != len(post.roles):
+            return False
+        r = label.role
+        if r is not None and (r in eng.roles) != (r in post.roles):
+            return False
+        for r in view.touched_roles:
+            if (r in eng.roles) != (r in post.roles):
+                return False
+        ur, pa = _label_entries(label, pre)
+        n_ur, n_pa = self._n_ur, self._n_pa
+        for u, r in ur:  # only the label's entries move the model's sizes
+            want = r in post.roles_of(u)
+            if (r in view.roles_of(u)) != want:
+                return False
+            n_ur += want - (r in pre.roles_of(u))
+        for r, fn in pa:
+            want = post.pa_op(r, fn)
+            if view.files_of(r).get(fn) != want:
+                return False
+            n_pa += (want is not None) - (pre.pa_op(r, fn) is not None)
+        if (view.n_ur, view.n_pa) != (n_ur, n_pa):
+            return False
+        for u, r in view.touched_ur:
+            if (r in view.roles_of(u)) != (r in post.roles_of(u)):
+                return False
+        for r, fn in view.touched_pa:
+            if view.files_of(r).get(fn) != post.pa_op(r, fn):
+                return False
+        self._n_ur, self._n_pa = n_ur, n_pa
+        return True
+
+    def check_whole_state(self) -> Optional[tuple[str, str]]:
+        """``("theory", detail)`` if the whole ``eng.state()`` differs from
+        the model's state in its roles, UR or PA, else None.  Equal
+        ``(roles, ur, pa)`` triples mean equal theories, so both are built
+        only to word a mismatch."""
+        got, want = self.engine.state(), self.state
+        if (got.roles, got.ur, got.pa) != (want.roles, want.ur, want.pa):
+            return "theory", _worded(got, want)
         return None
 
 

@@ -614,7 +614,8 @@ def run_simulation(
     and the model, and its prices are the costs.  The run raises
     ``AssertionError`` naming the first label at which the engine raises,
     decrypts without authorization, fails ``reconcile`` or leaves UR and PA
-    unlike the model's."""
+    unlike the model's, as far as the label's changes show.  After the last
+    event it compares the engine's whole state with the model's once."""
     run_seed = derive_seed(seed, run_index)
     rng = random.Random(run_seed)
     rates = ActorRates.sample(rng, len(dataset.users))
@@ -646,6 +647,11 @@ def run_simulation(
                     kind += " mismatch"
                 raise AssertionError(f"{kind} at {label}: {detail}")
             costs.append(lock.price)
+    failure = None if lock is None else lock.check_whole_state()
+    if failure is not None:
+        raise AssertionError(
+            f"theory mismatch at the end of the run: {failure[1]}"
+        )
     return RunResult(
         dataset=dataset.name,
         run_index=run_index,

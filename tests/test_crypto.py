@@ -116,13 +116,13 @@ def test_scope_rejects_unknown_principal():
             pass
 
 
-def test_diff_since():
+def test_snapshot_difference():
     p = CryptoProvider()
     p.sym_gen()
     snap = p.snapshot()
     p.sym_gen()
     p.sym_gen()
-    assert p.diff_since(snap).get("sym_gen") == 2
+    assert (p.snapshot() - snap).get("sym_gen") == 2
 
 
 # -- identity-based family
@@ -358,7 +358,7 @@ def test_provider_attributes_counts_through_scopes_and_forks():
         with p.scope(REFERENCE_MONITOR):
             p.sym_dec(k, ct)
     p.sym_gen()  # the scope closed on the raise: the invoker pays again
-    assert p.diff_since(CostVector(both)) == CostVector({
+    assert p.snapshot() - CostVector(both) == CostVector({
         (INVOKER, "sym_gen"): 3,
         (INVOKER, "sym_enc"): 1,
         (REFERENCE_MONITOR, "sym_dec"): 1,

@@ -66,9 +66,7 @@ def engine_with(
 
 
 def measure(eng, call, *args):
-    before = eng.provider.snapshot()
-    out = call(*args)
-    return eng.provider.diff_since(before), out
+    return eng.provider.measure(call, *args)
 
 
 def fk_versions(eng, holder, fn):
@@ -244,6 +242,58 @@ def test_revoke_write_two_versions():
         for v in fk_versions(eng, "r1", "f1")
     )
     assert eng.files["f1"] == 2  # downgrade does not re-key
+
+
+EVERY_KIND = [
+    Label("addU", user="u1"),
+    Label("addU", user="u2"),
+    Label("addR", role="r1"),
+    Label("addR", role="r2"),
+    Label("addP", file="f1"),
+    Label("addP", file="f2"),
+    Label("assignU", user="u1", role="r1"),
+    Label("assignU", user="u2", role="r1"),
+    Label("assignU", user="u2", role="r2"),
+    Label("assignP", role="r1", file="f1", op=RW),
+    Label("assignP", role="r2", file="f2", op=READ),
+    Label("revokeP", role="r1", file="f1", op=WRITE),
+    Label("revokeU", user="u2", role="r1"),
+    Label("revokeP", role="r2", file="f2", op=RW),
+    Label("delP", file="f2"),
+    Label("delR", role="r2"),
+    Label("delU", user="u2"),
+    Label("addU", user="u3"),
+    Label("assignU", user="u3", role="r1"),
+]
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_measure_label_counts_what_the_totals_gain(binding):
+    # measure_label counts on fresh tallies; what it returns is what the
+    # provider's totals gain, under each principal
+    eng = Engine(binding)
+    for lbl in EVERY_KIND:
+        before = eng.provider.snapshot()
+        assert measure_label(eng, lbl) == eng.provider.snapshot() - before
+    assert {lbl.kind for lbl in EVERY_KIND} == set(LABEL_KINDS)
+    # a revocation that raises once it has minted and wrapped: its counts
+    # join the totals all the same, as a plain apply's do
+    eng.fs.del_fk("r1", "f1", 1)
+    revoke = Label("revokeU", user="u3", role="r1")
+    plain, before = eng.fork(), eng.provider.snapshot()
+    with pytest.raises(IntegrityError):
+        plain.apply_label(revoke)
+    spent = plain.provider.snapshot() - before
+    assert spent.get("sym_gen") == 0 and spent.totals()
+    with pytest.raises(IntegrityError):
+        measure_label(eng, revoke)
+    assert eng.provider.snapshot() - before == spent
+    # the totals are back in place for the next label
+    before = eng.provider.snapshot()
+    cost = measure_label(eng, Label("addP", file="f3"))
+    assert cost == eng.provider.snapshot() - before
+    assert cost.get("sym_gen", INVOKER) == 1
+    assert cost.by_principal(REFERENCE_MONITOR)
 
 
 # -- data path

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import faults
 import rolecrypt.equivalence as eqv
+import whole_state
 from rolecrypt.crypto import role_identity
 from rolecrypt.engine import Engine, FileStore
 from rolecrypt.equivalence import (
@@ -376,7 +377,12 @@ def test_differential_words_theory_mismatch(monkeypatch, binding):
 
 
 @pytest.mark.parametrize("binding", ["ibe", "pki"])
-def test_differential_reads_state_once_per_step(monkeypatch, binding):
+def test_differential_reads_no_whole_state_inside_a_step(
+    monkeypatch, binding
+):
+    # the steps follow the change stream: the whole state is read once, to
+    # start the stepper's view of it, and compared once, by the final
+    # congruence
     calls = Counter()
 
     class CountingEngine(Engine):
@@ -384,19 +390,95 @@ def test_differential_reads_state_once_per_step(monkeypatch, binding):
             calls["state"] += 1
             return super().state()
 
-    fire = FileStore._fire
+    fire, congruent_ = FileStore._fire, eqv.congruent
 
-    def counting_fire(fs):
+    def counting_fire(fs, store, key):
         if fs.on_mutation is not None:
             calls["mutation"] += 1
-        fire(fs)
+        fire(fs, store, key)
+
+    def counting_congruent(a, b):
+        calls["congruent"] += 1
+        return congruent_(a, b)
 
     monkeypatch.setattr(eqv, "Engine", CountingEngine)
+    monkeypatch.setattr(eqv, "congruent", counting_congruent)
     monkeypatch.setattr(FileStore, "_fire", counting_fire)
     labels = random_trace(random.Random(2024), 40)
     assert run_differential(labels, binding=binding, check_costs=True).ok
     assert calls["mutation"] > 0
-    assert calls["state"] == len(labels) + calls["mutation"]
+    assert (calls["state"], calls["congruent"]) == (1, 1)
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_hook_reports_every_put_delete_and_record_edit(binding):
+    # a mirror of the six maps, edited only at the key each report names,
+    # equals the maps at every report and at the end
+    eng = Engine(binding)
+    maps = {
+        "rk": eng.fs.rk, "fk": eng.fs.fk, "f": eng.fs.f,
+        "users": eng.users, "roles": eng.roles, "files": eng.files,
+    }
+    names = {id(m): name for name, m in maps.items()}
+    mirror = {name: dict(m) for name, m in maps.items()}
+    seen = Counter()
+
+    def hook(store, key):
+        name = names[id(store)]
+        seen[name, key in store] += 1
+        if key in store:
+            mirror[name][key] = store[key]
+        else:
+            del mirror[name][key]
+        assert mirror == maps
+
+    eng.fs.on_mutation = hook
+    for lbl in random_trace(random.Random(7), 80):
+        eng.apply_label(lbl)
+        for u in sorted(eng.users):
+            for fn in sorted(eng.files):
+                if eng.query_auth(u, fn, RW):
+                    eng.write_file(u, fn, b"by " + u.encode())
+    assert mirror == maps
+    # puts and deletes of every map, role re-keys and file rolls among them
+    assert set(seen) == {(name, b) for name in maps for b in (True, False)}
+
+
+class _BumpingEngine(Engine):
+    """Deliberately broken: a roll bumps the file's version through the
+    record but issues no key at it, so every holder of the file loses it.
+    No store write shows the loss; the record edit does."""
+
+    def _issue_new_file_key(self, fn):
+        self._edit(self.files, fn, self.files[fn] + 1)
+
+
+SHARED_GRANT = [
+    Label("addU", user="u1"),
+    Label("addR", role="r1"),
+    Label("addR", role="r2"),
+    Label("addP", file="f1"),
+    Label("assignU", user="u1", role="r1"),
+    Label("assignP", role="r1", file="f1", op=READ),
+    Label("assignP", role="r2", file="f1", op=READ),
+    Label("revokeP", role="r2", file="f1", op=RW),
+]
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_differential_sees_a_version_bump_without_a_store_write(
+    monkeypatch, binding
+):
+    # r2's keys go, then f1 rolls with no key for r1: u1 loses a read that
+    # both the pre- and the post-state grant
+    monkeypatch.setattr(eqv, "Engine", _BumpingEngine)
+    rep = run_differential(SHARED_GRANT, binding=binding)
+    assert (rep.ok, rep.failure_kind, rep.failure_index) == (
+        False, "safety", 7,
+    )
+    assert rep.detail.endswith(
+        "outside envelope +[] -[('auth', 'u1', 'f1', 'Read')]"
+    )
 
 
 class _StaleRewrapEngine(Engine):
@@ -537,3 +619,85 @@ def test_minimizer_shrinks_failing_trace(monkeypatch):
 def test_minimizer_rejects_passing_trace():
     with pytest.raises(ValueError):
         minimize_counterexample([Label("addU", user="u1")])
+
+
+# -- the stream-fed checks against the whole-state reference
+
+
+def _both_verdicts(labels, binding, check_costs):
+    rep = run_differential(labels, binding=binding, check_costs=check_costs)
+    ref = whole_state.differential(
+        labels, eqv.Engine, binding, check_costs=check_costs
+    )
+    return (rep.failure_kind, rep.failure_index, rep.detail), ref
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_stream_checks_agree_with_whole_state_on_criterion_3(binding):
+    # the first 200 traces of criterion 3's corpus
+    rng = random.Random(1234)
+    traces = [random_trace(rng, rng.randint(1, 50)) for _ in range(200)]
+    for trace in traces:
+        got, want = _both_verdicts(trace, binding, check_costs=False)
+        assert got == want == (None, None, ""), trace
+
+
+class _DriftingEngine(Engine):
+    """Deliberately broken: assigning a member moves the role's other
+    members to the next role by name, re-filing their RK tuples at its
+    version.  UR keeps its size, and with no file held no grant moves, so
+    only the comparison of the UR pairs the changes touched sees it."""
+
+    def assign_user(self, u, r):
+        super().assign_user(u, r)
+        nxt = min((x for x in self.roles if x > r), default=None)
+        if nxt is None:
+            return
+        v, w = self.roles[r].version, self.roles[nxt].version
+        for m in sorted(self.members[r] - {u}):
+            t = self.fs.rk[(m, r, v)]
+            self.fs.del_rk(m, r, v)
+            self.fs.put_rk(dataclasses.replace(t, role=role_identity(nxt, w)))
+
+
+DRIFT = [
+    Label("addU", user="u1"),
+    Label("addU", user="u2"),
+    Label("addR", role="r1"),
+    Label("addR", role="r2"),
+    Label("assignU", user="u1", role="r1"),
+    Label("assignU", user="u2", role="r1"),
+]
+
+
+PLANTED = [
+    (_LeakyEngine, BREAKING_TRACE),
+    (_SloppyEngine, BREAKING_TRACE),
+    (_DeafEngine, BREAKING_TRACE),
+    (_StaleRewrapEngine, TWO_REVOCATIONS),
+    (_FlickerEngine, GRANTS),
+    (_BalkingEngine, GRANTS),
+    (_SplitKeyEngine, BREAKING_TRACE + [Label("addU", user="u3")]),
+    (_BumpingEngine, SHARED_GRANT),
+    (_DriftingEngine, DRIFT),
+]
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+@pytest.mark.parametrize("engine, labels", PLANTED, ids=[
+    e.__name__ for e, _ in PLANTED
+])
+def test_stream_checks_agree_with_whole_state_on_planted_engines(
+    monkeypatch, binding, engine, labels
+):
+    # on each engine's own trace, which it fails at least with the costs
+    # checked, and on random ones
+    monkeypatch.setattr(eqv, "Engine", engine)
+    for check_costs in (False, True):
+        got, want = _both_verdicts(labels, binding, check_costs)
+        assert got == want, (check_costs, got, want)
+    assert got[0] is not None
+    for seed in range(8):
+        trace = random_trace(random.Random(seed), 40)
+        got, want = _both_verdicts(trace, binding, check_costs=True)
+        assert got == want, (seed, got, want)

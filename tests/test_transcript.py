@@ -52,7 +52,7 @@ def _run(eng, op):
     except Exception as e:  # a hostile store may provoke any error
         return type(e).__name__, str(e)
     outcome = "warned" if eng.warnings > warnings else "applied"
-    cost = tuple(eng.provider.diff_since(before).items())
+    cost = tuple((eng.provider.snapshot() - before).items())
     state = hashlib.sha256(repr(canonicalize(eng)).encode()).hexdigest()
     return (outcome, cost, state) + (() if out is None else (out,))
 

@@ -528,18 +528,54 @@ def test_audit_names_the_event_an_engine_fails(
     assert str(exc.value).startswith(message)
 
 
+class _HiddenMemberEngine(Engine):
+    """Deliberately broken as ``_LingeringMemberEngine``, but the RK tuple
+    goes back straight into the store's map, around ``FileStore``'s put, so
+    no change in the stream shows it."""
+
+    def _revoke_user_inner(self, u, r):
+        old = self.fs.rk[(u, r, self.roles[r].version)]
+        super()._revoke_user_inner(u, r)
+        v = self.roles[r].version
+        self.fs.rk[(u, r, v)] = dataclasses.replace(
+            old, role=role_identity(r, v)
+        )
+
+
 @pytest.mark.parametrize("variant", ["ibe", "pki"])
-def test_audit_reads_state_once_per_applied_label(monkeypatch, variant):
-    # no envelope hook at dataset scale: one theory read per label
-    eng, reads, hooks = seed_engine(TOY, variant), [], []
-    state = eng.state
+def test_audit_compares_the_whole_state_after_the_last_event(
+    monkeypatch, variant
+):
+    # the steps pass, since the stream never carried the put-back tuple;
+    # the one whole-state comparison of the run finds it
+    ds = synthesize_dataset("healthcare", random.Random(derive_seed(0, -1)))
+    monkeypatch.setattr(eqv, "Engine", _HiddenMemberEngine)
+    eng = seed_engine(ds, variant)
+    with pytest.raises(AssertionError) as exc:
+        run_simulation(ds, days=60.0, seed=1, engine=eng)
+    message = str(exc.value)
+    assert message.startswith("theory mismatch at the end of the run: +[")
+    assert "('UR', 'u23', 'r1')" in message  # the first revocation's
+
+
+@pytest.mark.parametrize("variant", ["ibe", "pki"])
+def test_audit_reads_whole_state_once_per_run(monkeypatch, variant):
+    # every change of the run reaches the stepper's hook, and the whole
+    # state is read twice: to start the stepper's view of it, and to
+    # compare it with the model's after the last event
+    eng, reads, hooked = seed_engine(TOY, variant), [], []
+    state, fire = eng.state, eng.fs._fire
+
+    def counting_fire(store, key):
+        hooked.append(eng.fs.on_mutation is not None)
+        fire(store, key)
+
     monkeypatch.setattr(eng, "state", lambda: reads.append(1) or state())
-    monkeypatch.setattr(
-        eng.fs, "_fire", lambda: hooks.append(eng.fs.on_mutation)
-    )
+    monkeypatch.setattr(eng.fs, "_fire", counting_fire)
     res = run_simulation(TOY, days=60.0, seed=4, engine=eng)
-    assert hooks and set(hooks) == {None}
-    assert len(reads) == sum(res.applied.values()) > 0
+    assert sum(res.applied.values()) > 0
+    assert hooked and all(hooked)
+    assert len(reads) == 2
 
 
 def test_run_simulation_is_deterministic():
