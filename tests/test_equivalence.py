@@ -440,7 +440,7 @@ def test_hook_reports_every_put_delete_and_record_edit(binding):
                 if eng.query_auth(u, fn, RW):
                     eng.write_file(u, fn, b"by " + u.encode())
     assert mirror == maps
-    # puts and deletes of every map, role re-keys and file rolls among them
+    # the corpus writes and deletes in every map
     assert set(seen) == {(name, b) for name in maps for b in (True, False)}
 
 
