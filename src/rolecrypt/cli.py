@@ -11,8 +11,9 @@ Subcommands:
   events.csv).  A run names no variant: each is priced once and its rows
   are written under every requested variant's name.  ``--check-costs``
   also audits every run on a seeded engine of each variant and fails at the
-  first event where the engine raises, decrypts without authorization or
-  counts other primitives than the priced ones.
+  first event where the engine raises, decrypts without authorization,
+  grants a request outside the envelope of the model's states before and
+  after the event, or counts other primitives than the priced ones.
 
 Files are read and written as UTF-8 whatever the locale.  Terminal output
 follows the locale; a character it cannot encode prints as an escape.

@@ -15,12 +15,14 @@ Four pieces:
   by label, and checks each step in the size of the step.  The engine's
   change stream (every tuple put or deleted and every record edit, see
   ``engine``) keeps a view of the UR and PA its state has, so the envelope
-  re-derives the grants of only the (user, file) pairs a change can move,
-  and the theory check compares only the UR and PA entries the changes or
-  the label touched, the roles they name and the sizes of UR and PA, as
-  the counting algorithm maintains a view (Gupta, Mumick & Subrahmanian,
-  SIGMOD 1993).  Every checker steps it: the differential check, the
-  ``simulate --check-costs`` audit and cost reconciliation.
+  re-derives the grants of only the (user, file) pairs a change can move.
+  The model's side of a step is the label's edits, which the successor
+  state holds (see ``rbac``), so the theory check compares only the UR and
+  PA entries the changes or the edits touched, the roles they name and the
+  sizes of UR and PA, as the counting algorithm maintains a view (Gupta,
+  Mumick & Subrahmanian, SIGMOD 1993).  Every checker steps it, with the
+  envelope on: the differential check, the ``simulate --check-costs``
+  audit and cost reconciliation.
 * ``run_differential`` steps a trace from the empty state, and checks at its
   end that the engine is congruent to the image of the model's state.  That
   comparison, and ``Lockstep.check_whole_state`` at the end of every
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 from .costmodel import algebraic_cost, reconcile, roll_versions
@@ -210,26 +213,6 @@ def _outside(view, pre: RbacState, post: RbacState, pairs) -> Optional[str]:
     return None
 
 
-def _label_entries(label: Label, pre: RbacState) -> tuple:
-    """The UR pairs and the (role, file) PA entries ``label`` can change in
-    the model from ``pre``."""
-    k, u, r, fn = label.kind, label.user, label.role, label.file
-    if k == "assignU" or k == "revokeU":
-        return [(u, r)], []
-    if k == "assignP" or k == "revokeP":
-        return [], [(r, fn)]
-    if k == "delU":
-        return [(u, x) for x in pre.roles_of(u)], []
-    if k == "delR":
-        return (
-            [(x, r) for x in pre.members_of(r)],
-            [(r, x) for x in pre.files_of(r)],
-        )
-    if k == "delP":
-        return [], [(x, fn) for x in pre.holders_of(fn)]
-    return (), ()  # the adds change no relation
-
-
 def _worded(got: RbacState, want: RbacState) -> str:
     got_t, want_t = theory(got), theory(want)
     return f"+{sorted(got_t - want_t)} -{sorted(want_t - got_t)}"
@@ -291,19 +274,18 @@ class _EngineView:
     def files_of(self, r: str) -> dict[str, str]:
         return self.pa_ops.get(r, _NO_OPS)
 
-    def begin(self, envelope: Optional[tuple[RbacState, RbacState]]) -> None:
+    def begin(self, pre: RbacState, post: RbacState) -> None:
         """Start a step: clear ``touched_*`` and ``violation``, and check
-        the changes to come against ``envelope``, the pre- and post-states,
-        or against nothing."""
+        the changes to come against the envelope of ``pre`` and ``post``."""
         self.touched_ur.clear()
         self.touched_pa.clear()
         self.touched_roles.clear()
-        self.envelope, self.violation = envelope, None
+        self.envelope, self.violation = (pre, post), None
 
     def changed(self, store: dict, key) -> None:
-        """The store's hook: follow one change of the stream.  With an
-        envelope, check the (user, file) pairs whose grant it may have
-        moved against it, and keep the first violation.  The superuser's
+        """The store's hook: follow one change of the stream, check the
+        (user, file) pairs whose grant it may have moved against the
+        envelope, and keep the first violation.  The superuser's
         tuples, and a tuple at a version that is not current, hold no fact
         before the change or after it."""
         eng = self.engine
@@ -344,7 +326,7 @@ class _EngineView:
             elif store is eng.files:
                 for h in self._fk_holders.get(key, ()):
                     pairs += self._follow_pa(h, key)
-        if pairs and self.envelope is not None and self.violation is None:
+        if pairs and self.violation is None:
             self.violation = _outside(self, *self.envelope, pairs)
 
     def _follow_ur(self, m: str, r: str) -> Sequence[tuple[str, str]]:
@@ -405,24 +387,24 @@ class Lockstep:
     changed: the engine's change stream (see ``engine``) keeps an
     ``_EngineView`` of the UR and PA ``Engine.state()`` would read, which
     construction starts from one ``Engine.state()``, and the model's side
-    comes from the label and the indexes of the pre- and post-states.  The
-    kinds, in the order checked:
+    comes from the label's edits, which the post-state holds.  The kinds,
+    in the order checked:
 
     * ``unauthorized``: the engine decrypted with a mismatched key;
     * ``error-mismatch``: the engine raised where the model did not, or
       anything but an ``RbacError`` where the model raised one;
-    * ``safety``, with ``envelope``: after a change in the stream, a
-      (user, file) pair whose grant the change moved left the envelope of
-      the pre- and post-states; pairs no change moved keep their pre-state
-      grant, which is inside;
+    * ``safety``: after a change in the stream, a (user, file) pair whose
+      grant the change moved left the envelope of the pre- and post-states;
+      pairs no change moved keep their pre-state grant, which is inside;
     * ``cost``, with ``costs``: measured primitives differ from
       ``algebraic_cost`` of the model's pre-state and versions;
     * ``theory``: a UR pair or PA entry that the step's changes or the
-      label touched, the existence of a role either touched, the number of
-      roles, or the size of UR or PA differs from the model's post-state.
-      Entries neither side touched were equal before the step, so they
-      still are.  Only a mismatch reads the whole ``eng.state()``, to word
-      it as the difference of the two theories.
+      label's edits touched, the existence of a role either touched, the
+      number of roles, or the size of UR or PA differs from the model's
+      post-state.  The edits are all of the model's changes, and entries
+      neither side touched were equal before the step, so they still are.
+      Only a mismatch reads the whole ``eng.state()``, to word it as the
+      difference of the two theories.
 
     ``check_whole_state`` compares the whole ``eng.state()`` with the
     model's state, which sees what the stream did not carry (a record or
@@ -435,11 +417,11 @@ class Lockstep:
 
     def __init__(
         self, engine: Engine, state: RbacState = RbacState(), *,
-        costs: bool = True, envelope: bool = True,
+        costs: bool = True,
     ) -> None:
         self.engine, self.state = engine, state
         self.versions = dict.fromkeys(state.perms, 1)
-        self.costs, self.envelope = costs, envelope
+        self.costs = costs
         self.error: Optional[Exception] = None
         self.price: Optional[CostVector] = None
         self._view = _EngineView(engine)
@@ -452,7 +434,7 @@ class Lockstep:
             post, model_err = apply_label(pre, label), None
         except RbacError as e:
             post, model_err = pre, e
-        view.begin((pre, post) if self.envelope else None)
+        view.begin(pre, post)
         eng.fs.on_mutation = view.changed
         try:
             measured = measure_label(eng, label)
@@ -486,7 +468,10 @@ class Lockstep:
         self, label: Label, pre: RbacState, post: RbacState
     ) -> bool:
         """The ``theory`` check of one step, and on success the model's UR
-        and PA sizes carried on to ``post``."""
+        and PA sizes carried on to ``post``.  The model's changes are
+        ``post``'s edits, none if the label left ``pre`` as it was: the
+        indexes ``post`` answers from are ``pre``'s with exactly those
+        edits made."""
         eng, view = self.engine, self._view
         if len(eng.roles) != len(post.roles):
             return False
@@ -496,24 +481,16 @@ class Lockstep:
         for r in view.touched_roles:
             if (r in eng.roles) != (r in post.roles):
                 return False
-        ur, pa = _label_entries(label, pre)
-        n_ur, n_pa = self._n_ur, self._n_pa
-        for u, r in ur:  # only the label's entries move the model's sizes
-            want = r in post.roles_of(u)
-            if (r in view.roles_of(u)) != want:
-                return False
-            n_ur += want - (r in pre.roles_of(u))
-        for r, fn in pa:
-            want = post.pa_op(r, fn)
-            if view.files_of(r).get(fn) != want:
-                return False
-            n_pa += (want is not None) - (pre.pa_op(r, fn) is not None)
+        edits = RbacState.edits if post is pre else post.edits
+        ur_gone, ur_new, pa_gone, pa_new = edits
+        n_ur = self._n_ur + len(ur_new) - len(ur_gone)
+        n_pa = self._n_pa + len(pa_new) - len(pa_gone)
         if (view.n_ur, view.n_pa) != (n_ur, n_pa):
             return False
-        for u, r in view.touched_ur:
+        for u, r in chain(ur_gone, ur_new, view.touched_ur):
             if (r in view.roles_of(u)) != (r in post.roles_of(u)):
                 return False
-        for r, fn in view.touched_pa:
+        for r, fn, *_ in chain(pa_gone, pa_new, view.touched_pa):
             if view.files_of(r).get(fn) != post.pa_op(r, fn):
                 return False
         self._n_ur, self._n_pa = n_ur, n_pa
@@ -553,11 +530,11 @@ def run_differential(
     step_congruence: bool = False,
 ) -> DifferentialReport:
     """Replay ``labels`` from the empty state through a ``Lockstep`` of the
-    reference model and one engine, with the envelope on and the cost check
-    as ``check_costs`` says.  Stops at the first divergence; the engine's
-    exceptions are reported, never raised.  The engine must end congruent
-    to ``sigma`` of the model's state, and with ``step_congruence`` after
-    every label."""
+    reference model and one engine, with the cost check as ``check_costs``
+    says; the model's side comes from the label's edits.  Stops at the first
+    divergence; the engine's exceptions are reported, never raised.  The
+    engine must end congruent to ``sigma`` of the model's state, and with
+    ``step_congruence`` after every label."""
     labels = list(labels)
     eng = Engine(binding=binding)
     lock = Lockstep(eng, costs=check_costs)

@@ -6,14 +6,15 @@ states.  Permissions are files, and a role holds at most one access level per
 file: ``Read`` or ``RW``.  ``RW`` subsumes ``Read`` for authorization queries
 but not for exact assignment queries.
 
-A label never copies a relation.  The successor it makes carries the
-predecessor's indexes (user -> roles, role -> members, role -> {file: op},
-file -> holders) with only the touched entries edited, and holds its UR and
-PA as the label's edits on top of the nearest state that built them; it
-builds them, by the same set algebra, only when something reads them.  Every
-per-name query, ``pa_op`` included, answers from the indexes, so pricing and
-applying a trace (as ``simulate`` does) reads neither relation, and
-``check_invariants`` can still compare the indexes with the relations.
+A label never copies a relation.  The successor it makes is its indexes
+(user -> roles, role -> members, role -> {file: op}, file -> holders), the
+predecessor's with only the touched entries edited, plus the label's edits:
+the UR pairs and PA triples it removed and added.  It derives UR from the
+user index and PA from the op index, in one pass each, only when something
+reads them.  Every per-name query, ``pa_op`` included, answers from the
+indexes, so pricing and applying a trace (as ``simulate`` does) reads
+neither relation, and a lockstep checker reads a step's changes from the
+edits.
 """
 
 from __future__ import annotations
@@ -149,53 +150,33 @@ def _reindexed(index: tuple, ur_gone, ur_new, pa_gone, pa_new) -> tuple:
     return tuple(out)
 
 
-class _Trail:
-    """Where an unread successor's UR and PA come from: ``base`` is either
-    the (UR, PA) pair of the nearest state that built them or the trail of
-    an unread predecessor, and ``edits`` is the label's (UR gone, UR new,
-    PA gone, PA new).  A chain of trails holds edits only, never a state or
-    its indexes, the path sharing of persistent structures (Driscoll,
-    Sarnak, Sleator & Tarjan, JCSS 1989)."""
-
-    __slots__ = ("base", "edits")
-
-    def __init__(self, base, edits: tuple) -> None:
-        self.base = base
-        self.edits = edits
+def _ur_of(index: tuple) -> frozenset[tuple[str, str]]:
+    return frozenset(
+        [(u, r) for u, roles in index[_ROLES].items() for r in roles]
+    )
 
 
-def _build_relations(state: "RbacState") -> None:
-    """Build ``state``'s UR and PA from its trail, starting from the nearest
-    built pair, by the same set algebra step by step; iterative, so a chain
-    of any length builds.  The trail then holds the built pair, where every
-    later read of a successor starts."""
-    trail = state.__dict__.pop("_trail")
-    chain = []
-    t = trail
-    while isinstance(t, _Trail):
-        chain.append(t.edits)
-        t = t.base
-    ur, pa = t
-    for ur_gone, ur_new, pa_gone, pa_new in reversed(chain):
-        ur = ur.difference(ur_gone) if ur_gone else ur
-        pa = pa.difference(pa_gone) if pa_gone else pa
-        ur = ur.union(ur_new) if ur_new else ur
-        pa = pa.union(pa_new) if pa_new else pa
-    trail.base, trail.edits = (ur, pa), ((), (), (), ())
-    state.__dict__.update(ur=ur, pa=pa)
+def _pa_of(index: tuple) -> frozenset[tuple[str, str, str]]:
+    return frozenset(
+        [(r, f, op) for r, ops in index[_OPS].items() for f, op in ops.items()]
+    )
 
 
 class _Relation:
     """A relation field of ``RbacState``: its default is the empty set, and
-    on a successor that has not yet been read it builds UR and PA on first
-    access.  After that, or on a state built with its relations, the value
-    sits in the instance and this descriptor is never consulted."""
+    on a successor that has not yet been read it derives the relation from
+    the successor's indexes, in one pass, on first access.  After that, or
+    on a state built with its relations, the value sits in the instance and
+    this descriptor is never consulted."""
+
+    def __init__(self, derive: Callable[[tuple], frozenset]) -> None:
+        self.derive = derive
 
     def __get__(self, state, owner=None):
         if state is None:
             return _NONE
-        _build_relations(state)
-        return state.__dict__[self.name]
+        value = state.__dict__[self.name] = self.derive(state._index)
+        return value
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
@@ -212,25 +193,24 @@ class RbacState:
     The per-name accessors and ``pa_op`` answer from indexes of ``ur`` and
     ``pa``, built on first use and carried by ``apply_label`` to the
     successor state with only the touched entries edited.  A successor
-    carries its relations as the label's edits and builds ``ur`` and ``pa``
-    by set algebra only when something reads them, so applying a label
-    copies neither relation.  Equality, hashing, ``repr``, ``replace`` and
-    pickling read the built relations.
+    holds only those indexes and its ``edits``, the lists ``(ur_gone,
+    ur_new, pa_gone, pa_new)`` that made it from its predecessor, and
+    derives ``ur`` and ``pa`` from the indexes when something reads them,
+    so applying a label copies neither relation.  A state built from its
+    relations has no edits.  Equality, hashing, ``repr`` and ``replace``
+    read the relations; a pickled successor carries its indexes.
     """
 
     users: frozenset[str] = frozenset()
     roles: frozenset[str] = frozenset()
     perms: frozenset[str] = frozenset()
-    ur: frozenset[tuple[str, str]] = _Relation()
-    pa: frozenset[tuple[str, str, str]] = _Relation()
+    ur: frozenset[tuple[str, str]] = _Relation(_ur_of)
+    pa: frozenset[tuple[str, str, str]] = _Relation(_pa_of)
+    edits = ((), (), (), ())
 
     @cached_property
     def _index(self) -> tuple[dict, ...]:
         return _reindexed(({}, {}, {}, {}), (), self.ur, (), self.pa)
-
-    def __getstate__(self) -> dict:
-        self.ur  # an unread successor builds its relations
-        return self.__dict__
 
     def pa_op(self, role: str, fn: str) -> Optional[str]:
         """The op the role holds for the file, or None."""
@@ -254,18 +234,17 @@ def _moved(
     state: RbacState, ur_gone=(), ur_new=(), pa_gone=(), pa_new=(), **fields
 ) -> RbacState:
     """The successor of ``state`` with the given lists of UR pairs and PA
-    triples removed and added and ``fields`` replaced.  It carries
+    triples removed and added and ``fields`` replaced.  It holds
     ``state``'s indexes with only the entries those pairs and triples touch
-    edited, and its relations as a trail of edits from ``state``'s."""
-    d = state.__dict__
-    base = d["_trail"] if "_trail" in d else (d["ur"], d["pa"])
+    edited, and the lists themselves as its ``edits``."""
+    edits = (ur_gone, ur_new, pa_gone, pa_new)
     new = object.__new__(RbacState)
     new.__dict__.update(
         users=fields.get("users", state.users),
         roles=fields.get("roles", state.roles),
         perms=fields.get("perms", state.perms),
-        _trail=_Trail(base, (ur_gone, ur_new, pa_gone, pa_new)),
-        _index=_reindexed(state._index, ur_gone, ur_new, pa_gone, pa_new),
+        edits=edits,
+        _index=_reindexed(state._index, *edits),
     )
     return new
 

@@ -24,8 +24,10 @@ built.  Both variants spend the same primitives, so a run names no variant:
 its costs carry the identity-based counter names and the writers name its
 rows.  An audited run also steps every action through a seeded engine of
 one variant in lockstep with the model, and fails at the first action where
-the engine raises, decrypts without authorization, spends other primitives
-than ``reconcile`` expects, or leaves UR and PA unlike the model's.
+the engine raises, decrypts without authorization, grants a request outside
+the envelope of the states before and after the action, spends other
+primitives than ``reconcile`` expects, or leaves UR and PA unlike the
+model's.
 
 Permission grants carry the full read-write level throughout: the source
 relations do not distinguish levels, and revocation experiments remove the
@@ -610,11 +612,12 @@ def run_simulation(
 
     Given ``engine``, which holds the seeded dataset (see ``seed_engine``)
     and is consumed, the run audits it in the engine's binding: a
-    ``Lockstep`` without the envelope steps every label through the engine
-    and the model, and its prices are the costs.  The run raises
-    ``AssertionError`` naming the first label at which the engine raises,
-    decrypts without authorization, fails ``reconcile`` or leaves UR and PA
-    unlike the model's, as far as the label's changes show.  After the last
+    ``Lockstep`` steps every label through the engine and the model, and
+    its prices are the costs.  The run raises ``AssertionError`` naming the
+    first label at which the engine raises, decrypts without authorization,
+    grants a request outside the envelope of the model's states before and
+    after the label, fails ``reconcile`` or leaves UR and PA unlike the
+    model's, as far as the label's changes show.  After the last
     event it compares the engine's whole state with the model's once."""
     run_seed = derive_seed(seed, run_index)
     rng = random.Random(run_seed)
@@ -624,7 +627,7 @@ def run_simulation(
     costs: list[CostVector] = []
     state = dataset.state()
     versions = dict.fromkeys(dataset.perms, 1)
-    lock = None if engine is None else Lockstep(engine, state, envelope=False)
+    lock = None if engine is None else Lockstep(engine, state)
     for ev in events:
         label = ev.label
         if label is None:
@@ -643,6 +646,8 @@ def run_simulation(
                 kind, detail = failure
                 if kind == "unauthorized":
                     kind = "unauthorized decryption"
+                elif kind == "safety":
+                    kind = "envelope violation"
                 else:
                     kind += " mismatch"
                 raise AssertionError(f"{kind} at {label}: {detail}")

@@ -109,7 +109,7 @@ def test_criterion_2_cost_reconciliation(capsys):
     n_labels = 0
     mismatches = []
     for trace in corpus:
-        lock = Lockstep(Engine("ibe"), envelope=False)
+        lock = Lockstep(Engine("ibe"))
         for lbl in trace:
             n_labels += 1
             failure = lock.step(lbl)

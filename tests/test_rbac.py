@@ -350,11 +350,25 @@ def _effect(state, label):
     return ur, pa
 
 
+def _check_edits(label, pre, post, ur, pa):
+    """``post``'s edits, none if it is ``pre``, are the oracle's change of
+    UR and PA from ``pre`` to (``ur``, ``pa``): each entry listed once, and
+    what is gone and what is new disjoint."""
+    edits = RbacState.edits if post is pre else post.edits
+    for gone, new, was, now in zip(
+        edits[::2], edits[1::2], (pre.ur, pre.pa), (ur, pa)
+    ):
+        assert len(set(gone)) == len(gone), label
+        assert len(set(new)) == len(new), label
+        assert not set(gone) & set(new), label
+        assert set(gone) == was - now and set(new) == now - was, label
+
+
 def _oracle_walk(labels, read_at_once):
     """Apply ``labels`` from the empty state, skipping those the model
     rejects; return each successor with the relations the oracle expects of
-    it.  With ``read_at_once`` every successor's relations are read as soon
-    as it exists, else none is read during the walk."""
+    it.  With ``read_at_once`` every successor's relations and edits are
+    checked as soon as it exists, else none is read during the walk."""
     s, out = RbacState(), []
     for lbl in labels:
         expected = _effect(s, lbl) if read_at_once else None
@@ -364,6 +378,7 @@ def _oracle_walk(labels, read_at_once):
             continue
         if read_at_once:
             assert (nxt.ur, nxt.pa) == expected, lbl
+            _check_edits(lbl, s, nxt, *expected)
         out.append((lbl, s, nxt))
         s = nxt
     return out
@@ -371,11 +386,14 @@ def _oracle_walk(labels, read_at_once):
 
 def _trace_kinds_and_check(labels):
     """Every successor's relations equal the oracle's, read at once and
-    read only after the whole trace, in reverse order; returns the kinds."""
+    read only after the whole trace, in reverse order, and its edits are
+    exact; returns the kinds."""
     _oracle_walk(labels, read_at_once=True)
     walk = _oracle_walk(labels, read_at_once=False)
     for lbl, pre, s in reversed(walk):
-        assert (s.ur, s.pa) == _effect(pre, lbl), lbl
+        expected = _effect(pre, lbl)
+        assert (s.ur, s.pa) == expected, lbl
+        _check_edits(lbl, pre, s, *expected)
         check_invariants(s)
     return {lbl.kind for lbl, _, _ in walk}
 

@@ -20,7 +20,9 @@ from rolecrypt.crypto import (
     MODEL_OPS, CostVector, UnauthorizedDecrypt, role_identity,
 )
 from rolecrypt.engine import Engine, measure_label
-from rolecrypt.rbac import Label, RW, check_invariants, theory, utf8_encodable
+from rolecrypt.rbac import (
+    Label, RW, apply_label, check_invariants, theory, utf8_encodable,
+)
 from rolecrypt.workload import (
     ActorRates,
     Dataset,
@@ -42,7 +44,7 @@ from rolecrypt.workload import (
     write_runs_csv,
     write_summary_csv,
 )
-from test_equivalence import _StaleRewrapEngine
+from test_equivalence import _FlickerEngine, _StaleRewrapEngine
 
 
 TOY = Dataset(
@@ -409,6 +411,17 @@ def test_sample_events_draws_from_the_datasets_sets_without_editing_them():
     moved = pickle.loads(pickle.dumps(ds))
     assert "_pair_sets" in vars(moved)
     assert events(moved) == first
+    # an unread successor of its state crosses with its indexes, and
+    # derives its relations from them on the other side
+    label = next(
+        e.label for e in first if e.kind.startswith("revoke") and e.label
+    )
+    after = apply_label(ds.state(), label)
+    loaded = pickle.loads(pickle.dumps(after))
+    assert "ur" not in vars(after) and "ur" not in vars(loaded)
+    assert loaded._index == after._index
+    assert (loaded.ur, loaded.pa) == (after.ur, after.pa)
+    assert loaded == after
 
 
 def test_derive_seed_matches_direct_hash():
@@ -513,7 +526,13 @@ class _LingeringMemberEngine(Engine):
         _LingeringMemberEngine,
         "theory mismatch at revokeU(u23, r1): +[('UR', 'u23', 'r1'), ",
     ),
-], ids=["raises", "quiet", "lingering"])
+    # UR, PA and the costs stay the model's; only the envelope, checked
+    # after every change in the stream, sees the moment's memberships
+    (
+        _FlickerEngine,
+        "envelope violation at assignU(u41, r8): outside envelope +[",
+    ),
+], ids=["raises", "quiet", "lingering", "flicker"])
 def test_audit_names_the_event_an_engine_fails(
     monkeypatch, variant, engine, message
 ):

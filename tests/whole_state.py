@@ -18,10 +18,10 @@ from rolecrypt.rbac import RbacError, RbacState, apply_label, auth_facts, theory
 class WholeStateLockstep:
     """``Lockstep``'s interface and checks, each over the whole state."""
 
-    def __init__(self, engine, state=RbacState(), *, costs=True, envelope=True):
+    def __init__(self, engine, state=RbacState(), *, costs=True):
         self.engine, self.state = engine, state
         self.versions = dict.fromkeys(state.perms, 1)
-        self.costs, self.envelope = costs, envelope
+        self.costs = costs
         self.error = self.price = None
         self._auth = auth_facts(state)
 
@@ -42,8 +42,7 @@ class WholeStateLockstep:
                 extra, missing = sorted(cur - upper), sorted(lower - cur)
                 violations.append(f"outside envelope +{extra} -{missing}")
 
-        if self.envelope:
-            eng.fs.on_mutation = hook
+        eng.fs.on_mutation = hook
         try:
             measured = measure_label(eng, label)
         except Exception as e:
