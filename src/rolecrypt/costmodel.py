@@ -14,9 +14,9 @@ Two layers:
   keygen; ``delR``, one ``revokeP(RW)`` per file, costs H - F each of
   those three and F ``sym_gen``; ``delU`` costs one ``revokeU`` per role of
   the user, in name order, each rolling the file-key versions forward for
-  the next.  ``roll_versions`` carries the key versions past a label;
-  with ``rbac.apply_label`` carrying the state, a caller prices a whole
-  trace without an engine, as ``simulate`` does.
+  the next.  Pricing a label also rolls the key versions past it, so with
+  ``rbac.apply_label`` carrying the state, a caller prices a whole trace
+  without an engine, as ``simulate`` does.
 * A unit-cost layer prices each primitive in elliptic-curve multiplication
   units for a chosen pair of published IBE/IBS schemes (``scheme_profile``
   builds a ``SchemeProfile``): an operation's group-operation counts times
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Mapping, Optional
 
 from .crypto import (
     CostVector, IBE_TO_PKI, INVOKER, MODEL_OPS, REFERENCE_MONITOR,
@@ -68,38 +68,21 @@ def _reissue(bag: _Bag, n: int, opened: bool = False) -> None:
     _add(bag, "ibs_sign", n)
 
 
-def roll_versions(
-    label: Label, state: RbacState, versions: dict[str, int]
+def _roll(
+    bag: _Bag, versions: dict[str, int], files: Collection[str]
 ) -> None:
-    """Advance ``versions`` (file -> current key version) in place to the
-    versions after applying ``label`` to ``state``: ``revokeU`` of a member
-    rolls every file the role holds, ``delU`` does so for each role of the
-    user, a ``revokeP`` that drops a held grant (any op but ``Write``) rolls
-    the file it names, ``delR`` rolls every file of the role, and ``addP``
-    and ``delP`` add and drop a file.  Labels the model rejects or reduces
-    to a warning roll nothing."""
-    k, r = label.kind, label.role
-    roles: Iterable[str] = ()
-    if (k == "revokeU" and r in state.roles_of(label.user)) or k == "delR":
-        roles = (r,)
-    elif k == "delU":
-        roles = state.roles_of(label.user)
-    elif k == "revokeP" and label.op != WRITE and state.pa_op(r, label.file):
-        versions[label.file] += 1
-    elif k == "addP":
-        versions.setdefault(label.file, 1)
-    elif k == "delP":
-        versions.pop(label.file, None)
-    for r in roles:
-        for fn in state.files_of(r):
-            versions[fn] += 1
+    """Count a fresh key for each of ``files`` and roll each to its next
+    version in ``versions``."""
+    _add(bag, "sym_gen", len(files))
+    for fn in files:
+        versions[fn] += 1
 
 
 def _revoke_user_cost(
-    bag: _Bag, r: str, state: RbacState, versions: Mapping[str, int]
+    bag: _Bag, r: str, state: RbacState, versions: dict[str, int]
 ) -> None:
     """Price revoking one member of ``r`` at the file-key ``versions``, by
-    the closed form in the module docstring."""
+    the closed form in the module docstring, and roll the role's files."""
     files = state.files_of(r)
     v = sum(map(versions.__getitem__, files))
     h = sum(map(len, map(state.holders_of, files))) + len(files)
@@ -107,16 +90,19 @@ def _revoke_user_cost(
     _add(bag, "ibs_keygen", 1)
     _reissue(bag, len(state.members_of(r)) + v + h)
     _add(bag, "ibe_dec", v)
-    _add(bag, "sym_gen", len(files))
+    _roll(bag, versions, files)
 
 
 def algebraic_cost(
-    label: Label, state: RbacState, versions: Mapping[str, int]
+    label: Label, state: RbacState, versions: dict[str, int]
 ) -> CostVector:
     """Predict the primitive counts of applying ``label`` to ``state``, whose
-    files are at the key versions ``versions`` (file -> current version).
-    Labels that the enforcement engine would reduce to a warning (duplicate
-    adds, absent deletes, redundant grants) cost nothing."""
+    files are at the key versions ``versions`` (file -> current version),
+    and advance ``versions`` in place past the label: each fresh file key
+    (``sym_gen``) rolls its file to the next version, ``addP`` adds a file
+    at version 1 and ``delP`` drops it.  Labels that the enforcement engine
+    would reduce to a warning (duplicate adds, absent deletes, redundant
+    grants) cost and roll nothing."""
     bag: _Bag = {}
     k = label.kind
     if k == "addU":
@@ -136,8 +122,9 @@ def algebraic_cost(
             _add(bag, "ibe_enc", 1)
             _add(bag, "ibs_sign", 2)
             _add(bag, "ibs_ver", 2, REFERENCE_MONITOR)
+            versions[label.file] = 1
     elif k == "delP":
-        pass  # tuple deletion only
+        versions.pop(label.file, None)  # costs nothing: tuple deletion only
     elif k == "assignU":
         if label.role not in state.roles_of(label.user):
             _reissue(bag, 1, opened=True)
@@ -146,11 +133,8 @@ def algebraic_cost(
             _revoke_user_cost(bag, label.role, state, versions)
     elif k == "delU":
         if label.user in state.users:
-            rolled = dict(versions)
             for r in sorted(state.roles_of(label.user)):
-                _revoke_user_cost(bag, r, state, rolled)
-                for fn in state.files_of(r):
-                    rolled[fn] += 1
+                _revoke_user_cost(bag, r, state, versions)
     elif k == "assignP":
         held = state.pa_op(label.role, label.file)
         vfn = versions.get(label.file, 0)
@@ -171,13 +155,13 @@ def algebraic_cost(
                     _add(bag, "ibs_sign", vfn)
             else:
                 # a fresh file key for the other holders plus the superuser
-                _add(bag, "sym_gen", 1)
+                _roll(bag, versions, (label.file,))
                 _reissue(bag, len(state.holders_of(label.file)))
     elif k == "delR":
         if label.role in state.roles:
             # a fresh key per file for its other holders plus the superuser
             files = state.files_of(label.role)
-            _add(bag, "sym_gen", len(files))
+            _roll(bag, versions, files)
             _reissue(bag, sum(map(len, map(state.holders_of, files))))
     else:
         raise AssertionError(k)
@@ -292,7 +276,7 @@ def static_cost_table(
     versions = {_UNIT_FILE: 1}
 
     def cost(label: Label) -> CostVector:
-        return algebraic_cost(label, state, versions)
+        return algebraic_cost(label, state, dict(versions))
 
     add_file = cost(Label("addP", file="f2"))
     write = data_op_cost("write")

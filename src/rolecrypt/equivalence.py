@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence, Union
 
-from .costmodel import algebraic_cost, reconcile, roll_versions
+from .costmodel import algebraic_cost, reconcile
 from .crypto import (
     CostVector,
     Identity,
@@ -379,8 +379,9 @@ class _EngineView:
 
 class Lockstep:
     """The reference model and an engine advanced together, one label at a
-    time.  The engine must hold ``sigma(state)``, and the stepper carries
-    the file-key versions on from that image's, every file at 1.
+    time.  The engine must hold ``sigma(state)``.  With ``costs``, the
+    stepper prices each label at the file-key versions, which start at that
+    image's, every file at 1, and which each price advances.
 
     ``step`` applies a label to both and returns the first failed check as
     ``(kind, detail)``, or None.  Each check reads only what the step
@@ -458,7 +459,6 @@ class Lockstep:
             diff = reconcile(measured, self.price, eng.binding.name)
             if diff:
                 return "cost", f"measured-predicted {diff!r}"
-            roll_versions(label, pre, self.versions)
         if not self._theory_holds(label, pre, post):
             return "theory", _worded(eng.state(), post)
         self.state = post
@@ -607,7 +607,6 @@ class TraceBuilder:
         self.version_cap = version_cap
         self.users: set[str] = set()
         self.roles: set[str] = set()
-        self.files: set[str] = set()
         self.ur: set[tuple[str, str]] = set()
         self.pa: dict[tuple[str, str], str] = {}
         self.versions: dict[str, int] = {}
@@ -656,10 +655,9 @@ class TraceBuilder:
         return Label("addR", role=r)
 
     def _mv_addP(self) -> Optional[Label]:
-        if len(self.files) >= self.max_files:
+        if len(self.versions) >= self.max_files:
             return None
         fn = self._fresh("f")
-        self.files.add(fn)
         self.versions[fn] = 1
         return Label("addP", file=fn)
 
@@ -691,7 +689,7 @@ class TraceBuilder:
         fresh = [
             (r, fn)
             for r in self.roles
-            for fn in self.files
+            for fn in self.versions
             if (r, fn) not in self.pa
         ]
         upgrades = [k for k, op in self.pa.items() if op == READ]
@@ -758,10 +756,9 @@ class TraceBuilder:
         return Label("delR", role=r)
 
     def _mv_delP(self) -> Optional[Label]:
-        if not self.files:
+        if not self.versions:
             return None
-        fn = self.rng.choice(sorted(self.files))
-        self.files.discard(fn)
+        fn = self.rng.choice(sorted(self.versions))
         del self.versions[fn]
         self.pa = {k: op for k, op in self.pa.items() if k[1] != fn}
         return Label("delP", file=fn)
@@ -776,9 +773,9 @@ class TraceBuilder:
                 opts.append(
                     Label("revokeU", user=u, role=self.rng.choice(sorted(rs)))
                 )
-        if self.roles and self.files:
+        if self.roles and self.versions:
             r = self.rng.choice(sorted(self.roles))
-            fn = self.rng.choice(sorted(self.files))
+            fn = self.rng.choice(sorted(self.versions))
             if (r, fn) not in self.pa:
                 opts.append(Label("revokeP", role=r, file=fn, op=RW))
             elif self.pa[(r, fn)] == RW:

@@ -52,9 +52,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
-from .costmodel import (
-    HEADLINE_PROFILES, algebraic_cost, roll_versions, scheme_profile,
-)
+from .costmodel import HEADLINE_PROFILES, algebraic_cost, scheme_profile
 from .crypto import CostVector, MODEL_OPS
 from .engine import Engine
 from .equivalence import Lockstep, sigma
@@ -606,7 +604,7 @@ def run_simulation(
 ) -> RunResult:
     """One simulated period from ``dataset``.  Each applied event is priced
     by ``algebraic_cost`` from the model state, advanced by ``apply_label``,
-    and the file-key versions, advanced by ``roll_versions``; no engine
+    and the file-key versions, which ``algebraic_cost`` advances; no engine
     runs.  The costs carry the identity-based counter names, and both
     variants spend the same primitives, so the run names no variant.
 
@@ -634,7 +632,6 @@ def run_simulation(
             costs.append(CostVector())
         elif lock is None:
             costs.append(algebraic_cost(label, state, versions))
-            roll_versions(label, state, versions)
             state = apply_label(state, label)
         else:
             failure = lock.step(label)

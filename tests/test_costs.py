@@ -16,7 +16,6 @@ from rolecrypt.costmodel import (
     format_units,
     load_scheme_data,
     reconcile,
-    roll_versions,
     scheme_profile,
     static_cost_table,
 )
@@ -206,7 +205,7 @@ def test_delete_user_tracks_evolving_state():
         pa=[("r1", "f", RW), ("r2", "f", READ)],
     )
     v = {"f": 1}
-    got = totals(Label("delU", user="u"), s, v)
+    got = totals(Label("delU", user="u"), s, dict(v))
     # r1: 2 membership re-issues, 1 version rolled, fresh key to 3;
     # r2: 2 membership re-issues, 2 versions rolled, fresh key to 3
     assert got == {
@@ -241,20 +240,26 @@ def test_delete_role_formula():
     assert not algebraic_cost(Label("delR", role="zz"), s, v)
 
 
-def test_roll_versions_follows_the_engine():
-    # random traces of every label kind, no-ops included: the versions the
-    # model rolls forward label by label stay the engine's
+def test_pricing_rolls_the_versions_it_prices():
+    # random traces of every label kind, no-ops included, in both bindings:
+    # pricing a label leaves the versions at the engine's, and its sym_gen
+    # counts exactly the versions it added, a dropped file's given back
     kinds, rolled = Counter(), 0
-    for seed in range(8):
-        labels = TraceBuilder(random.Random(seed)).build(80)
-        eng, state, versions = Engine(), RbacState(), {}
-        for lbl in labels:
-            eng.apply_label(lbl)
-            roll_versions(lbl, state, versions)
-            state = apply_label(state, lbl)
-            assert versions == eng.files, lbl
-            kinds[lbl.kind] += 1
-            rolled = max(rolled, *versions.values(), 0)
+    for binding in ("ibe", "pki"):
+        for seed in range(8):
+            labels = TraceBuilder(random.Random(seed)).build(80)
+            eng, state, versions = Engine(binding), RbacState(), {}
+            for lbl in labels:
+                eng.apply_label(lbl)
+                before = dict(versions)
+                price = algebraic_cost(lbl, state, versions)
+                state = apply_label(state, lbl)
+                assert versions == eng.files, lbl
+                dropped = sum(before[fn] for fn in before.keys() - versions)
+                added = sum(versions.values()) - sum(before.values())
+                assert price.totals().get("sym_gen", 0) == added + dropped, lbl
+                kinds[lbl.kind] += 1
+                rolled = max(rolled, *versions.values(), 0)
     assert set(kinds) == {
         "addU", "delU", "addP", "delP", "addR", "delR",
         "assignU", "revokeU", "assignP", "revokeP",

@@ -696,9 +696,70 @@ def test_composite_labels_reconcile_at_dataset_scale(variant):
         measured = measure_label(start.fork(), label)
         assert sum(measured.totals().values()) == primitives
         t0 = time.monotonic()
-        predicted = algebraic_cost(label, state, versions)
+        predicted = algebraic_cost(label, state, dict(versions))
         assert time.monotonic() - t0 < 0.05
         assert not reconcile(measured, predicted, variant)
+
+
+@pytest.mark.parametrize("variant", ["ibe", "pki"])
+def test_lockstep_holds_at_dataset_scale(variant):
+    # a cost-checked Lockstep on the `gen-dataset --name firewall1 --seed 0`
+    # instance: sampled arrivals, then delU of the user with the most roles
+    # and delR of the role with the most files, a delP, fresh entities and
+    # grants, and revocations after the delU, which price the versions it
+    # rolled again
+    ds = synthesize_dataset("firewall1", random.Random(derive_seed(0, -1)))
+    state = ds.state()
+    assert (len(state.roles_of("u1")), len(state.files_of("r43"))) == (14, 617)
+    eng = seed_engine(ds, variant)
+    lock = eqv.Lockstep(eng, state)
+    rng = random.Random(11)
+    rates = ActorRates(admin_rate(len(ds.users)), 0.5, 0.5)
+
+    def arrivals(dataset):
+        events = sample_events(rng, dataset, rates, 46.0)
+        return [ev.label for ev in events if ev.label is not None]
+
+    def run(labels):
+        for label in labels:
+            assert lock.step(label) is None, label
+            assert lock.price is not None, label
+        return len(labels)
+
+    steps = run(arrivals(ds))
+    state = lock.state
+    u1_roles = sorted(state.roles_of("u1"))
+    r, fn = u1_roles[0], min(state.files_of(u1_roles[1]))
+    member = min(state.members_of(r) - {"u1"})
+    steps += run([
+        Label("delU", user="u1"),
+        Label("delR", role="r43"),
+        Label("delP", file=fn),
+        Label("addU", user="x1"),
+        Label("addR", role="xr1"),
+        Label("addP", file="xf1"),
+        Label("assignU", user="x1", role="xr1"),
+        Label("assignU", user="x1", role=r),
+        Label("assignP", role="xr1", file="xf1", op=RW),
+        Label("assignP", role="xr1", file=min(state.files_of(r)), op=RW),
+        Label("revokeU", user=member, role=r),
+        Label("revokeU", user="x1", role="xr1"),
+    ])
+    state = lock.state
+    rolled = {fn for fn, v in lock.versions.items() if v > 1}
+    assert max(lock.versions.values()) >= 3
+    after = arrivals(Dataset(
+        "after", tuple(sorted(state.users)), tuple(sorted(state.roles)),
+        tuple(sorted(state.perms)), tuple(sorted(state.ur)),
+        tuple(sorted((r, fn) for r, fn, _ in state.pa)),
+    ))
+    assert any(lbl.kind == "revokeU" and lbl.role in u1_roles for lbl in after)
+    assert any(lbl.kind == "revokeP" and lbl.file in rolled for lbl in after)
+    steps += run(after)
+    assert 180 <= steps <= 220
+    assert lock.versions == eng.files
+    assert lock.check_whole_state() is None
+    assert eqv.congruent(eng, eqv.sigma(lock.state, variant))
 
 
 def test_revocation_window_tracking():

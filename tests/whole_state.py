@@ -9,7 +9,7 @@ the model's post-state after every label.  It costs a whole-state read per
 change, so it runs only here.
 """
 
-from rolecrypt.costmodel import algebraic_cost, reconcile, roll_versions
+from rolecrypt.costmodel import algebraic_cost, reconcile
 from rolecrypt.engine import measure_label
 from rolecrypt.equivalence import congruent, sigma
 from rolecrypt.rbac import RbacError, RbacState, apply_label, auth_facts, theory
@@ -65,7 +65,6 @@ class WholeStateLockstep:
             diff = reconcile(measured, self.price, eng.binding.name)
             if diff:
                 return "cost", f"measured-predicted {diff!r}"
-            roll_versions(label, pre, self.versions)
         got = eng.state()
         if (got.roles, got.ur, got.pa) != (post.roles, post.ur, post.pa):
             got, want = theory(got), theory(post)
