@@ -18,11 +18,12 @@ Four pieces:
   re-derives the grants of only the (user, file) pairs a change can move.
   The model's side of a step is the label's edits, which the successor
   state holds (see ``rbac``), so the theory check compares only the UR and
-  PA entries the changes or the edits touched, the roles they name and the
-  sizes of UR and PA, as the counting algorithm maintains a view (Gupta,
-  Mumick & Subrahmanian, SIGMOD 1993).  Every checker steps it, with the
-  envelope on: the differential check, the ``simulate --check-costs``
-  audit and cost reconciliation.
+  PA entries the changes or the edits touched and the roles they name, as
+  the counting algorithm maintains a view from its deltas alone (Gupta,
+  Mumick & Subrahmanian, SIGMOD 1993).  Every entry either side changed is
+  among them, so UR and PA, sizes included, agree after a step that passes.
+  Every checker steps it, with the envelope on: the differential check,
+  the ``simulate --check-costs`` audit and cost reconciliation.
 * ``run_differential`` steps a trace from the empty state, and checks at its
   end that the engine is congruent to the image of the model's state.  That
   comparison, and ``Lockstep.check_whole_state`` at the end of every
@@ -258,7 +259,6 @@ class _EngineView:
             _add(self.ur_members, r, m)
         for r, fn, op in state.pa:
             self.pa_ops.setdefault(r, {})[fn] = op
-        self.n_ur, self.n_pa = len(state.ur), len(state.pa)
         for m, r, _ in eng.fs.rk:
             if m != SUPERUSER:
                 _add(self._rk_roles, m, r)
@@ -344,11 +344,9 @@ class _EngineView:
         if now:
             _add(self.ur_roles, m, r)
             _add(self.ur_members, r, m)
-            self.n_ur += 1
         else:
             roles.discard(r)
             self.ur_members[r].discard(m)
-            self.n_ur -= 1
         self.touched_ur.add((m, r))
         return [(m, fn) for fn in self.pa_ops.get(r, _NO_OPS)]
 
@@ -362,26 +360,24 @@ class _EngineView:
             t = eng.fs.fk.get((h, fn, v))
         now = None if t is None else t.op
         ops = self.pa_ops.get(h, _NO_OPS)
-        was = ops.get(fn)
-        if now == was:
+        if now == ops.get(fn):
             return ()
         if now is None:
             del ops[fn]
-            self.n_pa -= 1
         else:
             if ops is _NO_OPS:
                 ops = self.pa_ops[h] = {}
             ops[fn] = now
-            self.n_pa += was is None
         self.touched_pa.add((h, fn))
         return [(u, fn) for u in self.ur_members.get(h, ())]
 
 
 class Lockstep:
     """The reference model and an engine advanced together, one label at a
-    time.  The engine must hold ``sigma(state)``.  With ``costs``, the
-    stepper prices each label at the file-key versions, which start at that
-    image's, every file at 1, and which each price advances.
+    time.  The engine must hold ``sigma(state)``.  With ``costs``,
+    ``versions`` holds the file-key versions the stepper prices each label
+    at, which start at that image's, every file at 1, and which each price
+    advances; without, it is None.
 
     ``step`` applies a label to both and returns the first failed check as
     ``(kind, detail)``, or None.  Each check reads only what the step
@@ -400,12 +396,12 @@ class Lockstep:
     * ``cost``, with ``costs``: measured primitives differ from
       ``algebraic_cost`` of the model's pre-state and versions;
     * ``theory``: a UR pair or PA entry that the step's changes or the
-      label's edits touched, the existence of a role either touched, the
-      number of roles, or the size of UR or PA differs from the model's
-      post-state.  The edits are all of the model's changes, and entries
-      neither side touched were equal before the step, so they still are.
-      Only a mismatch reads the whole ``eng.state()``, to word it as the
-      difference of the two theories.
+      label's edits touched, the existence of a role either touched, or the
+      number of roles differs from the model's post-state.  The edits are
+      all of the model's changes, and entries neither side touched were
+      equal before the step, so they still are, and so are the sizes of UR
+      and PA.  Only a mismatch reads the whole ``eng.state()``, to word it
+      as the difference of the two theories.
 
     ``check_whole_state`` compares the whole ``eng.state()`` with the
     model's state, which sees what the stream did not carry (a record or
@@ -421,12 +417,10 @@ class Lockstep:
         costs: bool = True,
     ) -> None:
         self.engine, self.state = engine, state
-        self.versions = dict.fromkeys(state.perms, 1)
-        self.costs = costs
+        self.versions = dict.fromkeys(state.perms, 1) if costs else None
         self.error: Optional[Exception] = None
         self.price: Optional[CostVector] = None
         self._view = _EngineView(engine)
-        self._n_ur, self._n_pa = len(state.ur), len(state.pa)
 
     def step(self, label: Label) -> Optional[tuple[str, str]]:
         eng, pre, view = self.engine, self.state, self._view
@@ -454,7 +448,7 @@ class Lockstep:
             )
         if view.violation is not None:
             return "safety", view.violation
-        if self.costs and model_err is None:
+        if self.versions is not None and model_err is None:
             self.price = algebraic_cost(label, pre, self.versions)
             diff = reconcile(measured, self.price, eng.binding.name)
             if diff:
@@ -467,11 +461,13 @@ class Lockstep:
     def _theory_holds(
         self, label: Label, pre: RbacState, post: RbacState
     ) -> bool:
-        """The ``theory`` check of one step, and on success the model's UR
-        and PA sizes carried on to ``post``.  The model's changes are
+        """The ``theory`` check of one step.  The model's changes are
         ``post``'s edits, none if the label left ``pre`` as it was: the
         indexes ``post`` answers from are ``pre``'s with exactly those
-        edits made."""
+        edits made.  The view changes only where it records a touched entry,
+        so every entry either side changed is compared, and UR and PA need
+        no size check of their own.  ``len(eng.roles)`` reads the live
+        record, so it also sees a role edited around ``Engine._edit``."""
         eng, view = self.engine, self._view
         if len(eng.roles) != len(post.roles):
             return False
@@ -483,17 +479,12 @@ class Lockstep:
                 return False
         edits = RbacState.edits if post is pre else post.edits
         ur_gone, ur_new, pa_gone, pa_new = edits
-        n_ur = self._n_ur + len(ur_new) - len(ur_gone)
-        n_pa = self._n_pa + len(pa_new) - len(pa_gone)
-        if (view.n_ur, view.n_pa) != (n_ur, n_pa):
-            return False
         for u, r in chain(ur_gone, ur_new, view.touched_ur):
             if (r in view.roles_of(u)) != (r in post.roles_of(u)):
                 return False
         for r, fn, *_ in chain(pa_gone, pa_new, view.touched_pa):
             if view.files_of(r).get(fn) != post.pa_op(r, fn):
                 return False
-        self._n_ur, self._n_pa = n_ur, n_pa
         return True
 
     def check_whole_state(self) -> Optional[tuple[str, str]]:

@@ -624,8 +624,8 @@ def run_simulation(
 
     costs: list[CostVector] = []
     state = dataset.state()
-    versions = dict.fromkeys(dataset.perms, 1)
     lock = None if engine is None else Lockstep(engine, state)
+    versions = dict.fromkeys(dataset.perms, 1) if lock is None else None
     for ev in events:
         label = ev.label
         if label is None:

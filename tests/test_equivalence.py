@@ -293,6 +293,25 @@ def test_differential_empty_trace():
 
 
 @pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_lockstep_holds_no_versions_without_costs(binding):
+    # nothing prices the labels, so no file-key version is kept to drift
+    # from the engine's
+    eng = Engine(binding)
+    lock = eqv.Lockstep(eng, costs=False)
+    for lbl in [
+        Label("addU", user="u"),
+        Label("addR", role="r"),
+        Label("addP", file="f"),
+        Label("assignU", user="u", role="r"),
+        Label("assignP", role="r", file="f", op=RW),
+        Label("revokeU", user="u", role="r"),
+    ]:
+        assert lock.step(lbl) is None
+    assert eng.files == {"f": 2}
+    assert lock.versions is None
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
 def test_differential_rejects_superuser_as_role(binding):
     # the engine keys a role's tuples by the name the superuser's use
     labels = [
@@ -344,8 +363,13 @@ class _SloppyEngine(Engine):
 def test_differential_catches_stale_membership(monkeypatch):
     monkeypatch.setattr(eqv, "Engine", _SloppyEngine)
     rep = run_differential(BREAKING_TRACE)
-    assert not rep.ok
-    assert rep.failure_kind in ("theory", "safety")
+    assert (rep.ok, rep.failure_kind, rep.failure_index) == (
+        False, "theory", 7,
+    )
+    assert rep.detail == (
+        "label 7 revokeU(u2, r1): +[('UR', 'u2', 'r1'), "
+        "('auth', 'u2', 'f1', 'RW'), ('auth', 'u2', 'f1', 'Read')] -[]"
+    )
 
 
 class _DeafEngine(Engine):
@@ -556,6 +580,29 @@ class _SplitKeyEngine(Engine):
             self._issue_fk(ident, fn, self.ops[h][fn], v, ct)
 
 
+class _RefilingEngine(Engine):
+    """Deliberately broken: a fresh grant wraps SU's keys for the next role
+    by name and files them there, while the record says the granted role
+    holds them.  PA keeps its size, and with the next role memberless no
+    grant moves, so only the comparison of the PA entries the changes and
+    the edits touched sees it."""
+
+    def _rewrap_fks(self, src, dec_key, fn, dst, op):
+        if src == SUPERUSER:  # a fresh grant
+            dst = min((x for x in self.roles if x > dst), default=dst)
+        super()._rewrap_fks(src, dec_key, fn, dst, op)
+
+
+REFILE = [
+    Label("addU", user="u1"),
+    Label("addR", role="r1"),
+    Label("addR", role="r2"),
+    Label("addP", file="f1"),
+    Label("assignU", user="u1", role="r1"),
+    Label("assignP", role="r1", file="f1", op=RW),
+]
+
+
 GRANTS = [
     Label("addU", user="u1"),
     Label("addR", role="r1"),
@@ -575,6 +622,7 @@ GRANTS = [
      "congruence", 8, False),
     (_SplitKeyEngine, BREAKING_TRACE + [Label("addU", user="u3")],
      "congruence", 7, True),
+    (_RefilingEngine, REFILE, "theory", 5, False),
 ])
 def test_differential_failure_kinds(
     monkeypatch, binding, engine, labels, kind, index, step
@@ -680,6 +728,7 @@ PLANTED = [
     (_SplitKeyEngine, BREAKING_TRACE + [Label("addU", user="u3")]),
     (_BumpingEngine, SHARED_GRANT),
     (_DriftingEngine, DRIFT),
+    (_RefilingEngine, REFILE),
 ]
 
 

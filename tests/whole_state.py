@@ -20,8 +20,7 @@ class WholeStateLockstep:
 
     def __init__(self, engine, state=RbacState(), *, costs=True):
         self.engine, self.state = engine, state
-        self.versions = dict.fromkeys(state.perms, 1)
-        self.costs = costs
+        self.versions = dict.fromkeys(state.perms, 1) if costs else None
         self.error = self.price = None
         self._auth = auth_facts(state)
 
@@ -60,7 +59,7 @@ class WholeStateLockstep:
             )
         if violations:
             return "safety", violations[0]
-        if self.costs and model_err is None:
+        if self.versions is not None and model_err is None:
             self.price = algebraic_cost(label, pre, self.versions)
             diff = reconcile(measured, self.price, eng.binding.name)
             if diff:
