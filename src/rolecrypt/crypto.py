@@ -5,11 +5,13 @@ the Dolev-Yao style.  Encryption is deterministic (equal inputs give equal
 terms); decryption succeeds only when the presented key matches the
 ciphertext's recipient exactly, and a mismatch raises and is recorded as an
 unauthorized-decryption event.  A signature is the term ``sig(k, m)``: it
-carries the signer and the signed fields themselves, and verifying it is a
-syntactic comparison of those fields with the presented ones.  Every
-primitive invocation increments a named counter attributed to the provider's
-current ``principal`` (``invoker`` unless a ``reference_monitor`` scope is
-open).
+carries the signer and the signed message itself, and verifying it is a
+syntactic comparison of that message with the presented one.  A caller that
+signs a term record, as the engine signs each stored tuple's body, presents
+the very object it signed, so an honest verify ends at an identity check;
+any other message is compared by value.  Every primitive invocation
+increments a named counter attributed to the provider's current
+``principal`` (``invoker`` unless a ``reference_monitor`` scope is open).
 
 Two families share one provider so a single engine can run against either:
 identity-based primitives (ibe_*/ibs_*: encrypt/verify against an identity)
@@ -87,13 +89,31 @@ def record(cls: type, checked: bool = False) -> type:
     return cls
 
 
-def _term(cls: type) -> type:
-    """A ``checked`` record: a term is checked and frozen when it is built,
-    so ``_frozen`` returns one without a walk."""
-    return record(cls, checked=True)
+_RECORDS: dict = {}  # each term type's tag and the getter of its fields
+
+#: The types whose values ``_frozen`` returns without a walk: the atoms but
+#: ``str``, and the term records, which check their own fields when built.
+_SETTLED = {int, bool, bytes, type(None)}
 
 
-@_term
+def term(tag: bytes) -> Callable[[type], type]:
+    """A ``checked`` record registered as a term under the one-byte ``tag``:
+    checked and frozen when it is built, so ``_frozen`` returns it without a
+    walk, and encoded by ``canonical_bytes`` as ``tag`` and its fields in
+    declared order."""
+    def register(cls: type) -> type:
+        taken = [t for t, _ in _RECORDS.values()]
+        if len(tag) != 1 or tag in b"STNOIB" or tag in taken:  # atoms' tags
+            raise ValueError(f"term tag {tag!r} is not one free byte")
+        cls = record(cls, checked=True)
+        names = [f.name for f in fields(cls)]
+        _RECORDS[cls] = (tag, operator.attrgetter(*names))
+        _SETTLED.add(cls)
+        return cls
+    return register
+
+
+@term(b"D")
 class Identity:
     """A principal a key can be derived for: a user, a role version, or SU."""
 
@@ -113,7 +133,7 @@ class Identity:
         return self.name
 
 
-@_term
+@term(b"K")
 class SymbolicKey:
     """A key record.  alg is one of:
     ibe-dec, ibs-sign (identity-derived private keys);
@@ -126,7 +146,7 @@ class SymbolicKey:
     serial: Optional[int] = None
 
 
-@_term
+@term(b"C")
 class SymbolicCiphertext:
     """Deterministic ciphertext: recipient reference plus structural payload."""
 
@@ -135,14 +155,14 @@ class SymbolicCiphertext:
     payload: object
 
 
-@_term
+@term(b"G")
 class SymbolicSignature:
     """The term sig(k, m): the signing key's owner and serial, and m."""
 
     alg: str  # "ibs" | "sig"
     signer: Identity
     key_serial: Optional[int]  # None for ibs
-    fields: tuple  # the signed fields, with every list frozen to a tuple
+    fields: object  # m: a term held as signed, or a value with lists frozen
 
 
 class UnauthorizedDecrypt(Exception):
@@ -234,21 +254,6 @@ class CostVector:
 
 _u32 = struct.Struct(">I").pack  # the 4-byte big-endian length
 
-_RECORDS = {  # each record type's tag and the fields it encodes, in order
-    Identity: (b"D", operator.attrgetter("kind", "name", "version")),
-    SymbolicKey: (b"K", operator.attrgetter("alg", "owner", "serial")),
-    SymbolicCiphertext: (
-        b"C", operator.attrgetter("alg", "recipient", "payload")
-    ),
-    SymbolicSignature: (
-        b"G", operator.attrgetter("alg", "signer", "key_serial", "fields")
-    ),
-}
-
-#: The types whose values ``_frozen`` returns without a walk: the atoms but
-#: ``str``, and the term records, which check their own fields when built.
-_SETTLED = frozenset((int, bool, bytes, type(None), *_RECORDS))
-
 
 def canonical_bytes(value: object) -> bytes:
     return _framed(value)
@@ -315,8 +320,6 @@ def _same_term(a: object, b: object) -> bool:
     if t is tuple or t is list:
         if not (tb is tuple or tb is list) or len(a) != len(b):
             return False
-        if all(map(operator.is_, a, b)):
-            return True  # the very items signed, as on every honest verify
         pairs = zip(a, b)
     elif t is not tb:
         return False
@@ -444,7 +447,7 @@ class CryptoProvider:
         t["ibs_keygen"] = t.get("ibs_keygen", 0) + 1
         return SymbolicKey("ibs-sign", owner=ident)
 
-    def ibs_sign(self, key: SymbolicKey, fields: tuple) -> SymbolicSignature:
+    def ibs_sign(self, key: SymbolicKey, fields: object) -> SymbolicSignature:
         t = self._tally
         t["ibs_sign"] = t.get("ibs_sign", 0) + 1
         if key.alg != "ibs-sign":
@@ -452,7 +455,7 @@ class CryptoProvider:
         return SymbolicSignature("ibs", key.owner, None, fields)
 
     def ibs_ver(
-        self, ident: Identity, fields: tuple, sig: SymbolicSignature
+        self, ident: Identity, fields: object, sig: SymbolicSignature
     ) -> bool:
         t = self._tally
         t["ibs_ver"] = t.get("ibs_ver", 0) + 1
@@ -505,7 +508,7 @@ class CryptoProvider:
             SymbolicKey("sig-sign", owner=owner, serial=n),
         )
 
-    def sig_sign(self, key: SymbolicKey, fields: tuple) -> SymbolicSignature:
+    def sig_sign(self, key: SymbolicKey, fields: object) -> SymbolicSignature:
         t = self._tally
         t["sig_sign"] = t.get("sig_sign", 0) + 1
         if key.alg != "sig-sign":
@@ -513,7 +516,7 @@ class CryptoProvider:
         return SymbolicSignature("sig", key.owner, key.serial, fields)
 
     def sig_ver(
-        self, ver: SymbolicKey, fields: tuple, sig: SymbolicSignature
+        self, ver: SymbolicKey, fields: object, sig: SymbolicSignature
     ) -> bool:
         t = self._tally
         t["sig_ver"] = t.get("sig_ver", 0) + 1

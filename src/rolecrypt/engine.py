@@ -24,12 +24,15 @@ raises ``IntegrityError`` where the record says it must be opened or
 verified, and is no matter where it would only be deleted; a tuple the
 record does not list is never read.
 
-The signed layout lives in one table, ``_SIGNED``: each tuple is signed by
-its signer over its tag and every field but ``sig``, and its fields name the
-store key it belongs at.  A tuple read from the store must name the key it
-was read from, and an FK tuple the holder identity the engine expects,
-before its signature is checked: a validly signed tuple moved to another key
-(a swap) or one naming a retired role version (a replay) raises
+The signed layout lives in one table, ``_SIGNED``: each tuple holds one
+body record, the term of every field its signer's signature covers, and
+that signature, made over the very body it holds (``t.sig.fields is
+t.fields``), so an honest verify ends at an identity check.  The body's
+type stands for the tuple's tag, and its fields name the store key the
+tuple belongs at.  A tuple read from the store must name the key it was
+read from, and an FK tuple the holder identity the engine expects, before
+its signature is checked: a validly signed tuple moved to another key (a
+swap) or one naming a retired role version (a replay) raises
 ``IntegrityError`` instead of opening with the wrong key.
 
 One engine serves both crypto bindings.  The identity-based binding encrypts
@@ -82,6 +85,7 @@ from .crypto import (
     SymbolicSignature,
     record,
     role_identity,
+    term,
     user_identity,
 )
 from .rbac import (
@@ -97,49 +101,55 @@ class IntegrityError(Exception):
     """A signature check failed or a stale version was presented."""
 
 
-@record
-class RkTuple:
+@term(b"R")
+class RkBody:
     member: Identity
     role: Identity  # versioned role identity
     ct: SymbolicCiphertext  # role private keys wrapped for the member
-    sig: SymbolicSignature  # by SU
 
 
-@record
-class FkTuple:
+@term(b"P")
+class FkBody:
     holder: Identity  # versioned role identity or SU
     fn: str
     op: str  # Read | RW
     version: int  # file-key version
     ct: SymbolicCiphertext  # symmetric file key wrapped for the holder
-    issuer: Identity
-    sig: SymbolicSignature  # by the issuer
+    issuer: Identity  # the signer
 
 
-@record
-class FTuple:
+@term(b"F")
+class FBody:
     fn: str
     version: int  # file-key version the body is encrypted under
     body: SymbolicCiphertext  # symmetric encryption of the contents
-    writer: Identity
-    sig: SymbolicSignature  # by the writer
+    writer: Identity  # the signer
 
 
-_Layout = namedtuple("_Layout", ("tag", "fields_of", "signer_of", "key_of"))
+def _stored(name: str, body: type) -> type:
+    """The stored tuple ``name``: ``fields``, a ``body`` record, and ``sig``,
+    the signature over that very record.  Each body field reads through on
+    the tuple (``t.ct`` is ``t.fields.ct``)."""
+    ns = {f.name: property(attrgetter(f"fields.{f.name}")) for f in fields(body)}
+    ns.update(__module__=__name__, __qualname__=name,
+              __annotations__={"fields": body, "sig": SymbolicSignature})
+    return record(type(name, (), ns))
 
-#: Each store tuple's tag, the getter of the fields its signature covers
-#: (every field but the trailing ``sig``, in constructor order), its signer,
-#: and the getter of the store key it belongs at.
+
+RkTuple = _stored("RkTuple", RkBody)  # signed by SU
+FkTuple = _stored("FkTuple", FkBody)  # signed by the issuer
+FTuple = _stored("FTuple", FBody)  # signed by the writer
+
+_Layout = namedtuple("_Layout", ("tag", "body", "signer_of", "key_of"))
+
+#: Each stored tuple's tag, its body type, and the getters of its signer and
+#: of the store key it belongs at, both of which read the body.
 _SIGNED = {
-    cls: _Layout(tag, attrgetter(*[f.name for f in fields(cls)][:-1]),
-                 signer_of, key_of)
-    for cls, tag, signer_of, key_of in (
-        (RkTuple, "RK", lambda t: SU_IDENTITY,
-         lambda t: (t.member.name, t.role.name, t.role.version)),
-        (FkTuple, "FK", attrgetter("issuer"),
-         lambda t: (t.holder.name, t.fn, t.version)),
-        (FTuple, "F", attrgetter("writer"), attrgetter("fn")),
-    )
+    RkTuple: _Layout("RK", RkBody, lambda b: SU_IDENTITY,
+                     lambda b: (b.member.name, b.role.name, b.role.version)),
+    FkTuple: _Layout("FK", FkBody, attrgetter("issuer"),
+                     lambda b: (b.holder.name, b.fn, b.version)),
+    FTuple: _Layout("F", FBody, attrgetter("writer"), attrgetter("fn")),
 }
 
 
@@ -169,7 +179,7 @@ class FileStore:
             self.on_mutation(store, key)
 
     def _put(self, store: dict, t) -> None:
-        key = _SIGNED[type(t)].key_of(t)
+        key = _SIGNED[type(t)].key_of(t.fields)
         store[key] = t
         self._fire(store, key)
 
@@ -340,32 +350,32 @@ class Engine:
         return self._ver_refs.get(ident.name)
 
     def _signed(self, cls: type, sig_key: SymbolicKey, *values):
-        """A ``cls`` tuple of ``values``, signed under ``sig_key``."""
-        sig = self.binding.sign(
-            self.provider, sig_key, (_SIGNED[cls].tag, *values)
-        )
-        return cls(*values, sig)
+        """A ``cls`` tuple of ``values``, signed under ``sig_key``: the
+        signature covers the tuple's own body record."""
+        body = _SIGNED[cls].body(*values)
+        return cls(body, self.binding.sign(self.provider, sig_key, body))
 
     def _verify(self, t, key, holder: Optional[Identity] = None) -> None:
         """Raise unless ``t`` names the store ``key`` it was read from, names
         ``holder`` as its (FK) holder when one is given, and carries its
-        signer's signature over its fields.  An unknown signer makes a bad
+        signer's signature over its body.  An unknown signer makes a bad
         signature, with no primitive run."""
-        tag, fields_of, signer_of, key_of = _SIGNED[type(t)]
-        if key_of(t) != key:
+        tag, _, signer_of, key_of = _SIGNED[type(t)]
+        body = t.fields
+        if key_of(body) != key:
             raise IntegrityError(
-                f"{tag} tuple of {key_of(t)!r} stored at {key!r}"
+                f"{tag} tuple of {key_of(body)!r} stored at {key!r}"
             )
         if holder is not None and (
-            t.holder is not holder and t.holder != holder
+            body.holder is not holder and body.holder != holder
         ):
             raise IntegrityError(
-                f"FK tuple stored at {key!r} is for {t.holder}, not {holder}"
+                f"FK tuple stored at {key!r} is for {body.holder}, not {holder}"
             )
-        signer = signer_of(t)
+        signer = signer_of(body)
         ref = self._ver_ref_of(signer)
         if ref is None or not self.binding.verify(
-            self.provider, ref, (tag, *fields_of(t)), t.sig
+            self.provider, ref, body, t.sig
         ):
             raise IntegrityError(f"bad signature by {signer} on {tag}")
 
@@ -683,10 +693,10 @@ class Engine:
     def _qualifying_roles(self, u: str, fn: str, op: str) -> list[str]:
         """The roles, in sorted order, through which the record grants ``u``
         ``op`` on ``fn``: the engine's one access rule."""
-        return [
-            r for r in sorted(self.holders[fn])
+        return sorted(
+            r for r in self.holders[fn]
             if u in self.members[r] and grants(self.ops[r][fn], op)
-        ]
+        )
 
     def _open_file_key(self, verb: str, u: str, fn: str):
         """The data path up to the file key: check the request (``verb`` is

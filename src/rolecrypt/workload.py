@@ -42,7 +42,6 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import random
 import statistics
 from collections import Counter
@@ -700,6 +699,8 @@ def monte_carlo(
         for k in range(n)
     ]
     if n > 1:
+        import multiprocessing  # only a pool needs it, and it costs 1 MB
+
         with multiprocessing.Pool(n) as pool:
             chunks = pool.map(_run_chunk, jobs)
     else:

@@ -12,7 +12,8 @@ A hostile store can commit five faults against an ``Engine``'s tuples:
 
 The tuple kinds, their store maps and signed fields are read off
 ``engine._SIGNED``: a tuple tagged ``FK`` lives in ``fs.fk`` and goes
-through ``fs.put_fk`` and ``fs.del_fk``, and so on.
+through ``fs.put_fk`` and ``fs.del_fk``, and so on.  Every tuple built with
+a changed field and its old signature comes from ``altered``.
 """
 
 import dataclasses
@@ -25,10 +26,10 @@ from rolecrypt.rbac import READ, RW
 
 KINDS = ("tamper", "drop", "replay", "swap", "replay_same")
 GHOST = user_identity("ghost")  # a signer no engine knows
-#: each tag's signed fields: every field but the trailing ``sig``
+#: each tag's signed fields: the fields of its body record
 FIELDS = {
-    layout.tag: [f.name for f in dataclasses.fields(cls)][:-1]
-    for cls, layout in _SIGNED.items()
+    layout.tag: [f.name for f in dataclasses.fields(layout.body)]
+    for layout in _SIGNED.values()
 }
 
 
@@ -55,11 +56,16 @@ def others(v) -> list:
     return [a for a in alts if a != v]
 
 
+def altered(t, field, value):
+    """``t`` with its body's ``field`` set to ``value`` and its signature
+    kept: the body is a new record, so a verify compares it by value."""
+    return type(t)(dataclasses.replace(t.fields, **{field: value}), t.sig)
+
+
 def tamper(eng, tag, key, field, value) -> None:
     """Put the tuple at ``key`` with ``field`` set to ``value``; the store
     files it under the key its fields name."""
-    t = stored(eng, tag)[key]
-    _call(eng, "put", tag, dataclasses.replace(t, **{field: value}))
+    _call(eng, "put", tag, altered(stored(eng, tag)[key], field, value))
 
 
 def drop(eng, tag, key) -> None:

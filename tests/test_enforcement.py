@@ -15,6 +15,7 @@ import pytest
 
 from rolecrypt.costmodel import data_op_cost
 import faults
+from rolecrypt import crypto
 from rolecrypt.crypto import (
     IBE_TO_PKI,
     INVOKER,
@@ -22,6 +23,7 @@ from rolecrypt.crypto import (
     Identity,
     SymbolicKey,
     UnauthorizedDecrypt,
+    canonical_bytes,
 )
 from rolecrypt.engine import (
     _SIGNED,
@@ -45,7 +47,9 @@ from rolecrypt.rbac import (
 )
 from rolecrypt.rbac import apply_label as oracle_apply
 from rolecrypt.rbac import theory as oracle_theory
-from rolecrypt.workload import Dataset, seed_engine
+from rolecrypt.workload import (
+    Dataset, derive_seed, seed_engine, synthesize_dataset,
+)
 
 
 def engine_with(
@@ -428,7 +432,7 @@ def test_signature_covers_every_field(binding):
                 value = getattr(t, field)
                 for other in faults.others(value):
                     assert type(other) is type(value) and other != value
-                    forged = dataclasses.replace(t, **{field: other})
+                    forged = faults.altered(t, field, other)
                     assert not _valid(eng, forged), (tag, field, other)
     # a read checks both tuples it opens, and so do the queries
     for tag, key in (("RK", ("u1", "r1", 1)), ("FK", ("r1", "f1", 1))):
@@ -456,7 +460,7 @@ def test_unknown_signer_is_a_bad_signature(binding):
         ur=[("u1", "r1")], pa=[("r1", "f1", READ)], binding=binding,
     )
     key = ("r1", "f1", 1)
-    forged = dataclasses.replace(eng.fs.fk[key], issuer=faults.GHOST)
+    forged = faults.altered(eng.fs.fk[key], "issuer", faults.GHOST)
     before = eng.provider.snapshot()
     assert not _valid(eng, forged)
     assert eng.provider.snapshot() == before  # rejected before any primitive
@@ -464,6 +468,113 @@ def test_unknown_signer_is_a_bad_signature(binding):
     with pytest.raises(IntegrityError) as exc:
         eng.read_file("u1", "f1")
     assert str(exc.value) == "bad signature by ghost on FK"
+
+
+def _stored_tuples(eng):
+    return [t for tag in faults.FIELDS for t in faults.stored(eng, tag).values()]
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_every_stored_tuple_is_signed_over_its_own_body(binding):
+    # the firewall1 seed, then a revokeU, a revokeP and a write on a role
+    # with few files: each tuple's signature holds the very body it shows
+    ds = synthesize_dataset("firewall1", random.Random(derive_seed(0, -1)))
+    eng = seed_engine(ds, binding)
+    r = min(
+        (r for r in eng.roles if eng.members[r] and eng.ops[r]),
+        key=lambda r: (len(eng.ops[r]), r),
+    )
+    fn, u = min(eng.ops[r]), min(eng.members[r])
+    for step in (
+        lambda: None,
+        lambda: eng.revoke_user(u, r),
+        lambda: eng.revoke_perm(r, fn, RW),
+        lambda: eng.write_file(*next(
+            (m, f) for f, op in sorted(eng.ops[r].items()) if op == RW
+            for m in sorted(eng.members[r])
+        ), b"written"),
+    ):
+        step()
+        ts = _stored_tuples(eng)
+        assert len(ts) > 5000
+        assert all(t.sig.fields is t.fields for t in ts)
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_body_is_compared_by_value_when_it_is_not_the_one_signed(binding):
+    eng = engine_with(
+        users=["u1", "u2"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1")], pa=[("r1", "f1", RW)], binding=binding,
+    )
+    eng.add_file("u2", "f2", b"uploaded")
+    eng.write_file("u1", "f1", b"written")
+    for tag, fields in faults.FIELDS.items():
+        for t in faults.stored(eng, tag).values():
+            twin = type(t)(dataclasses.replace(t.fields), t.sig)
+            assert twin.fields is not t.sig.fields and twin == t
+            assert _valid(eng, twin)
+            for field in fields:
+                for other in faults.others(getattr(t, field)):
+                    forged = faults.altered(t, field, other)
+                    signer = _SIGNED[type(t)].signer_of(forged.fields)
+                    with pytest.raises(IntegrityError) as exc:
+                        eng._verify(forged, _SIGNED[type(t)].key_of(forged))
+                    assert str(exc.value) == f"bad signature by {signer} on {tag}"
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_canonical_bytes_encodes_a_signature_over_each_body(binding):
+    eng = engine_with(
+        users=["u1"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1")], pa=[("r1", "f1", READ)], binding=binding,
+    )
+    tags = set()
+    for tag in faults.FIELDS:
+        t = next(iter(faults.stored(eng, tag).values()))
+        body = canonical_bytes(t.fields)
+        tags.add(body[:1])
+        sig = canonical_bytes(t.sig)
+        assert sig.startswith(b"G") and sig.endswith(body)
+        twin = dataclasses.replace(t.sig, fields=dataclasses.replace(t.fields))
+        assert canonical_bytes(twin) == sig
+    assert len(tags) == 3
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_signing_through_the_engine_walks_nothing(binding, monkeypatch):
+    eng = engine_with(users=["u1", "u2"], roles=["r1", "r2"], binding=binding)
+    real_frozen, real_signed = crypto._frozen, eng._signed
+    signing, signed, walked = [False], [], []
+
+    def frozen(v):
+        if signing[0]:
+            walked.append(v)
+        return real_frozen(v)
+
+    def sign_once(cls, *args):
+        signing[0] = True
+        try:
+            t = real_signed(cls, *args)
+        finally:
+            signing[0] = False
+        signed.append(t)
+        return t
+
+    monkeypatch.setattr(crypto, "_frozen", frozen)
+    monkeypatch.setattr(eng, "_signed", sign_once)
+    eng.add_file("u1", "f1", b"uploaded")
+    eng.add_file(SUPERUSER, "f2", b"seeded")
+    for u, r in (("u1", "r1"), ("u2", "r1"), ("u2", "r2")):
+        eng.assign_user(u, r)
+    eng.assign_perm("r1", "f1", READ)
+    eng.assign_perm("r1", "f1", RW)
+    eng.assign_perm("r2", "f2", RW)
+    eng.write_file("u1", "f1", b"written")
+    eng.revoke_user("u2", "r1")
+    eng.revoke_perm("r1", "f1", WRITE)
+    eng.del_user("u2")
+    assert {type(t) for t in signed} == set(_SIGNED)
+    assert walked == []
 
 
 @pytest.mark.parametrize("binding", sorted(BINDINGS))
@@ -481,7 +592,7 @@ def test_reader_forged_body_is_returned(binding):
     _, role_dec, _ = b.dec(p, eng.users["u2"].dec_key, rkt.ct)
     k = b.dec(p, role_dec, eng.fs.fk[("r2", "f1", 1)].ct)
     stored = eng.fs.f["f1"]
-    eng.fs.put_f(dataclasses.replace(stored, body=p.sym_enc(k, b"forged")))
+    eng.fs.put_f(faults.altered(stored, "body", p.sym_enc(k, b"forged")))
     assert eng.read_file("u1", "f1") == b"forged"
 
 
@@ -1219,6 +1330,7 @@ def _records(binding):
     return [
         fk.holder, eng.users["u1"].dec_key, fk.ct, fk.sig,
         rk, fk, eng.fs.f["f1"], eng.users["u1"], eng.roles["r1"],
+        rk.fields, fk.fields, eng.fs.f["f1"].fields,
     ]
 
 
@@ -1228,6 +1340,7 @@ def test_records_are_slotted_frozen_and_round_trip(binding):
     assert [type(r).__name__ for r in records] == [
         "Identity", "SymbolicKey", "SymbolicCiphertext", "SymbolicSignature",
         "RkTuple", "FkTuple", "FTuple", "KeyRing", "RoleRec",
+        "RkBody", "FkBody", "FBody",
     ]
     for rec in records:
         name = dataclasses.fields(rec)[0].name

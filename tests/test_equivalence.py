@@ -1,6 +1,5 @@
 """State mapping, canonical forms, and the differential harness."""
 
-import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -552,7 +551,7 @@ class _FlickerEngine(Engine):
         for other, rec in sorted(self.roles.items()):
             if other != r and (u, other, rec.version) not in self.fs.rk:
                 role = role_identity(other, rec.version)
-                self.fs.put_rk(dataclasses.replace(t, role=role))
+                self.fs.put_rk(faults.altered(t, "role", role))
                 self.fs.del_rk(u, other, rec.version)
 
 
@@ -705,7 +704,7 @@ class _DriftingEngine(Engine):
         for m in sorted(self.members[r] - {u}):
             t = self.fs.rk[(m, r, v)]
             self.fs.del_rk(m, r, v)
-            self.fs.put_rk(dataclasses.replace(t, role=role_identity(nxt, w)))
+            self.fs.put_rk(faults.altered(t, "role", role_identity(nxt, w)))
 
 
 DRIFT = [

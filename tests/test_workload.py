@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faults
 import rolecrypt.equivalence as eqv
 from rolecrypt.costmodel import algebraic_cost, reconcile
 from rolecrypt.crypto import (
@@ -512,7 +513,7 @@ class _LingeringMemberEngine(Engine):
         old = self.fs.rk[(u, r, self.roles[r].version)]
         super()._revoke_user_inner(u, r)
         role = role_identity(r, self.roles[r].version)
-        self.fs.put_rk(dataclasses.replace(old, role=role))
+        self.fs.put_rk(faults.altered(old, "role", role))
 
 
 @pytest.mark.parametrize("variant", ["ibe", "pki"])
@@ -556,8 +557,8 @@ class _HiddenMemberEngine(Engine):
         old = self.fs.rk[(u, r, self.roles[r].version)]
         super()._revoke_user_inner(u, r)
         v = self.roles[r].version
-        self.fs.rk[(u, r, v)] = dataclasses.replace(
-            old, role=role_identity(r, v)
+        self.fs.rk[(u, r, v)] = faults.altered(
+            old, "role", role_identity(r, v)
         )
 
 
