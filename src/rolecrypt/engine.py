@@ -30,10 +30,12 @@ that signature, made over the very body it holds (``t.sig.fields is
 t.fields``), so an honest verify ends at an identity check.  The body's
 type stands for the tuple's tag, and its fields name the store key the
 tuple belongs at.  A tuple read from the store must name the key it was
-read from, and an FK tuple the holder identity the engine expects, before
-its signature is checked: a validly signed tuple moved to another key (a
-swap) or one naming a retired role version (a replay) raises
-``IntegrityError`` instead of opening with the wrong key.
+read from, and an FK tuple the holder identity and the signer the engine
+expects, before its signature is checked: a validly signed tuple moved to
+another key (a swap), one naming a retired role version (a replay) or one
+signed by anyone but SU or, at version 1 of SU's key, the file's uploader
+(a forgery) raises ``IntegrityError`` instead of opening with the wrong
+key.
 
 One engine serves both crypto bindings.  The identity-based binding encrypts
 and verifies directly against identities; the conventional public-key binding
@@ -309,6 +311,7 @@ class Engine:
         self.holders: dict[str, set[str]] = {}
         # file -> version of the last body the reference monitor accepted
         self.body_versions: dict[str, int] = {}
+        self.uploaders: dict[str, str] = {}  # file -> who signed its v1 key
         self.warnings = 0
         self._ver_refs: dict[str, object] = {}  # retained past deletion
         self.su = self._mint_keyring(SU_IDENTITY)
@@ -328,6 +331,7 @@ class Engine:
         eng.ops = {r: dict(ops) for r, ops in self.ops.items()}
         eng.holders = {fn: set(rs) for fn, rs in self.holders.items()}
         eng.body_versions = dict(self.body_versions)
+        eng.uploaders = dict(self.uploaders)
         eng._ver_refs = dict(self._ver_refs)
         return eng
 
@@ -357,9 +361,10 @@ class Engine:
 
     def _verify(self, t, key, holder: Optional[Identity] = None) -> None:
         """Raise unless ``t`` names the store ``key`` it was read from, names
-        ``holder`` as its (FK) holder when one is given, and carries its
-        signer's signature over its body.  An unknown signer makes a bad
-        signature, with no primitive run."""
+        ``holder`` as its (FK) holder when one is given, and carries the
+        signature of the signer the record expects over its body.  An
+        unknown or unexpected signer makes a bad signature, with no
+        primitive run."""
         tag, _, signer_of, key_of = _SIGNED[type(t)]
         body = t.fields
         if key_of(body) != key:
@@ -373,11 +378,23 @@ class Engine:
                 f"FK tuple stored at {key!r} is for {body.holder}, not {holder}"
             )
         signer = signer_of(body)
+        if tag == "FK":
+            expected = self._fk_signer(key)
+            if signer is not expected and signer != expected:
+                raise IntegrityError(f"bad signature by {signer} on {tag}")
         ref = self._ver_ref_of(signer)
         if ref is None or not self.binding.verify(
             self.provider, ref, body, t.sig
         ):
             raise IntegrityError(f"bad signature by {signer} on {tag}")
+
+    def _fk_signer(self, key) -> Identity:
+        """Who issues the FK tuple at ``key``: SU, but the uploader at
+        version 1 of SU's own key of a file a user uploaded."""
+        h, fn, v = key
+        if h == SUPERUSER and v == 1:
+            return user_identity(self.uploaders.get(fn, SUPERUSER))
+        return SU_IDENTITY
 
     def _get(self, tag: str, key):
         """The stored ``tag`` tuple at ``key``, which the record says was
@@ -537,6 +554,7 @@ class Engine:
         fktup = self._signed(
             FkTuple, ring.sig_key, SU_IDENTITY, fn, RW, 1, kct, wident
         )
+        self.uploaders[fn] = uploader
         with self.provider.scope(REFERENCE_MONITOR):
             self._verify(ftup, fn)
             self._verify(fktup, (SUPERUSER, fn, 1), SU_IDENTITY)
@@ -552,7 +570,7 @@ class Engine:
         if fn not in self.files:
             self._warn(f"delP: {fn!r} missing")
             return
-        del self.body_versions[fn]
+        del self.body_versions[fn], self.uploaders[fn]
         self.fs.del_f(fn)
         for h in self._fk_holders(fn):
             for v in range(1, self.files[fn] + 1):
@@ -766,7 +784,7 @@ class Engine:
         if self.ops.get(r, {}).get(fn) != op:
             return False
         t = self._sound("FK", (r, fn, self.files[fn]), self._wrap_target(r)[0])
-        return t is not None and t.op == op and t.issuer == SU_IDENTITY
+        return t is not None and t.op == op
 
     def query_auth(self, u: str, fn: str, op: str) -> bool:
         return fn in self.files and any(

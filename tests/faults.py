@@ -1,6 +1,6 @@
 """The faults of a store trusted only for availability.
 
-A hostile store can commit five faults against an ``Engine``'s tuples:
+A hostile store can commit six faults against an ``Engine``'s tuples:
 
 * ``tamper``: change one field that the tuple's signature covers;
 * ``drop``: delete a tuple;
@@ -8,7 +8,10 @@ A hostile store can commit five faults against an ``Engine``'s tuples:
   longer holds (a retired role or file-key version, a departed holder), or
   a body older than the stored one;
 * ``swap``: store two tuples of one kind each under the other's key;
-* ``replay_same``: put back an older body at the stored body's version.
+* ``replay_same``: put back an older body at the stored body's version;
+* ``forge``: put an FK tuple wrapping a key of the forger's choosing, validly
+  signed by a principal the engine knows (a user or a role) that is not the
+  tuple's expected signer, and naming it as the issuer.
 
 The tuple kinds, their store maps and signed fields are read off
 ``engine._SIGNED``: a tuple tagged ``FK`` lives in ``fs.fk`` and goes
@@ -24,7 +27,7 @@ from rolecrypt.crypto import (
 from rolecrypt.engine import _SIGNED
 from rolecrypt.rbac import READ, RW
 
-KINDS = ("tamper", "drop", "replay", "swap", "replay_same")
+KINDS = ("tamper", "drop", "replay", "swap", "replay_same", "forge")
 GHOST = user_identity("ghost")  # a signer no engine knows
 #: each tag's signed fields: the fields of its body record
 FIELDS = {
@@ -66,6 +69,22 @@ def tamper(eng, tag, key, field, value) -> None:
     """Put the tuple at ``key`` with ``field`` set to ``value``; the store
     files it under the key its fields name."""
     _call(eng, "put", tag, altered(stored(eng, tag)[key], field, value))
+
+
+def forge(eng, key, signer):
+    """Put the FK tuple at ``key`` wrapping a fresh key for its holder, signed
+    by ``signer``, a user or a role identity ``eng`` knows; returns that key,
+    which the forger knows."""
+    t = stored(eng, "FK")[key]
+    if signer.kind == "role":
+        sig_key = eng.roles[signer.name].keys.sig_key
+    else:
+        sig_key = eng.users[signer.name].sig_key
+    k = eng.provider.sym_gen()
+    ct = eng.binding.enc(eng.provider, eng._wrap_target(key[0])[1], k)
+    body = dataclasses.replace(t.fields, ct=ct, issuer=signer)
+    eng.fs.put_fk(type(t)(body, eng.binding.sign(eng.provider, sig_key, body)))
+    return k
 
 
 def drop(eng, tag, key) -> None:
@@ -114,6 +133,20 @@ def draw(rng, eng, history, kind):
     """A random fault of ``kind`` against ``eng``'s store, or None if there is
     nothing to commit it on: a description that names the keys it touches,
     and a function that commits it on ``eng`` or a fork of it."""
+    if kind == "forge":
+        keys = sorted(stored(eng, "FK"))
+        if not keys:
+            return None
+        key = rng.choice(keys)
+        signers = [user_identity(u) for u in sorted(eng.users)] + [
+            role_identity(r, rec.version) for r, rec in sorted(eng.roles.items())
+        ]
+        signers = [s for s in signers if s != eng._fk_signer(key)]
+        if not signers:
+            return None
+        signer = rng.choice(signers)
+        desc = (kind, "FK", key, signer.kind, signer.name)
+        return desc, lambda e: forge(e, key, signer)
     if kind.startswith("replay"):
         cands = history.replays(eng, kind == "replay_same")
         if not cands:

@@ -20,10 +20,13 @@ from rolecrypt.crypto import (
     IBE_TO_PKI,
     INVOKER,
     REFERENCE_MONITOR,
+    SU_IDENTITY,
     Identity,
     SymbolicKey,
     UnauthorizedDecrypt,
     canonical_bytes,
+    role_identity,
+    user_identity,
 )
 from rolecrypt.engine import (
     _SIGNED,
@@ -468,6 +471,65 @@ def test_unknown_signer_is_a_bad_signature(binding):
     with pytest.raises(IntegrityError) as exc:
         eng.read_file("u1", "f1")
     assert str(exc.value) == "bad signature by ghost on FK"
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+@pytest.mark.parametrize("forger", ["mallory", "u2", "r2"])
+def test_fk_tuple_signed_by_anyone_but_su_is_refused(binding, forger):
+    # a user with no role, a member of another role, or a role signs an FK
+    # tuple for r1 wrapping a key of its choosing, and an F tuple under it
+    eng = engine_with(
+        users=["u1", "u2", "mallory"], roles=["r1", "r2"], files=["f1"],
+        ur=[("u1", "r1"), ("u2", "r2")], pa=[("r1", "f1", RW)],
+        binding=binding,
+    )
+    signer = role_identity(forger, 1) if forger == "r2" else (
+        user_identity(forger)
+    )
+    k = faults.forge(eng, ("r1", "f1", 1), signer)
+    p = eng.provider
+    body = p.sym_enc(k, b"forged by " + forger.encode())
+    forged_f = faults.altered(eng.fs.f["f1"], "body", body)
+    eng.fs.put_f(faults.altered(forged_f, "writer", signer))
+    before, unauthorized = eng.dump(), list(p.unauthorized_events)
+    # the read returns no body, and the write stores nothing under k
+    for call in (
+        lambda: eng.read_file("u1", "f1"),
+        lambda: eng.write_file("u1", "f1", b"secret written by u1"),
+    ):
+        with pytest.raises(IntegrityError) as exc:
+            call()
+        assert str(exc.value) == f"bad signature by {signer} on FK"
+    assert eng.dump() == before and p.unauthorized_events == unauthorized
+    assert not eng.query_auth("u1", "f1", READ)
+    assert not eng.query_holds("r1", "f1", RW)
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_su_key_at_version_1_is_signed_by_its_uploader(binding):
+    eng = engine_with(
+        users=["u1", "u2"], roles=["r1"], ur=[("u1", "r1")], binding=binding,
+    )
+    eng.add_file("u2", "f1", b"uploaded")
+    assert eng.uploaders == {"f1": "u2"}
+    eng.assign_perm("r1", "f1", RW)  # opens SU's key at 1, signed by u2
+    eng.revoke_perm("r1", "f1", RW)  # SU signs SU's key at 2
+    assert [eng.fs.fk[("SU", "f1", v)].issuer for v in (1, 2)] == [
+        user_identity("u2"), SU_IDENTITY,
+    ]
+    # anyone else at version 1, and the uploader past it, is refused
+    for key, forger in ((("SU", "f1", 1), "u1"), (("SU", "f1", 2), "u2")):
+        fork = eng.fork()
+        faults.forge(fork, key, user_identity(forger))
+        with pytest.raises(IntegrityError, match=f"by {forger} on FK$"):
+            fork.assign_perm("r1", "f1", READ)
+    # a file deleted and added again by SU no longer has a user uploader
+    eng.del_file("f1")
+    assert eng.uploaders == {}
+    eng.add_file(SUPERUSER, "f1", b"again")
+    faults.forge(eng, ("SU", "f1", 1), user_identity("u2"))
+    with pytest.raises(IntegrityError, match="by u2 on FK$"):
+        eng.assign_perm("r1", "f1", READ)
 
 
 def _stored_tuples(eng):

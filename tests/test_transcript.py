@@ -4,7 +4,8 @@ For each binding, a fixed corpus drives one engine through ``TraceBuilder``
 labels, with reads and writes drawn from a second rng, so the label traces
 stay the pinned ones.  After each label, one probe per fault kind commits a
 fault from ``faults`` on a fork, runs one operation there and drops the
-fork, so the main line stays honest.  Each step records its outcome
+fork, so the main line stays honest.  The forge probes draw from a third
+rng, so the other records are the ones pinned before forge existed.  Each step records its outcome
 (applied, warned, or the exception's type and message); a step that
 succeeds adds its ``CostVector`` items, a digest of
 ``repr(canonicalize(...))`` of its engine and any read result.  ``dump()``
@@ -29,8 +30,8 @@ from rolecrypt.equivalence import TraceBuilder, canonicalize
 from rolecrypt.rbac import READ, RW, WRITE, Label
 
 PINNED_SHA256 = {
-    "ibe": "94d39edaefe60e1bacb2c141d6b3d5af7b0f1f3ff8047cd34992ac6b0c4e9e4b",
-    "pki": "8e25118e02f94648bf9446186d3088ad598dea5ed58e7525e19b302b2e7cacd5",
+    "ibe": "d75c4729134b216c588f5235105dd5abeb9db6c865333d29491cfc1769e4bd2f",
+    "pki": "b32b2b739303194a942313560754c8f9bd56662f1d8230f377eaa288037ea23f",
 }
 TRACES, LABELS = 10, 50
 CAPS = dict(max_users=5, max_roles=3, max_files=5, version_cap=4)
@@ -111,6 +112,8 @@ def _transcript(binding):
     records, tally = [], Counter()
     for seed in range(TRACES):
         rng = random.Random(f"requests/{seed}")
+        # forge probes draw from their own rng, so no other draw moves
+        forge_rng = random.Random(f"forge/{seed}")
         eng, history = Engine(binding), faults.History()
         for lbl in TraceBuilder(random.Random(seed), **CAPS).build(LABELS):
             steps = [(str(lbl), lambda e, lbl=lbl: e.apply_label(lbl))]
@@ -120,7 +123,8 @@ def _transcript(binding):
                 records.append((desc, _run(eng, op)))
             history.record(eng)
             for kind in faults.KINDS:
-                fault = faults.draw(rng, eng, history, kind)
+                krng = forge_rng if kind == "forge" else rng
+                fault = faults.draw(krng, eng, history, kind)
                 if fault is None:
                     continue
                 desc, commit = fault
@@ -129,7 +133,7 @@ def _transcript(binding):
                 names = {
                     x for k in desc for x in (k if type(k) is tuple else (k,))
                 }
-                probe = _operation(rng, fork, rng.choice(PROBES), names)
+                probe = _operation(krng, fork, krng.choice(PROBES), names)
                 if probe is None:
                     continue
                 result = _run(fork, probe[1])
