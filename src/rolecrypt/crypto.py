@@ -97,14 +97,11 @@ _SETTLED = {int, bool, bytes, type(None)}
 
 
 def term(tag: bytes) -> Callable[[type], type]:
-    """A ``checked`` record registered as a term under the one-byte ``tag``:
-    checked and frozen when it is built, so ``_frozen`` returns it without a
-    walk, and encoded by ``canonical_bytes`` as ``tag`` and its fields in
-    declared order."""
+    """A ``checked`` record registered as a term under ``tag``, one byte
+    that no other type's encoding starts with: checked and frozen when it is
+    built, so ``_frozen`` returns it without a walk, and encoded by
+    ``canonical_bytes`` as ``tag`` and its fields in declared order."""
     def register(cls: type) -> type:
-        taken = [t for t, _ in _RECORDS.values()]
-        if len(tag) != 1 or tag in b"STNOIB" or tag in taken:  # atoms' tags
-            raise ValueError(f"term tag {tag!r} is not one free byte")
         cls = record(cls, checked=True)
         names = [f.name for f in fields(cls)]
         _RECORDS[cls] = (tag, operator.attrgetter(*names))

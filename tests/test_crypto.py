@@ -21,11 +21,9 @@ from rolecrypt.crypto import (
     SymbolicKey,
     SymbolicSignature,
     UnauthorizedDecrypt,
-    _RECORDS,
     _frozen,
     canonical_bytes,
     role_identity,
-    term,
     user_identity,
 )
 
@@ -634,16 +632,3 @@ def test_terms_are_checked_and_frozen_when_built(family, a, b):
     for other in (("F", a), ("F", b), ("F", _with_lists(a))):
         want = canonical_bytes(other) == canonical_bytes(fields)
         assert verify(other, sig) == want
-
-
-def test_each_term_type_has_its_own_one_byte_tag():
-    # two term types under one tag would give two values one encoding
-    before = dict(_RECORDS)
-    for tag in (b"D", b"S", b"", b"XY"):
-        with pytest.raises(ValueError, match="is not one free byte"):
-            @term(tag)
-            class Clash:
-                x: int
-                y: int
-    assert _RECORDS == before
-    assert len({tag for tag, _ in _RECORDS.values()}) == len(_RECORDS)
