@@ -5,9 +5,9 @@ labels, with reads and writes drawn from a second rng, so the label traces
 stay the pinned ones.  After each label, one probe per fault kind commits a
 fault from ``faults`` on a fork, runs one operation there and drops the
 fork, so the main line stays honest.  The forge probes draw from a third
-rng, so the other records are the ones pinned before forge existed.  Each step records its outcome
-(applied, warned, or the exception's type and message); a step that
-succeeds adds its ``CostVector`` items, a digest of
+rng, so the other records are the ones pinned before forge existed.  Each
+step records its outcome (applied, warned, or the exception's type and
+message); a step that succeeds adds its ``CostVector`` items, a digest of
 ``repr(canonicalize(...))`` of its engine and any read result.  ``dump()``
 would not do: its frozensets repr in an order that follows
 ``PYTHONHASHSEED``.  A failing probe's cost and its fork's end state stay
@@ -112,7 +112,6 @@ def _transcript(binding):
     records, tally = [], Counter()
     for seed in range(TRACES):
         rng = random.Random(f"requests/{seed}")
-        # forge probes draw from their own rng, so no other draw moves
         forge_rng = random.Random(f"forge/{seed}")
         eng, history = Engine(binding), faults.History()
         for lbl in TraceBuilder(random.Random(seed), **CAPS).build(LABELS):
