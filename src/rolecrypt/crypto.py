@@ -13,10 +13,14 @@ any other message is compared by value.  Every primitive invocation
 increments a named counter attributed to the provider's current
 ``principal`` (``invoker`` unless a ``reference_monitor`` scope is open).
 
-Two families share one provider so a single engine can run against either:
-identity-based primitives (ibe_*/ibs_*: encrypt/verify against an identity)
-and conventional public-key primitives (pke_*/sig_*: encrypt/verify against a
-generated public key object).
+``CryptoProvider`` implements both asymmetric families: identity-based
+primitives (ibe_*/ibs_*: encrypt/verify against an identity) and
+conventional public-key primitives (pke_*/sig_*: encrypt/verify against a
+generated public key object).  Each binding is a subclass, ``IbeProvider``
+or ``PkiProvider``, that names its family's primitives as the six the
+engine calls (``enc_keys``, ``sig_keys``, ``enc``, ``dec``, ``sign`` and
+``verify``), so one engine runs against either and every counter keeps its
+family's name.
 """
 
 from __future__ import annotations
@@ -372,9 +376,9 @@ class CryptoProvider:
         self.unauthorized_events: list[tuple] = []
 
     def fork(self) -> "CryptoProvider":
-        """An independent provider with the same counts, next serial and
-        unauthorized-decryption events, and no open scope."""
-        p = CryptoProvider()
+        """An independent provider of the same class, with the same counts,
+        next serial and unauthorized-decryption events, and no open scope."""
+        p = type(self)()
         for principal, tally in self._tallies.items():
             p._tallies[principal].update(tally)
         p._next_serial = self._next_serial
@@ -545,3 +549,38 @@ class CryptoProvider:
             self.unauthorized_events.append(("sym_dec", key, ct))
             raise UnauthorizedDecrypt("wrong symmetric key")
         return ct.payload
+
+
+class IbeProvider(CryptoProvider):
+    """Identity-based keys: encryption/verification address identities
+    directly; private keys are derived by the administrator (who holds the
+    master secret, the escrow the scheme is chosen for)."""
+
+    name = "ibe"
+
+    def enc_keys(self, ident: Identity) -> tuple[Identity, SymbolicKey]:
+        return ident, self.ibe_keygen(ident)
+
+    def sig_keys(self, ident: Identity) -> tuple[Identity, SymbolicKey]:
+        return ident, self.ibs_keygen(ident)
+
+    enc = CryptoProvider.ibe_enc
+    dec = CryptoProvider.ibe_dec
+    sign = CryptoProvider.ibs_sign
+    verify = CryptoProvider.ibs_ver
+
+
+class PkiProvider(CryptoProvider):
+    """Conventional key pairs: fresh pairs per principal and per role version,
+    public halves published in the metadata records.  In add_user the pair is
+    generated client-side by the joining user; the counters are charged to the
+    invoker either way."""
+
+    name = "pki"
+
+    enc_keys = CryptoProvider.pke_gen
+    sig_keys = CryptoProvider.sig_gen
+    enc = CryptoProvider.pke_enc
+    dec = CryptoProvider.pke_dec
+    sign = CryptoProvider.sig_sign
+    verify = CryptoProvider.sig_ver

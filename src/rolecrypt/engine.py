@@ -40,10 +40,11 @@ key.
 One engine serves both crypto bindings.  The identity-based binding encrypts
 and verifies directly against identities; the conventional public-key binding
 generates key pairs, publishes the public halves in the USERS/ROLES metadata
-records, and replaces a role's record wholesale when it is re-keyed.  The
-bindings differ only in their six primitives (``make_enc_keys``,
-``make_sig_keys``, ``enc``, ``dec``, ``sign`` and ``verify``); the operation
-logic is shared.
+records, and replaces a role's record wholesale when it is re-keyed.  Each
+binding is a provider class, ``crypto.IbeProvider`` or
+``crypto.PkiProvider``, that names its family's primitives as the six the
+engine calls (``enc_keys``, ``sig_keys``, ``enc``, ``dec``, ``sign`` and
+``verify``); the operation logic is shared.
 
 Mutation ordering is deliberate: new tuples are written at not-yet-current
 versions, then the ROLES/FILES version counters are bumped, then stale tuples
@@ -78,8 +79,9 @@ from typing import Callable, Optional
 
 from .crypto import (
     CostVector,
-    CryptoProvider,
+    IbeProvider,
     Identity,
+    PkiProvider,
     REFERENCE_MONITOR,
     SU_IDENTITY,
     SymbolicCiphertext,
@@ -222,60 +224,7 @@ class RoleRec:
     keys: KeyRing  # replaced wholesale on re-key
 
 
-class IbeBinding:
-    """Identity-based keys: encryption/verification address identities
-    directly; private keys are derived by the administrator (who holds the
-    master secret, the escrow the scheme is chosen for)."""
-
-    name = "ibe"
-
-    def make_enc_keys(self, p: CryptoProvider, ident: Identity):
-        return ident, p.ibe_keygen(ident)
-
-    def make_sig_keys(self, p: CryptoProvider, ident: Identity):
-        return ident, p.ibs_keygen(ident)
-
-    def enc(self, p, enc_ref, payload):
-        return p.ibe_enc(enc_ref, payload)
-
-    def dec(self, p, dec_key, ct):
-        return p.ibe_dec(dec_key, ct)
-
-    def sign(self, p, sig_key, fields):
-        return p.ibs_sign(sig_key, fields)
-
-    def verify(self, p, ver_ref, fields, sig):
-        return p.ibs_ver(ver_ref, fields, sig)
-
-
-class PkiBinding:
-    """Conventional key pairs: fresh pairs per principal and per role version,
-    public halves published in the metadata records.  In add_user the pair is
-    generated client-side by the joining user; the counters are charged to the
-    invoker either way."""
-
-    name = "pki"
-
-    def make_enc_keys(self, p: CryptoProvider, ident: Identity):
-        return p.pke_gen(ident)
-
-    def make_sig_keys(self, p: CryptoProvider, ident: Identity):
-        return p.sig_gen(ident)
-
-    def enc(self, p, enc_ref, payload):
-        return p.pke_enc(enc_ref, payload)
-
-    def dec(self, p, dec_key, ct):
-        return p.pke_dec(dec_key, ct)
-
-    def sign(self, p, sig_key, fields):
-        return p.sig_sign(sig_key, fields)
-
-    def verify(self, p, ver_ref, fields, sig):
-        return p.sig_ver(ver_ref, fields, sig)
-
-
-BINDINGS = {"ibe": IbeBinding, "pki": PkiBinding}
+BINDINGS = {"ibe": IbeProvider, "pki": PkiProvider}
 
 
 def default_content(fn: str) -> bytes:
@@ -300,8 +249,7 @@ class Engine:
     edit."""
 
     def __init__(self, binding: str = "ibe") -> None:
-        self.binding = BINDINGS[binding]()
-        self.provider = CryptoProvider()
+        self.provider = BINDINGS[binding]()
         self.fs = FileStore()
         self.users: dict[str, KeyRing] = {}
         self.roles: dict[str, RoleRec] = {}
@@ -338,8 +286,8 @@ class Engine:
     # -- key plumbing
 
     def _mint_keyring(self, ident: Identity) -> KeyRing:
-        enc_ref, dec_key = self.binding.make_enc_keys(self.provider, ident)
-        ver_ref, sig_key = self.binding.make_sig_keys(self.provider, ident)
+        enc_ref, dec_key = self.provider.enc_keys(ident)
+        ver_ref, sig_key = self.provider.sig_keys(ident)
         return KeyRing(enc_ref, dec_key, ver_ref, sig_key)
 
     def _keyring_of(self, name: str) -> KeyRing:
@@ -357,7 +305,7 @@ class Engine:
         """A ``cls`` tuple of ``values``, signed under ``sig_key``: the
         signature covers the tuple's own body record."""
         body = _SIGNED[cls].body(*values)
-        return cls(body, self.binding.sign(self.provider, sig_key, body))
+        return cls(body, self.provider.sign(sig_key, body))
 
     def _verify(self, t, key, holder: Optional[Identity] = None) -> None:
         """Raise unless ``t`` names the store ``key`` it was read from, names
@@ -383,9 +331,7 @@ class Engine:
             if signer is not expected and signer != expected:
                 raise IntegrityError(f"bad signature by {signer} on {tag}")
         ref = self._ver_ref_of(signer)
-        if ref is None or not self.binding.verify(
-            self.provider, ref, body, t.sig
-        ):
+        if ref is None or not self.provider.verify(ref, body, t.sig):
             raise IntegrityError(f"bad signature by {signer} on {tag}")
 
     def _fk_signer(self, key) -> Identity:
@@ -519,10 +465,8 @@ class Engine:
         ring = self._mint_keyring(ident)
         self._edit(self.roles, r, RoleRec(1, ring))
         self.members[r], self.ops[r] = set(), {}
-        ct = self.binding.enc(
-            self.provider,
-            self.su.enc_ref,
-            ("role-keys", ring.dec_key, ring.sig_key),
+        ct = self.provider.enc(
+            self.su.enc_ref, ("role-keys", ring.dec_key, ring.sig_key)
         )
         self._issue_rk(SU_IDENTITY, ident, ct)
 
@@ -550,7 +494,7 @@ class Engine:
         k = self.provider.sym_gen()
         body_ct = self.provider.sym_enc(k, body)
         ftup = self._signed(FTuple, ring.sig_key, fn, 1, body_ct, wident)
-        kct = self.binding.enc(self.provider, self.su.enc_ref, k)
+        kct = self.provider.enc(self.su.enc_ref, k)
         fktup = self._signed(
             FkTuple, ring.sig_key, SU_IDENTITY, fn, RW, 1, kct, wident
         )
@@ -588,8 +532,8 @@ class Engine:
         key = (SUPERUSER, r, v)
         sut = self._get("RK", key)
         self._verify(sut, key)
-        payload = self.binding.dec(self.provider, self.su.dec_key, sut.ct)
-        ct = self.binding.enc(self.provider, self.users[u].enc_ref, payload)
+        payload = self.provider.dec(self.su.dec_key, sut.ct)
+        ct = self.provider.enc(self.users[u].enc_ref, payload)
         self._issue_rk(user_identity(u), role_identity(r, v), ct)
         self.members[r].add(u)
 
@@ -610,9 +554,7 @@ class Engine:
         payload = ("role-keys", new_ring.dec_key, new_ring.sig_key)
         for m, t in stay:
             self._verify(t, (m, r, v))
-            ct = self.binding.enc(
-                self.provider, self._keyring_of(m).enc_ref, payload
-            )
+            ct = self.provider.enc(self._keyring_of(m).enc_ref, payload)
             self._issue_rk(user_identity(m), new_ident, ct)
         self._edit(self.roles, r, RoleRec(v + 1, new_ring))
         for fn, op in sorted(self.ops[r].items()):
@@ -642,7 +584,7 @@ class Engine:
         for h, old in olds:
             ident, ref = self._wrap_target(h)
             self._verify(old, (h, fn, vfn), ident)
-            ct = self.binding.enc(self.provider, ref, k2)
+            ct = self.provider.enc(ref, k2)
             op = RW if h == SUPERUSER else self.ops[h][fn]
             self._issue_fk(ident, fn, op, vfn + 1, ct)
         self._edit(self.files, fn, vfn + 1)
@@ -654,8 +596,8 @@ class Engine:
         ident, ref = self._wrap_target(dst)
         for key, old in self._fks(src, fn):
             self._verify(old, key, dec_key.owner)
-            k = self.binding.dec(self.provider, dec_key, old.ct)
-            ct = self.binding.enc(self.provider, ref, k)
+            k = self.provider.dec(dec_key, old.ct)
+            ct = self.provider.enc(ref, k)
             self._issue_fk(ident, fn, op, key[2], ct)
 
     def _set_fk_op(self, r: str, fn: str, op: str) -> None:
@@ -741,13 +683,13 @@ class Engine:
         rk_key = (u, r, self.roles[r].version)
         rkt = self._get("RK", rk_key)
         self._verify(rkt, rk_key)
-        _, role_dec, role_sig = self.binding.dec(
-            self.provider, self.users[u].dec_key, rkt.ct
+        _, role_dec, role_sig = self.provider.dec(
+            self.users[u].dec_key, rkt.ct
         )
         fk_key = (r, fn, version)
         fkt = self._get("FK", fk_key)
         self._verify(fkt, fk_key, role_dec.owner)
-        k = self.binding.dec(self.provider, role_dec, fkt.ct)
+        k = self.provider.dec(role_dec, fkt.ct)
         return r, role_sig, fkt, k, body
 
     def read_file(self, u: str, fn: str) -> bytes:

@@ -450,7 +450,7 @@ class Lockstep:
             return "safety", view.violation
         if self.versions is not None and model_err is None:
             self.price = algebraic_cost(label, pre, self.versions)
-            diff = reconcile(measured, self.price, eng.binding.name)
+            diff = reconcile(measured, self.price, eng.provider.name)
             if diff:
                 return "cost", f"measured-predicted {diff!r}"
         if not self._theory_holds(label, pre, post):

@@ -81,9 +81,9 @@ def forge(eng, key, signer):
     else:
         sig_key = eng.users[signer.name].sig_key
     k = eng.provider.sym_gen()
-    ct = eng.binding.enc(eng.provider, eng._wrap_target(key[0])[1], k)
+    ct = eng.provider.enc(eng._wrap_target(key[0])[1], k)
     body = dataclasses.replace(t.fields, ct=ct, issuer=signer)
-    eng.fs.put_fk(type(t)(body, eng.binding.sign(eng.provider, sig_key, body)))
+    eng.fs.put_fk(type(t)(body, eng.provider.sign(sig_key, body)))
     return k
 
 

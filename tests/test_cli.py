@@ -132,7 +132,7 @@ class _PkiStaleRewrapEngine(_StaleRewrapEngine):
     """Broken in the pki binding only: the ibe audit of a run passes."""
 
     def _rewrap_fks(self, src, dec_key, fn, dst, op):
-        cls = _StaleRewrapEngine if self.binding.name == "pki" else Engine
+        cls = _StaleRewrapEngine if self.provider.name == "pki" else Engine
         return cls._rewrap_fks(self, src, dec_key, fn, dst, op)
 
 

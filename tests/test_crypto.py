@@ -15,7 +15,9 @@ from rolecrypt.crypto import (
     REFERENCE_MONITOR,
     CostVector,
     CryptoProvider,
+    IbeProvider,
     Identity,
+    PkiProvider,
     SU_IDENTITY,
     SymbolicCiphertext,
     SymbolicKey,
@@ -204,6 +206,28 @@ def test_sym_round_trip_and_mismatch():
         p.sym_dec(k2, ct)
     with pytest.raises(TypeError):
         p.sym_enc(p.ibe_keygen(SU_IDENTITY), b"x")
+
+
+# -- the two bindings
+
+
+@pytest.mark.parametrize(
+    "cls, name", [(IbeProvider, "ibe"), (PkiProvider, "pki")]
+)
+def test_binding_provider_runs_its_familys_primitives(cls, name):
+    # one call of each of the engine's six primitives counts each of the
+    # family's six counters once, under the names reconcile maps between
+    p = cls()
+    alice = user_identity("alice")
+    enc_ref, dec_key = p.enc_keys(alice)
+    ver_ref, sig_key = p.sig_keys(alice)
+    assert p.dec(dec_key, p.enc(enc_ref, b"m")) == b"m"
+    assert p.verify(ver_ref, b"m", p.sign(sig_key, b"m"))
+    names = IBE_TO_PKI.values() if name == "pki" else IBE_TO_PKI
+    assert p.snapshot() == CostVector({(INVOKER, op): 1 for op in names})
+    assert p.name == name
+    fork = p.fork()
+    assert type(fork) is cls and fork.snapshot() == p.snapshot()
 
 
 # -- cost vectors

@@ -634,10 +634,10 @@ def test_reader_forged_body_is_returned(binding):
         ur=[("u1", "r1"), ("u2", "r2")],
         pa=[("r1", "f1", RW), ("r2", "f1", READ)], binding=binding,
     )
-    p, b = eng.provider, eng.binding
+    p = eng.provider
     rkt = eng.fs.rk[("u2", "r2", 1)]
-    _, role_dec, _ = b.dec(p, eng.users["u2"].dec_key, rkt.ct)
-    k = b.dec(p, role_dec, eng.fs.fk[("r2", "f1", 1)].ct)
+    _, role_dec, _ = p.dec(eng.users["u2"].dec_key, rkt.ct)
+    k = p.dec(role_dec, eng.fs.fk[("r2", "f1", 1)].ct)
     stored = eng.fs.f["f1"]
     eng.fs.put_f(faults.altered(stored, "body", p.sym_enc(k, b"forged")))
     assert eng.read_file("u1", "f1") == b"forged"
@@ -933,14 +933,15 @@ def test_failed_upload_check_leaves_invoker_charged(monkeypatch):
         users=["u1"], roles=["r1"], files=["f1"],
         ur=[("u1", "r1")], pa=[("r1", "f1", RW)],
     )
-    verify = eng.binding.verify
+    p = eng.provider
+    verify = p.verify
 
-    def monitor_rejects(p, ver_ref, fields, sig):
+    def monitor_rejects(ver_ref, fields, sig):
         if p.principal == REFERENCE_MONITOR:
             return False
-        return verify(p, ver_ref, fields, sig)
+        return verify(ver_ref, fields, sig)
 
-    monkeypatch.setattr(eng.binding, "verify", monitor_rejects)
+    monkeypatch.setattr(p, "verify", monitor_rejects)
     stored = eng.fs.f["f1"]
     with pytest.raises(IntegrityError):
         eng.write_file("u1", "f1", b"rejected")
@@ -1163,8 +1164,8 @@ def test_identical_builds_dump_identically():
 
 def test_bindings_registry():
     assert set(BINDINGS) == {"ibe", "pki"}
-    assert Engine("pki").binding.name == "pki"
-    assert Engine().binding.name == "ibe"
+    assert Engine("pki").provider.name == "pki"
+    assert Engine().provider.name == "ibe"
 
 
 PARITY_TRACE = [
@@ -1255,7 +1256,7 @@ def test_fork_equals_original(binding):
     fork = eng.fork()
     assert fork.dump() == eng.dump()
     assert fork.provider.snapshot() == eng.provider.snapshot()
-    assert fork.binding.name == binding
+    assert fork.provider.name == binding
 
 
 @pytest.mark.parametrize("binding", sorted(BINDINGS))

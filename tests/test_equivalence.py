@@ -155,9 +155,7 @@ def test_congruence_sees_shared_keys(binding):
     # same projection; only the key it no longer shares with SU's FK differs
     a, b = sigma(SMALL, binding), sigma(SMALL, binding)
     t = b.fs.fk[("r1", "f1", 1)]
-    ct = b.binding.enc(
-        b.provider, b.roles["r1"].keys.enc_ref, b.provider.sym_gen()
-    )
+    ct = b.provider.enc(b.roles["r1"].keys.enc_ref, b.provider.sym_gen())
     b._issue_fk(t.holder, t.fn, t.op, t.version, ct)
     assert congruent(a, sigma(SMALL, binding))
     assert not congruent(a, b)
@@ -515,8 +513,8 @@ class _StaleRewrapEngine(Engine):
         ident = self._wrap_target(dst)[0]
         for key, old in self._fks(src, fn):
             self._verify(old, key, dec_key.owner)
-            k = self.binding.dec(self.provider, dec_key, old.ct)
-            ct = self.binding.enc(self.provider, old.ct.recipient, k)
+            k = self.provider.dec(dec_key, old.ct)
+            ct = self.provider.enc(old.ct.recipient, k)
             self._issue_fk(ident, fn, op, key[2], ct)
 
 
@@ -575,7 +573,7 @@ class _SplitKeyEngine(Engine):
         v, k = self.files[fn], self.provider.sym_gen()
         for h in sorted(self.holders[fn]):
             ident, ref = self._wrap_target(h)
-            ct = self.binding.enc(self.provider, ref, k)
+            ct = self.provider.enc(ref, k)
             self._issue_fk(ident, fn, self.ops[h][fn], v, ct)
 
 

@@ -623,6 +623,22 @@ def test_monte_carlo_worker_count_invariance():
         assert [r.run_index for r in parallel] == list(range(runs))
 
 
+@pytest.mark.parametrize("variant", ["ibe", "pki"])
+def test_audited_monte_carlo_worker_count_invariance(variant):
+    # each pool worker seeds its own start engine, and so its own provider
+    # of the variant's family, and audits its chunk's runs on forks of it
+    key = lambda r: (
+        r.run_index, r.seed, r.by_kind, r.arrivals, r.applied, r.rates,
+        r.events, r.costs,
+    )
+    serial = monte_carlo(TOY, runs=4, seed=4, days=40.0, audit=variant)
+    parallel = monte_carlo(
+        TOY, runs=4, seed=4, days=40.0, audit=variant, workers=2
+    )
+    assert [key(r) for r in serial] == [key(r) for r in parallel]
+    assert [r.run_index for r in parallel] == list(range(4))
+
+
 def test_monte_carlo_runs_equal_fresh_simulations():
     # an audited batch audits every run on a fork of one seeded engine
     batch = monte_carlo(TOY, runs=3, seed=4, days=40.0, audit="pki")

@@ -61,7 +61,7 @@ class WholeStateLockstep:
             return "safety", violations[0]
         if self.versions is not None and model_err is None:
             self.price = algebraic_cost(label, pre, self.versions)
-            diff = reconcile(measured, self.price, eng.binding.name)
+            diff = reconcile(measured, self.price, eng.provider.name)
             if diff:
                 return "cost", f"measured-predicted {diff!r}"
         got = eng.state()
