@@ -167,6 +167,12 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     profiles = _parse_profiles(args.profiles)
+    window = args.revocation_window
+    if window is not None and math.isinf(args.duration_days / window):
+        raise ValueError(
+            f"--revocation-window {window!r} cuts --duration-days "
+            f"{args.duration_days!r} into more windows than a float can count"
+        )
     dataset = _resolve_dataset(args)
     variants = ("ibe", "pki") if args.variant == "both" else (args.variant,)
     out_dir = Path(args.out)

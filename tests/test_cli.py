@@ -388,6 +388,21 @@ def test_repeated_profile_is_a_usage_error(command, tmp_path, capsys):
     assert not (tmp_path / "runs.csv").exists()
 
 
+def test_revocation_window_too_small_to_count_is_an_error(tmp_path, capsys):
+    # 30 days over a window below about 1.7e-307 days is more windows than
+    # a float holds: an error naming the flag, and no output written
+    out = tmp_path / "out"
+    rc = main([
+        "simulate", "--dataset", "healthcare", "--runs", "2",
+        "--revocation-window", "1e-320", "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --revocation-window 1e-320 ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_revocation_window_column_without_runs(tmp_path):
     # the column follows the flag, not the data: a zero-run batch has it too
     rc = main([
