@@ -607,13 +607,17 @@ def test_run_simulation_is_deterministic():
     assert (a.totals, a.arrivals) != (c.totals, c.arrivals)
 
 
-def test_monte_carlo_worker_count_invariance():
-    # each worker runs one contiguous chunk of indices; uneven, oversized
-    # and empty splits must not show
-    key = lambda r: (
+def _run_key(r):
+    return (
         r.run_index, r.seed, r.by_kind, r.arrivals, r.applied, r.rates,
         r.events, r.costs,
     )
+
+
+def test_monte_carlo_worker_count_invariance():
+    # each worker runs one contiguous chunk of indices; uneven, oversized
+    # and empty splits must not show
+    key = _run_key
     for runs, workers in [(6, 3), (5, 2), (2, 4), (0, 2)]:
         serial = monte_carlo(TOY, runs=runs, seed=2, days=20.0)
         parallel = monte_carlo(
@@ -627,10 +631,7 @@ def test_monte_carlo_worker_count_invariance():
 def test_audited_monte_carlo_worker_count_invariance(variant):
     # each pool worker seeds its own start engine, and so its own provider
     # of the variant's family, and audits its chunk's runs on forks of it
-    key = lambda r: (
-        r.run_index, r.seed, r.by_kind, r.arrivals, r.applied, r.rates,
-        r.events, r.costs,
-    )
+    key = _run_key
     serial = monte_carlo(TOY, runs=4, seed=4, days=40.0, audit=variant)
     parallel = monte_carlo(
         TOY, runs=4, seed=4, days=40.0, audit=variant, workers=2
