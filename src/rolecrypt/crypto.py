@@ -13,20 +13,21 @@ any other message is compared by value.  Every primitive invocation
 increments a named counter attributed to the provider's current
 ``principal`` (``invoker`` unless a ``reference_monitor`` scope is open).
 
-``CryptoProvider`` implements both asymmetric families: identity-based
-primitives (ibe_*/ibs_*: encrypt/verify against an identity) and
-conventional public-key primitives (pke_*/sig_*: encrypt/verify against a
-generated public key object).  Each binding is a subclass, ``IbeProvider``
-or ``PkiProvider``, that names its family's primitives as the six the
-engine calls (``enc_keys``, ``sig_keys``, ``enc``, ``dec``, ``sign`` and
-``verify``), so one engine runs against either and every counter keeps its
-family's name.
+``CryptoProvider`` holds what the families share: the counters, the
+principal scopes, serials and the symmetric primitives (sym_*).  Each
+binding is a subclass that defines its asymmetric family as the six
+primitives the engine calls (``enc_keys``, ``sig_keys``, ``enc``, ``dec``,
+``sign`` and ``verify``): ``IbeProvider`` encrypts and verifies against an
+identity (IBE/IBS), ``PkiProvider`` against a generated public key object
+(PKE/signatures).  Each counts under its family's names (ibe_*/ibs_* or
+pke_*/sig_*), so one engine runs against either.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
@@ -363,13 +364,14 @@ def _vector(tallies: dict[str, dict[str, int]]) -> CostVector:
 
 
 class CryptoProvider:
-    """Counts primitive invocations and evaluates the symbolic algebra.  Each
-    primitive bumps ``_tally``, the current principal's tally, read when it
-    runs: ``scope`` and ``measure`` swap it."""
+    """Counts primitive invocations and evaluates the symmetric family; a
+    binding subclass adds its asymmetric family.  Each primitive bumps
+    ``_tally``, the current principal's tally, read when it runs: ``scope``
+    and ``measure`` swap it."""
 
     def __init__(self) -> None:
         # each principal's counts by op; _tally is the current principal's
-        self._tallies: dict[str, dict[str, int]] = {p: {} for p in PRINCIPALS}
+        self._tallies = {p: defaultdict(int) for p in PRINCIPALS}
         self.principal = INVOKER  # charged for every primitive
         self._tally = self._tallies[INVOKER]
         self._next_serial = 1
@@ -409,7 +411,8 @@ class CryptoProvider:
     def measure(self, call: Callable[..., _T], *args) -> tuple[CostVector, _T]:
         """``call(*args)``'s primitives and its result.  The call counts on
         fresh tallies, which join the totals when it returns or raises."""
-        totals, fresh = self._tallies, {INVOKER: {}, REFERENCE_MONITOR: {}}
+        totals = self._tallies
+        fresh = {p: defaultdict(int) for p in PRINCIPALS}
         self._tallies, self._tally = fresh, fresh[self.principal]
         try:
             out = call(*args)
@@ -418,24 +421,50 @@ class CryptoProvider:
             for p, tally in fresh.items():
                 total = totals[p]
                 for op, n in tally.items():
-                    total[op] = total.get(op, 0) + n
+                    total[op] += n
         return _vector(fresh), out
 
-    # -- identity-based family
+    # -- symmetric family
 
-    def ibe_keygen(self, ident: Identity) -> SymbolicKey:
-        t = self._tally
-        t["ibe_keygen"] = t.get("ibe_keygen", 0) + 1
-        return SymbolicKey("ibe-dec", owner=ident)
+    def sym_gen(self) -> SymbolicKey:
+        self._tally["sym_gen"] += 1
+        return SymbolicKey("sym", serial=self._serial())
 
-    def ibe_enc(self, ident: Identity, payload: object) -> SymbolicCiphertext:
-        t = self._tally
-        t["ibe_enc"] = t.get("ibe_enc", 0) + 1
+    def sym_enc(self, key: SymbolicKey, payload: object) -> SymbolicCiphertext:
+        self._tally["sym_enc"] += 1
+        if key.alg != "sym":
+            raise TypeError("sym_enc requires a sym key")
+        return SymbolicCiphertext("sym", key, payload)
+
+    def sym_dec(self, key: SymbolicKey, ct: SymbolicCiphertext) -> object:
+        self._tally["sym_dec"] += 1
+        if ct.alg != "sym" or key != ct.recipient:
+            self.unauthorized_events.append(("sym_dec", key, ct))
+            raise UnauthorizedDecrypt("wrong symmetric key")
+        return ct.payload
+
+
+class IbeProvider(CryptoProvider):
+    """Identity-based keys (IBE/IBS): encryption and verification address
+    identities directly; private keys are derived by the administrator (who
+    holds the master secret, the escrow the scheme is chosen for)."""
+
+    name = "ibe"
+
+    def enc_keys(self, ident: Identity) -> tuple[Identity, SymbolicKey]:
+        self._tally["ibe_keygen"] += 1
+        return ident, SymbolicKey("ibe-dec", owner=ident)
+
+    def sig_keys(self, ident: Identity) -> tuple[Identity, SymbolicKey]:
+        self._tally["ibs_keygen"] += 1
+        return ident, SymbolicKey("ibs-sign", owner=ident)
+
+    def enc(self, ident: Identity, payload: object) -> SymbolicCiphertext:
+        self._tally["ibe_enc"] += 1
         return SymbolicCiphertext("ibe", ident, payload)
 
-    def ibe_dec(self, key: SymbolicKey, ct: SymbolicCiphertext) -> object:
-        t = self._tally
-        t["ibe_dec"] = t.get("ibe_dec", 0) + 1
+    def dec(self, key: SymbolicKey, ct: SymbolicCiphertext) -> object:
+        self._tally["ibe_dec"] += 1
         if ct.alg != "ibe" or key.alg != "ibe-dec" or key.owner != ct.recipient:
             self.unauthorized_events.append(("ibe_dec", key, ct))
             raise UnauthorizedDecrypt(
@@ -443,50 +472,55 @@ class CryptoProvider:
             )
         return ct.payload
 
-    def ibs_keygen(self, ident: Identity) -> SymbolicKey:
-        t = self._tally
-        t["ibs_keygen"] = t.get("ibs_keygen", 0) + 1
-        return SymbolicKey("ibs-sign", owner=ident)
-
-    def ibs_sign(self, key: SymbolicKey, fields: object) -> SymbolicSignature:
-        t = self._tally
-        t["ibs_sign"] = t.get("ibs_sign", 0) + 1
+    def sign(self, key: SymbolicKey, fields: object) -> SymbolicSignature:
+        self._tally["ibs_sign"] += 1
         if key.alg != "ibs-sign":
             raise TypeError("ibs_sign requires an ibs-sign key")
         return SymbolicSignature("ibs", key.owner, None, fields)
 
-    def ibs_ver(
+    def verify(
         self, ident: Identity, fields: object, sig: SymbolicSignature
     ) -> bool:
-        t = self._tally
-        t["ibs_ver"] = t.get("ibs_ver", 0) + 1
+        self._tally["ibs_ver"] += 1
         return (
             sig.alg == "ibs"
             and (sig.signer is ident or sig.signer == ident)
             and _same_term(sig.fields, fields)
         )
 
-    # -- conventional public-key family
 
-    def pke_gen(self, owner: Identity) -> tuple[SymbolicKey, SymbolicKey]:
-        t = self._tally
-        t["pke_gen"] = t.get("pke_gen", 0) + 1
+class PkiProvider(CryptoProvider):
+    """Conventional key pairs (PKE/signatures): a fresh pair per principal
+    and per role version, matched by serial, the public halves published in
+    the metadata records.  In add_user the pair is generated client-side by
+    the joining user; the counters are charged to the invoker either way."""
+
+    name = "pki"
+
+    def enc_keys(self, owner: Identity) -> tuple[SymbolicKey, SymbolicKey]:
+        self._tally["pke_gen"] += 1
         n = self._serial()
         return (
             SymbolicKey("pke-pub", owner=owner, serial=n),
             SymbolicKey("pke-priv", owner=owner, serial=n),
         )
 
-    def pke_enc(self, pub: SymbolicKey, payload: object) -> SymbolicCiphertext:
-        t = self._tally
-        t["pke_enc"] = t.get("pke_enc", 0) + 1
+    def sig_keys(self, owner: Identity) -> tuple[SymbolicKey, SymbolicKey]:
+        self._tally["sig_gen"] += 1
+        n = self._serial()
+        return (
+            SymbolicKey("sig-ver", owner=owner, serial=n),
+            SymbolicKey("sig-sign", owner=owner, serial=n),
+        )
+
+    def enc(self, pub: SymbolicKey, payload: object) -> SymbolicCiphertext:
+        self._tally["pke_enc"] += 1
         if pub.alg != "pke-pub":
             raise TypeError("pke_enc requires a pke-pub key")
         return SymbolicCiphertext("pke", pub, payload)
 
-    def pke_dec(self, priv: SymbolicKey, ct: SymbolicCiphertext) -> object:
-        t = self._tally
-        t["pke_dec"] = t.get("pke_dec", 0) + 1
+    def dec(self, priv: SymbolicKey, ct: SymbolicCiphertext) -> object:
+        self._tally["pke_dec"] += 1
         ok = (
             ct.alg == "pke"
             and priv.alg == "pke-priv"
@@ -500,87 +534,19 @@ class CryptoProvider:
             )
         return ct.payload
 
-    def sig_gen(self, owner: Identity) -> tuple[SymbolicKey, SymbolicKey]:
-        t = self._tally
-        t["sig_gen"] = t.get("sig_gen", 0) + 1
-        n = self._serial()
-        return (
-            SymbolicKey("sig-ver", owner=owner, serial=n),
-            SymbolicKey("sig-sign", owner=owner, serial=n),
-        )
-
-    def sig_sign(self, key: SymbolicKey, fields: object) -> SymbolicSignature:
-        t = self._tally
-        t["sig_sign"] = t.get("sig_sign", 0) + 1
+    def sign(self, key: SymbolicKey, fields: object) -> SymbolicSignature:
+        self._tally["sig_sign"] += 1
         if key.alg != "sig-sign":
             raise TypeError("sig_sign requires a sig-sign key")
         return SymbolicSignature("sig", key.owner, key.serial, fields)
 
-    def sig_ver(
+    def verify(
         self, ver: SymbolicKey, fields: object, sig: SymbolicSignature
     ) -> bool:
-        t = self._tally
-        t["sig_ver"] = t.get("sig_ver", 0) + 1
+        self._tally["sig_ver"] += 1
         return (
             sig.alg == "sig"
             and ver.alg == "sig-ver"
             and sig.key_serial == ver.serial
             and _same_term(sig.fields, fields)
         )
-
-    # -- symmetric family
-
-    def sym_gen(self) -> SymbolicKey:
-        t = self._tally
-        t["sym_gen"] = t.get("sym_gen", 0) + 1
-        return SymbolicKey("sym", serial=self._serial())
-
-    def sym_enc(self, key: SymbolicKey, payload: object) -> SymbolicCiphertext:
-        t = self._tally
-        t["sym_enc"] = t.get("sym_enc", 0) + 1
-        if key.alg != "sym":
-            raise TypeError("sym_enc requires a sym key")
-        return SymbolicCiphertext("sym", key, payload)
-
-    def sym_dec(self, key: SymbolicKey, ct: SymbolicCiphertext) -> object:
-        t = self._tally
-        t["sym_dec"] = t.get("sym_dec", 0) + 1
-        if ct.alg != "sym" or key != ct.recipient:
-            self.unauthorized_events.append(("sym_dec", key, ct))
-            raise UnauthorizedDecrypt("wrong symmetric key")
-        return ct.payload
-
-
-class IbeProvider(CryptoProvider):
-    """Identity-based keys: encryption/verification address identities
-    directly; private keys are derived by the administrator (who holds the
-    master secret, the escrow the scheme is chosen for)."""
-
-    name = "ibe"
-
-    def enc_keys(self, ident: Identity) -> tuple[Identity, SymbolicKey]:
-        return ident, self.ibe_keygen(ident)
-
-    def sig_keys(self, ident: Identity) -> tuple[Identity, SymbolicKey]:
-        return ident, self.ibs_keygen(ident)
-
-    enc = CryptoProvider.ibe_enc
-    dec = CryptoProvider.ibe_dec
-    sign = CryptoProvider.ibs_sign
-    verify = CryptoProvider.ibs_ver
-
-
-class PkiProvider(CryptoProvider):
-    """Conventional key pairs: fresh pairs per principal and per role version,
-    public halves published in the metadata records.  In add_user the pair is
-    generated client-side by the joining user; the counters are charged to the
-    invoker either way."""
-
-    name = "pki"
-
-    enc_keys = CryptoProvider.pke_gen
-    sig_keys = CryptoProvider.sig_gen
-    enc = CryptoProvider.pke_enc
-    dec = CryptoProvider.pke_dec
-    sign = CryptoProvider.sig_sign
-    verify = CryptoProvider.sig_ver

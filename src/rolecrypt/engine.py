@@ -703,8 +703,6 @@ class Engine:
         wident = self._wrap_target(r)[0]
         ftup = self._signed(FTuple, role_sig, fn, vfn, body_ct, wident)
         with self.provider.scope(REFERENCE_MONITOR):
-            if ftup.version != self.files[fn]:
-                raise IntegrityError(f"stale write to {fn!r}")
             self._verify(ftup, fn)
             self._verify(fkt, (r, fn, vfn), wident)
         self.body_versions[fn] = vfn

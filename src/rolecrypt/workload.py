@@ -568,7 +568,14 @@ class RunResult:
         return {k: c.get("sym_gen") for k, c in self.by_kind.items()}
 
     def max_revocations_per_window(self, window: float) -> int:
-        """Most applied revocations in one tumbling ``window``-day window."""
+        """Most applied revocations in one tumbling ``window``-day window.
+        Raises ``ValueError`` for a window that is not positive or that cuts
+        the run into more windows than a float can count."""
+        if not window > 0 or math.isinf(self.days / window):
+            raise ValueError(
+                f"revocation window {window!r} does not cut {self.days!r} "
+                f"days into a countable number of windows"
+            )
         buckets = Counter(
             int(ev.t // window)
             for ev in self.events

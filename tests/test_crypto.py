@@ -89,10 +89,10 @@ def test_identities_are_interned_by_exact_type():
 
 
 def test_counts_attribute_to_scope():
-    p = CryptoProvider()
-    p.ibe_keygen(user_identity("u"))
+    p = IbeProvider()
+    p.enc_keys(user_identity("u"))
     with p.scope(REFERENCE_MONITOR):
-        p.ibs_ver(SU_IDENTITY, ("x",), p.ibs_sign(p.ibs_keygen(SU_IDENTITY), ("x",)))
+        p.verify(SU_IDENTITY, ("x",), p.sign(p.sig_keys(SU_IDENTITY)[1], ("x",)))
     c = p.snapshot()
     assert c.get("ibe_keygen", INVOKER) == 1
     assert c.get("ibs_ver", REFERENCE_MONITOR) == 1
@@ -131,73 +131,73 @@ def test_snapshot_difference():
 
 
 def test_ibe_round_trip_and_determinism():
-    p = CryptoProvider()
+    p = IbeProvider()
     u = user_identity("u")
-    k = p.ibe_keygen(u)
-    ct1 = p.ibe_enc(u, ("hello", 1))
-    ct2 = p.ibe_enc(u, ("hello", 1))
+    _, k = p.enc_keys(u)
+    ct1 = p.enc(u, ("hello", 1))
+    ct2 = p.enc(u, ("hello", 1))
     assert ct1 == ct2  # symbolic encryption is deterministic
-    assert p.ibe_dec(k, ct1) == ("hello", 1)
+    assert p.dec(k, ct1) == ("hello", 1)
 
 
 def test_ibe_wrong_key_raises_and_records():
-    p = CryptoProvider()
-    k_eve = p.ibe_keygen(user_identity("eve"))
-    ct = p.ibe_enc(user_identity("u"), "secret")
+    p = IbeProvider()
+    _, k_eve = p.enc_keys(user_identity("eve"))
+    ct = p.enc(user_identity("u"), "secret")
     with pytest.raises(UnauthorizedDecrypt):
-        p.ibe_dec(k_eve, ct)
+        p.dec(k_eve, ct)
     assert len(p.unauthorized_events) == 1
     assert p.snapshot().get("ibe_dec") == 1  # the attempt still counts
 
 
 def test_ibs_sign_verify():
-    p = CryptoProvider()
-    k = p.ibs_keygen(SU_IDENTITY)
-    sig = p.ibs_sign(k, ("F", "fn", 1))
-    assert p.ibs_ver(SU_IDENTITY, ("F", "fn", 1), sig)
-    assert not p.ibs_ver(SU_IDENTITY, ("F", "fn", 2), sig)
-    assert not p.ibs_ver(user_identity("u"), ("F", "fn", 1), sig)
+    p = IbeProvider()
+    _, k = p.sig_keys(SU_IDENTITY)
+    sig = p.sign(k, ("F", "fn", 1))
+    assert p.verify(SU_IDENTITY, ("F", "fn", 1), sig)
+    assert not p.verify(SU_IDENTITY, ("F", "fn", 2), sig)
+    assert not p.verify(user_identity("u"), ("F", "fn", 1), sig)
 
 
 def test_ibs_sign_requires_signing_key():
-    p = CryptoProvider()
+    p = IbeProvider()
     with pytest.raises(TypeError):
-        p.ibs_sign(p.ibe_keygen(SU_IDENTITY), ("x",))
+        p.sign(p.enc_keys(SU_IDENTITY)[1], ("x",))
 
 
 # -- conventional public-key family
 
 
 def test_pke_round_trip_and_mismatch():
-    p = CryptoProvider()
-    pub1, priv1 = p.pke_gen(user_identity("u"))
-    pub2, priv2 = p.pke_gen(user_identity("w"))
+    p = PkiProvider()
+    pub1, priv1 = p.enc_keys(user_identity("u"))
+    pub2, priv2 = p.enc_keys(user_identity("w"))
     assert pub1.serial == priv1.serial != pub2.serial
-    ct = p.pke_enc(pub1, "payload")
-    assert p.pke_dec(priv1, ct) == "payload"
+    ct = p.enc(pub1, "payload")
+    assert p.dec(priv1, ct) == "payload"
     with pytest.raises(UnauthorizedDecrypt):
-        p.pke_dec(priv2, ct)
+        p.dec(priv2, ct)
     with pytest.raises(TypeError):
-        p.pke_enc(priv1, "x")  # encrypting to a private key is a type error
+        p.enc(priv1, "x")  # encrypting to a private key is a type error
 
 
 def test_sig_sign_verify():
-    p = CryptoProvider()
-    ver1, sign1 = p.sig_gen(user_identity("u"))
-    ver2, _ = p.sig_gen(user_identity("u"))
-    sig = p.sig_sign(sign1, ("body",))
-    assert p.sig_ver(ver1, ("body",), sig)
-    assert not p.sig_ver(ver2, ("body",), sig)  # different pair, same owner
-    assert not p.sig_ver(ver1, ("other",), sig)
+    p = PkiProvider()
+    ver1, sign1 = p.sig_keys(user_identity("u"))
+    ver2, _ = p.sig_keys(user_identity("u"))
+    sig = p.sign(sign1, ("body",))
+    assert p.verify(ver1, ("body",), sig)
+    assert not p.verify(ver2, ("body",), sig)  # different pair, same owner
+    assert not p.verify(ver1, ("other",), sig)
     with pytest.raises(TypeError):
-        p.sig_sign(ver1, ("body",))
+        p.sign(ver1, ("body",))
 
 
 # -- symmetric family
 
 
 def test_sym_round_trip_and_mismatch():
-    p = CryptoProvider()
+    p = IbeProvider()
     k1, k2 = p.sym_gen(), p.sym_gen()
     assert k1 != k2
     ct = p.sym_enc(k1, b"data")
@@ -205,7 +205,7 @@ def test_sym_round_trip_and_mismatch():
     with pytest.raises(UnauthorizedDecrypt):
         p.sym_dec(k2, ct)
     with pytest.raises(TypeError):
-        p.sym_enc(p.ibe_keygen(SU_IDENTITY), b"x")
+        p.sym_enc(p.enc_keys(SU_IDENTITY)[1], b"x")
 
 
 # -- the two bindings
@@ -228,6 +228,35 @@ def test_binding_provider_runs_its_familys_primitives(cls, name):
     assert p.name == name
     fork = p.fork()
     assert type(fork) is cls and fork.snapshot() == p.snapshot()
+
+
+_ENGINE_PRIMITIVES = {"enc_keys", "sig_keys", "enc", "dec", "sign", "verify"}
+_SHARED = {"sym_gen", "sym_enc", "sym_dec", "fork", "measure", "scope", "snapshot"}
+
+
+def _family_names(obj):
+    """The attributes of ``obj`` named for an asymmetric family's counters."""
+    return {
+        n for n in dir(obj)
+        if n.split("_")[0] in ("ibe", "ibs", "pke", "sig") and n != "sig_keys"
+    }
+
+
+@pytest.mark.parametrize("cls", [IbeProvider, PkiProvider])
+def test_each_binding_is_pinned_to_its_own_family(cls):
+    # the six engine primitives are the class's own methods, none an alias
+    # of another class's, beside only the shared parts of CryptoProvider
+    own = {n: f for n, f in vars(cls).items() if callable(f)}
+    assert set(own) == _ENGINE_PRIMITIVES
+    for n, f in own.items():
+        assert f.__qualname__ == f"{cls.__name__}.{n}"
+    p = cls()
+    assert type(p).__init__ is CryptoProvider.__init__
+    public = {n for n in dir(p) if not n.startswith("_") and callable(getattr(p, n))}
+    assert public == _ENGINE_PRIMITIVES | _SHARED
+    assert not _family_names(p)
+    assert not _family_names(CryptoProvider)
+    assert not _ENGINE_PRIMITIVES & set(dir(CryptoProvider))
 
 
 # -- cost vectors
@@ -359,7 +388,7 @@ def test_cost_vector_matches_counter_reference(a, b, c):
 
 
 def test_provider_attributes_counts_through_scopes_and_forks():
-    p = CryptoProvider()
+    p = IbeProvider()
     p.sym_gen()
     with p.scope(REFERENCE_MONITOR):
         p.sym_gen()
@@ -374,7 +403,7 @@ def test_provider_attributes_counts_through_scopes_and_forks():
     both = {(INVOKER, "sym_gen"): 4, (REFERENCE_MONITOR, "sym_gen"): 2}
     assert snap == CostVector({**both, (INVOKER, "sym_gen"): 3})
     assert p.snapshot() == q.snapshot() == CostVector(both)
-    q.ibe_keygen(SU_IDENTITY)
+    q.enc_keys(SU_IDENTITY)
     assert p.snapshot() == CostVector(both)  # the fork is independent
     k = p.sym_gen()
     ct = p.sym_enc(p.sym_gen(), "x")
@@ -407,11 +436,11 @@ def test_canonical_bytes_framing():
 
 
 def test_canonical_bytes_structured_values():
-    p = CryptoProvider()
+    p = IbeProvider()
     ident = role_identity("r", 1)
-    k = p.ibe_keygen(ident)
-    ct = p.ibe_enc(ident, ("x", 1))
-    sig = p.ibs_sign(p.ibs_keygen(SU_IDENTITY), ("y",))
+    _, k = p.enc_keys(ident)
+    ct = p.enc(ident, ("x", 1))
+    sig = p.sign(p.sig_keys(SU_IDENTITY)[1], ("y",))
     for v in (ident, k, ct, sig):
         assert canonical_bytes(v) == canonical_bytes(v)
     assert canonical_bytes(ident) != canonical_bytes(role_identity("r", 2))
@@ -516,19 +545,21 @@ def test_canonical_bytes_injective(a, b):
 # -- signatures are terms: verify compares by canonical bytes
 
 
-def _ibs_family(p):
-    k = p.ibs_keygen(SU_IDENTITY)
+def _ibs_family():
+    p = IbeProvider()
+    _, k = p.sig_keys(SU_IDENTITY)
     return (
-        lambda fields: p.ibs_sign(k, fields),
-        lambda fields, sig: p.ibs_ver(SU_IDENTITY, fields, sig),
+        lambda fields: p.sign(k, fields),
+        lambda fields, sig: p.verify(SU_IDENTITY, fields, sig),
     )
 
 
-def _sig_family(p):
-    ver, sk = p.sig_gen(SU_IDENTITY)
+def _sig_family():
+    p = PkiProvider()
+    ver, sk = p.sig_keys(SU_IDENTITY)
     return (
-        lambda fields: p.sig_sign(sk, fields),
-        lambda fields, sig: p.sig_ver(ver, fields, sig),
+        lambda fields: p.sign(sk, fields),
+        lambda fields, sig: p.verify(ver, fields, sig),
     )
 
 
@@ -552,7 +583,7 @@ _terms = st.recursive(
 @_FAMILIES
 @given(_terms, _terms)
 def test_verify_holds_iff_canonical_bytes_equal(family, a, b):
-    sign, verify = family(CryptoProvider())
+    sign, verify = family()
     sig = sign(a)
     assert verify(a, sig)
     assert verify(b, sig) == (canonical_bytes(a) == canonical_bytes(b))
@@ -564,7 +595,7 @@ def test_verify_holds_iff_canonical_bytes_equal(family, a, b):
     (role_identity("r", 1), role_identity("r", True)),
 ])
 def test_verify_is_exact_type(family, a, b):
-    sign, verify = family(CryptoProvider())
+    sign, verify = family()
     k = SymbolicKey("sym", serial=1)
     for x, y in ((a, b), (b, a)):
         for wrap in (lambda v: v, lambda v: SymbolicCiphertext("sym", k, v)):
@@ -577,7 +608,7 @@ def test_verify_is_exact_type(family, a, b):
 def test_signed_term_cannot_change_after_signing(family):
     # sign freezes the bare fields it is given; a term freezes its own
     # fields when it is built
-    sign, verify = family(CryptoProvider())
+    sign, verify = family()
     body = ["a"]
     fields = ("F", body)
     sig = sign(fields)
@@ -606,7 +637,7 @@ def _raises_as_canonical_bytes(bad, build) -> None:
 def test_sign_raises_where_canonical_bytes_does(family):
     # bare fields are checked when they are signed, and a term's fields when
     # the term is built, so no term holds a value canonical_bytes rejects
-    sign, _ = family(CryptoProvider())
+    sign, _ = family()
     for bad in _BAD:
         _raises_as_canonical_bytes(("F", bad), lambda: sign(("F", bad)))
     for bad, build in (
@@ -642,7 +673,7 @@ def _with_lists(v):
 @_FAMILIES
 @given(_terms, _terms)
 def test_terms_are_checked_and_frozen_when_built(family, a, b):
-    sign, verify = family(CryptoProvider())
+    sign, verify = family()
     fields = ("F", a)
     sig = sign(fields)
     for term in (a, _with_lists(a)):

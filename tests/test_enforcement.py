@@ -367,8 +367,8 @@ def test_revoked_member_loses_old_and_new_material():
     p = eng.provider
     # u2 legitimately extracts the role keys and the current file key
     rkt = eng.fs.rk[("u2", "r1", 1)]
-    _, role_dec, _ = p.ibe_dec(eng.users["u2"].dec_key, rkt.ct)
-    cached_k = p.ibe_dec(role_dec, eng.fs.fk[("r1", "f1", 1)].ct)
+    _, role_dec, _ = p.dec(eng.users["u2"].dec_key, rkt.ct)
+    cached_k = p.dec(role_dec, eng.fs.fk[("r1", "f1", 1)].ct)
 
     eng.revoke_user("u2", "r1")
     eng.write_file("u1", "f1", b"after revocation")
@@ -377,7 +377,7 @@ def test_revoked_member_loses_old_and_new_material():
         eng.read_file("u2", "f1")
     # the old role key cannot open the re-keyed file-key tuple
     with pytest.raises(UnauthorizedDecrypt):
-        p.ibe_dec(role_dec, eng.fs.fk[("r1", "f1", 2)].ct)
+        p.dec(role_dec, eng.fs.fk[("r1", "f1", 2)].ct)
     # the cached file key cannot open the re-encrypted body
     with pytest.raises(UnauthorizedDecrypt):
         p.sym_dec(cached_k, eng.fs.f["f1"].body)
@@ -401,8 +401,8 @@ def test_without_versioning_cached_key_leaks_new_content():
     )
     p = eng.provider
     rkt = eng.fs.rk[("u2", "r1", 1)]
-    _, role_dec, _ = p.ibe_dec(eng.users["u2"].dec_key, rkt.ct)
-    cached_k = p.ibe_dec(role_dec, eng.fs.fk[("r1", "f1", 1)].ct)
+    _, role_dec, _ = p.dec(eng.users["u2"].dec_key, rkt.ct)
+    cached_k = p.dec(role_dec, eng.fs.fk[("r1", "f1", 1)].ct)
 
     eng.revoke_user("u2", "r1")
     eng.write_file("u1", "f1", b"supposedly private")
@@ -1011,6 +1011,28 @@ def test_errors_on_unknown_names():
         eng.assign_perm("r1", "f1", WRITE)  # not a grantable level
 
 
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+@pytest.mark.parametrize("call, args, said", [
+    ("assign_perm", ("r1", "f1", WRITE), "assignP: bad op 'Write'"),
+    ("revoke_perm", ("r1", "f1", READ), "revokeP: bad op 'Read'"),
+    ("add_file", ("ghost", "f2", b"x"), "addP: no user 'ghost'"),
+])
+def test_library_guards_refuse_before_any_primitive(binding, call, args, said):
+    # apply_label never reaches these guards (a Label refuses a bad op, and
+    # addP uploads as SU); r1 holds Read on f1, so without its guard each
+    # call would go on to re-key or upload
+    eng = engine_with(
+        users=["u1"], roles=["r1"], files=["f1"], ur=[("u1", "r1")],
+        pa=[("r1", "f1", READ)], binding=binding,
+    )
+    before, dump = eng.provider.snapshot(), eng.dump()
+    with pytest.raises(RbacError) as refused:
+        getattr(eng, call)(*args)
+    assert str(refused.value) == said
+    assert eng.provider.snapshot() == before
+    assert eng.dump() == dump
+
+
 def _refusal(call, *args):
     """The message of the ``RbacError`` that ``call(*args)`` raises, or
     None if it raises none."""
@@ -1207,13 +1229,13 @@ def test_pki_data_path():
     assert eng.read_file("u1", "f1") == b"pk write"
     # revocation still locks out the departed member's cached material
     p = eng.provider
-    _, role_dec, _ = p.pke_dec(
+    _, role_dec, _ = p.dec(
         eng.users["u2"].dec_key, eng.fs.rk[("u2", "r1", 1)].ct
     )
     eng.revoke_user("u2", "r1")
     eng.write_file("u1", "f1", b"rotated")
     with pytest.raises(UnauthorizedDecrypt):
-        p.pke_dec(role_dec, eng.fs.fk[("r1", "f1", 2)].ct)
+        p.dec(role_dec, eng.fs.fk[("r1", "f1", 2)].ct)
 
 
 def test_pki_verification_survives_uploader_departure():

@@ -790,6 +790,18 @@ def test_revocation_window_tracking():
     assert none.max_revocations_per_window(7.0) == 0
 
 
+@pytest.mark.parametrize("window", [1e-320, 0])
+def test_uncountable_revocation_window_is_a_value_error(tmp_path, window):
+    # 90 days over 1e-320 is more windows than a float can count, and a
+    # window of 0 divides by zero: each is refused before runs.csv is opened
+    results = [run_simulation(TOY, days=90.0, seed=1)]
+    assert results[0].applied["revokeU"] + results[0].applied["revokeP"]
+    path = tmp_path / "runs.csv"
+    with pytest.raises(ValueError, match=f"revocation window {window!r} "):
+        write_runs_csv(str(path), results, ["ibe"], ["BF+CC"], window)
+    assert not path.exists()
+
+
 def test_per_revocation_units_empty_case():
     res = run_simulation(TOY, days=0.01, seed=3)
     assert res.applied["revokeU"] == 0
