@@ -92,7 +92,8 @@ def test_counts_attribute_to_scope():
     p = IbeProvider()
     p.enc_keys(user_identity("u"))
     with p.scope(REFERENCE_MONITOR):
-        p.verify(SU_IDENTITY, ("x",), p.sign(p.sig_keys(SU_IDENTITY)[1], ("x",)))
+        sig = p.sign(p.sig_keys(SU_IDENTITY)[1], ("x",))
+        p.verify(SU_IDENTITY, ("x",), sig)
     c = p.snapshot()
     assert c.get("ibe_keygen", INVOKER) == 1
     assert c.get("ibs_ver", REFERENCE_MONITOR) == 1
@@ -231,7 +232,9 @@ def test_binding_provider_runs_its_familys_primitives(cls, name):
 
 
 _ENGINE_PRIMITIVES = {"enc_keys", "sig_keys", "enc", "dec", "sign", "verify"}
-_SHARED = {"sym_gen", "sym_enc", "sym_dec", "fork", "measure", "scope", "snapshot"}
+_SHARED = {
+    "sym_gen", "sym_enc", "sym_dec", "fork", "measure", "scope", "snapshot",
+}
 
 
 def _family_names(obj):
@@ -252,7 +255,9 @@ def test_each_binding_is_pinned_to_its_own_family(cls):
         assert f.__qualname__ == f"{cls.__name__}.{n}"
     p = cls()
     assert type(p).__init__ is CryptoProvider.__init__
-    public = {n for n in dir(p) if not n.startswith("_") and callable(getattr(p, n))}
+    public = {
+        n for n in dir(p) if not n.startswith("_") and callable(getattr(p, n))
+    }
     assert public == _ENGINE_PRIMITIVES | _SHARED
     assert not _family_names(p)
     assert not _family_names(CryptoProvider)
