@@ -30,11 +30,10 @@ from .equivalence import (
     canonicalize,
     congruent,
     minimize_counterexample,
-    random_trace,
     run_differential,
     sigma,
 )
-from .rbac import Label, RbacError, RbacState, apply_label, apply_trace, theory
+from .rbac import Label, RbacError, RbacState, apply_label, theory
 
 __version__ = "0.1.0"
 
@@ -55,13 +54,11 @@ __all__ = [
     "UnauthorizedDecrypt",
     "algebraic_cost",
     "apply_label",
-    "apply_trace",
     "canonicalize",
     "congruent",
     "data_op_cost",
     "measure_label",
     "minimize_counterexample",
-    "random_trace",
     "reconcile",
     "run_differential",
     "scheme_profile",

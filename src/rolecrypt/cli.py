@@ -138,27 +138,33 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_dataset(args: argparse.Namespace):
-    name = args.dataset
-    if os.path.exists(name):
-        return load_dataset(name)
+def _bundled(name: str, seed: int):
+    """The bundled dataset ``name`` as ``--seed`` ``seed`` synthesizes it,
+    or None if no bundled dataset has that name."""
     marginals = load_marginals()
-    if name in marginals:
-        rng = random.Random(derive_seed(args.seed, -1))
-        return synthesize_dataset(name, rng, marginals)
-    known = ", ".join(sorted(marginals))
-    raise ValueError(
-        f"{name!r} is neither a file nor a known dataset ({known})"
-    )
+    if name not in marginals:
+        return None
+    rng = random.Random(derive_seed(seed, -1))
+    return synthesize_dataset(name, rng, marginals)
+
+
+def _resolve_dataset(args: argparse.Namespace):
+    """A regular file, else a bundled name, else any other existing path."""
+    name = args.dataset
+    ds = None if os.path.isfile(name) else _bundled(name, args.seed)
+    if ds is None and not os.path.exists(name):
+        known = ", ".join(sorted(load_marginals()))
+        raise ValueError(
+            f"{name!r} is neither a file nor a known dataset ({known})"
+        )
+    return load_dataset(name) if ds is None else ds
 
 
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
-    marginals = load_marginals()
-    if args.name not in marginals:
-        known = ", ".join(sorted(marginals))
+    ds = _bundled(args.name, args.seed)
+    if ds is None:
+        known = ", ".join(sorted(load_marginals()))
         raise ValueError(f"unknown dataset {args.name!r} (known: {known})")
-    rng = random.Random(derive_seed(args.seed, -1))
-    ds = synthesize_dataset(args.name, rng, marginals)
     out = args.out or f"{args.name}.json"
     save_dataset(ds, out)
     print(f"wrote {out}: {ds.marginals()}")

@@ -257,11 +257,7 @@ class CostVector:
 _u32 = struct.Struct(">I").pack  # the 4-byte big-endian length
 
 
-def canonical_bytes(value: object) -> bytes:
-    return _framed(value)
-
-
-def _framed(v: object) -> bytes:
+def canonical_bytes(v: object) -> bytes:
     """The encoding, dispatched on exact type (a subclass of a serializable
     type is rejected, so no value has two encodings)."""
     t = type(v)
@@ -269,7 +265,7 @@ def _framed(v: object) -> bytes:
         body = v.encode()
         return b"S" + _u32(len(body)) + body
     if t is tuple or t is list:
-        body = b"".join([_framed(x) for x in v])
+        body = b"".join([canonical_bytes(x) for x in v])
         return b"T" + _u32(len(body)) + body
     if v is None:
         return b"N\x00\x00\x00\x00"
@@ -284,7 +280,7 @@ def _framed(v: object) -> bytes:
     if record is None:
         raise TypeError(f"cannot serialize {t.__name__}")
     tag, fields_of = record
-    body = b"".join([_framed(x) for x in fields_of(v)])
+    body = b"".join([canonical_bytes(x) for x in fields_of(v)])
     return tag + _u32(len(body)) + body
 
 

@@ -260,10 +260,10 @@ class Engine:
         # file -> version of the last body the reference monitor accepted
         self.body_versions: dict[str, int] = {}
         self.uploaders: dict[str, str] = {}  # file -> who signed its v1 key
+        self.upload_refs: dict[str, object] = {}  # and their ver_ref
+        self.retired: dict[str, int] = {}  # deleted role -> its last version
         self.warnings = 0
-        self._ver_refs: dict[str, object] = {}  # retained past deletion
         self.su = self._mint_keyring(SU_IDENTITY)
-        self._ver_refs[SUPERUSER] = self.su.ver_ref
 
     def fork(self) -> "Engine":
         """An independent engine in the same state, with the same counts and
@@ -280,7 +280,8 @@ class Engine:
         eng.holders = {fn: set(rs) for fn, rs in self.holders.items()}
         eng.body_versions = dict(self.body_versions)
         eng.uploaders = dict(self.uploaders)
-        eng._ver_refs = dict(self._ver_refs)
+        eng.upload_refs = dict(self.upload_refs)
+        eng.retired = dict(self.retired)
         return eng
 
     # -- key plumbing
@@ -293,13 +294,16 @@ class Engine:
     def _keyring_of(self, name: str) -> KeyRing:
         return self.su if name == SUPERUSER else self.users[name]
 
-    def _ver_ref_of(self, ident: Identity) -> object:
-        """``ident``'s verification reference, or None for a signer the
-        engine does not know."""
+    def _ver_ref_of(self, ident: Identity, body) -> object:
+        """What ``ident``'s signature over ``body`` verifies against, or None
+        for a signer the engine does not know: a role's current record's,
+        the ref a user uploaded ``body``'s file under, or SU's."""
         if ident.kind == "role":
             rec = self.roles.get(ident.name)
             return None if rec is None else rec.keys.ver_ref
-        return self._ver_refs.get(ident.name)
+        if ident.kind == "user" and self.uploaders.get(body.fn) == ident.name:
+            return self.upload_refs[body.fn]
+        return self.su.ver_ref if ident == SU_IDENTITY else None
 
     def _signed(self, cls: type, sig_key: SymbolicKey, *values):
         """A ``cls`` tuple of ``values``, signed under ``sig_key``: the
@@ -330,7 +334,7 @@ class Engine:
             expected = self._fk_signer(key)
             if signer is not expected and signer != expected:
                 raise IntegrityError(f"bad signature by {signer} on {tag}")
-        ref = self._ver_ref_of(signer)
+        ref = self._ver_ref_of(signer, body)
         if ref is None or not self.provider.verify(ref, body, t.sig):
             raise IntegrityError(f"bad signature by {signer} on {tag}")
 
@@ -443,9 +447,7 @@ class Engine:
         if u in self.users:
             self._warn(f"addU: {u!r} exists")
             return
-        ring = self._mint_keyring(user_identity(u))
-        self._edit(self.users, u, ring)
-        self._ver_refs[u] = ring.ver_ref
+        self._edit(self.users, u, self._mint_keyring(user_identity(u)))
 
     def del_user(self, u: str) -> None:
         if u not in self.users:
@@ -461,9 +463,10 @@ class Engine:
         if r in self.roles:
             self._warn(f"addR: {r!r} exists")
             return
-        ident = role_identity(r, 1)
+        v = self.retired.pop(r, 0) + 1  # past any old version a member cached
+        ident = role_identity(r, v)
         ring = self._mint_keyring(ident)
-        self._edit(self.roles, r, RoleRec(1, ring))
+        self._edit(self.roles, r, RoleRec(v, ring))
         self.members[r], self.ops[r] = set(), {}
         ct = self.provider.enc(
             self.su.enc_ref, ("role-keys", ring.dec_key, ring.sig_key)
@@ -474,7 +477,7 @@ class Engine:
         if r not in self.roles:
             self._warn(f"delR: {r!r} missing")
             return
-        v = self.roles[r].version
+        v = self.retired[r] = self.roles[r].version
         self._edit(self.roles, r)
         for m in self._rk_holders(r):
             self.fs.del_rk(m, r, v)
@@ -498,7 +501,7 @@ class Engine:
         fktup = self._signed(
             FkTuple, ring.sig_key, SU_IDENTITY, fn, RW, 1, kct, wident
         )
-        self.uploaders[fn] = uploader
+        self.uploaders[fn], self.upload_refs[fn] = uploader, ring.ver_ref
         with self.provider.scope(REFERENCE_MONITOR):
             self._verify(ftup, fn)
             self._verify(fktup, (SUPERUSER, fn, 1), SU_IDENTITY)
@@ -514,7 +517,7 @@ class Engine:
         if fn not in self.files:
             self._warn(f"delP: {fn!r} missing")
             return
-        del self.body_versions[fn], self.uploaders[fn]
+        del self.body_versions[fn], self.uploaders[fn], self.upload_refs[fn]
         self.fs.del_f(fn)
         for h in self._fk_holders(fn):
             for v in range(1, self.files[fn] + 1):

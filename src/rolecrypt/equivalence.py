@@ -65,6 +65,8 @@ from .rbac import (
     RW,
     SUPERUSER,
     WRITE,
+    _LEVEL_OPS,
+    _granted,
     apply_label,
     theory,
 )
@@ -180,24 +182,6 @@ def _add(index: dict[str, set[str]], key: str, name: str) -> None:
         names.add(name)
 
 
-#: The ops of the auth facts a grant level holds: level n holds the first n.
-_LEVEL_OPS = (READ, RW)
-
-
-def _granted(s, u: str, fn: str) -> int:
-    """The level ``s`` grants ``u`` on ``fn`` through its roles: 0 nothing,
-    1 Read, 2 RW and Read.  ``s`` is an ``RbacState`` or an
-    ``_EngineView``."""
-    level = 0
-    for r in s.roles_of(u):
-        op = s.files_of(r).get(fn)
-        if op == RW:
-            return 2
-        if op is not None:
-            level = 1
-    return level
-
-
 def _outside(view, pre: RbacState, post: RbacState, pairs) -> Optional[str]:
     """The envelope violation among the (user, file) ``pairs``, worded as
     the whole-state check words it, or None.  Envelope and grants are
@@ -221,11 +205,11 @@ def _worded(got: RbacState, want: RbacState) -> str:
 
 class _EngineView:
     """UR and PA as ``Engine.state()`` reads them, kept from the engine's
-    change stream instead of re-read.  One ``Engine.state()`` and one scan
-    of the store's keys build it.  Then ``changed``, the store's hook while
-    a step runs, recomputes only the entries a change can move, each as
-    ``Engine.state()`` reads it, from the engine's record and one store
-    lookup:
+    change stream instead of re-read.  One scan of the store's keys builds
+    it, reading each UR pair and PA entry a key names as ``changed`` does.
+    Then ``changed``, the store's hook while a step runs, recomputes only
+    the entries a change can move, each as ``Engine.state()`` reads it,
+    from the engine's record and one store lookup:
 
     * an RK tuple put or deleted at (m, r, v): the UR pair (m, r);
     * an FK tuple put or deleted at (h, fn, v): the PA entry (h, fn);
@@ -253,20 +237,16 @@ class _EngineView:
         self._rk_members: dict[str, set[str]] = {}  # role -> members
         self._fk_files: dict[str, set[str]] = {}  # holder -> files
         self._fk_holders: dict[str, set[str]] = {}  # file -> holders
-        state = eng.state()
-        for m, r in state.ur:
-            _add(self.ur_roles, m, r)
-            _add(self.ur_members, r, m)
-        for r, fn, op in state.pa:
-            self.pa_ops.setdefault(r, {})[fn] = op
         for m, r, _ in eng.fs.rk:
             if m != SUPERUSER:
                 _add(self._rk_roles, m, r)
                 _add(self._rk_members, r, m)
+                self._follow_ur(m, r)
         for h, fn, _ in eng.fs.fk:
             if h != SUPERUSER:
                 _add(self._fk_files, h, fn)
                 _add(self._fk_holders, fn, h)
+                self._follow_pa(h, fn)
 
     def roles_of(self, u: str):
         return self.ur_roles.get(u, ())
@@ -383,9 +363,9 @@ class Lockstep:
     ``(kind, detail)``, or None.  Each check reads only what the step
     changed: the engine's change stream (see ``engine``) keeps an
     ``_EngineView`` of the UR and PA ``Engine.state()`` would read, which
-    construction starts from one ``Engine.state()``, and the model's side
-    comes from the label's edits, which the post-state holds.  The kinds,
-    in the order checked:
+    construction builds from one scan of the store's keys, and the model's
+    side comes from the label's edits, which the post-state holds.  The
+    kinds, in the order checked:
 
     * ``unauthorized``: the engine decrypted with a mismatched key;
     * ``error-mismatch``: the engine raised where the model did not, or
@@ -805,9 +785,3 @@ class TraceBuilder:
                 break
             out.append(lbl)
         return out
-
-
-def random_trace(
-    rng: random.Random, n: int, **caps
-) -> list[Label]:
-    return TraceBuilder(rng, **caps).build(n)

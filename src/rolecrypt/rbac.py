@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 READ = "Read"
 RW = "RW"
@@ -408,16 +408,6 @@ def apply_label(
     raise AssertionError(k)
 
 
-def apply_trace(
-    state: RbacState,
-    labels: Iterable[Label],
-    on_warning: Optional[Callable[[str], None]] = None,
-) -> RbacState:
-    for label in labels:
-        state = apply_label(state, label, on_warning)
-    return state
-
-
 # --- queries ----------------------------------------------------------------
 #
 # Ground query facts are tuples:
@@ -431,6 +421,25 @@ def grants(held: str, requested: str) -> bool:
     return held == requested or (held == RW and requested == READ)
 
 
+#: The ops of the auth facts a grant level holds: level n holds the first n.
+_LEVEL_OPS = (READ, RW)
+
+
+def _granted(s, u: str, fn: str) -> int:
+    """The level ``s`` grants ``u`` on ``fn`` through its roles: 0 nothing,
+    1 Read, 2 RW and Read.  ``s`` is an ``RbacState`` or a view with the
+    same ``roles_of`` and ``files_of``, such as the lockstep's of an
+    engine."""
+    level = 0
+    for r in s.roles_of(u):
+        op = s.files_of(r).get(fn)
+        if op == RW:
+            return 2
+        if op is not None:
+            level = 1
+    return level
+
+
 def eval_query(state: RbacState, query: tuple) -> bool:
     kind = query[0]
     if kind == "UR":
@@ -441,11 +450,7 @@ def eval_query(state: RbacState, query: tuple) -> bool:
         return query[1] in state.roles
     if kind == "auth":
         _, u, fn, op = query
-        for r in state.roles_of(u):
-            held = state.pa_op(r, fn)
-            if held is not None and grants(held, op):
-                return True
-        return False
+        return op in _LEVEL_OPS[:_granted(state, u, fn)]
     raise ValueError(f"unknown query kind {kind!r}")
 
 

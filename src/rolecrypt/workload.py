@@ -719,12 +719,12 @@ def monte_carlo(
 
 
 def per_revocation_units(
-    result: RunResult, profile: str, kind: str = "revokeU"
+    result: RunResult, profile: str
 ) -> Optional[Fraction]:
-    n = result.applied[kind]
+    n = result.applied["revokeU"]
     if n == 0:
         return None
-    return result.units(profile, kind) / n
+    return result.units(profile, "revokeU") / n
 
 
 def _per_run_units(results: Sequence[RunResult], profile: str) -> list[float]:

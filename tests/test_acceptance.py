@@ -18,9 +18,9 @@ from rolecrypt.crypto import IBE_TO_PKI
 from rolecrypt.engine import Engine, measure_label
 from rolecrypt.equivalence import (
     Lockstep,
+    TraceBuilder,
     canonicalize,
     congruent,
-    random_trace,
     run_differential,
 )
 from rolecrypt.rbac import RW, Label, theory
@@ -50,9 +50,9 @@ def _shared_corpus() -> tuple[tuple[Label, ...], ...]:
     traces: list[tuple[Label, ...]] = []
     total = 0
     while total < 10_000:
-        t = random_trace(
-            rng, 80, max_users=15, max_roles=8, max_files=20, version_cap=3
-        )
+        t = TraceBuilder(
+            rng, max_users=15, max_roles=8, max_files=20, version_cap=3
+        ).build(80)
         traces.append(tuple(t))
         total += len(t)
     return tuple(traces)
@@ -134,7 +134,9 @@ def test_criterion_2_cost_reconciliation(capsys):
 def test_criterion_3_differential_correctness(capsys):
     t0 = time.monotonic()
     rng = random.Random(1234)
-    traces = [random_trace(rng, rng.randint(1, 50)) for _ in range(1000)]
+    traces = [
+        TraceBuilder(rng).build(rng.randint(1, 50)) for _ in range(1000)
+    ]
     failures = []
     for i, trace in enumerate(traces):
         for binding in ("ibe", "pki"):
@@ -183,7 +185,7 @@ def test_criterion_4_congruence_sanity(capsys):
     for i in range(1000):
         rng = random.Random(9000 + i)
         eng = Engine("ibe")
-        for lbl in random_trace(rng, 30):
+        for lbl in TraceBuilder(rng).build(30):
             eng.apply_label(lbl)
 
         canon = canonicalize(eng)

@@ -235,6 +235,20 @@ def test_simulate_bundled_dataset(tmp_path, capsys):
     assert "healthcare [ibe]" in out and "runs.csv" in out
 
 
+def test_simulate_bundled_name_twice_into_a_directory_of_that_name(
+    tmp_path, monkeypatch
+):
+    # the first run makes the directory healthcare/; a directory is not a
+    # dataset file, so the second run still synthesizes the bundled dataset
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--dataset", "healthcare", "--runs", "1",
+            "--out", "healthcare"]
+    assert main(argv) == 0
+    first = (tmp_path / "healthcare" / "runs.csv").read_bytes()
+    assert main(argv) == 0
+    assert (tmp_path / "healthcare" / "runs.csv").read_bytes() == first
+
+
 def test_simulate_both_variants_with_events(tmp_path):
     rc = main([
         "simulate", "--dataset", "healthcare", "--runs", "1", "--seed", "5",

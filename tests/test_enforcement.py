@@ -36,7 +36,7 @@ from rolecrypt.engine import (
     IntegrityError,
     measure_label,
 )
-from rolecrypt.equivalence import random_trace
+from rolecrypt.equivalence import TraceBuilder
 from rolecrypt.rbac import (
     LABEL_KINDS,
     READ,
@@ -1099,7 +1099,7 @@ def test_queries_answer_as_the_model_on_reachable_states(binding):
     checks = 0
     for seed in range(20):
         eng, state = Engine(binding), RbacState()
-        for lbl in random_trace(random.Random(seed), 40):
+        for lbl in TraceBuilder(random.Random(seed)).build(40):
             eng.apply_label(lbl)
             state = oracle_apply(state, lbl)
             users, roles = sorted(state.users), sorted(state.roles)
@@ -1249,6 +1249,50 @@ def test_pki_verification_survives_uploader_departure():
     eng.del_user("u1")
     eng.assign_perm("r1", "f9", READ)
     assert eng.read_file("u2", "f9") == b"uploaded"
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_re_added_uploader_leaves_their_upload_verifiable(binding):
+    # the uploader deleted and added again under the same name gets new keys
+    # (pki), yet SU's key at version 1, which the old keys signed, must still
+    # verify: both for a fresh grant and for a revocation that re-keys it
+    eng = engine_with(
+        users=["u1", "u2"], roles=["r1", "r2"],
+        ur=[("u1", "r1"), ("u1", "r2")], binding=binding,
+    )
+    eng.add_file("u2", "f1", b"uploaded")
+    eng.assign_perm("r2", "f1", READ)
+    eng.del_user("u2")
+    eng.add_user("u2")
+    eng.assign_perm("r1", "f1", READ)
+    assert eng.read_file("u1", "f1") == b"uploaded"
+    eng.revoke_user("u1", "r2")  # r2 holds f1 at key version 1
+    assert eng.files["f1"] == 2
+    assert eng.read_file("u1", "f1") == b"uploaded"
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_re_created_role_is_closed_to_keys_cached_from_its_old_versions(
+    binding,
+):
+    eng = engine_with(
+        users=["u1"], roles=["r1"], files=["f1"], ur=[("u1", "r1")],
+        pa=[("r1", "f1", READ)], binding=binding,
+    )
+    p = eng.provider
+    _, role_dec, _ = p.dec(
+        eng.users["u1"].dec_key, eng.fs.rk[("u1", "r1", 1)].ct
+    )
+    eng.del_role("r1")
+    eng.add_role("r1")
+    eng.add_file(SUPERUSER, "f2", b"file:f2")
+    eng.assign_perm("r1", "f2", READ)
+    with pytest.raises(UnauthorizedDecrypt):
+        p.dec(role_dec, eng.fs.fk[("r1", "f2", 1)].ct)
+    with pytest.raises(AuthorizationError):
+        eng.read_file("u1", "f2")
+    # the new role starts one past the last version of the old one
+    assert eng.roles["r1"].version == 2
 
 
 # -- forking a seeded engine

@@ -16,7 +16,6 @@ from rolecrypt.rbac import (
     RbacError,
     RbacState,
     apply_label,
-    apply_trace,
     auth_facts,
     check_invariants,
     eval_query,
@@ -34,7 +33,9 @@ def lab(kind, **kw):
 def run(*labels, state=None, warnings=None):
     state = state if state is not None else RbacState()
     cb = warnings.append if warnings is not None else None
-    return apply_trace(state, labels, on_warning=cb)
+    for label in labels:
+        state = apply_label(state, label, on_warning=cb)
+    return state
 
 
 BASE = run(

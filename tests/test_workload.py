@@ -581,8 +581,8 @@ def test_audit_compares_the_whole_state_after_the_last_event(
 @pytest.mark.parametrize("variant", ["ibe", "pki"])
 def test_audit_reads_whole_state_once_per_run(monkeypatch, variant):
     # every change of the run reaches the stepper's hook, and the whole
-    # state is read twice: to start the stepper's view of it, and to
-    # compare it with the model's after the last event
+    # state is read once: to compare it with the model's after the last
+    # event
     eng, reads, hooked = seed_engine(TOY, variant), [], []
     state, fire = eng.state, eng.fs._fire
 
@@ -595,7 +595,7 @@ def test_audit_reads_whole_state_once_per_run(monkeypatch, variant):
     res = run_simulation(TOY, days=60.0, seed=4, engine=eng)
     assert sum(res.applied.values()) > 0
     assert hooked and all(hooked)
-    assert len(reads) == 2
+    assert len(reads) == 1
 
 
 def test_run_simulation_is_deterministic():
