@@ -303,7 +303,9 @@ class Engine:
             return None if rec is None else rec.keys.ver_ref
         if ident.kind == "user" and self.uploaders.get(body.fn) == ident.name:
             return self.upload_refs[body.fn]
-        return self.su.ver_ref if ident == SU_IDENTITY else None
+        if ident is SU_IDENTITY or ident == SU_IDENTITY:
+            return self.su.ver_ref
+        return None
 
     def _signed(self, cls: type, sig_key: SymbolicKey, *values):
         """A ``cls`` tuple of ``values``, signed under ``sig_key``: the
