@@ -46,7 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .costmodel import algebraic_cost, reconcile
 from .crypto import (
@@ -279,7 +279,7 @@ class _EngineView:
                 _add(self._fk_holders, fn, h)
             if v != eng.files.get(fn):
                 return
-            pairs = self._follow_pa(h, fn)
+            pairs = [(u, fn) for u in self._follow_pa(h, fn)]
         elif store is eng.fs.rk:
             m, r, v = key
             if m == SUPERUSER:
@@ -291,27 +291,27 @@ class _EngineView:
             rec = eng.roles.get(r)
             if rec is None or v != rec.version:
                 return
-            pairs = self._follow_ur(m, r)
+            pairs = [(m, fn) for fn in self._follow_ur(m, r)]
         else:  # a record edit; a body holds no fact
             pairs = []
             if store is eng.roles:
                 self.touched_roles.add(key)
                 for m in self._rk_members.get(key, ()):
-                    pairs += self._follow_ur(m, key)
+                    pairs += [(m, fn) for fn in self._follow_ur(m, key)]
                 for fn in self._fk_files.get(key, ()):
-                    pairs += self._follow_pa(key, fn)
+                    pairs += [(u, fn) for u in self._follow_pa(key, fn)]
             elif store is eng.users:
                 for r in self._rk_roles.get(key, ()):
-                    pairs += self._follow_ur(key, r)
+                    pairs += [(key, fn) for fn in self._follow_ur(key, r)]
             elif store is eng.files:
                 for h in self._fk_holders.get(key, ()):
-                    pairs += self._follow_pa(h, key)
+                    pairs += [(u, key) for u in self._follow_pa(h, key)]
         if pairs and self.violation is None:
             self.violation = _outside(self, *self.envelope, pairs)
 
-    def _follow_ur(self, m: str, r: str) -> Sequence[tuple[str, str]]:
-        """Re-read the UR pair (m, r); if it changed, the (user, file) pairs
-        whose grant it moves."""
+    def _follow_ur(self, m: str, r: str) -> Iterable[str]:
+        """Re-read the UR pair (m, r); if it changed, the files whose grant
+        to m it moves, which the caller reads before the next change."""
         eng = self.engine
         rec = eng.roles.get(r)
         now = (
@@ -328,11 +328,12 @@ class _EngineView:
             roles.discard(r)
             self.ur_members[r].discard(m)
         self.touched_ur.add((m, r))
-        return [(m, fn) for fn in self.pa_ops.get(r, _NO_OPS)]
+        return self.pa_ops.get(r, _NO_OPS)
 
-    def _follow_pa(self, h: str, fn: str) -> Sequence[tuple[str, str]]:
+    def _follow_pa(self, h: str, fn: str) -> Iterable[str]:
         """Re-read the PA entry (h, fn) of a holder other than SU; if it
-        changed, the (user, file) pairs whose grant it moves."""
+        changed, the users whose grant on fn it moves, which the caller
+        reads before the next change."""
         eng = self.engine
         v = eng.files.get(fn)
         t = None
@@ -349,7 +350,7 @@ class _EngineView:
                 ops = self.pa_ops[h] = {}
             ops[fn] = now
         self.touched_pa.add((h, fn))
-        return [(u, fn) for u in self.ur_members.get(h, ())]
+        return self.ur_members.get(h, ())
 
 
 class Lockstep:
