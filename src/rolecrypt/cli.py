@@ -36,6 +36,7 @@ from .costmodel import (
     scheme_profile,
     static_cost_table,
 )
+from .engine import BINDINGS
 from .equivalence import TraceBuilder, minimize_counterexample, run_differential
 from .workload import (
     derive_seed,
@@ -99,7 +100,7 @@ def cmd_cost_table(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    variants = ("ibe", "pki") if args.variant == "both" else (args.variant,)
+    variants = tuple(BINDINGS) if args.variant == "both" else (args.variant,)
     failures = 0
     for i in range(args.traces):
         trace_rng = random.Random(derive_seed(args.seed, i))
@@ -180,7 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{args.duration_days!r} into more windows than a float can count"
         )
     dataset = _resolve_dataset(args)
-    variants = ("ibe", "pki") if args.variant == "both" else (args.variant,)
+    variants = tuple(BINDINGS) if args.variant == "both" else (args.variant,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the model prices all variants alike, so only an audit runs each one;
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--variant", choices=("ibe", "pki", "both"), default="both"
+        "--variant", choices=(*BINDINGS, "both"), default="both"
     )
     p.add_argument(
         "--no-costs", dest="costs", action="store_false",
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=_at_least(int, 0), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--variant", choices=("ibe", "pki", "both"), default="ibe"
+        "--variant", choices=(*BINDINGS, "both"), default="ibe"
     )
     p.add_argument(
         "--duration-days", type=_at_least(float, 0), default=30.0

@@ -246,7 +246,13 @@ class Engine:
     added, deleted or re-keyed to its next version) or ``files`` (a file
     added, deleted or rolled to its next key version) goes through ``_edit``,
     which fires the store's ``on_mutation(record, name)`` once, after the
-    edit."""
+    edit.
+
+    ``fork`` relies on one invariant: besides its provider and its store,
+    what the engine may change in place is its dicts and the sets and dicts
+    inside them.  Anything else the engine holds (key rings, role records,
+    identities, upload pairs, counts) is immutable and may be shared, so a
+    map added later is forked with no edit to ``fork``."""
 
     def __init__(self, binding: str = "ibe") -> None:
         self.provider = BINDINGS[binding]()
@@ -259,29 +265,25 @@ class Engine:
         self.holders: dict[str, set[str]] = {}
         # file -> version of the last body the reference monitor accepted
         self.body_versions: dict[str, int] = {}
-        self.uploaders: dict[str, str] = {}  # file -> who signed its v1 key
-        self.upload_refs: dict[str, object] = {}  # and their ver_ref
+        # file -> (who signed its v1 key, what their signature verifies against)
+        self.uploads: dict[str, tuple[Identity, object]] = {}
         self.retired: dict[str, int] = {}  # deleted role -> its last version
         self.warnings = 0
         self.su = self._mint_keyring(SU_IDENTITY)
 
     def fork(self) -> "Engine":
         """An independent engine in the same state, with the same counts and
-        next serial.  Records (tuples, key rings, role records) are immutable
-        and shared; every dict and set is copied."""
+        next serial.  One rule, which names no record map: fork the provider
+        and the store, and copy every dict the engine holds together with
+        each set or dict inside it; all else is immutable and shared."""
         eng = copy.copy(self)
-        eng.provider = self.provider.fork()
-        eng.fs = self.fs.fork()
-        eng.users = dict(self.users)
-        eng.roles = dict(self.roles)
-        eng.files = dict(self.files)
-        eng.members = {r: set(ms) for r, ms in self.members.items()}
-        eng.ops = {r: dict(ops) for r, ops in self.ops.items()}
-        eng.holders = {fn: set(rs) for fn, rs in self.holders.items()}
-        eng.body_versions = dict(self.body_versions)
-        eng.uploaders = dict(self.uploaders)
-        eng.upload_refs = dict(self.upload_refs)
-        eng.retired = dict(self.retired)
+        eng.provider, eng.fs = self.provider.fork(), self.fs.fork()
+        for name, value in vars(self).items():
+            if isinstance(value, dict):
+                setattr(eng, name, value | {
+                    k: v.copy() for k, v in value.items()
+                    if isinstance(v, (set, dict))
+                })
         return eng
 
     # -- key plumbing
@@ -301,8 +303,9 @@ class Engine:
         if ident.kind == "role":
             rec = self.roles.get(ident.name)
             return None if rec is None else rec.keys.ver_ref
-        if ident.kind == "user" and self.uploaders.get(body.fn) == ident.name:
-            return self.upload_refs[body.fn]
+        if ident.kind == "user":
+            who, ref = self.uploads.get(body.fn, (None, None))
+            return ref if who == ident else None
         if ident is SU_IDENTITY or ident == SU_IDENTITY:
             return self.su.ver_ref
         return None
@@ -344,8 +347,8 @@ class Engine:
         """Who issues the FK tuple at ``key``: SU, but the uploader at
         version 1 of SU's own key of a file a user uploaded."""
         h, fn, v = key
-        if h == SUPERUSER and v == 1:
-            return user_identity(self.uploaders.get(fn, SUPERUSER))
+        if h == SUPERUSER and v == 1 and fn in self.uploads:
+            return self.uploads[fn][0]
         return SU_IDENTITY
 
     def _get(self, tag: str, key):
@@ -503,7 +506,7 @@ class Engine:
         fktup = self._signed(
             FkTuple, ring.sig_key, SU_IDENTITY, fn, RW, 1, kct, wident
         )
-        self.uploaders[fn], self.upload_refs[fn] = uploader, ring.ver_ref
+        self.uploads[fn] = wident, ring.ver_ref
         with self.provider.scope(REFERENCE_MONITOR):
             self._verify(ftup, fn)
             self._verify(fktup, (SUPERUSER, fn, 1), SU_IDENTITY)
@@ -519,7 +522,7 @@ class Engine:
         if fn not in self.files:
             self._warn(f"delP: {fn!r} missing")
             return
-        del self.body_versions[fn], self.uploaders[fn], self.upload_refs[fn]
+        del self.body_versions[fn], self.uploads[fn]
         self.fs.del_f(fn)
         for h in self._fk_holders(fn):
             for v in range(1, self.files[fn] + 1):

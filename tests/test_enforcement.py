@@ -518,7 +518,9 @@ def test_su_key_at_version_1_is_signed_by_its_uploader(binding):
         users=["u1", "u2"], roles=["r1"], ur=[("u1", "r1")], binding=binding,
     )
     eng.add_file("u2", "f1", b"uploaded")
-    assert eng.uploaders == {"f1": "u2"}
+    assert eng.uploads == {
+        "f1": (user_identity("u2"), eng.users["u2"].ver_ref)
+    }
     eng.assign_perm("r1", "f1", RW)  # opens SU's key at 1, signed by u2
     eng.revoke_perm("r1", "f1", RW)  # SU signs SU's key at 2
     assert [eng.fs.fk[("SU", "f1", v)].issuer for v in (1, 2)] == [
@@ -532,7 +534,7 @@ def test_su_key_at_version_1_is_signed_by_its_uploader(binding):
             fork.assign_perm("r1", "f1", READ)
     # a file deleted and added again by SU no longer has a user uploader
     eng.del_file("f1")
-    assert eng.uploaders == {}
+    assert eng.uploads == {}
     eng.add_file(SUPERUSER, "f1", b"again")
     faults.forge(eng, ("SU", "f1", 1), user_identity("u2"))
     with pytest.raises(IntegrityError, match="by u2 on FK$"):
@@ -1361,6 +1363,34 @@ def test_fork_is_independent_of_original(binding):
     assert _record(eng) == _record(fork)
 
 
+def _containers(obj):
+    """The ids of every dict, set and list that ``obj``'s attributes hold,
+    and of every such container inside those (through tuples too)."""
+    ids, todo = set(), list(vars(obj).values())
+    while todo:
+        x = todo.pop()
+        if isinstance(x, dict):
+            todo += [*x.keys(), *x.values()]
+        elif isinstance(x, (set, frozenset, list, tuple)):
+            todo += x
+        else:
+            continue
+        if not isinstance(x, (frozenset, tuple)):
+            ids.add(id(x))
+    return ids
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_fork_shares_no_container(binding):
+    eng = seed_engine(FORK_START, binding)
+    eng.add_file("u1", "f3", b"uploaded")
+    eng.del_role("r2")
+    assert eng.uploads and eng.retired
+    fork = eng.fork()
+    for a, b in ((eng, fork), (eng.fs, fork.fs), (eng.provider, fork.provider)):
+        assert not _containers(a) & _containers(b), type(a).__name__
+
+
 # -- the administrator's record
 
 
@@ -1395,7 +1425,10 @@ def _record(eng):
 
 def _assert_record_agrees(eng):
     """The record holds exactly the UR and PA of ``eng.state()``, over the
-    engine's roles and files, and ``holders`` inverts ``ops``."""
+    engine's roles and files, and ``holders`` inverts ``ops``; the store
+    holds exactly the keys the record implies: an RK tuple for each member
+    and SU at the role's version, an FK tuple for each holder and SU at
+    every version of the file's key, and one F tuple per file."""
     state = eng.state()
     assert eng.members.keys() == eng.ops.keys() == eng.roles.keys()
     assert eng.holders.keys() == eng.files.keys()
@@ -1405,6 +1438,17 @@ def _assert_record_agrees(eng):
     assert {(r, fn) for r, fn, _ in pa} == {
         (r, fn) for fn, rs in eng.holders.items() for r in rs
     }
+    su = {SUPERUSER}
+    assert set(eng.fs.rk) == {
+        (m, r, rec.version)
+        for r, rec in eng.roles.items() for m in eng.members[r] | su
+    }
+    assert set(eng.fs.fk) == {
+        (h, fn, v)
+        for fn, n in eng.files.items() for h in eng.holders[fn] | su
+        for v in range(1, n + 1)
+    }
+    assert set(eng.fs.f) == set(eng.files)
 
 
 def _drive(rng, eng, steps):
@@ -1429,6 +1473,30 @@ def test_record_agrees_with_state(binding, seed):
     _drive(rng, fork, 200)
     assert eng.dump() == before
     assert _record(eng) == record
+
+
+class _StaleFkEngine(Engine):
+    """Deliberately broken: revoking a role's grant deletes its FK tuples
+    from version 2, so its key at version 1 stays in the store.  UR and PA,
+    read at current versions, never show it."""
+
+    def _revoke_perm_full(self, r, fn):
+        for v in range(2, self.files[fn] + 1):
+            self.fs.del_fk(r, fn, v)
+        del self.ops[r][fn]
+        self.holders[fn].discard(r)
+        self._issue_new_file_key(fn)
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+@pytest.mark.parametrize("seed", range(4))
+def test_record_check_sees_a_stale_fk_tuple(monkeypatch, binding, seed):
+    monkeypatch.setattr("rolecrypt.equivalence.Engine", _StaleFkEngine)
+    eng = seed_engine(FORK_START, binding)
+    _assert_record_agrees(eng)
+    with pytest.raises(AssertionError) as exc:
+        _drive(random.Random(seed), eng, 200)
+    assert "eng.fs.fk" in str(exc.traceback[-1].statement)
 
 
 # -- records
