@@ -280,9 +280,9 @@ class Engine:
         eng.provider, eng.fs = self.provider.fork(), self.fs.fork()
         for name, value in vars(self).items():
             if isinstance(value, dict):
-                setattr(eng, name, value | {
-                    k: v.copy() for k, v in value.items()
-                    if isinstance(v, (set, dict))
+                setattr(eng, name, {
+                    k: v.copy() if isinstance(v, (set, dict)) else v
+                    for k, v in value.items()
                 })
         return eng
 
