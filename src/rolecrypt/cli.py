@@ -280,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated scheme pairs, or 'all'",
     )
     p.add_argument(
-        "--out", default=os.environ.get("ROLECRYPT_OUT_DIR", "."),
-        help="output directory (default: $ROLECRYPT_OUT_DIR or .)",
+        "--out", default=".", help="output directory (default: .)",
     )
     p.add_argument(
         "--parallel", type=_at_least(int, 1), default=1,

@@ -24,18 +24,18 @@ raises ``IntegrityError`` where the record says it must be opened or
 verified, and is no matter where it would only be deleted; a tuple the
 record does not list is never read.
 
-The signed layout lives in one table, ``_SIGNED``: each tuple holds one
-body record, the term of every field its signer's signature covers, and
-that signature, made over the very body it holds (``t.sig.fields is
-t.fields``), so an honest verify ends at an identity check.  The body's
-type stands for the tuple's tag, and its fields name the store key the
-tuple belongs at.  A tuple read from the store must name the key it was
-read from, and an FK tuple the holder identity and the signer the engine
-expects, before its signature is checked: a validly signed tuple moved to
-another key (a swap), one naming a retired role version (a replay) or one
-signed by anyone but SU or, at version 1 of SU's key, the file's uploader
-(a forgery) raises ``IntegrityError`` instead of opening with the wrong
-key.
+Every stored tuple is one ``Signed`` record: a body record, the term of
+every field its signer's signature covers, and that signature, made over
+the very body it holds (``t.sig.fields is t.fields``), so an honest verify
+ends at an identity check.  The body's type names the tuple's kind: the
+one table ``_SIGNED`` maps it to the tuple's tag, its signer and the store
+key it belongs at, which its fields name.  A tuple read from the store
+must name the key it was read from (``_placed``, the one check of that),
+and an FK tuple the holder identity and the signer the engine expects,
+before its signature is checked: a validly signed tuple moved to another
+key (a swap), one naming a retired role version (a replay) or one signed
+by anyone but SU or, at version 1 of SU's key, the file's uploader (a
+forgery) raises ``IntegrityError`` instead of opening with the wrong key.
 
 One engine serves both crypto bindings.  The identity-based binding encrypts
 and verifies directly against identities; the conventional public-key binding
@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import copy
 from collections import namedtuple
-from dataclasses import fields
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -130,45 +129,53 @@ class FBody:
     writer: Identity  # the signer
 
 
-def _stored(name: str, body: type) -> type:
-    """The stored tuple ``name``: ``fields``, a ``body`` record, and ``sig``,
-    the signature over that very record.  Each body field reads through on
-    the tuple (``t.ct`` is ``t.fields.ct``)."""
-    ns = {f.name: property(attrgetter(f"fields.{f.name}")) for f in fields(body)}
-    ns.update(__module__=__name__, __qualname__=name,
-              __annotations__={"fields": body, "sig": SymbolicSignature})
-    return record(type(name, (), ns))
+@record
+class Signed:
+    """A stored tuple: its body record and ``sig``, the signature over that
+    very record.  The body's type names the tuple's kind."""
+
+    fields: object  # an RkBody, FkBody or FBody
+    sig: SymbolicSignature
 
 
-RkTuple = _stored("RkTuple", RkBody)  # signed by SU
-FkTuple = _stored("FkTuple", FkBody)  # signed by the issuer
-FTuple = _stored("FTuple", FBody)  # signed by the writer
+_Layout = namedtuple("_Layout", ("tag", "signer_of", "key_of"))
 
-_Layout = namedtuple("_Layout", ("tag", "body", "signer_of", "key_of"))
-
-#: Each stored tuple's tag, its body type, and the getters of its signer and
-#: of the store key it belongs at, both of which read the body.
+#: Each body type's tag, and the getters of its signer and of the store key
+#: its tuple belongs at, both of which read the body.
 _SIGNED = {
-    RkTuple: _Layout("RK", RkBody, lambda b: SU_IDENTITY,
-                     lambda b: (b.member.name, b.role.name, b.role.version)),
-    FkTuple: _Layout("FK", FkBody, attrgetter("issuer"),
-                     lambda b: (b.holder.name, b.fn, b.version)),
-    FTuple: _Layout("F", FBody, attrgetter("writer"), attrgetter("fn")),
+    RkBody: _Layout("RK", lambda b: SU_IDENTITY,
+                    lambda b: (b.member.name, b.role.name, b.role.version)),
+    FkBody: _Layout("FK", attrgetter("issuer"),
+                    lambda b: (b.holder.name, b.fn, b.version)),
+    FBody: _Layout("F", attrgetter("writer"), attrgetter("fn")),
 }
 
 
+def _placed(t: Signed, key) -> _Layout:
+    """``t``'s layout; raise unless ``t`` names the store ``key`` it was
+    read from."""
+    layout = _SIGNED[type(t.fields)]
+    named = layout.key_of(t.fields)
+    if named != key:
+        raise IntegrityError(
+            f"{layout.tag} tuple of {named!r} stored at {key!r}"
+        )
+    return layout
+
+
 class FileStore:
-    """The untrusted tuple store: the RK, FK and F maps, each tuple at the key
-    ``_SIGNED`` gives it.  It keeps no index; the engine finds every tuple it
-    needs from its own record.  Every put, and every delete of a stored tuple,
-    fires ``on_mutation(map, key)`` once, after the write (a replacement
-    counts once); deleting an absent tuple is a no-op.  The engine fires the
-    same hook for each edit of its record (see ``Engine``)."""
+    """The untrusted tuple store: the RK, FK and F maps of ``Signed``
+    tuples, each at the key ``_SIGNED`` gives its body.  It keeps no index;
+    the engine finds every tuple it needs from its own record.  Every put,
+    and every delete of a stored tuple, fires ``on_mutation(map, key)``
+    once, after the write (a replacement counts once); deleting an absent
+    tuple is a no-op.  The engine fires the same hook for each edit of its
+    record (see ``Engine``)."""
 
     def __init__(self) -> None:
-        self.rk: dict[tuple[str, str, int], RkTuple] = {}
-        self.fk: dict[tuple[str, str, int], FkTuple] = {}
-        self.f: dict[str, FTuple] = {}
+        self.rk: dict[tuple[str, str, int], Signed] = {}
+        self.fk: dict[tuple[str, str, int], Signed] = {}
+        self.f: dict[str, Signed] = {}
         self.on_mutation: Optional[Callable[[dict, object], None]] = None
 
     def fork(self) -> "FileStore":
@@ -182,8 +189,8 @@ class FileStore:
         if self.on_mutation is not None:
             self.on_mutation(store, key)
 
-    def _put(self, store: dict, t) -> None:
-        key = _SIGNED[type(t)].key_of(t.fields)
+    def _put(self, store: dict, t: Signed) -> None:
+        key = _SIGNED[type(t.fields)].key_of(t.fields)
         store[key] = t
         self._fire(store, key)
 
@@ -191,19 +198,19 @@ class FileStore:
         if store.pop(key, None) is not None:
             self._fire(store, key)
 
-    def put_rk(self, t: RkTuple) -> None:
+    def put_rk(self, t: Signed) -> None:
         self._put(self.rk, t)
 
     def del_rk(self, member: str, role: str, version: int) -> None:
         self._del(self.rk, (member, role, version))
 
-    def put_fk(self, t: FkTuple) -> None:
+    def put_fk(self, t: Signed) -> None:
         self._put(self.fk, t)
 
     def del_fk(self, holder: str, fn: str, version: int) -> None:
         self._del(self.fk, (holder, fn, version))
 
-    def put_f(self, t: FTuple) -> None:
+    def put_f(self, t: Signed) -> None:
         self._put(self.f, t)
 
     def del_f(self, fn: str) -> None:
@@ -310,11 +317,11 @@ class Engine:
             return self.su.ver_ref
         return None
 
-    def _signed(self, cls: type, sig_key: SymbolicKey, *values):
-        """A ``cls`` tuple of ``values``, signed under ``sig_key``: the
-        signature covers the tuple's own body record."""
-        body = _SIGNED[cls].body(*values)
-        return cls(body, self.provider.sign(sig_key, body))
+    def _signed(self, body_cls: type, sig_key: SymbolicKey, *values) -> Signed:
+        """The tuple of a ``body_cls`` body of ``values``, signed under
+        ``sig_key``: the signature covers that very body."""
+        body = body_cls(*values)
+        return Signed(body, self.provider.sign(sig_key, body))
 
     def _verify(self, t, key, holder: Optional[Identity] = None) -> None:
         """Raise unless ``t`` names the store ``key`` it was read from, names
@@ -322,12 +329,8 @@ class Engine:
         signature of the signer the record expects over its body.  An
         unknown or unexpected signer makes a bad signature, with no
         primitive run."""
-        tag, _, signer_of, key_of = _SIGNED[type(t)]
+        tag, signer_of, _ = _placed(t, key)
         body = t.fields
-        if key_of(body) != key:
-            raise IntegrityError(
-                f"{tag} tuple of {key_of(body)!r} stored at {key!r}"
-            )
         if holder is not None and (
             body.holder is not holder and body.holder != holder
         ):
@@ -395,13 +398,13 @@ class Engine:
         return [(key, self._get("FK", key)) for key in keys]
 
     def _issue_rk(self, member: Identity, role: Identity, ct) -> None:
-        self.fs.put_rk(self._signed(RkTuple, self.su.sig_key, member, role, ct))
+        self.fs.put_rk(self._signed(RkBody, self.su.sig_key, member, role, ct))
 
     def _issue_fk(
         self, holder: Identity, fn: str, op: str, version: int, ct
     ) -> None:
         self.fs.put_fk(self._signed(
-            FkTuple, self.su.sig_key, holder, fn, op, version, ct, SU_IDENTITY
+            FkBody, self.su.sig_key, holder, fn, op, version, ct, SU_IDENTITY
         ))
 
     def _edit(self, record: dict, name: str, value: object = None) -> None:
@@ -501,10 +504,10 @@ class Engine:
         wident = user_identity(uploader)
         k = self.provider.sym_gen()
         body_ct = self.provider.sym_enc(k, body)
-        ftup = self._signed(FTuple, ring.sig_key, fn, 1, body_ct, wident)
+        ftup = self._signed(FBody, ring.sig_key, fn, 1, body_ct, wident)
         kct = self.provider.enc(self.su.enc_ref, k)
         fktup = self._signed(
-            FkTuple, ring.sig_key, SU_IDENTITY, fn, RW, 1, kct, wident
+            FkBody, ring.sig_key, SU_IDENTITY, fn, RW, 1, kct, wident
         )
         self.uploads[fn] = wident, ring.ver_ref
         with self.provider.scope(REFERENCE_MONITOR):
@@ -540,7 +543,7 @@ class Engine:
         key = (SUPERUSER, r, v)
         sut = self._get("RK", key)
         self._verify(sut, key)
-        payload = self.provider.dec(self.su.dec_key, sut.ct)
+        payload = self.provider.dec(self.su.dec_key, sut.fields.ct)
         ct = self.provider.enc(self.users[u].enc_ref, payload)
         self._issue_rk(user_identity(u), role_identity(r, v), ct)
         self.members[r].add(u)
@@ -604,7 +607,7 @@ class Engine:
         ident, ref = self._wrap_target(dst)
         for key, old in self._fks(src, fn):
             self._verify(old, key, dec_key.owner)
-            k = self.provider.dec(dec_key, old.ct)
+            k = self.provider.dec(dec_key, old.fields.ct)
             ct = self.provider.enc(ref, k)
             self._issue_fk(ident, fn, op, key[2], ct)
 
@@ -613,7 +616,7 @@ class Engine:
         ident = self._wrap_target(r)[0]
         for key, old in self._fks(r, fn):
             self._verify(old, key, ident)
-            self._issue_fk(ident, fn, op, key[2], old.ct)
+            self._issue_fk(ident, fn, op, key[2], old.fields.ct)
         self.ops[r][fn] = op
 
     def assign_perm(self, r: str, fn: str, op: str) -> None:
@@ -674,14 +677,13 @@ class Engine:
         the F tuple."""
         self._require(verb, user=u, file=fn)
         write = verb == "write"
-        body = None
+        ft = None
         if write:
             version = self.files[fn]
         else:
-            body = self._get("F", fn)
-            if body.fn != fn:
-                raise IntegrityError(f"F tuple of {body.fn!r} stored at {fn!r}")
-            version = body.version
+            ft = self._get("F", fn)
+            _placed(ft, fn)
+            version = ft.fields.version
             if version != self.body_versions[fn]:
                 raise IntegrityError(f"replayed stale body of {fn!r}")
         roles = self._qualifying_roles(u, fn, RW if write else READ)
@@ -692,24 +694,24 @@ class Engine:
         rkt = self._get("RK", rk_key)
         self._verify(rkt, rk_key)
         _, role_dec, role_sig = self.provider.dec(
-            self.users[u].dec_key, rkt.ct
+            self.users[u].dec_key, rkt.fields.ct
         )
         fk_key = (r, fn, version)
         fkt = self._get("FK", fk_key)
         self._verify(fkt, fk_key, role_dec.owner)
-        k = self.provider.dec(role_dec, fkt.ct)
-        return r, role_sig, fkt, k, body
+        k = self.provider.dec(role_dec, fkt.fields.ct)
+        return r, role_sig, fkt, k, ft
 
     def read_file(self, u: str, fn: str) -> bytes:
         *_, k, ft = self._open_file_key("read", u, fn)
-        return self.provider.sym_dec(k, ft.body)
+        return self.provider.sym_dec(k, ft.fields.body)
 
     def write_file(self, u: str, fn: str, body: bytes) -> None:
         r, role_sig, fkt, k, _ = self._open_file_key("write", u, fn)
         vfn = self.files[fn]
         body_ct = self.provider.sym_enc(k, body)
         wident = self._wrap_target(r)[0]
-        ftup = self._signed(FTuple, role_sig, fn, vfn, body_ct, wident)
+        ftup = self._signed(FBody, role_sig, fn, vfn, body_ct, wident)
         with self.provider.scope(REFERENCE_MONITOR):
             self._verify(ftup, fn)
             self._verify(fkt, (r, fn, vfn), wident)
@@ -732,7 +734,7 @@ class Engine:
         if self.ops.get(r, {}).get(fn) != op:
             return False
         t = self._sound("FK", (r, fn, self.files[fn]), self._wrap_target(r)[0])
-        return t is not None and t.op == op
+        return t is not None and t.fields.op == op
 
     def query_auth(self, u: str, fn: str, op: str) -> bool:
         return fn in self.files and any(
@@ -754,7 +756,7 @@ class Engine:
             if m in self.users and r in roles and roles[r].version == v
         )
         pa = frozenset(
-            (h, fn, t.op)
+            (h, fn, t.fields.op)
             for (h, fn, v), t in self.fs.fk.items()
             if h != SUPERUSER and h in roles and files.get(fn) == v
         )

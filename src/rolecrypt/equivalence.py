@@ -135,13 +135,15 @@ def _entries(eng: Engine) -> list[tuple[tuple, list]]:
     for fn in eng.files:
         out.append((("P", fn), []))
     for (m, rn, _v), t in eng.fs.rk.items():
-        out.append(_entry(("RK", m, rn), t.ct, t.sig))
+        out.append(_entry(("RK", m, rn), t.fields.ct, t.sig))
     for (h, fn, v), t in eng.fs.fk.items():
         if v != eng.files.get(fn):
             continue  # superseded file-key versions do not count
-        out.append(_entry(("FK", h, fn), t.op, t.ct, t.issuer, t.sig))
+        b = t.fields
+        out.append(_entry(("FK", h, fn), b.op, b.ct, b.issuer, t.sig))
     for fn, t in eng.fs.f.items():
-        out.append(_entry(("F", fn), t.body.payload, t.writer, t.sig))
+        b = t.fields
+        out.append(_entry(("F", fn), b.body.payload, b.writer, t.sig))
     return out
 
 
@@ -339,7 +341,7 @@ class _EngineView:
         t = None
         if v is not None and h in eng.roles:
             t = eng.fs.fk.get((h, fn, v))
-        now = None if t is None else t.op
+        now = None if t is None else t.fields.op
         ops = self.pa_ops.get(h, _NO_OPS)
         if now == ops.get(fn):
             return ()

@@ -31,8 +31,8 @@ KINDS = ("tamper", "drop", "replay", "swap", "replay_same", "forge")
 GHOST = user_identity("ghost")  # a signer no engine knows
 #: each tag's signed fields: the fields of its body record
 FIELDS = {
-    layout.tag: [f.name for f in dataclasses.fields(layout.body)]
-    for layout in _SIGNED.values()
+    layout.tag: [f.name for f in dataclasses.fields(body)]
+    for body, layout in _SIGNED.items()
 }
 
 
@@ -123,7 +123,9 @@ class History:
                 cur = stored(eng, tag).get(key)
                 for t in self.held[tag][key]:
                     if cur is None or (tag == "F" and t != cur):
-                        same = cur is not None and t.version == cur.version
+                        same = cur is not None and (
+                            t.fields.version == cur.fields.version
+                        )
                         if same == same_version:
                             out.append((tag, key, t))
         return out
@@ -166,6 +168,6 @@ def draw(rng, eng, history, kind):
     if kind == "drop":
         return (kind, tag, key), lambda e: drop(e, tag, key)
     field = rng.choice(FIELDS[tag])
-    value = rng.choice(others(getattr(stored(eng, tag)[key], field)))
+    value = rng.choice(others(getattr(stored(eng, tag)[key].fields, field)))
     desc = (kind, tag, key, field, repr(value))
     return desc, lambda e: tamper(e, tag, key, field, value)

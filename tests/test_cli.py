@@ -249,6 +249,18 @@ def test_simulate_bundled_name_twice_into_a_directory_of_that_name(
     assert (tmp_path / "healthcare" / "runs.csv").read_bytes() == first
 
 
+def test_simulate_writes_into_the_working_directory_by_default(
+    tmp_path, monkeypatch
+):
+    # no environment variable moves the default output directory
+    elsewhere = tmp_path / "elsewhere"
+    monkeypatch.setenv("ROLECRYPT_OUT_DIR", str(elsewhere))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--dataset", "healthcare", "--runs", "1"]) == 0
+    assert (tmp_path / "runs.csv").exists()
+    assert not elsewhere.exists()
+
+
 def test_simulate_both_variants_with_events(tmp_path):
     rc = main([
         "simulate", "--dataset", "healthcare", "--runs", "1", "--seed", "5",

@@ -154,7 +154,9 @@ def test_congruence_sees_shared_keys(binding):
     a, b = sigma(SMALL, binding), sigma(SMALL, binding)
     t = b.fs.fk[("r1", "f1", 1)]
     ct = b.provider.enc(b.roles["r1"].keys.enc_ref, b.provider.sym_gen())
-    b._issue_fk(t.holder, t.fn, t.op, t.version, ct)
+    b._issue_fk(
+        t.fields.holder, t.fields.fn, t.fields.op, t.fields.version, ct
+    )
     assert congruent(a, sigma(SMALL, binding))
     assert not congruent(a, b)
 
@@ -513,8 +515,8 @@ class _StaleRewrapEngine(Engine):
         ident = self._wrap_target(dst)[0]
         for key, old in self._fks(src, fn):
             self._verify(old, key, dec_key.owner)
-            k = self.provider.dec(dec_key, old.ct)
-            ct = self.provider.enc(old.ct.recipient, k)
+            k = self.provider.dec(dec_key, old.fields.ct)
+            ct = self.provider.enc(old.fields.ct.recipient, k)
             self._issue_fk(ident, fn, op, key[2], ct)
 
 

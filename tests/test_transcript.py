@@ -140,7 +140,7 @@ def _transcript(binding):
                 tally[kind] += 1
                 tally[kind, "raised"] += result[0] not in DONE
                 if probe[0][0] == "read" and result[0] == "applied":
-                    body = eng.fs.f[probe[0][2]].body.payload
+                    body = eng.fs.f[probe[0][2]].fields.body.payload
                     tally[kind, "other body"] += result[-1] != body
     return records, tally
 
