@@ -1472,12 +1472,12 @@ def _assert_record_agrees(eng):
         for v in range(1, n + 1)
     }
     assert set(eng.fs.f) == set(eng.files)
-    for (m, r, v), t in eng.fs.rk.items():
+    for (_, r, _), t in eng.fs.rk.items():
         keys = eng.roles[r].keys
         assert t.fields.ct.payload == ("role-keys", keys.dec_key, keys.sig_key)
     for (h, fn, v), t in eng.fs.fk.items():
-        fk, su = t.fields, eng.fs.fk[(SUPERUSER, fn, v)].fields
-        assert fk.ct.payload == su.ct.payload, (h, fn, v)
+        fk, su_fk = t.fields, eng.fs.fk[(SUPERUSER, fn, v)].fields
+        assert fk.ct.payload == su_fk.ct.payload, (h, fn, v)
         assert (fk.op, fk.holder, fk.issuer) == (
             RW if h == SUPERUSER else eng.ops[h][fn],
             eng._wrap_target(h)[0], eng._fk_signer((h, fn, v)),
@@ -1544,7 +1544,7 @@ def test_record_check_sees_a_split_file_key(monkeypatch, binding, seed):
     _assert_record_agrees(eng)
     with pytest.raises(AssertionError) as exc:
         _drive(random.Random(seed), eng, 200)
-    assert "su.ct.payload" in str(exc.traceback[-1].statement)
+    assert "su_fk.ct.payload" in str(exc.traceback[-1].statement)
 
 
 # -- records
