@@ -28,10 +28,9 @@ from __future__ import annotations
 import operator
 import struct
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
 INVOKER = "invoker"
 REFERENCE_MONITOR = "reference_monitor"
@@ -78,8 +77,8 @@ def record(cls: type, checked: bool = False) -> type:
             env[f"_default_{n}"] = f.default
             params.append(f"{n}=_default_{n}")
         if checked:
-            body.append(f"if type({n}) not in _SETTLED and not (type({n}) "
-                        f"is str and {n}.isascii()): {n} = _frozen({n})")
+            body.append(f"_t = type({n})\n  if (not {n}.isascii()) if _t is "
+                        f"str else _t not in _SETTLED: {n} = _frozen({n})")
         body.append(f"_set_{n}(self, {n})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
@@ -390,16 +389,11 @@ class CryptoProvider:
 
     # -- scopes and accounting
 
-    @contextmanager
-    def scope(self, principal: str) -> Iterator[None]:
+    def scope(self, principal: str) -> "_Swap":
+        """A context that charges ``principal`` for the primitives inside."""
         if principal not in PRINCIPALS:
             raise ValueError(f"unknown principal {principal!r}")
-        saved = self.principal
-        self.principal, self._tally = principal, self._tallies[principal]
-        try:
-            yield
-        finally:
-            self.principal, self._tally = saved, self._tallies[saved]
+        return _Swap(self, principal)
 
     def snapshot(self) -> CostVector:
         return _vector(self._tallies)
@@ -434,10 +428,29 @@ class CryptoProvider:
 
     def sym_dec(self, key: SymbolicKey, ct: SymbolicCiphertext) -> object:
         self._tally["sym_dec"] += 1
-        if ct.alg != "sym" or key != ct.recipient:
+        if ct.alg != "sym" or key is not ct.recipient and key != ct.recipient:
             self.unauthorized_events.append(("sym_dec", key, ct))
             raise UnauthorizedDecrypt("wrong symmetric key")
         return ct.payload
+
+
+class _Swap:
+    """``CryptoProvider.scope``'s context: entering and leaving each swap the
+    provider's principal with the one held here (a generator would cost
+    more than a primitive per upload check)."""
+
+    __slots__ = ("provider", "principal")
+
+    def __init__(self, provider: CryptoProvider, principal: str) -> None:
+        self.provider, self.principal = provider, principal
+
+    def __enter__(self) -> None:
+        p = self.provider
+        p.principal, self.principal = self.principal, p.principal
+        p._tally = p._tallies[p.principal]
+
+    def __exit__(self, *exc) -> None:
+        self.__enter__()
 
 
 class IbeProvider(CryptoProvider):
@@ -461,7 +474,8 @@ class IbeProvider(CryptoProvider):
 
     def dec(self, key: SymbolicKey, ct: SymbolicCiphertext) -> object:
         self._tally["ibe_dec"] += 1
-        if ct.alg != "ibe" or key.alg != "ibe-dec" or key.owner != ct.recipient:
+        ok = ct.alg == "ibe" and key.alg == "ibe-dec"
+        if not ok or key.owner is not ct.recipient and key.owner != ct.recipient:
             self.unauthorized_events.append(("ibe_dec", key, ct))
             raise UnauthorizedDecrypt(
                 f"key for {key.owner} cannot open ciphertext to {ct.recipient}"

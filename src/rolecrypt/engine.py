@@ -30,7 +30,7 @@ the very body it holds (``t.sig.fields is t.fields``), so an honest verify
 ends at an identity check.  The body's type names the tuple's kind: the
 one table ``_SIGNED`` maps it to the tuple's tag, its signer and the store
 key it belongs at, which its fields name.  A tuple read from the store
-must name the key it was read from (``_placed``, the one check of that),
+must name the key it was read from (``_placed``, inline in ``_verify``),
 and an FK tuple the holder identity and the signer the engine expects,
 before its signature is checked: a validly signed tuple moved to another
 key (a swap), one naming a retired role version (a replay) or one signed
@@ -153,7 +153,7 @@ _SIGNED = {
 
 def _placed(t: Signed, key) -> _Layout:
     """``t``'s layout; raise unless ``t`` names the store ``key`` it was
-    read from."""
+    read from.  ``Engine._verify`` repeats this inline, once per tuple."""
     layout = _SIGNED[type(t.fields)]
     named = layout.key_of(t.fields)
     if named != key:
@@ -165,32 +165,36 @@ def _placed(t: Signed, key) -> _Layout:
 
 class FileStore:
     """The untrusted tuple store: the RK, FK and F maps of ``Signed``
-    tuples, each at the key ``_SIGNED`` gives its body.  It keeps no index;
-    the engine finds every tuple it needs from its own record.  Every put,
-    and every delete of a stored tuple, fires ``on_mutation(map, key)``
-    once, after the write (a replacement counts once); deleting an absent
-    tuple is a no-op.  The engine fires the same hook for each edit of its
-    record (see ``Engine``)."""
+    tuples, each at the key ``_SIGNED`` gives its body, and ``maps`` from
+    each tag to its map.  It keeps no index; the engine finds every tuple it
+    needs from its own record.  Every put, and every delete of a stored
+    tuple, fires ``on_mutation(map, key)`` once, after the write (a
+    replacement counts once); deleting an absent tuple is a no-op.  The
+    engine fires the same hook for each edit of its record (see
+    ``Engine``)."""
 
     def __init__(self) -> None:
         self.rk: dict[tuple[str, str, int], Signed] = {}
         self.fk: dict[tuple[str, str, int], Signed] = {}
         self.f: dict[str, Signed] = {}
+        self.maps = {"RK": self.rk, "FK": self.fk, "F": self.f}
         self.on_mutation: Optional[Callable[[dict, object], None]] = None
 
     def fork(self) -> "FileStore":
         """An independent store holding the same (shared, immutable) tuples:
-        the maps are copied; ``on_mutation`` is not."""
+        the maps are copied into its own table; ``on_mutation`` is not."""
         fs = FileStore()
-        fs.rk, fs.fk, fs.f = dict(self.rk), dict(self.fk), dict(self.f)
+        for tag, store in self.maps.items():
+            fs.maps[tag].update(store)
         return fs
 
     def _fire(self, store: dict, key) -> None:
         if self.on_mutation is not None:
             self.on_mutation(store, key)
 
-    def _put(self, store: dict, t: Signed) -> None:
-        key = _SIGNED[type(t.fields)].key_of(t.fields)
+    def _put(self, store: dict, t: Signed, key=None) -> None:
+        if key is None:  # the caller did not know it: the body names it
+            key = _SIGNED[type(t.fields)].key_of(t.fields)
         store[key] = t
         self._fire(store, key)
 
@@ -198,14 +202,14 @@ class FileStore:
         if store.pop(key, None) is not None:
             self._fire(store, key)
 
-    def put_rk(self, t: Signed) -> None:
-        self._put(self.rk, t)
+    def put_rk(self, t: Signed, key=None) -> None:
+        self._put(self.rk, t, key)
 
     def del_rk(self, member: str, role: str, version: int) -> None:
         self._del(self.rk, (member, role, version))
 
-    def put_fk(self, t: Signed) -> None:
-        self._put(self.fk, t)
+    def put_fk(self, t: Signed, key=None) -> None:
+        self._put(self.fk, t, key)
 
     def del_fk(self, holder: str, fn: str, version: int) -> None:
         self._del(self.fk, (holder, fn, version))
@@ -242,12 +246,13 @@ class Engine:
     """One mutable enforcement state driven by a single logical thread.
 
     The administrator keeps UR and PA as it issued them: ``members`` (role ->
-    users), ``ops`` (role -> file -> op) and ``holders`` (file -> roles).
-    Every decision, and every tuple an operation re-keys, opens or deletes,
-    comes from that record, walked in sorted order, never from what the
-    store lists.  SU holds an RK tuple of every role and an RW key of every
-    file, and a holder of a file holds its key at every version from 1 to
-    ``files[fn]``.
+    users), ``ops`` (role -> file -> op) and ``holders`` (file -> roles),
+    with ``roles_of`` (user -> roles), the inverse of ``members`` over every
+    user, kept beside them for the access rule.  Every decision, and every
+    tuple an operation re-keys, opens or deletes, comes from that record,
+    walked in sorted order, never from what the store lists.  SU holds an
+    RK tuple of every role and an RW key of every file, and a holder of a
+    file holds its key at every version from 1 to ``files[fn]``.
 
     Each edit of ``users`` (a user added or deleted), ``roles`` (a role
     added, deleted or re-keyed to its next version) or ``files`` (a file
@@ -270,6 +275,7 @@ class Engine:
         self.members: dict[str, set[str]] = {}
         self.ops: dict[str, dict[str, str]] = {}
         self.holders: dict[str, set[str]] = {}
+        self.roles_of: dict[str, set[str]] = {}
         # file -> version of the last body the reference monitor accepted
         self.body_versions: dict[str, int] = {}
         # file -> (who signed its v1 key, what their signature verifies against)
@@ -313,9 +319,7 @@ class Engine:
         if ident.kind == "user":
             who, ref = self.uploads.get(body.fn, (None, None))
             return ref if who == ident else None
-        if ident is SU_IDENTITY or ident == SU_IDENTITY:
-            return self.su.ver_ref
-        return None
+        return self.su.ver_ref if ident == SU_IDENTITY else None
 
     def _signed(self, body_cls: type, sig_key: SymbolicKey, *values) -> Signed:
         """The tuple of a ``body_cls`` body of ``values``, signed under
@@ -329,8 +333,11 @@ class Engine:
         signature of the signer the record expects over its body.  An
         unknown or unexpected signer makes a bad signature, with no
         primitive run."""
-        tag, signer_of, _ = _placed(t, key)
         body = t.fields
+        tag, signer_of, key_of = _SIGNED[type(body)]
+        named = key_of(body)
+        if named != key:
+            raise IntegrityError(f"{tag} tuple of {named!r} stored at {key!r}")
         if holder is not None and (
             body.holder is not holder and body.holder != holder
         ):
@@ -339,25 +346,28 @@ class Engine:
             )
         signer = signer_of(body)
         if tag == "FK":
-            expected = self._fk_signer(key)
+            expected, ref = self._fk_signer(key)
             if signer is not expected and signer != expected:
-                raise IntegrityError(f"bad signature by {signer} on {tag}")
-        ref = self._ver_ref_of(signer, body)
+                ref = None
+        elif signer is SU_IDENTITY:
+            ref = self.su.ver_ref
+        else:
+            ref = self._ver_ref_of(signer, body)
         if ref is None or not self.provider.verify(ref, body, t.sig):
             raise IntegrityError(f"bad signature by {signer} on {tag}")
 
-    def _fk_signer(self, key) -> Identity:
-        """Who issues the FK tuple at ``key``: SU, but the uploader at
-        version 1 of SU's own key of a file a user uploaded."""
+    def _fk_signer(self, key) -> tuple[Identity, object]:
+        """Who issues the FK tuple at ``key``, and what their signature
+        verifies against: SU, but the uploader at version 1 of SU's own key
+        of a file a user uploaded."""
         h, fn, v = key
-        if h == SUPERUSER and v == 1 and fn in self.uploads:
-            return self.uploads[fn][0]
-        return SU_IDENTITY
+        up = h == SUPERUSER and v == 1 and self.uploads.get(fn)
+        return up or (SU_IDENTITY, self.su.ver_ref)
 
     def _get(self, tag: str, key):
         """The stored ``tag`` tuple at ``key``, which the record says was
         issued; a store that withholds it raises ``IntegrityError``."""
-        t = getattr(self.fs, tag.lower()).get(key)
+        t = self.fs.maps[tag].get(key)
         if t is None:
             raise IntegrityError(f"missing {tag} tuple at {key!r}")
         return t
@@ -398,14 +408,15 @@ class Engine:
         return [(key, self._get("FK", key)) for key in keys]
 
     def _issue_rk(self, member: Identity, role: Identity, ct) -> None:
-        self.fs.put_rk(self._signed(RkBody, self.su.sig_key, member, role, ct))
+        t = self._signed(RkBody, self.su.sig_key, member, role, ct)
+        self.fs.put_rk(t, (member.name, role.name, role.version))
 
     def _issue_fk(
         self, holder: Identity, fn: str, op: str, version: int, ct
     ) -> None:
         self.fs.put_fk(self._signed(
             FkBody, self.su.sig_key, holder, fn, op, version, ct, SU_IDENTITY
-        ))
+        ), (holder.name, fn, version))
 
     def _edit(self, record: dict, name: str, value: object = None) -> None:
         """Set ``record[name]`` to ``value``, or delete it when ``value`` is
@@ -456,6 +467,7 @@ class Engine:
             self._warn(f"addU: {u!r} exists")
             return
         self._edit(self.users, u, self._mint_keyring(user_identity(u)))
+        self.roles_of[u] = set()
 
     def del_user(self, u: str) -> None:
         if u not in self.users:
@@ -463,6 +475,7 @@ class Engine:
             return
         for r in sorted(r for r, ms in self.members.items() if u in ms):
             self._revoke_user_inner(u, r)
+        del self.roles_of[u]
         self._edit(self.users, u)
 
     def add_role(self, r: str) -> None:
@@ -489,7 +502,8 @@ class Engine:
         self._edit(self.roles, r)
         for m in self._rk_holders(r):
             self.fs.del_rk(m, r, v)
-        del self.members[r]
+        for m in self.members.pop(r):
+            self.roles_of[m].discard(r)
         for fn in sorted(self.ops[r]):
             self._revoke_perm_full(r, fn)
         del self.ops[r]
@@ -547,6 +561,7 @@ class Engine:
         ct = self.provider.enc(self.users[u].enc_ref, payload)
         self._issue_rk(user_identity(u), role_identity(r, v), ct)
         self.members[r].add(u)
+        self.roles_of[u].add(r)
 
     def revoke_user(self, u: str, r: str) -> None:
         self._require("revokeU", user=u, role=r)
@@ -575,6 +590,7 @@ class Engine:
         for m in holders:
             self.fs.del_rk(m, r, v)
         self.members[r].discard(u)
+        self.roles_of[u].discard(r)
 
     def _wrap_target(self, h: str) -> tuple[Identity, object]:
         """The identity an FK tuple for holder ``h`` names and the reference
@@ -665,8 +681,8 @@ class Engine:
         """The roles, in sorted order, through which the record grants ``u``
         ``op`` on ``fn``: the engine's one access rule."""
         return sorted(
-            r for r in self.holders[fn]
-            if u in self.members[r] and grants(self.ops[r][fn], op)
+            r for r in self.holders[fn].intersection(self.roles_of.get(u, ()))
+            if grants(self.ops[r][fn], op)
         )
 
     def _open_file_key(self, verb: str, u: str, fn: str):

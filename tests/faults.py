@@ -143,7 +143,7 @@ def draw(rng, eng, history, kind):
         signers = [user_identity(u) for u in sorted(eng.users)] + [
             role_identity(r, rec.version) for r, rec in sorted(eng.roles.items())
         ]
-        signers = [s for s in signers if s != eng._fk_signer(key)]
+        signers = [s for s in signers if s != eng._fk_signer(key)[0]]
         if not signers:
             return None
         signer = rng.choice(signers)

@@ -21,6 +21,7 @@ from rolecrypt.crypto import (
     INVOKER,
     REFERENCE_MONITOR,
     SU_IDENTITY,
+    CostVector,
     Identity,
     SymbolicKey,
     UnauthorizedDecrypt,
@@ -47,6 +48,7 @@ from rolecrypt.rbac import (
     RbacError,
     RbacState,
     eval_query,
+    grants,
 )
 from rolecrypt.rbac import apply_label as oracle_apply
 from rolecrypt.rbac import theory as oracle_theory
@@ -560,34 +562,139 @@ def test_su_key_at_version_1_is_signed_by_its_uploader(binding):
         eng.assign_perm("r1", "f1", READ)
 
 
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_only_known_signers_have_a_verify_ref(binding):
+    # SU, by its interned identity or an equal one, the uploader of the
+    # body's file and a role's current version verify; a superuser-kind
+    # identity that is not SU, or a user the record never saw upload, has
+    # nothing to verify against, so ``_verify`` refuses its tuple with no
+    # primitive run
+    eng = engine_with(users=["u1", "u2"], roles=["r1"], binding=binding)
+    eng.add_file("u1", "f1", b"uploaded")
+    t = eng.fs.f["f1"]
+    ref = eng._ver_ref_of
+    assert ref(SU_IDENTITY, t.fields) is eng.su.ver_ref
+    assert ref(Identity("superuser", "SU"), t.fields) is eng.su.ver_ref
+    assert ref(user_identity("u1"), t.fields) is eng.users["u1"].ver_ref
+    assert ref(role_identity("r1", 1), t.fields) is (
+        eng.roles["r1"].keys.ver_ref
+    )
+    for stranger in (
+        Identity("superuser", "X"), user_identity("u2"), faults.GHOST,
+        role_identity("r9", 1),
+    ):
+        assert ref(stranger, t.fields) is None
+        forged = faults.altered(t, "writer", stranger)
+        before = eng.provider.snapshot()
+        with pytest.raises(IntegrityError) as exc:
+            eng._verify(forged, "f1")
+        assert str(exc.value) == f"bad signature by {stranger} on F"
+        assert eng.provider.snapshot() == before
+
+
 def _stored_tuples(eng):
     return [t for tag in faults.FIELDS for t in faults.stored(eng, tag).values()]
 
 
-@pytest.mark.parametrize("binding", sorted(BINDINGS))
-def test_every_stored_tuple_is_signed_over_its_own_body(binding):
-    # the firewall1 seed, then a revokeU, a revokeP and a write on a role
-    # with few files: each tuple's signature holds the very body it shows
+def _firewall1(binding):
+    """The seeded firewall1 engine, a role with members and few files, its
+    least file and its least member."""
     ds = synthesize_dataset("firewall1", random.Random(derive_seed(0, -1)))
     eng = seed_engine(ds, binding)
     r = min(
         (r for r in eng.roles if eng.members[r] and eng.ops[r]),
         key=lambda r: (len(eng.ops[r]), r),
     )
-    fn, u = min(eng.ops[r]), min(eng.members[r])
+    return eng, r, min(eng.ops[r]), min(eng.members[r])
+
+
+def _rw_pair(eng, r):
+    """The least (member, file) pair through which ``r`` grants a write."""
+    return next(
+        (m, f) for f, op in sorted(eng.ops[r].items()) if op == RW
+        for m in sorted(eng.members[r])
+    )
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_every_stored_tuple_is_signed_over_its_own_body(binding):
+    # the firewall1 seed, then a revokeU, a revokeP and a write on a role
+    # with few files: each tuple's signature holds the very body it shows
+    eng, r, fn, u = _firewall1(binding)
     for step in (
         lambda: None,
         lambda: eng.revoke_user(u, r),
         lambda: eng.revoke_perm(r, fn, RW),
-        lambda: eng.write_file(*next(
-            (m, f) for f, op in sorted(eng.ops[r].items()) if op == RW
-            for m in sorted(eng.members[r])
-        ), b"written"),
+        lambda: eng.write_file(*_rw_pair(eng, r), b"written"),
     ):
         step()
         ts = _stored_tuples(eng)
         assert len(ts) > 5000
         assert all(t.sig.fields is t.fields for t in ts)
+
+
+def _work(invoker, monitor=None):
+    return CostVector({
+        **{(INVOKER, op): n for op, n in invoker.items()},
+        **{(REFERENCE_MONITOR, op): n for op, n in (monitor or {}).items()},
+    })
+
+
+#: The primitives of the firewall1 seed, then of one revokeU, one revokeP,
+#: one read and one write on it, chosen as in the test above, in the
+#: identity-based names.  An engine change that leaves them must add or drop
+#: no primitive.
+FIREWALL1_WORK = {
+    "seed": _work(dict(
+        ibe_dec=4585, ibe_enc=5354, ibe_keygen=426, ibs_keygen=426,
+        ibs_sign=6063, ibs_ver=4585, sym_enc=709, sym_gen=709,
+    ), dict(ibs_ver=1418)),
+    "revokeU": _work(dict(
+        ibe_dec=8, ibe_enc=147, ibe_keygen=1, ibs_keygen=1, ibs_sign=147,
+        ibs_ver=147, sym_gen=8,
+    )),
+    "revokeP": _work(dict(ibe_enc=8, ibs_sign=8, ibs_ver=8, sym_gen=1)),
+    "read": _work(dict(ibe_dec=2, ibs_ver=2, sym_dec=1)),
+    "write": _work(
+        dict(ibe_dec=2, ibs_sign=1, ibs_ver=2, sym_enc=1), dict(ibs_ver=2)
+    ),
+}
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_dataset_scale_work_is_pinned(binding):
+    eng, r, fn, u = _firewall1(binding)
+    work = {"seed": eng.provider.snapshot()}
+    work["revokeU"] = measure(eng, eng.revoke_user, u, r)[0]
+    work["revokeP"] = measure(eng, eng.revoke_perm, r, fn, RW)[0]
+    m, f = _rw_pair(eng, r)
+    work["read"] = measure(eng, eng.read_file, m, f)[0]
+    work["write"] = measure(eng, eng.write_file, m, f, b"written")[0]
+    names = IBE_TO_PKI if binding == "pki" else {}
+    assert work == {k: v.renamed(names) for k, v in FIREWALL1_WORK.items()}
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_access_rule_matches_a_scan_of_the_holders(binding):
+    # after a revokeU and a delR of the role with most members, the rule's
+    # walk of each user's roles answers what a scan of every holder of the
+    # file answers, for every user, file and op
+    eng, r, _, u = _firewall1(binding)
+    eng.revoke_user(u, r)
+    eng.del_role(max(eng.roles, key=lambda h: (len(eng.members[h]), h)))
+    granted = 0
+    for fn in sorted(eng.files):
+        for op in (READ, RW):
+            scan = {}
+            for h in sorted(eng.holders[fn]):
+                if grants(eng.ops[h][fn], op):
+                    for m in eng.members[h]:
+                        scan.setdefault(m, []).append(h)
+            for u in sorted(eng.users):
+                roles = eng._qualifying_roles(u, fn, op)
+                assert roles == scan.get(u, []), (u, fn, op)
+                granted += bool(roles)
+    assert granted > 10000
 
 
 @pytest.mark.parametrize("binding", sorted(BINDINGS))
@@ -714,6 +821,34 @@ def test_dropped_tuple_raises_integrity_error(binding, case):
     assert eng.provider.snapshot() == before
     assert not fk_versions(eng, "r2", "f1")
     assert ("u1", "r2", 1) not in eng.fs.rk
+
+
+@pytest.mark.parametrize("binding", sorted(BINDINGS))
+def test_checked_fetch_reads_its_own_store(binding):
+    # the fetch finds each tag's map through the store's table: a fork's
+    # fetch reads the fork's maps, so a tuple withheld from the fork is
+    # missing there, with the wording the transcript pins, and not from
+    # the original; a tuple put into the fork only is what the fork reads
+    eng = engine_with(
+        users=["u1"], roles=["r1"], files=["f1"],
+        ur=[("u1", "r1")], pa=[("r1", "f1", RW)], binding=binding,
+    )
+    fetched = {
+        "RK": (("u1", "r1", 1), "rk"), "FK": (("r1", "f1", 1), "fk"),
+        "F": ("f1", "f"),
+    }
+    for tag, (key, attr) in fetched.items():
+        t = getattr(eng.fs, attr)[key]
+        fork = eng.fork()
+        assert eng._get(tag, key) is fork._get(tag, key) is t
+        faults.drop(fork, tag, key)
+        with pytest.raises(IntegrityError) as exc:
+            fork._get(tag, key)
+        assert str(exc.value) == f"missing {tag} tuple at {key!r}"
+        assert eng._get(tag, key) is t
+        twin = type(t)(dataclasses.replace(t.fields), t.sig)
+        faults.replay(fork, tag, twin)
+        assert fork._get(tag, key) is twin and eng._get(tag, key) is t
 
 
 @pytest.mark.parametrize("binding", sorted(BINDINGS))
@@ -1439,19 +1574,20 @@ def _random_label(rng, eng, n):
 
 def _record(eng):
     """The engine's record of UR and PA, as plain maps."""
-    return eng.members, eng.ops, eng.holders
+    return eng.members, eng.ops, eng.holders, eng.roles_of
 
 
 def _assert_record_agrees(eng):
     """The record holds exactly the UR and PA of ``eng.state()``, over the
-    engine's roles and files, and ``holders`` inverts ``ops``; the store
-    holds exactly the keys the record implies: an RK tuple for each member
-    and SU at the role's version, an FK tuple for each holder and SU at
-    every version of the file's key, and one F tuple per file.  Each tuple
-    holds what the record implies: an RK tuple wraps its role's current
-    keys; an FK tuple wraps SU's key at its version, with the op the record
-    grants, its holder's current identity and its expected issuer; an F
-    tuple sits at the version of the last body accepted."""
+    engine's roles and files, ``holders`` inverts ``ops`` and ``roles_of``
+    inverts ``members`` over every user; the store holds exactly the keys
+    the record implies: an RK tuple for each member and SU at the role's
+    version, an FK tuple for each holder and SU at every version of the
+    file's key, and one F tuple per file.  Each tuple holds what the record
+    implies: an RK tuple wraps its role's current keys; an FK tuple wraps
+    SU's key at its version, with the op the record grants, its holder's
+    current identity and its expected issuer; an F tuple sits at the
+    version of the last body accepted."""
     state = eng.state()
     assert eng.members.keys() == eng.ops.keys() == eng.roles.keys()
     assert eng.holders.keys() == eng.files.keys()
@@ -1460,6 +1596,9 @@ def _assert_record_agrees(eng):
     assert (ur, pa) == (state.ur, state.pa)
     assert {(r, fn) for r, fn, _ in pa} == {
         (r, fn) for fn, rs in eng.holders.items() for r in rs
+    }
+    assert eng.roles_of == {
+        u: {r for r, ms in eng.members.items() if u in ms} for u in eng.users
     }
     su = {SUPERUSER}
     assert set(eng.fs.rk) == {
@@ -1480,7 +1619,7 @@ def _assert_record_agrees(eng):
         assert fk.ct.payload == su_fk.ct.payload, (h, fn, v)
         assert (fk.op, fk.holder, fk.issuer) == (
             RW if h == SUPERUSER else eng.ops[h][fn],
-            eng._wrap_target(h)[0], eng._fk_signer((h, fn, v)),
+            eng._wrap_target(h)[0], eng._fk_signer((h, fn, v))[0],
         )
     for fn, t in eng.fs.f.items():
         assert t.fields.version == eng.body_versions[fn]

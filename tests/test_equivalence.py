@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import faults
 import rolecrypt.equivalence as eqv
 import whole_state
-from rolecrypt.crypto import role_identity
+from rolecrypt.crypto import CostVector, role_identity
 from rolecrypt.engine import Engine, FileStore
 from rolecrypt.equivalence import (
     TraceBuilder,
@@ -308,6 +308,29 @@ def test_lockstep_holds_no_versions_without_costs(binding):
         assert lock.step(lbl) is None
     assert eng.files == {"f": 2}
     assert lock.versions is None
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_lockstep_duplicate_assign_user_is_a_free_no_op(binding):
+    # the model's duplicate-assignU branch: the step passes, each side warns
+    # once, nothing is spent or priced, and the engine's user -> roles
+    # record is as it was
+    eng = Engine(binding)
+    lock = eqv.Lockstep(eng)
+    twice = Label("assignU", user="u", role="r")
+    for lbl in [Label("addU", user="u"), Label("addR", role="r"), twice]:
+        assert lock.step(lbl) is None
+    said = []
+    assert apply_label(lock.state, twice, on_warning=said.append) is (
+        lock.state
+    )
+    warnings, spent = eng.warnings, eng.provider.snapshot()
+    assert lock.step(twice) is None
+    assert said == ["assignU: 'u' already in 'r'"]
+    assert eng.warnings == warnings + 1
+    assert eng.provider.snapshot() == spent
+    assert lock.price == CostVector()
+    assert eng.roles_of == {"u": {"r"}}
 
 
 @pytest.mark.parametrize("binding", ["ibe", "pki"])
