@@ -61,7 +61,8 @@ def record(cls: type, checked: bool = False) -> type:
     """``dataclass(frozen=True, slots=True)`` with an ``__init__`` that sets
     each slot through its member descriptor rather than through
     ``object.__setattr__``, at about half the cost; the signature, the
-    defaults and the ``__post_init__`` call are the dataclass's own.  A
+    defaults and the ``__post_init__`` call are the dataclass's own, and its
+    file name, ``<record Name>``, tells the types apart in a profile.  A
     ``checked`` record first passes each field that is neither an ASCII
     string nor of a ``_SETTLED`` type through ``_frozen``, so it raises
     where ``canonical_bytes`` would and holds no list from then on."""
@@ -83,9 +84,10 @@ def record(cls: type, checked: bool = False) -> type:
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     made: dict[str, object] = {}
-    exec(f"def make({', '.join(env)}):\n"  # _SETTLED and _frozen bind late
-         f" def __init__(self, {', '.join(params)}):\n  "
-         + "\n  ".join(body) + "\n return __init__", globals(), made)
+    exec(compile(f"def make({', '.join(env)}):\n"  # _SETTLED, _frozen late
+                 f" def __init__(self, {', '.join(params)}):\n  "
+                 + "\n  ".join(body) + "\n return __init__",
+                 f"<record {cls.__qualname__}>", "exec"), globals(), made)
     init = made["make"](**env)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = dict(cls.__init__.__annotations__)
@@ -352,12 +354,6 @@ def role_identity(name: str, version: int) -> Identity:
     return Identity("role", name, version)
 
 
-def _vector(tallies: dict[str, dict[str, int]]) -> CostVector:
-    return CostVector._of({
-        (p, op): n for p, tally in tallies.items() for op, n in tally.items()
-    })
-
-
 class CryptoProvider:
     """Counts primitive invocations and evaluates the symmetric family; a
     binding subclass adds its asymmetric family.  Each primitive bumps
@@ -396,7 +392,10 @@ class CryptoProvider:
         return _Swap(self, principal)
 
     def snapshot(self) -> CostVector:
-        return _vector(self._tallies)
+        return CostVector._of({
+            (p, op): n
+            for p, tally in self._tallies.items() for op, n in tally.items()
+        })
 
     def measure(self, call: Callable[..., _T], *args) -> tuple[CostVector, _T]:
         """``call(*args)``'s primitives and its result.  The call counts on
@@ -408,11 +407,13 @@ class CryptoProvider:
             out = call(*args)
         finally:
             self._tallies, self._tally = totals, totals[self.principal]
+            counts = {}
             for p, tally in fresh.items():
                 total = totals[p]
                 for op, n in tally.items():
                     total[op] += n
-        return _vector(fresh), out
+                    counts[p, op] = n
+        return CostVector._of(counts), out
 
     # -- symmetric family
 

@@ -192,30 +192,35 @@ class FileStore:
         if self.on_mutation is not None:
             self.on_mutation(store, key)
 
-    def _put(self, store: dict, t: Signed, key=None) -> None:
-        if key is None:  # the caller did not know it: the body names it
-            key = _SIGNED[type(t.fields)].key_of(t.fields)
-        store[key] = t
-        self._fire(store, key)
-
     def _del(self, store: dict, key) -> None:
         if store.pop(key, None) is not None:
             self._fire(store, key)
 
     def put_rk(self, t: Signed, key=None) -> None:
-        self._put(self.rk, t, key)
+        if key is None:  # the caller did not know it: the body names it
+            key = _SIGNED[type(t.fields)].key_of(t.fields)
+        self.rk[key] = t
+        if self.on_mutation is not None:
+            self.on_mutation(self.rk, key)
 
     def del_rk(self, member: str, role: str, version: int) -> None:
         self._del(self.rk, (member, role, version))
 
     def put_fk(self, t: Signed, key=None) -> None:
-        self._put(self.fk, t, key)
+        if key is None:
+            key = _SIGNED[type(t.fields)].key_of(t.fields)
+        self.fk[key] = t
+        if self.on_mutation is not None:
+            self.on_mutation(self.fk, key)
 
     def del_fk(self, holder: str, fn: str, version: int) -> None:
         self._del(self.fk, (holder, fn, version))
 
     def put_f(self, t: Signed) -> None:
-        self._put(self.f, t)
+        key = _SIGNED[type(t.fields)].key_of(t.fields)
+        self.f[key] = t
+        if self.on_mutation is not None:
+            self.on_mutation(self.f, key)
 
     def del_f(self, fn: str) -> None:
         self._del(self.f, fn)
@@ -321,10 +326,9 @@ class Engine:
             return ref if who == ident else None
         return self.su.ver_ref if ident == SU_IDENTITY else None
 
-    def _signed(self, body_cls: type, sig_key: SymbolicKey, *values) -> Signed:
-        """The tuple of a ``body_cls`` body of ``values``, signed under
-        ``sig_key``: the signature covers that very body."""
-        body = body_cls(*values)
+    def _signed(self, body, sig_key: SymbolicKey) -> Signed:
+        """The tuple of ``body``, signed under ``sig_key``: the signature
+        covers that very body."""
         return Signed(body, self.provider.sign(sig_key, body))
 
     def _verify(self, t, key, holder: Optional[Identity] = None) -> None:
@@ -408,15 +412,15 @@ class Engine:
         return [(key, self._get("FK", key)) for key in keys]
 
     def _issue_rk(self, member: Identity, role: Identity, ct) -> None:
-        t = self._signed(RkBody, self.su.sig_key, member, role, ct)
+        t = self._signed(RkBody(member, role, ct), self.su.sig_key)
         self.fs.put_rk(t, (member.name, role.name, role.version))
 
     def _issue_fk(
         self, holder: Identity, fn: str, op: str, version: int, ct
     ) -> None:
-        self.fs.put_fk(self._signed(
-            FkBody, self.su.sig_key, holder, fn, op, version, ct, SU_IDENTITY
-        ), (holder.name, fn, version))
+        body = FkBody(holder, fn, op, version, ct, SU_IDENTITY)
+        t = self._signed(body, self.su.sig_key)
+        self.fs.put_fk(t, (holder.name, fn, version))
 
     def _edit(self, record: dict, name: str, value: object = None) -> None:
         """Set ``record[name]`` to ``value``, or delete it when ``value`` is
@@ -473,7 +477,7 @@ class Engine:
         if u not in self.users:
             self._warn(f"delU: {u!r} missing")
             return
-        for r in sorted(r for r, ms in self.members.items() if u in ms):
+        for r in sorted(self.roles_of[u]):
             self._revoke_user_inner(u, r)
         del self.roles_of[u]
         self._edit(self.users, u)
@@ -518,11 +522,10 @@ class Engine:
         wident = user_identity(uploader)
         k = self.provider.sym_gen()
         body_ct = self.provider.sym_enc(k, body)
-        ftup = self._signed(FBody, ring.sig_key, fn, 1, body_ct, wident)
+        ftup = self._signed(FBody(fn, 1, body_ct, wident), ring.sig_key)
         kct = self.provider.enc(self.su.enc_ref, k)
-        fktup = self._signed(
-            FkBody, ring.sig_key, SU_IDENTITY, fn, RW, 1, kct, wident
-        )
+        fkb = FkBody(SU_IDENTITY, fn, RW, 1, kct, wident)
+        fktup = self._signed(fkb, ring.sig_key)
         self.uploads[fn] = wident, ring.ver_ref
         with self.provider.scope(REFERENCE_MONITOR):
             self._verify(ftup, fn)
@@ -531,7 +534,7 @@ class Engine:
         self.holders[fn] = set()
         self.body_versions[fn] = 1
         self.fs.put_f(ftup)
-        self.fs.put_fk(fktup)
+        self.fs.put_fk(fktup, (SUPERUSER, fn, 1))
 
     def del_file(self, fn: str) -> None:
         """Delete ``fn``, then every FK tuple of it, in (holder, version)
@@ -727,7 +730,7 @@ class Engine:
         vfn = self.files[fn]
         body_ct = self.provider.sym_enc(k, body)
         wident = self._wrap_target(r)[0]
-        ftup = self._signed(FBody, role_sig, fn, vfn, body_ct, wident)
+        ftup = self._signed(FBody(fn, vfn, body_ct, wident), role_sig)
         with self.provider.scope(REFERENCE_MONITOR):
             self._verify(ftup, fn)
             self._verify(fkt, (r, fn, vfn), wident)

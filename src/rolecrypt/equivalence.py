@@ -33,12 +33,17 @@ Normal form details: stale file-key tuples (below the file's current version)
 are dropped, role versions are erased, signatures reduce to their signer, and
 file bodies compare by plaintext and writer.  One walk of each entry yields
 its serial-free projection, in which every generated key serial is a fixed
-marker, and the serials it erased, in walk order.  Entries are sorted by the
-``repr`` of the projection alone, and serials are renumbered by first
-occurrence in that order.  A canonical entry is its projection followed by the tuple of its
-renumbered serials.  Every entry is uniquely keyed by its projection and
-renumbering is idempotent, so the normal form is well defined and a fixed
-point of ``canonicalize``.
+marker, and the serials it erased, in walk order.  Entries are in the order
+of their projections' ``repr``, and serials are renumbered by first
+occurrence in that order.  The sort reads only the ``repr`` of the tag and
+store names (``("FK", holder, file)``, ``("U", user)``, ...): no string's
+``repr`` is a prefix of another's, so entries with distinct names compare
+there as their projections do.  If two entries share their names (RK tuples
+of one member and role at two versions) or a name is not a string, the
+projection's ``repr`` is the key.  A canonical entry is its projection
+followed by the tuple of its renumbered serials.  Every entry is uniquely
+keyed by its projection and renumbering is idempotent, so the normal form is
+well defined and a fixed point of ``canonicalize``.
 """
 
 from __future__ import annotations
@@ -147,6 +152,10 @@ def _entries(eng: Engine) -> list[tuple[tuple, list]]:
     return out
 
 
+#: How many leading fields of a projection are its tag and store names
+_NAMES = {"U": 2, "R": 2, "P": 2, "F": 2, "RK": 3, "FK": 3}
+
+
 def canonicalize(obj: Union[Engine, CanonicalState]) -> CanonicalState:
     """Version-free, handle-free normal form of an engine state.  Accepts an
     engine or an already-canonical value; a fixed point either way."""
@@ -154,14 +163,20 @@ def canonicalize(obj: Union[Engine, CanonicalState]) -> CanonicalState:
         entries = _entries(obj)
     else:
         entries = [(e[:-1], e[-1]) for e in obj]
-    # repr is injective on the tuples, strings, bytes, ints, bools and None
-    # that a projection holds
-    entries.sort(key=lambda e: repr(e[0]))
+    names = [e[0][:_NAMES[e[0][0]]] for e in entries]
+    by_names = dict(zip(map(repr, names), entries))
+    str_only = {str}.issuperset(map(type, chain(*names)))
+    if str_only and len(by_names) == len(entries):
+        entries = [by_names[k] for k in sorted(by_names)]
+    else:
+        # repr is injective on the tuples, strings, bytes, ints, bools and
+        # None that a projection holds
+        entries.sort(key=lambda e: repr(e[0]))
     numbers: dict = {}
-    return tuple(
+    return tuple([
         proj + (tuple([numbers.setdefault(n, len(numbers)) for n in s]),)
         for proj, s in entries
-    )
+    ])
 
 
 def congruent(

@@ -109,36 +109,33 @@ _OPS, _HOLDERS, _MEMBERS, _ROLES = range(4)
 _NO_OPS: dict[str, str] = {}
 
 
-class _Edits(dict):
-    """(map, key) -> that entry of ``index``, copied on first touch."""
-
-    def __missing__(self, k: tuple[int, str]) -> set | dict:
-        i, key = k
-        held = self.index[i].get(key, ())
-        e = self[k] = dict(held) if i == _OPS else set(held)
-        return e
-
-
 def _reindexed(index: tuple, ur_gone, ur_new, pa_gone, pa_new) -> tuple:
     """``index`` with the entries of the ``gone`` UR pairs and PA triples
     removed, then those of the ``new`` ones added, as the counting algorithm
     keeps an incremental view (Gupta, Mumick & Subrahmanian, SIGMOD 1993).
     Copy on write: a map or entry that changes is copied, and every other
     map and entry is shared."""
-    edits = _Edits()
-    edits.index = index
+    if not (ur_gone or ur_new or pa_gone or pa_new):
+        return index
+    edits: dict = {}  # (map, key) -> that entry of index, copied
+    def edit(i: int, key: str) -> set | dict:
+        e = edits.get((i, key))
+        if e is None:  # first touch
+            held = index[i].get(key, ())
+            e = edits[i, key] = dict(held) if i == _OPS else set(held)
+        return e
     for u, r in ur_gone:
-        edits[_ROLES, u].discard(r)
-        edits[_MEMBERS, r].discard(u)
+        edit(_ROLES, u).discard(r)
+        edit(_MEMBERS, r).discard(u)
     for r, f, _ in pa_gone:
-        del edits[_OPS, r][f]
-        edits[_HOLDERS, f].discard(r)
+        del edit(_OPS, r)[f]
+        edit(_HOLDERS, f).discard(r)
     for u, r in ur_new:
-        edits[_ROLES, u].add(r)
-        edits[_MEMBERS, r].add(u)
+        edit(_ROLES, u).add(r)
+        edit(_MEMBERS, r).add(u)
     for r, f, op in pa_new:
-        edits[_OPS, r][f] = op
-        edits[_HOLDERS, f].add(r)
+        edit(_OPS, r)[f] = op
+        edit(_HOLDERS, f).add(r)
     out = list(index)
     for (i, key), e in edits.items():
         if out[i] is index[i]:

@@ -367,8 +367,10 @@ def test_simulate_dataset_dangling_user(tmp_path, capsys):
     "argv, flag",
     [
         (["check", "--traces", "-2"], "--traces"),
+        (["check", "--traces", "abc"], "--traces"),
         (["check", "--labels", "-1"], "--labels"),
         (["simulate", "--runs", "-3"], "--runs"),
+        (["simulate", "--runs", "1.5"], "--runs"),
         (["simulate", "--parallel", "0"], "--parallel"),
         (["simulate", "--duration-days", "-4"], "--duration-days"),
         (["simulate", "--duration-days", "nan"], "--duration-days"),

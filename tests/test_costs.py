@@ -19,7 +19,9 @@ from rolecrypt.costmodel import (
     scheme_profile,
     static_cost_table,
 )
-from rolecrypt.crypto import CostVector, INVOKER, REFERENCE_MONITOR
+from rolecrypt.crypto import (
+    IBE_TO_PKI, INVOKER, REFERENCE_MONITOR, CostVector,
+)
 from rolecrypt.engine import Engine, measure_label
 from rolecrypt.equivalence import TraceBuilder
 from rolecrypt.rbac import (
@@ -337,3 +339,27 @@ def test_reconcile_renames_for_pki():
     assert not reconcile(measured, predicted, variant="pki")
     # names differ
     assert reconcile(measured, predicted, variant="ibe")
+
+
+def test_reconcile_pki_fails_on_every_wrong_measurement():
+    eng = Engine("pki")
+    lbl = Label("addR", role="r1")
+    state, versions = eng.state(), dict(eng.files)
+    measured = measure_label(eng, lbl)
+    predicted = algebraic_cost(lbl, state, versions)
+    counts = dict(measured.items())
+    assert counts[(INVOKER, "pke_enc")] == 1
+    ibe_name = dict(counts)  # ibe_enc counted where pke_enc is due
+    ibe_name[(INVOKER, "ibe_enc")] = ibe_name.pop((INVOKER, "pke_enc"))
+    extra = {**counts, (REFERENCE_MONITOR, "sig_ver"): 1}
+    missing = dict(counts)
+    del missing[(INVOKER, "pke_enc")]
+    for wrong in (ibe_name, extra, missing):
+        got = CostVector(wrong)
+        diff = reconcile(got, predicted, variant="pki")
+        assert diff and diff == got - predicted.renamed(IBE_TO_PKI), wrong
+    # a prediction that also names pke_enc renames onto one count: two
+    # predicted names never match one measured count
+    both = predicted + CostVector({(INVOKER, "pke_enc"): 1})
+    doubled = measured + CostVector({(INVOKER, "sig_ver"): 1})
+    assert reconcile(doubled, both, variant="pki")

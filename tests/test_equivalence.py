@@ -215,6 +215,112 @@ def test_canonicalize_idempotent_on_random_states(seed, n):
     assert canonicalize(c) == c
 
 
+def _by_full_repr(obj):
+    """The reference canonical form: entries sorted by the ``repr`` of their
+    whole projection, then serials renumbered in that order."""
+    if isinstance(obj, Engine):
+        entries = eqv._entries(obj)
+    else:
+        entries = [(e[:-1], e[-1]) for e in obj]
+    entries.sort(key=lambda e: repr(e[0]))
+    numbers = {}
+    return tuple(
+        proj + (tuple([numbers.setdefault(n, len(numbers)) for n in s]),)
+        for proj, s in entries
+    )
+
+
+def _canonical_order(monkeypatch, obj):
+    """``canonicalize(obj)``, and whether it sorted by whole projections:
+    its ``repr`` calls see only the tag and store names otherwise."""
+    seen = []
+
+    def spy(v):
+        seen.append(len(v) > eqv._NAMES[v[0]])
+        return repr(v)
+
+    monkeypatch.setattr(eqv, "repr", spy, raising=False)
+    try:
+        out = canonicalize(obj)
+    finally:
+        monkeypatch.undo()
+    return out, any(seen)
+
+
+def _names_order_agrees(monkeypatch, obj):
+    got, fell_back = _canonical_order(monkeypatch, obj)
+    want = _by_full_repr(obj)
+    assert got == want and repr(got) == repr(want)
+    return fell_back
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_names_order_is_the_full_repr_order_on_criterion_3(
+    monkeypatch, binding
+):
+    # the first 200 traces of criterion 3's corpus: each final engine, the
+    # image of its state and its canonical form
+    rng = random.Random(1234)
+    for _ in range(200):
+        eng = Engine(binding)
+        for lbl in TraceBuilder(rng).build(rng.randint(1, 50)):
+            eng.apply_label(lbl)
+        for obj in (eng, sigma(eng.state(), binding), canonicalize(eng)):
+            assert not _names_order_agrees(monkeypatch, obj)
+
+
+# quotes, spaces, a backslash, non-ASCII text, and names that prefix others
+ODD = [
+    "u1", "u10", "a", "a b", "o'b", 'q"t', "'\"", "b\\s", "ü", "日本", "u1'",
+]
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_names_order_holds_for_quotes_spaces_and_prefixes(
+    monkeypatch, binding
+):
+    roles, files = ["r", "r 1", "r'", "r1", "ŕ"], ["f", "f b", "f'", "f\\"]
+    eng = Engine(binding)
+    for u in ODD:
+        eng.add_user(u)
+    for fn in files + ["fé"]:
+        eng.add_file(SUPERUSER, fn, b"x")
+    for r in roles:
+        eng.add_role(r)
+    for i, u in enumerate(ODD):
+        eng.assign_user(u, roles[i % len(roles)])
+        eng.assign_user(u, roles[(i + 2) % len(roles)])
+    for i, r in enumerate(roles):
+        eng.assign_perm(r, files[i % len(files)], RW if i % 2 else READ)
+    eng.assign_perm("r1", "fé", READ)
+    eng.revoke_user("u1", roles[0])
+    # the names order differs from the strings' own order here
+    assert sorted(map(repr, ODD)) != [repr(u) for u in sorted(ODD)]
+    for obj in (eng, sigma(eng.state(), binding), canonicalize(eng)):
+        assert not _names_order_agrees(monkeypatch, obj)
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_two_rk_versions_of_one_member_take_the_full_repr_order(
+    monkeypatch, binding
+):
+    # a store that kept u1's RK tuple of r1 at version 1 after the re-key
+    eng = sigma(state_with(
+        users=["u1", "u2"], roles=["r1"], perms=["f1"],
+        ur=[("u1", "r1"), ("u2", "r1")], pa=[("r1", "f1", RW)],
+    ), binding)
+    kept = eng.fs.rk[("u1", "r1", 1)]
+    eng.revoke_user("u2", "r1")
+    eng.fs.put_rk(kept, ("u1", "r1", 1))
+    assert _names_order_agrees(monkeypatch, eng)
+    assert _names_order_agrees(monkeypatch, canonicalize(eng))
+
+
+def test_a_name_that_is_not_a_string_takes_the_full_repr_order(monkeypatch):
+    canonical = (("U", 10, ("id", "user", "x"), ()), ("U", 1, "y", ()))
+    assert _names_order_agrees(monkeypatch, canonical)
+
+
 # -- trace generation
 
 
