@@ -78,6 +78,9 @@ from .rbac import (
 
 CanonicalState = tuple
 
+#: How many leading fields of a canonical entry are its tag and store names
+_NAMES = {"U": 2, "R": 2, "P": 2, "F": 2, "RK": 3, "FK": 3}
+
 
 def sigma(state: RbacState, binding: str = "ibe") -> Engine:
     """The enforcement image of an abstract state: all versions 1, every file
@@ -150,10 +153,6 @@ def _entries(eng: Engine) -> list[tuple[tuple, list]]:
         b = t.fields
         out.append(_entry(("F", fn), b.body.payload, b.writer, t.sig))
     return out
-
-
-#: How many leading fields of a projection are its tag and store names
-_NAMES = {"U": 2, "R": 2, "P": 2, "F": 2, "RK": 3, "FK": 3}
 
 
 def canonicalize(obj: Union[Engine, CanonicalState]) -> CanonicalState:

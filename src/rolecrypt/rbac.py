@@ -118,12 +118,14 @@ def _reindexed(index: tuple, ur_gone, ur_new, pa_gone, pa_new) -> tuple:
     if not (ur_gone or ur_new or pa_gone or pa_new):
         return index
     edits: dict = {}  # (map, key) -> that entry of index, copied
+
     def edit(i: int, key: str) -> set | dict:
         e = edits.get((i, key))
         if e is None:  # first touch
             held = index[i].get(key, ())
             e = edits[i, key] = dict(held) if i == _OPS else set(held)
         return e
+
     for u, r in ur_gone:
         edit(_ROLES, u).discard(r)
         edit(_MEMBERS, r).discard(u)
