@@ -19,9 +19,11 @@ edits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
+
+from .crypto import record
 
 READ = "Read"
 RW = "RW"
@@ -56,7 +58,7 @@ def utf8_encodable(name: str) -> bool:
     return name.isascii() or not any("\ud800" <= c <= "\udfff" for c in name)
 
 
-@dataclass(frozen=True)
+@record
 class Label:
     """One administrative command.
 
@@ -74,21 +76,26 @@ class Label:
     op: Optional[str] = None
 
     def __post_init__(self) -> None:
-        need = _FIELDS.get(self.kind)
+        kind, op = self.kind, self.op
+        need = _FIELDS.get(kind)
         if need is None:
-            raise ValueError(f"unknown label kind {self.kind!r}")
-        for f in need:
-            if getattr(self, f) is None:
-                raise ValueError(f"label {self.kind} requires {f}")
-        if self.kind == "assignP" and self.op not in _ASSIGN_OPS:
+            raise ValueError(f"unknown label kind {kind!r}")
+        # ``need`` lists its fields in this order, so the first one missing
+        # here is the first one missing there
+        names = (("user", self.user), ("role", self.role), ("file", self.file))
+        for f, v in names:
+            if v is None and f in need:
+                raise ValueError(f"label {kind} requires {f}")
+        if op is None and "op" in need:
+            raise ValueError(f"label {kind} requires op")
+        if kind == "assignP" and op not in _ASSIGN_OPS:
             raise ValueError(f"assignP op must be one of {_ASSIGN_OPS}")
-        if self.kind == "revokeP" and self.op not in _REVOKE_OPS:
+        if kind == "revokeP" and op not in _REVOKE_OPS:
             raise ValueError(f"revokeP op must be one of {_REVOKE_OPS}")
-        for f in ("user", "role", "file"):
-            v = getattr(self, f)
-            if v is not None and not utf8_encodable(v):
+        for f, v in names:
+            if v is not None and not v.isascii() and not utf8_encodable(v):
                 raise ValueError(
-                    f"label {self.kind} {f} {v!r}: UTF-8 cannot encode it"
+                    f"label {kind} {f} {v!r}: UTF-8 cannot encode it"
                 )
 
     def __str__(self) -> str:
@@ -248,30 +255,38 @@ def _moved(
     return new
 
 
+def indexed_state(
+    users: frozenset[str],
+    roles: frozenset[str],
+    perms: frozenset[str],
+    ur: Iterable[tuple[str, str]],
+    pa: Iterable[tuple[str, str, str]],
+) -> RbacState:
+    """``RbacState(users, roles, perms, ur, pa)``, with its four indexes
+    built in one pass over the pairs and triples.  Like a successor, it
+    derives UR and PA from them on first read, and it has no edits."""
+    ops: dict[str, dict[str, str]] = {}
+    holders: dict[str, set[str]] = {}
+    members: dict[str, set[str]] = {}
+    roles_of: dict[str, set[str]] = {}
+    for u, r in ur:
+        roles_of.setdefault(u, set()).add(r)
+        members.setdefault(r, set()).add(u)
+    for r, fn, op in pa:
+        ops.setdefault(r, {})[fn] = op
+        holders.setdefault(fn, set()).add(r)
+    index = [ops]
+    for m in (holders, members, roles_of):
+        index.append({k: frozenset(v) for k, v in m.items()})
+    new = object.__new__(RbacState)
+    new.__dict__.update(
+        users=users, roles=roles, perms=perms, _index=tuple(index)
+    )
+    return new
+
+
 class RbacError(ValueError):
     """A label referenced a principal or object that does not exist."""
-
-
-def check_invariants(state: RbacState) -> None:
-    """Raise AssertionError if referential integrity is broken, or if the
-    indexes the state carries differ from those ``ur`` and ``pa`` give.
-    It raises explicitly, so it checks under ``python -O`` too."""
-    if SUPERUSER in state.users or SUPERUSER in state.roles:
-        raise AssertionError
-    for u, r in state.ur:
-        if u not in state.users or r not in state.roles:
-            raise AssertionError((u, r))
-    seen: set[tuple[str, str]] = set()
-    for r, f, op in state.pa:
-        if r not in state.roles or f not in state.perms:
-            raise AssertionError((r, f))
-        if op not in (READ, RW):
-            raise AssertionError(op)
-        if (r, f) in seen:
-            raise AssertionError(f"two ops for {(r, f)}")
-        seen.add((r, f))
-    if state._index != replace(state)._index:
-        raise AssertionError("stale index")
 
 
 def _warn(on_warning: Optional[Callable[[str], None]], message: str) -> None:

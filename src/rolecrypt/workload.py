@@ -55,7 +55,9 @@ from .costmodel import HEADLINE_PROFILES, algebraic_cost, scheme_profile
 from .crypto import CostVector, MODEL_OPS
 from .engine import Engine
 from .equivalence import Lockstep, sigma
-from .rbac import Label, RbacState, RW, SUPERUSER, apply_label, utf8_encodable
+from .rbac import (
+    Label, RbacState, RW, SUPERUSER, apply_label, indexed_state, utf8_encodable,
+)
 
 EVENT_KINDS = ("assignU", "revokeU", "assignP", "revokeP")
 
@@ -139,15 +141,12 @@ class Dataset:
 
     @cached_property
     def _state(self) -> RbacState:
-        state = RbacState(
-            users=frozenset(self.users),
-            roles=frozenset(self.roles),
-            perms=frozenset(self.perms),
-            ur=frozenset(self.ur),
-            pa=frozenset((r, fn, RW) for r, fn in self.pa),
+        # its indexes are built here, once per dataset, not in the first run
+        return indexed_state(
+            frozenset(self.users), frozenset(self.roles),
+            frozenset(self.perms), self.ur,
+            [(r, fn, RW) for r, fn in self.pa],
         )
-        state._index  # built here, once per dataset, not in the first run
-        return state
 
     @cached_property
     def _pair_sets(self) -> tuple["IndexedSet", "IndexedSet"]:

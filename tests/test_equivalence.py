@@ -3,6 +3,7 @@
 import hashlib
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from rolecrypt.crypto import CostVector, role_identity
 from rolecrypt.engine import Engine, FileStore
 from rolecrypt.equivalence import (
     TraceBuilder,
+    _draw,
     canonicalize,
     congruent,
     minimize_counterexample,
@@ -360,6 +362,42 @@ def test_traces_are_pinned():
     ).build(200))
     digest = hashlib.sha256(repr(traces).encode()).hexdigest()
     assert digest == TRACES_SHA256
+
+
+# sha256 of repr of criterion 3's corpus, 25,241 labels.  One rng draws
+# every trace's length and labels in turn, so this also pins how many draws
+# each trace takes.
+CRITERION_3_SHA256 = (
+    "eacc0cf57c1a14856cbfaee552d62bafccdc423d089b6b57d77c0cbc12730d5f"
+)
+
+
+def test_criterion_3_corpus_is_pinned():
+    rng = random.Random(1234)
+    traces = [
+        TraceBuilder(rng).build(rng.randint(1, 50)) for _ in range(1000)
+    ]
+    assert sum(map(len, traces)) == 25_241
+    digest = hashlib.sha256(repr(traces).encode()).hexdigest()
+    assert digest == CRITERION_3_SHA256
+
+
+def test_kind_draw_is_the_draw_of_random_choices():
+    # the fallback drops an unavailable kind and keeps the others in order,
+    # so it can reach every non-empty subsequence of the kinds
+    weights = TraceBuilder._WEIGHTS
+    assert len(weights) == len(TraceBuilder._MOVES)
+    n = len(weights)
+    for mask in range(1, 2 ** n):
+        kinds = [i for i in range(n) if mask >> i & 1]
+        ws = [weights[i] for i in kinds]
+        cum = list(accumulate(ws))
+        want, got = random.Random(mask), random.Random(mask)
+        for _ in range(3):
+            assert kinds[_draw(got.random, cum)] == want.choices(
+                kinds, weights=ws
+            )[0]
+        assert got.getstate() == want.getstate()
 
 
 def test_traces_apply_cleanly_to_the_model():
@@ -762,6 +800,72 @@ def test_differential_failure_kinds(
     )
 
 
+class _UndeadRoleEngine(Engine):
+    """Deliberately broken: deleting a role does all its work, then puts the
+    role's record back around ``Engine._edit``, so only the number of roles
+    shows that the role outlived its deletion."""
+
+    def del_role(self, r):
+        rec = self.roles.get(r)
+        super().del_role(r)
+        if rec is not None:
+            self.roles[r] = rec
+
+
+class _MisnamingEngine(Engine):
+    """Deliberately broken: adding a role records it under another name, so
+    the number of roles agrees and only the label's own role shows it."""
+
+    def add_role(self, r):
+        super().add_role(r + "x")
+
+
+class _SwappingEngine(Engine):
+    """Deliberately broken: deleting a user also moves the record of the
+    user's first role to a new name.  The number of roles agrees and the
+    label names no role, so only the roles the changes touched show it."""
+
+    def del_user(self, u):
+        roles = sorted(self.roles_of.get(u, ()))
+        super().del_user(u)
+        if roles:
+            rec = self.roles[roles[0]]
+            self._edit(self.roles, roles[0])
+            self._edit(self.roles, roles[0] + "x", rec)
+
+
+ROLE_LIFE = [
+    Label("addU", user="u1"),
+    Label("addR", role="r1"),
+    Label("assignU", user="u1", role="r1"),
+    Label("delU", user="u1"),
+    Label("delR", role="r1"),
+]
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+@pytest.mark.parametrize("check_costs", [False, True])
+@pytest.mark.parametrize("engine, index, detail", [
+    # the number of roles differs
+    (_UndeadRoleEngine, 4, "delR(r1): +[('R', 'r1')] -[]"),
+    # the label's role exists on one side only
+    (_MisnamingEngine, 1, "addR(r1): +[('R', 'r1x')] -[('R', 'r1')]"),
+    # a role the changes touched exists on one side only
+    (_SwappingEngine, 3, "delU(u1): +[('R', 'r1x')] -[('R', 'r1')]"),
+])
+def test_theory_check_sees_each_wrong_role(
+    monkeypatch, binding, check_costs, engine, index, detail
+):
+    # each engine passes every check before the theory check, with or
+    # without costs, and fails one of the theory check's role comparisons
+    monkeypatch.setattr(eqv, "Engine", engine)
+    rep = run_differential(ROLE_LIFE, binding=binding, check_costs=check_costs)
+    assert (rep.ok, rep.failure_kind, rep.failure_index) == (
+        False, "theory", index,
+    )
+    assert rep.detail == f"label {index} {detail}"
+
+
 def test_differential_names_both_sides_of_an_error_mismatch(monkeypatch):
     monkeypatch.setattr(eqv, "Engine", _BalkingEngine)
     rep = run_differential(GRANTS)
@@ -859,6 +963,9 @@ PLANTED = [
     (_BumpingEngine, SHARED_GRANT),
     (_DriftingEngine, DRIFT),
     (_RefilingEngine, REFILE),
+    (_UndeadRoleEngine, ROLE_LIFE),
+    (_MisnamingEngine, ROLE_LIFE),
+    (_SwappingEngine, ROLE_LIFE),
 ]
 
 

@@ -1,6 +1,11 @@
 """Reference-model semantics: labels, warnings, errors, queries."""
 
+import copy
+import dataclasses
+import inspect
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +22,6 @@ from rolecrypt.rbac import (
     RbacState,
     apply_label,
     auth_facts,
-    check_invariants,
     eval_query,
     grants,
     theory,
@@ -36,6 +40,28 @@ def run(*labels, state=None, warnings=None):
     for label in labels:
         state = apply_label(state, label, on_warning=cb)
     return state
+
+
+def check_invariants(state):
+    """Raise AssertionError if referential integrity is broken, or if the
+    indexes the state carries differ from those ``ur`` and ``pa`` give.
+    It raises explicitly, so it checks under ``python -O`` too."""
+    if SUPERUSER in state.users or SUPERUSER in state.roles:
+        raise AssertionError
+    for u, r in state.ur:
+        if u not in state.users or r not in state.roles:
+            raise AssertionError((u, r))
+    seen = set()
+    for r, f, op in state.pa:
+        if r not in state.roles or f not in state.perms:
+            raise AssertionError((r, f))
+        if op not in (READ, RW):
+            raise AssertionError(op)
+        if (r, f) in seen:
+            raise AssertionError(f"two ops for {(r, f)}")
+        seen.add((r, f))
+    if state._index != replace(state)._index:
+        raise AssertionError("stale index")
 
 
 BASE = run(
@@ -119,6 +145,51 @@ def test_label_op_domains():
     with pytest.raises(ValueError) as exc:
         Label("revokeP", role="r", file="f", op=READ)
     assert str(exc.value) == "revokeP op must be one of ('Write', 'RW')"
+
+
+def test_label_checks_in_order():
+    # a missing field is named before a bad op or a name UTF-8 cannot encode
+    for args, message in [
+        (("assignU", "\ud800"), "label assignU requires role"),
+        (("assignP", None, "\ud800", None, WRITE), "label assignP requires file"),
+        (("revokeP", None, "\ud800", "f", READ),
+         "revokeP op must be one of ('Write', 'RW')"),
+        (("assignU", "\ud800", "\udc80"),
+         "label assignU user '\\ud800': UTF-8 cannot encode it"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Label(*args)
+        assert str(exc.value) == message
+
+
+def test_label_is_a_slotted_frozen_record():
+    lbl = Label("assignP", role="r1", file="f1", op=RW)
+    assert not hasattr(lbl, "__dict__")
+    assert type(lbl).__init__.__code__.co_filename == "<record Label>"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lbl.op = READ
+    assert repr(lbl) == (
+        "Label(kind='assignP', user=None, role='r1', file='f1', op='RW')"
+    )
+    assert hash(lbl) == hash(("assignP", None, "r1", "f1", RW))
+    for twin in (
+        copy.copy(lbl), copy.deepcopy(lbl), pickle.loads(pickle.dumps(lbl)),
+        replace(lbl), Label("assignP", None, "r1", "f1", RW),
+    ):
+        assert twin == lbl and hash(twin) == hash(lbl)
+    assert lbl != Label("assignP", role="r1", file="f1", op=READ)
+    assert replace(lbl, op=READ).op == READ
+    with pytest.raises(ValueError, match="assignP op must be one of"):
+        replace(lbl, op=WRITE)  # __post_init__ still runs
+    plain = dataclasses.make_dataclass(
+        "Label",
+        [
+            (f.name, f.type, dataclasses.field(default=f.default))
+            for f in dataclasses.fields(Label)
+        ],
+        frozen=True, slots=True,
+    )
+    assert inspect.signature(Label) == inspect.signature(plain)
 
 
 def test_label_str():

@@ -22,7 +22,7 @@ from rolecrypt.crypto import (
 )
 from rolecrypt.engine import Engine, measure_label
 from rolecrypt.rbac import (
-    Label, RW, apply_label, check_invariants, theory, utf8_encodable,
+    Label, RW, apply_label, theory, utf8_encodable,
 )
 from rolecrypt.workload import (
     ActorRates,
@@ -46,6 +46,7 @@ from rolecrypt.workload import (
     write_summary_csv,
 )
 from test_equivalence import _FlickerEngine, _StaleRewrapEngine
+from test_rbac import check_invariants
 
 
 TOY = Dataset(
