@@ -56,7 +56,8 @@ from .crypto import CostVector, MODEL_OPS
 from .engine import Engine
 from .equivalence import Lockstep, sigma
 from .rbac import (
-    Label, RbacState, RW, SUPERUSER, apply_label, indexed_state, utf8_encodable,
+    Label, RbacState, RW, SUPERUSER, apply_label, indexed_state,
+    utf8_encodable,
 )
 
 EVENT_KINDS = ("assignU", "revokeU", "assignP", "revokeP")

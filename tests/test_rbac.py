@@ -5,7 +5,6 @@ import dataclasses
 import inspect
 import pickle
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -60,7 +59,7 @@ def check_invariants(state):
         if (r, f) in seen:
             raise AssertionError(f"two ops for {(r, f)}")
         seen.add((r, f))
-    if state._index != replace(state)._index:
+    if state._index != dataclasses.replace(state)._index:
         raise AssertionError("stale index")
 
 
@@ -151,7 +150,8 @@ def test_label_checks_in_order():
     # a missing field is named before a bad op or a name UTF-8 cannot encode
     for args, message in [
         (("assignU", "\ud800"), "label assignU requires role"),
-        (("assignP", None, "\ud800", None, WRITE), "label assignP requires file"),
+        (("assignP", None, "\ud800", None, WRITE),
+         "label assignP requires file"),
         (("revokeP", None, "\ud800", "f", READ),
          "revokeP op must be one of ('Write', 'RW')"),
         (("assignU", "\ud800", "\udc80"),
@@ -174,13 +174,13 @@ def test_label_is_a_slotted_frozen_record():
     assert hash(lbl) == hash(("assignP", None, "r1", "f1", RW))
     for twin in (
         copy.copy(lbl), copy.deepcopy(lbl), pickle.loads(pickle.dumps(lbl)),
-        replace(lbl), Label("assignP", None, "r1", "f1", RW),
+        dataclasses.replace(lbl), Label("assignP", None, "r1", "f1", RW),
     ):
         assert twin == lbl and hash(twin) == hash(lbl)
     assert lbl != Label("assignP", role="r1", file="f1", op=READ)
-    assert replace(lbl, op=READ).op == READ
+    assert dataclasses.replace(lbl, op=READ).op == READ
     with pytest.raises(ValueError, match="assignP op must be one of"):
-        replace(lbl, op=WRITE)  # __post_init__ still runs
+        dataclasses.replace(lbl, op=WRITE)  # __post_init__ still runs
     plain = dataclasses.make_dataclass(
         "Label",
         [
