@@ -101,36 +101,24 @@ def cmd_cost_table(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     variants = tuple(BINDINGS) if args.variant == "both" else (args.variant,)
-    failures = 0
     for i in range(args.traces):
         trace_rng = random.Random(derive_seed(args.seed, i))
         labels = TraceBuilder(trace_rng).build(args.labels)
         for variant in variants:
-            rep = run_differential(
-                labels,
+            checks = dict(
                 binding=variant,
                 check_costs=args.costs,
                 step_congruence=args.step_congruence,
             )
+            rep = run_differential(labels, **checks)
             if not rep.ok:
-                failures += 1
                 print(f"trace {i} [{variant}] DIVERGED: {rep.detail}")
-                minimal = minimize_counterexample(
-                    labels,
-                    binding=variant,
-                    check_costs=args.costs,
-                    step_congruence=args.step_congruence,
-                )
+                minimal = minimize_counterexample(labels, **checks)
                 print(f"  minimized to {len(minimal)} labels:")
                 for lbl in minimal:
                     print(f"    {lbl}")
-                break
-        if failures:
-            break
-    checked = (i + 1) if args.traces else 0
-    if failures:
-        print(f"FAIL after {checked} trace(s)")
-        return 1
+                print(f"FAIL after {i + 1} trace(s)")
+                return 1
     print(
         f"ok: {args.traces} traces x {len(variants)} variant(s), "
         f"up to {args.labels} labels each"

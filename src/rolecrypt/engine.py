@@ -92,7 +92,7 @@ from .crypto import (
     user_identity,
 )
 from .rbac import (
-    Label, RbacError, RbacState, READ, RW, SUPERUSER, WRITE, grants,
+    Label, RbacError, RbacState, READ, RW, SUPERUSER, WRITE, grants, refuse,
 )
 
 
@@ -386,19 +386,6 @@ class Engine:
             return None
         return t
 
-    def _require(self, verb: str, user=None, role=None, file=None) -> None:
-        """Raise ``RbacError`` naming the first of ``user``, ``role`` and
-        ``file`` (those given) that the engine does not know."""
-        if user is not None and user not in self.users:
-            kind, name = "user", user
-        elif role is not None and role not in self.roles:
-            kind, name = "role", role
-        elif file is not None and file not in self.files:
-            kind, name = "file", file
-        else:
-            return
-        raise RbacError(f"{verb}: no {kind} {name!r}")
-
     def _rk_holders(self, r: str) -> list[str]:
         return sorted({SUPERUSER, *self.members[r]})
 
@@ -465,8 +452,7 @@ class Engine:
     # -- administrative operations
 
     def add_user(self, u: str) -> None:
-        if u == SUPERUSER:
-            raise RbacError(f"{SUPERUSER!r} is reserved")
+        refuse("addU", self.users, self.roles, self.files, user=u)
         if u in self.users:
             self._warn(f"addU: {u!r} exists")
             return
@@ -483,8 +469,7 @@ class Engine:
         self._edit(self.users, u)
 
     def add_role(self, r: str) -> None:
-        if r == SUPERUSER:
-            raise RbacError(f"{SUPERUSER!r} is reserved")
+        refuse("addR", self.users, self.roles, self.files, role=r)
         if r in self.roles:
             self._warn(f"addR: {r!r} exists")
             return
@@ -516,8 +501,8 @@ class Engine:
         if fn in self.files:
             self._warn(f"addP: {fn!r} exists")
             return
-        if uploader != SUPERUSER and uploader not in self.users:
-            raise RbacError(f"addP: no user {uploader!r}")
+        if uploader != SUPERUSER:
+            refuse("addP", self.users, self.roles, self.files, user=uploader)
         ring = self._keyring_of(uploader)
         wident = user_identity(uploader)
         k = self.provider.sym_gen()
@@ -552,7 +537,7 @@ class Engine:
         self._edit(self.files, fn)
 
     def assign_user(self, u: str, r: str) -> None:
-        self._require("assignU", user=u, role=r)
+        refuse("assignU", self.users, self.roles, self.files, user=u, role=r)
         if u in self.members[r]:
             self._warn(f"assignU: {u!r} already in {r!r}")
             return
@@ -567,7 +552,7 @@ class Engine:
         self.roles_of[u].add(r)
 
     def revoke_user(self, u: str, r: str) -> None:
-        self._require("revokeU", user=u, role=r)
+        refuse("revokeU", self.users, self.roles, self.files, user=u, role=r)
         if u not in self.members[r]:
             self._warn(f"revokeU: {u!r} not in {r!r}")
             return
@@ -641,7 +626,7 @@ class Engine:
     def assign_perm(self, r: str, fn: str, op: str) -> None:
         if op not in (READ, RW):
             raise RbacError(f"assignP: bad op {op!r}")
-        self._require("assignP", role=r, file=fn)
+        refuse("assignP", self.users, self.roles, self.files, role=r, file=fn)
         held = self.ops[r].get(fn)
         if held == RW or held == op:
             self._warn(f"assignP: {r!r} already holds {held} on {fn!r}")
@@ -658,7 +643,7 @@ class Engine:
     def revoke_perm(self, r: str, fn: str, op: str) -> None:
         if op not in (WRITE, RW):
             raise RbacError(f"revokeP: bad op {op!r}")
-        self._require("revokeP", role=r, file=fn)
+        refuse("revokeP", self.users, self.roles, self.files, role=r, file=fn)
         held = self.ops[r].get(fn)
         if held is None:
             self._warn(f"revokeP: {r!r} holds nothing on {fn!r}")
@@ -694,7 +679,7 @@ class Engine:
         and unwrap its role keys and its key for ``fn``.  Returns the role,
         the role's signing key, the FK tuple, the file key and, for a read,
         the F tuple."""
-        self._require(verb, user=u, file=fn)
+        refuse(verb, self.users, self.roles, self.files, user=u, file=fn)
         write = verb == "write"
         ft = None
         if write:

@@ -12,10 +12,11 @@ Four pieces:
   same users, roles, files, memberships, grants, and plaintexts, ignoring how
   many times keys have been rolled and which opaque key handles were drawn.
 * ``Lockstep`` advances the reference model and an engine together, label
-  by label, and checks each step in the size of the step.  The engine's
-  change stream (every tuple put or deleted and every record edit, see
-  ``engine``) keeps a view of the UR and PA its state has, so the envelope
-  re-derives the grants of only the (user, file) pairs a change can move.
+  by label, and checks each step in the size of the step.  It is the one
+  class that follows the engine's change stream (every tuple put or deleted
+  and every record edit, see ``engine``), from which it keeps its own copy
+  of the UR and PA the engine's state has, so the envelope re-derives the
+  grants of only the (user, file) pairs a change can move.
   The model's side of a step is the label's edits, which the successor
   state holds (see ``rbac``), so the theory check compares only the UR and
   PA entries the changes or the edits touched and the roles they name, as
@@ -25,7 +26,8 @@ Four pieces:
   Every checker steps it, with the envelope on: the differential check,
   the ``simulate --check-costs`` audit and cost reconciliation.
 * ``run_differential`` steps a trace from the empty state, and checks at its
-  end that the engine is congruent to the image of the model's state.  That
+  end that the engine is congruent to the image of the model's state, once
+  per state: a trace checked after every label is not checked again.  That
   comparison, and ``Lockstep.check_whole_state`` at the end of every
   audited run, are the whole-state checks: each runs once, not per step.
 
@@ -199,13 +201,14 @@ def _add(index: dict[str, set[str]], key: str, name: str) -> None:
         names.add(name)
 
 
-def _outside(view, pre: RbacState, post: RbacState, pairs) -> Optional[str]:
-    """The envelope violation among the (user, file) ``pairs``, worded as
-    the whole-state check words it, or None.  Envelope and grants are
-    nested, so each pair compares three levels."""
+def _outside(lock, pre: RbacState, post: RbacState, pairs) -> Optional[str]:
+    """The envelope violation among the (user, file) ``pairs`` of the
+    ``Lockstep`` ``lock``'s engine, worded as the whole-state check words
+    it, or None.  Envelope and grants are nested, so each pair compares
+    three levels."""
     extra, missing = [], []
     for u, fn in set(pairs):
-        cur = _granted(view, u, fn)
+        cur = _granted(lock, u, fn)
         a, b = _granted(pre, u, fn), _granted(post, u, fn)
         lo, hi = (a, b) if a <= b else (b, a)
         extra += [("auth", u, fn, op) for op in _LEVEL_OPS[hi:cur]]
@@ -220,13 +223,24 @@ def _worded(got: RbacState, want: RbacState) -> str:
     return f"+{sorted(got_t - want_t)} -{sorted(want_t - got_t)}"
 
 
-class _EngineView:
-    """UR and PA as ``Engine.state()`` reads them, kept from the engine's
-    change stream instead of re-read.  One scan of the store's keys builds
-    it, reading each UR pair and PA entry a key names as ``changed`` does.
-    Then ``changed``, the store's hook while a step runs, recomputes only
-    the entries a change can move, each as ``Engine.state()`` reads it,
-    from the engine's record and one store lookup:
+class Lockstep:
+    """The reference model and an engine advanced together, one label at a
+    time.  The engine must hold ``sigma(state)``.  With ``costs``,
+    ``versions`` holds the file-key versions the stepper prices each label
+    at, which start at that image's, every file at 1, and which each price
+    advances; without, it is None.
+
+    ``step`` applies a label to both and returns the first failed check as
+    ``(kind, detail)``, or None.  Each check reads only what the step
+    changed.  The model's side comes from the label's edits, which the
+    post-state holds.  The engine's side is UR and PA as ``Engine.state()``
+    reads them, which ``roles_of`` and ``files_of`` answer from, kept from
+    the engine's change stream (see ``engine``) instead of re-read.
+    Construction builds them from one scan of the store's keys, reading
+    each UR pair and PA entry a key names as a change would.  While a step
+    runs, the store's hook recomputes only the entries a change can move,
+    each as ``Engine.state()`` reads it, from the engine's record and one
+    store lookup:
 
     * an RK tuple put or deleted at (m, r, v): the UR pair (m, r);
     * an FK tuple put or deleted at (h, fn, v): the PA entry (h, fn);
@@ -237,153 +251,8 @@ class _EngineView:
     (member, role) pairs of the RK keys and the (holder, file) pairs of the
     FK keys it has seen, by either name, the superuser's left out.  The
     shadow only grows; every entry it names is read back from the store.
-    Since ``begin``, ``touched_*`` collect the UR pairs, PA entries and
-    roles that changed, and ``violation`` the first envelope violation."""
-
-    def __init__(self, eng: Engine) -> None:
-        self.engine = eng
-        self.ur_roles: dict[str, set[str]] = {}  # user -> roles
-        self.ur_members: dict[str, set[str]] = {}  # role -> users
-        self.pa_ops: dict[str, dict[str, str]] = {}  # role -> {file: op}
-        self.touched_ur: set[tuple[str, str]] = set()
-        self.touched_pa: set[tuple[str, str]] = set()
-        self.touched_roles: set[str] = set()
-        self.envelope: Optional[tuple[RbacState, RbacState]] = None
-        self.violation: Optional[str] = None
-        self._rk_roles: dict[str, set[str]] = {}  # member -> roles
-        self._rk_members: dict[str, set[str]] = {}  # role -> members
-        self._fk_files: dict[str, set[str]] = {}  # holder -> files
-        self._fk_holders: dict[str, set[str]] = {}  # file -> holders
-        for m, r, _ in eng.fs.rk:
-            if m != SUPERUSER:
-                _add(self._rk_roles, m, r)
-                _add(self._rk_members, r, m)
-                self._follow_ur(m, r)
-        for h, fn, _ in eng.fs.fk:
-            if h != SUPERUSER:
-                _add(self._fk_files, h, fn)
-                _add(self._fk_holders, fn, h)
-                self._follow_pa(h, fn)
-
-    def roles_of(self, u: str):
-        return self.ur_roles.get(u, ())
-
-    def files_of(self, r: str) -> dict[str, str]:
-        return self.pa_ops.get(r, _NO_OPS)
-
-    def begin(self, pre: RbacState, post: RbacState) -> None:
-        """Start a step: clear ``touched_*`` and ``violation``, and check
-        the changes to come against the envelope of ``pre`` and ``post``."""
-        self.touched_ur.clear()
-        self.touched_pa.clear()
-        self.touched_roles.clear()
-        self.envelope, self.violation = (pre, post), None
-
-    def changed(self, store: dict, key) -> None:
-        """The store's hook: follow one change of the stream, check the
-        (user, file) pairs whose grant it may have moved against the
-        envelope, and keep the first violation.  The superuser's
-        tuples, and a tuple at a version that is not current, hold no fact
-        before the change or after it."""
-        eng = self.engine
-        if store is eng.fs.fk:
-            h, fn, v = key
-            if h == SUPERUSER:
-                return
-            files = self._fk_files.get(h)
-            if files is None or fn not in files:
-                _add(self._fk_files, h, fn)
-                _add(self._fk_holders, fn, h)
-            if v != eng.files.get(fn):
-                return
-            pairs = [(u, fn) for u in self._follow_pa(h, fn)]
-        elif store is eng.fs.rk:
-            m, r, v = key
-            if m == SUPERUSER:
-                return
-            roles = self._rk_roles.get(m)
-            if roles is None or r not in roles:
-                _add(self._rk_roles, m, r)
-                _add(self._rk_members, r, m)
-            rec = eng.roles.get(r)
-            if rec is None or v != rec.version:
-                return
-            pairs = [(m, fn) for fn in self._follow_ur(m, r)]
-        else:  # a record edit; a body holds no fact
-            pairs = []
-            if store is eng.roles:
-                self.touched_roles.add(key)
-                for m in self._rk_members.get(key, ()):
-                    pairs += [(m, fn) for fn in self._follow_ur(m, key)]
-                for fn in self._fk_files.get(key, ()):
-                    pairs += [(u, fn) for u in self._follow_pa(key, fn)]
-            elif store is eng.users:
-                for r in self._rk_roles.get(key, ()):
-                    pairs += [(key, fn) for fn in self._follow_ur(key, r)]
-            elif store is eng.files:
-                for h in self._fk_holders.get(key, ()):
-                    pairs += [(u, key) for u in self._follow_pa(h, key)]
-        if pairs and self.violation is None:
-            self.violation = _outside(self, *self.envelope, pairs)
-
-    def _follow_ur(self, m: str, r: str) -> Iterable[str]:
-        """Re-read the UR pair (m, r); if it changed, the files whose grant
-        to m it moves, which the caller reads before the next change."""
-        eng = self.engine
-        rec = eng.roles.get(r)
-        now = (
-            rec is not None and m in eng.users
-            and (m, r, rec.version) in eng.fs.rk
-        )
-        roles = self.ur_roles.get(m)
-        if now == (roles is not None and r in roles):
-            return ()
-        if now:
-            _add(self.ur_roles, m, r)
-            _add(self.ur_members, r, m)
-        else:
-            roles.discard(r)
-            self.ur_members[r].discard(m)
-        self.touched_ur.add((m, r))
-        return self.pa_ops.get(r, _NO_OPS)
-
-    def _follow_pa(self, h: str, fn: str) -> Iterable[str]:
-        """Re-read the PA entry (h, fn) of a holder other than SU; if it
-        changed, the users whose grant on fn it moves, which the caller
-        reads before the next change."""
-        eng = self.engine
-        v = eng.files.get(fn)
-        t = None
-        if v is not None and h in eng.roles:
-            t = eng.fs.fk.get((h, fn, v))
-        now = None if t is None else t.fields.op
-        ops = self.pa_ops.get(h, _NO_OPS)
-        if now == ops.get(fn):
-            return ()
-        if now is None:
-            del ops[fn]
-        else:
-            if ops is _NO_OPS:
-                ops = self.pa_ops[h] = {}
-            ops[fn] = now
-        self.touched_pa.add((h, fn))
-        return self.ur_members.get(h, ())
-
-
-class Lockstep:
-    """The reference model and an engine advanced together, one label at a
-    time.  The engine must hold ``sigma(state)``.  With ``costs``,
-    ``versions`` holds the file-key versions the stepper prices each label
-    at, which start at that image's, every file at 1, and which each price
-    advances; without, it is None.
-
-    ``step`` applies a label to both and returns the first failed check as
-    ``(kind, detail)``, or None.  Each check reads only what the step
-    changed: the engine's change stream (see ``engine``) keeps an
-    ``_EngineView`` of the UR and PA ``Engine.state()`` would read, which
-    construction builds from one scan of the store's keys, and the model's
-    side comes from the label's edits, which the post-state holds.  The
-    kinds, in the order checked:
+    A step's ``_touched_*`` collect the UR pairs, PA entries and roles that
+    changed.  The kinds, in the order checked:
 
     * ``unauthorized``: the engine decrypted with a mismatched key;
     * ``error-mismatch``: the engine raised where the model did not, or
@@ -418,17 +287,47 @@ class Lockstep:
         self.versions = dict.fromkeys(state.perms, 1) if costs else None
         self.error: Optional[Exception] = None
         self.price: Optional[CostVector] = None
-        self._view = _EngineView(engine)
+        self._ur_roles: dict[str, set[str]] = {}  # user -> roles
+        self._ur_members: dict[str, set[str]] = {}  # role -> users
+        self._pa_ops: dict[str, dict[str, str]] = {}  # role -> {file: op}
+        self._touched_ur: set[tuple[str, str]] = set()
+        self._touched_pa: set[tuple[str, str]] = set()
+        self._touched_roles: set[str] = set()
+        self._envelope: Optional[tuple[RbacState, RbacState]] = None
+        self._violation: Optional[str] = None
+        self._rk_roles: dict[str, set[str]] = {}  # member -> roles
+        self._rk_members: dict[str, set[str]] = {}  # role -> members
+        self._fk_files: dict[str, set[str]] = {}  # holder -> files
+        self._fk_holders: dict[str, set[str]] = {}  # file -> holders
+        for m, r, _ in engine.fs.rk:
+            if m != SUPERUSER:
+                _add(self._rk_roles, m, r)
+                _add(self._rk_members, r, m)
+                self._follow_ur(m, r)
+        for h, fn, _ in engine.fs.fk:
+            if h != SUPERUSER:
+                _add(self._fk_files, h, fn)
+                _add(self._fk_holders, fn, h)
+                self._follow_pa(h, fn)
+
+    def roles_of(self, u: str):
+        return self._ur_roles.get(u, ())
+
+    def files_of(self, r: str) -> dict[str, str]:
+        return self._pa_ops.get(r, _NO_OPS)
 
     def step(self, label: Label) -> Optional[tuple[str, str]]:
-        eng, pre, view = self.engine, self.state, self._view
+        eng, pre = self.engine, self.state
         self.error = self.price = None
         try:
             post, model_err = apply_label(pre, label), None
         except RbacError as e:
             post, model_err = pre, e
-        view.begin(pre, post)
-        eng.fs.on_mutation = view.changed
+        self._touched_ur.clear()
+        self._touched_pa.clear()
+        self._touched_roles.clear()
+        self._envelope, self._violation = (pre, post), None
+        eng.fs.on_mutation = self._changed
         try:
             measured = measure_label(eng, label)
         except Exception as e:  # any engine failure is a finding
@@ -444,8 +343,8 @@ class Lockstep:
             return "error-mismatch", (
                 f"model {model_err!r} vs engine {self.error!r}"
             )
-        if view.violation is not None:
-            return "safety", view.violation
+        if self._violation is not None:
+            return "safety", self._violation
         if self.versions is not None and model_err is None:
             self.price = algebraic_cost(label, pre, self.versions)
             diff = reconcile(measured, self.price, eng.provider.name)
@@ -456,32 +355,122 @@ class Lockstep:
         self.state = post
         return None
 
+    def _changed(self, store: dict, key) -> None:
+        """The store's hook: follow one change of the stream, check the
+        (user, file) pairs whose grant it may have moved against the
+        envelope, and keep the first violation.  The superuser's
+        tuples, and a tuple at a version that is not current, hold no fact
+        before the change or after it."""
+        eng = self.engine
+        if store is eng.fs.fk:
+            h, fn, v = key
+            if h == SUPERUSER:
+                return
+            files = self._fk_files.get(h)
+            if files is None or fn not in files:
+                _add(self._fk_files, h, fn)
+                _add(self._fk_holders, fn, h)
+            if v != eng.files.get(fn):
+                return
+            pairs = [(u, fn) for u in self._follow_pa(h, fn)]
+        elif store is eng.fs.rk:
+            m, r, v = key
+            if m == SUPERUSER:
+                return
+            roles = self._rk_roles.get(m)
+            if roles is None or r not in roles:
+                _add(self._rk_roles, m, r)
+                _add(self._rk_members, r, m)
+            rec = eng.roles.get(r)
+            if rec is None or v != rec.version:
+                return
+            pairs = [(m, fn) for fn in self._follow_ur(m, r)]
+        else:  # a record edit; a body holds no fact
+            pairs = []
+            if store is eng.roles:
+                self._touched_roles.add(key)
+                for m in self._rk_members.get(key, ()):
+                    pairs += [(m, fn) for fn in self._follow_ur(m, key)]
+                for fn in self._fk_files.get(key, ()):
+                    pairs += [(u, fn) for u in self._follow_pa(key, fn)]
+            elif store is eng.users:
+                for r in self._rk_roles.get(key, ()):
+                    pairs += [(key, fn) for fn in self._follow_ur(key, r)]
+            elif store is eng.files:
+                for h in self._fk_holders.get(key, ()):
+                    pairs += [(u, key) for u in self._follow_pa(h, key)]
+        if pairs and self._violation is None:
+            self._violation = _outside(self, *self._envelope, pairs)
+
+    def _follow_ur(self, m: str, r: str) -> Iterable[str]:
+        """Re-read the UR pair (m, r); if it changed, the files whose grant
+        to m it moves, which the caller reads before the next change."""
+        eng = self.engine
+        rec = eng.roles.get(r)
+        now = (
+            rec is not None and m in eng.users
+            and (m, r, rec.version) in eng.fs.rk
+        )
+        roles = self._ur_roles.get(m)
+        if now == (roles is not None and r in roles):
+            return ()
+        if now:
+            _add(self._ur_roles, m, r)
+            _add(self._ur_members, r, m)
+        else:
+            roles.discard(r)
+            self._ur_members[r].discard(m)
+        self._touched_ur.add((m, r))
+        return self._pa_ops.get(r, _NO_OPS)
+
+    def _follow_pa(self, h: str, fn: str) -> Iterable[str]:
+        """Re-read the PA entry (h, fn) of a holder other than SU; if it
+        changed, the users whose grant on fn it moves, which the caller
+        reads before the next change."""
+        eng = self.engine
+        v = eng.files.get(fn)
+        t = None
+        if v is not None and h in eng.roles:
+            t = eng.fs.fk.get((h, fn, v))
+        now = None if t is None else t.fields.op
+        ops = self._pa_ops.get(h, _NO_OPS)
+        if now == ops.get(fn):
+            return ()
+        if now is None:
+            del ops[fn]
+        else:
+            if ops is _NO_OPS:
+                ops = self._pa_ops[h] = {}
+            ops[fn] = now
+        self._touched_pa.add((h, fn))
+        return self._ur_members.get(h, ())
+
     def _theory_holds(
         self, label: Label, pre: RbacState, post: RbacState
     ) -> bool:
         """The ``theory`` check of one step.  The model's changes are
         ``post``'s edits, none if the label left ``pre`` as it was: the
         indexes ``post`` answers from are ``pre``'s with exactly those
-        edits made.  The view changes only where it records a touched entry,
-        so every entry either side changed is compared, and UR and PA need
-        no size check of their own.  ``len(eng.roles)`` reads the live
+        edits made.  The engine's side changes only where a touched entry is
+        recorded, so every entry either side changed is compared, and UR and
+        PA need no size check of their own.  ``len(eng.roles)`` reads the live
         record, so it also sees a role edited around ``Engine._edit``."""
-        eng, view = self.engine, self._view
+        eng = self.engine
         if len(eng.roles) != len(post.roles):
             return False
         r = label.role
         if r is not None and (r in eng.roles) != (r in post.roles):
             return False
-        for r in view.touched_roles:
+        for r in self._touched_roles:
             if (r in eng.roles) != (r in post.roles):
                 return False
         edits = RbacState.edits if post is pre else post.edits
         ur_gone, ur_new, pa_gone, pa_new = edits
-        for u, r in chain(ur_gone, ur_new, view.touched_ur):
-            if (r in view.roles_of(u)) != (r in post.roles_of(u)):
+        for u, r in chain(ur_gone, ur_new, self._touched_ur):
+            if (r in self.roles_of(u)) != (r in post.roles_of(u)):
                 return False
-        for r, fn, *_ in chain(pa_gone, pa_new, view.touched_pa):
-            if view.files_of(r).get(fn) != post.pa_op(r, fn):
+        for r, fn, *_ in chain(pa_gone, pa_new, self._touched_pa):
+            if self.files_of(r).get(fn) != post.pa_op(r, fn):
                 return False
         return True
 
@@ -523,7 +512,8 @@ def run_differential(
     says; the model's side comes from the label's edits.  Stops at the first
     divergence; the engine's exceptions are reported, never raised.  The
     engine must end congruent to ``sigma`` of the model's state, and with
-    ``step_congruence`` after every label."""
+    ``step_congruence`` be so after every label, the last label's check
+    being the final one."""
     labels = list(labels)
     eng = Engine(binding=binding)
     lock = Lockstep(eng, costs=check_costs)
@@ -538,7 +528,9 @@ def run_differential(
             return DifferentialReport(
                 False, i, kind, i, f"label {i} {lbl}: {detail}"
             )
-    if not congruent(eng, sigma(lock.state, binding)):
+    if not (step_congruence and labels) and not congruent(
+        eng, sigma(lock.state, binding)
+    ):
         return DifferentialReport(
             False, len(labels), failure_kind="congruence",
             failure_index=len(labels) - 1 if labels else None,
@@ -779,24 +771,25 @@ class TraceBuilder:
         return Label("delP", file=fn)
 
     def _mv_noop(self) -> Optional[Label]:
-        opts: list[Label] = []
+        # the options are Label fields, so only the label drawn is built
+        opts: list[tuple] = []
         if self.users:
             u = self.rng.choice(sorted(self.users))
-            opts.append(Label("addU", user=u))
+            opts.append(("addU", u))
             rs = sorted(self.roles - self.ur[u])
             if rs:
-                opts.append(Label("revokeU", user=u, role=self.rng.choice(rs)))
+                opts.append(("revokeU", u, self.rng.choice(rs)))
         if self.roles and self.versions:
             r = self.rng.choice(sorted(self.roles))
             fn = self.rng.choice(sorted(self.versions))
             op = self.pa[r].get(fn)
             if op is None:
-                opts.append(Label("revokeP", role=r, file=fn, op=RW))
+                opts.append(("revokeP", None, r, fn, RW))
             elif op == RW:
-                opts.append(Label("assignP", role=r, file=fn, op=READ))
+                opts.append(("assignP", None, r, fn, READ))
         if not opts:
             return None
-        return self.rng.choice(opts)
+        return Label(*self.rng.choice(opts))
 
     #: The moves by kind, each with its weight: growth is favoured, so
     #: traces reach interesting states before churning.

@@ -93,7 +93,11 @@ class Label:
         if kind == "revokeP" and op not in _REVOKE_OPS:
             raise ValueError(f"revokeP op must be one of {_REVOKE_OPS}")
         for f, v in names:
-            if v is not None and not v.isascii() and not utf8_encodable(v):
+            if v is None:
+                continue
+            if not isinstance(v, str):
+                raise ValueError(f"label {kind} {f} {v!r}: not a string")
+            if not v.isascii() and not utf8_encodable(v):
                 raise ValueError(
                     f"label {kind} {f} {v!r}: UTF-8 cannot encode it"
                 )
@@ -286,7 +290,28 @@ def indexed_state(
 
 
 class RbacError(ValueError):
-    """A label referenced a principal or object that does not exist."""
+    """A label named a principal or object that does not exist, or added
+    the reserved name."""
+
+
+def refuse(
+    verb: str, users, roles, files, user=None, role=None, file=None
+) -> None:
+    """The one refusal rule: raise ``RbacError`` if ``addU`` or ``addR``
+    adds the reserved name, or if any other ``verb`` names a ``user``,
+    ``role`` or ``file`` (those given, checked in that order) that the
+    record ``users``, ``roles``, ``files`` does not hold.  The model and
+    the engine each apply it to their own record, so a lockstep still
+    compares two decisions."""
+    if verb == "addU" or verb == "addR":
+        if user == SUPERUSER or role == SUPERUSER:
+            raise RbacError(f"{SUPERUSER!r} is reserved")
+    elif user is not None and user not in users:
+        raise RbacError(f"{verb}: no user {user!r}")
+    elif role is not None and role not in roles:
+        raise RbacError(f"{verb}: no role {role!r}")
+    elif file is not None and file not in files:
+        raise RbacError(f"{verb}: no file {file!r}")
 
 
 def _warn(on_warning: Optional[Callable[[str], None]], message: str) -> None:
@@ -303,13 +328,13 @@ def apply_label(
 
     Duplicate adds, absent deletes, already-satisfied assigns and not-held
     revokes return the state unchanged and report through ``on_warning``.
-    Labels that name a nonexistent user/role/file raise :class:`RbacError`.
+    Labels that name a nonexistent user/role/file, or add the reserved
+    name, raise :class:`RbacError` (``refuse``).
     """
     k = label.kind
     if k == "addU":
         u = label.user
-        if u == SUPERUSER:
-            raise RbacError(f"{SUPERUSER!r} is reserved")
+        refuse(k, state.users, state.roles, state.perms, user=u)
         if u in state.users:
             _warn(on_warning, f"addU: {u!r} already exists")
             return state
@@ -328,8 +353,7 @@ def apply_label(
 
     if k == "addR":
         r = label.role
-        if r == SUPERUSER:
-            raise RbacError(f"{SUPERUSER!r} is reserved")
+        refuse(k, state.users, state.roles, state.perms, role=r)
         if r in state.roles:
             _warn(on_warning, f"addR: {r!r} already exists")
             return state
@@ -367,10 +391,7 @@ def apply_label(
 
     if k == "assignU":
         u, r = label.user, label.role
-        if u not in state.users:
-            raise RbacError(f"assignU: no user {u!r}")
-        if r not in state.roles:
-            raise RbacError(f"assignU: no role {r!r}")
+        refuse(k, state.users, state.roles, state.perms, user=u, role=r)
         if r in state.roles_of(u):
             _warn(on_warning, f"assignU: {u!r} already in {r!r}")
             return state
@@ -378,10 +399,7 @@ def apply_label(
 
     if k == "revokeU":
         u, r = label.user, label.role
-        if u not in state.users:
-            raise RbacError(f"revokeU: no user {u!r}")
-        if r not in state.roles:
-            raise RbacError(f"revokeU: no role {r!r}")
+        refuse(k, state.users, state.roles, state.perms, user=u, role=r)
         if r not in state.roles_of(u):
             _warn(on_warning, f"revokeU: {u!r} not in {r!r}")
             return state
@@ -389,10 +407,7 @@ def apply_label(
 
     if k == "assignP":
         r, fn, op = label.role, label.file, label.op
-        if r not in state.roles:
-            raise RbacError(f"assignP: no role {r!r}")
-        if fn not in state.perms:
-            raise RbacError(f"assignP: no file {fn!r}")
+        refuse(k, state.users, state.roles, state.perms, role=r, file=fn)
         held = state.pa_op(r, fn)
         if held == RW or held == op:
             _warn(on_warning, f"assignP: {r!r} already holds {held} on {fn!r}")
@@ -402,10 +417,7 @@ def apply_label(
 
     if k == "revokeP":
         r, fn, op = label.role, label.file, label.op
-        if r not in state.roles:
-            raise RbacError(f"revokeP: no role {r!r}")
-        if fn not in state.perms:
-            raise RbacError(f"revokeP: no file {fn!r}")
+        refuse(k, state.users, state.roles, state.perms, role=r, file=fn)
         held = state.pa_op(r, fn)
         if held is None:
             _warn(on_warning, f"revokeP: {r!r} holds nothing on {fn!r}")

@@ -400,6 +400,13 @@ def test_kind_draw_is_the_draw_of_random_choices():
         assert got.getstate() == want.getstate()
 
 
+def test_an_exhausted_builder_returns_no_label():
+    # with every cap at 0 no move, no-op included, has a candidate
+    tb = TraceBuilder(random.Random(7), max_users=0, max_roles=0, max_files=0)
+    assert tb._mv_noop() is None
+    assert tb.build(5) == []
+
+
 def test_traces_apply_cleanly_to_the_model():
     for seed in range(50):
         state = RbacState()
@@ -433,6 +440,25 @@ def test_differential_random_traces(binding):
 
 def test_differential_empty_trace():
     assert run_differential([]).ok
+
+
+@pytest.mark.parametrize("step", [False, True])
+def test_differential_maps_each_state_once(monkeypatch, step):
+    # with step congruence the last label's check is the final one, so
+    # each state is mapped by sigma once
+    calls = []
+
+    def counted(state, binding="ibe"):
+        calls.append(state)
+        return sigma(state, binding)
+
+    monkeypatch.setattr(eqv, "sigma", counted)
+    labels = TraceBuilder(random.Random(3)).build(12)
+    assert run_differential(labels, step_congruence=step).ok
+    assert len(calls) == (len(labels) if step else 1)
+    calls.clear()
+    assert run_differential([], step_congruence=step).ok
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("binding", ["ibe", "pki"])

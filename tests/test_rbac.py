@@ -23,6 +23,7 @@ from rolecrypt.rbac import (
     auth_facts,
     eval_query,
     grants,
+    refuse,
     theory,
 )
 from rolecrypt.rbac import _OPS
@@ -133,6 +134,17 @@ def test_label_rejects_a_name_utf8_cannot_encode(field):
     )
 
 
+@pytest.mark.parametrize("field", ["user", "role", "file"])
+@pytest.mark.parametrize(
+    "name", [5, b"u", ("u",)], ids=["int", "bytes", "tuple"]
+)
+def test_label_rejects_a_name_that_is_not_a_string(field, name):
+    kind = {"user": "addU", "role": "addR", "file": "addP"}[field]
+    with pytest.raises(ValueError) as exc:
+        Label(kind, **{field: name})
+    assert str(exc.value) == f"label {kind} {field} {name!r}: not a string"
+
+
 def test_label_op_domains():
     Label("assignP", role="r", file="f", op=READ)
     Label("assignP", role="r", file="f", op=RW)
@@ -156,6 +168,11 @@ def test_label_checks_in_order():
          "revokeP op must be one of ('Write', 'RW')"),
         (("assignU", "\ud800", "\udc80"),
          "label assignU user '\\ud800': UTF-8 cannot encode it"),
+        # names are checked in field order, each for its type first
+        (("assignU", "\ud800", 5),
+         "label assignU user '\\ud800': UTF-8 cannot encode it"),
+        (("assignU", 5, "\ud800"), "label assignU user 5: not a string"),
+        (("assignU", 5), "label assignU requires role"),
     ]:
         with pytest.raises(ValueError) as exc:
             Label(*args)
@@ -251,6 +268,26 @@ def test_absent_delete_warns():
 
 
 # -- assignment semantics
+
+
+@pytest.mark.parametrize("verb, names, message", [
+    ("addU", {"user": SUPERUSER}, "'SU' is reserved"),
+    ("addR", {"role": SUPERUSER}, "'SU' is reserved"),
+    ("addU", {"user": "ghost"}, None),  # an add needs no known name
+    ("delU", {"user": SUPERUSER}, "delU: no user 'SU'"),
+    ("assignU", {"user": "ghost", "role": "ghost"}, "assignU: no user 'ghost'"),
+    ("assignU", {"user": "u1", "role": "ghost"}, "assignU: no role 'ghost'"),
+    ("read", {"user": "u1", "file": "ghost"}, "read: no file 'ghost'"),
+    ("revokeP", {"role": "r1", "file": "f1"}, None),
+])
+def test_one_refusal_rule(verb, names, message):
+    record = ({"u1"}, {"r1"}, {"f1"})
+    if message is None:
+        refuse(verb, *record, **names)
+    else:
+        with pytest.raises(RbacError) as exc:
+            refuse(verb, *record, **names)
+        assert str(exc.value) == message
 
 
 def test_assign_user_requires_existing_names():
