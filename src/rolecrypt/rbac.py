@@ -297,21 +297,24 @@ class RbacError(ValueError):
 def refuse(
     verb: str, users, roles, files, user=None, role=None, file=None
 ) -> None:
-    """The one refusal rule: raise ``RbacError`` if ``addU`` or ``addR``
-    adds the reserved name, or if any other ``verb`` names a ``user``,
-    ``role`` or ``file`` (those given, checked in that order) that the
-    record ``users``, ``roles``, ``files`` does not hold.  The model and
-    the engine each apply it to their own record, so a lockstep still
-    compares two decisions."""
-    if verb == "addU" or verb == "addR":
-        if user == SUPERUSER or role == SUPERUSER:
-            raise RbacError(f"{SUPERUSER!r} is reserved")
-    elif user is not None and user not in users:
-        raise RbacError(f"{verb}: no user {user!r}")
+    """The one refusal rule: raise ``RbacError`` for the first of ``user``,
+    ``role`` and ``file`` (those given) that the record ``users``, ``roles``,
+    ``files`` does not hold, unless ``verb`` adds it (``addU``, ``addR``):
+    an add refuses only the reserved name.  The model and the engine each
+    apply it to their own record, so a lockstep still compares two
+    decisions."""
+    if user is not None and user not in users:
+        kind, name = "user", user
     elif role is not None and role not in roles:
-        raise RbacError(f"{verb}: no role {role!r}")
+        kind, name = "role", role
     elif file is not None and file not in files:
-        raise RbacError(f"{verb}: no file {file!r}")
+        kind, name = "file", file
+    else:
+        return
+    if verb not in ("addU", "addR"):
+        raise RbacError(f"{verb}: no {kind} {name!r}")
+    if name == SUPERUSER:
+        raise RbacError(f"{SUPERUSER!r} is reserved")
 
 
 def _warn(on_warning: Optional[Callable[[str], None]], message: str) -> None:
