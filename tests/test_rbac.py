@@ -274,7 +274,8 @@ def test_absent_delete_warns():
     ("addU", {"user": SUPERUSER}, "'SU' is reserved"),
     ("addR", {"role": SUPERUSER}, "'SU' is reserved"),
     ("addU", {"user": "ghost"}, None),  # an add needs no known name
-    ("delU", {"user": SUPERUSER}, "delU: no user 'SU'"),
+    # outside an add the reserved name is one more unknown name
+    ("revokeU", {"user": SUPERUSER, "role": "r1"}, "revokeU: no user 'SU'"),
     ("assignU", {"user": "ghost", "role": "ghost"}, "assignU: no user 'ghost'"),
     ("assignU", {"user": "u1", "role": "ghost"}, "assignU: no role 'ghost'"),
     ("read", {"user": "u1", "file": "ghost"}, "read: no file 'ghost'"),
