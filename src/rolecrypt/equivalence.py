@@ -513,29 +513,41 @@ def run_differential(
     divergence; the engine's exceptions are reported, never raised.  The
     engine must end congruent to ``sigma`` of the model's state, and with
     ``step_congruence`` be so after every label, the last label's check
-    being the final one."""
+    being the final one; an exception raised while ``sigma`` maps the state
+    or while the two are compared is a ``congruence`` failure naming it."""
     labels = list(labels)
     eng = Engine(binding=binding)
     lock = Lockstep(eng, costs=check_costs)
+
+    def incongruence() -> Optional[str]:
+        # mapping the model's state steps a fresh engine, whose exceptions
+        # are findings too
+        try:
+            if congruent(eng, sigma(lock.state, binding)):
+                return None
+        except Exception as e:
+            return f"congruence check raised {e!r}"
+        return "not congruent to mapped state"
+
     for i, lbl in enumerate(labels):
         failure = lock.step(lbl)
-        if failure is None and step_congruence and not congruent(
-            eng, sigma(lock.state, binding)
-        ):
-            failure = "congruence", "not congruent to mapped state"
+        if failure is None and step_congruence:
+            why = incongruence()
+            if why is not None:
+                failure = "congruence", why
         if failure is not None:
             kind, detail = failure
             return DifferentialReport(
                 False, i, kind, i, f"label {i} {lbl}: {detail}"
             )
-    if not (step_congruence and labels) and not congruent(
-        eng, sigma(lock.state, binding)
-    ):
-        return DifferentialReport(
-            False, len(labels), failure_kind="congruence",
-            failure_index=len(labels) - 1 if labels else None,
-            detail="final state not congruent to mapped state",
-        )
+    if not (step_congruence and labels):
+        why = incongruence()
+        if why is not None:
+            return DifferentialReport(
+                False, len(labels), failure_kind="congruence",
+                failure_index=len(labels) - 1 if labels else None,
+                detail=f"final state {why}",
+            )
     return DifferentialReport(True, len(labels))
 
 

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -52,7 +54,7 @@ from importlib import resources
 from typing import Iterable, Optional, Sequence
 
 from .costmodel import HEADLINE_PROFILES, algebraic_cost, scheme_profile
-from .crypto import CostVector, MODEL_OPS
+from .crypto import CostVector, MODEL_OPS, record
 from .engine import Engine
 from .equivalence import Lockstep, sigma
 from .rbac import (
@@ -61,6 +63,28 @@ from .rbac import (
 )
 
 EVENT_KINDS = ("assignU", "revokeU", "assignP", "revokeP")
+
+
+def _collector_paused(fn):
+    """``fn`` with the cyclic garbage collector off while it runs, for the
+    bulk builders, whose tuples, records, pairs and events cannot form a
+    cycle: reference counting frees exactly what it would free anyway, and
+    no collector pass walks the objects they build.  On return and on raise
+    the collector is on again if, and only if, it was on at the call; its
+    thresholds are never touched.  Like the engine, it assumes one thread:
+    another thread's collections pause too while ``fn`` runs."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+
+    return paused
 
 
 # --- datasets --------------------------------------------------------------------
@@ -254,7 +278,7 @@ def _greedy_realize(
         if need == 0:
             continue
         targets = sorted(range(len(right)), key=lambda j: -residual[j])[:need]
-        if residual[targets[-1]] <= 0:
+        if len(targets) < need or residual[targets[-1]] <= 0:
             raise ValueError("degree sequences are not realizable")
         for j in targets:
             residual[j] -= 1
@@ -280,6 +304,41 @@ def _edge_swaps(
     return edges
 
 
+def _repaired(rng: random.Random, pairs: list[tuple[str, str]]) -> bool:
+    """Remove the duplicate edges of ``pairs`` in place, last first, each by
+    swapping right endpoints with a randomly drawn clean edge; False, with
+    ``pairs`` left part-repaired, when 500 draws find no swap for one."""
+    seen: set[tuple[str, str]] = set()
+    dups = []
+    for idx, e in enumerate(pairs):
+        if e in seen:
+            dups.append(idx)
+        else:
+            seen.add(e)
+    # ``dups`` keeps the pop order; ``pending`` answers membership
+    pending = set(dups)
+    while dups:
+        i = dups.pop()
+        pending.discard(i)
+        e = pairs[i]
+        for _ in range(500):
+            j = rng.randrange(len(pairs))
+            if j == i or j in pending:
+                continue
+            ej = pairs[j]
+            a, b = (e[0], ej[1]), (ej[0], e[1])
+            if a == b or a in seen or b in seen:
+                continue
+            seen.remove(ej)
+            seen.add(a)
+            seen.add(b)
+            pairs[i], pairs[j] = a, b
+            break
+        else:
+            return False
+    return True
+
+
 def _stub_match(
     rng: random.Random,
     left: Sequence[str],
@@ -289,50 +348,25 @@ def _stub_match(
 ) -> list[tuple[str, str]]:
     """Realize a bipartite graph with the given degree sequences and no
     duplicate edges: pair shuffled stubs, then repair duplicates by swapping
-    right endpoints with randomly chosen clean edges.  Dense graphs (where
-    collision repair stalls) go through greedy realization plus edge swaps
-    instead."""
+    right endpoints with randomly chosen clean edges, reshuffling when a
+    repair fails.  Dense graphs (where collision repair stalls) go through
+    greedy realization plus edge swaps instead.  Raises ValueError when the
+    sequences have no realization, or when 50 shuffles fail to repair."""
     total = sum(left_degs)
     if total > 0.4 * len(left) * len(right):
         edges = _greedy_realize(left, right, left_degs, right_degs)
         return _edge_swaps(rng, edges, 10 * total)
     lstubs = [x for x, d in zip(left, left_degs) for _ in range(d)]
     rstubs = [x for x, d in zip(right, right_degs) for _ in range(d)]
-    for attempt in range(50):
+    for _ in range(50):
         rng.shuffle(lstubs)
         rng.shuffle(rstubs)
         pairs = list(zip(lstubs, rstubs))
-        seen: set[tuple[str, str]] = set()
-        dups = []
-        for idx, e in enumerate(pairs):
-            if e in seen:
-                dups.append(idx)
-            else:
-                seen.add(e)
-        ok = True
-        while dups and ok:
-            i = dups.pop()
-            e = pairs[i]
-            for tries in range(500):
-                j = rng.randrange(len(pairs))
-                if j == i or j in dups:
-                    continue
-                ej = pairs[j]
-                a, b = (e[0], ej[1]), (ej[0], e[1])
-                if a == b or a in seen or b in seen:
-                    continue
-                seen.remove(ej)
-                seen.add(a)
-                seen.add(b)
-                pairs[i], pairs[j] = a, b
-                break
-            else:
-                ok = False  # couldn't repair this duplicate; reshuffle
-        if ok:
+        if _repaired(rng, pairs):
             return pairs
-    # unlucky sparse case: fall back to the always-feasible path
-    edges = _greedy_realize(left, right, left_degs, right_degs)
-    return _edge_swaps(rng, edges, 10 * total)
+    # in every case seen the sequences had no realization; the caller
+    # draws new ones
+    raise ValueError("stub matching found no simple realization")
 
 
 def _bipartite(
@@ -355,6 +389,7 @@ def _bipartite(
     raise ValueError("no realizable degree sequences within the ranges")
 
 
+@_collector_paused
 def synthesize_dataset(
     name: str, rng: random.Random, marginals: Optional[dict] = None
 ) -> Dataset:
@@ -448,13 +483,14 @@ class IndexedSet:
         return len(self._list)
 
 
-@dataclass(frozen=True)
+@record
 class Event:
     t: float  # days since run start
     kind: str
     label: Optional[Label]  # None when the arrival found no eligible target
 
 
+@_collector_paused
 def sample_events(
     rng: random.Random, dataset: Dataset, rates: ActorRates, days: float
 ) -> list[Event]:
@@ -596,6 +632,7 @@ def derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@_collector_paused
 def seed_engine(dataset: Dataset, variant: str) -> Engine:
     return sigma(dataset.state(), variant)
 

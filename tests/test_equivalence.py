@@ -1019,3 +1019,24 @@ def test_stream_checks_agree_with_whole_state_on_planted_engines(
         trace = TraceBuilder(random.Random(seed)).build(40)
         got, want = _both_verdicts(trace, binding, check_costs=True)
         assert got == want, (seed, got, want)
+
+
+@pytest.mark.parametrize("binding", ["ibe", "pki"])
+def test_an_exception_in_the_final_congruence_is_reported(monkeypatch, binding):
+    # _DriftingEngine passes every step of seed-1 trace 31 and ends
+    # congruent; then sigma replays the model's state through the planted
+    # class, which tries to move an RK tuple it has already moved
+    monkeypatch.setattr(eqv, "Engine", _DriftingEngine)
+    trace = TraceBuilder(random.Random(derive_seed(1, 31))).build(40)
+    for check_costs in (False, True):
+        rep = run_differential(trace, binding, check_costs=check_costs)
+        assert (rep.ok, rep.steps, rep.failure_kind, rep.failure_index) == (
+            False, 40, "congruence", 39
+        ), rep
+        assert rep.detail == (
+            "final state congruence check raised KeyError(('u17', 'r19', 1))"
+        )
+    # the shrinker re-runs the check on sub-traces, so it meets the same path
+    small = minimize_counterexample(trace, binding, check_costs=True)
+    assert 0 < len(small) < len(trace)
+    assert not run_differential(small, binding, check_costs=True).ok

@@ -2,20 +2,28 @@
 
 import csv
 import dataclasses
+import gc
 import hashlib
+import itertools
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faults
+import rolecrypt
 import rolecrypt.equivalence as eqv
+import rolecrypt.workload as wl
 from rolecrypt.costmodel import algebraic_cost, reconcile
 from rolecrypt.crypto import (
     MODEL_OPS, CostVector, UnauthorizedDecrypt, role_identity,
@@ -104,6 +112,147 @@ def test_synthesis_reproduces_counts_and_degree_ranges(name):
 def test_synthesis_unknown_name():
     with pytest.raises(KeyError):
         synthesize_dataset("mystery", random.Random(0))
+
+
+#: sha256 of ``json.dumps(ds.to_dict())`` for every bundled row at
+#: ``Random(derive_seed(0, -1))``, the instance ``gen-dataset --seed 0``
+#: writes and the benchmark simulates; any change to a draw of the synthesis
+#: changes one
+SYNTHESIZED_SHA256 = {
+    "domino": "836449165baee1909ad8dbc585ad3b2e31500a2c37f8e5d291abbc4296117ee1",
+    "emea": "c77b3d0e3232ef2a488c145f2ace8694fdab3b13b442e90f99a83befb93e1500",
+    "firewall1": "f7f97b3e2922b7e53ede37c0934996c849235f3d4c95c6f10b6bc01cb29e55da",
+    "firewall2": "c144e60f089dd1c7734ffaa3ab29a497864f28f49775ebaa694981e409c63634",
+    "healthcare": "6384eb12350a8b2b469cd14d498ac803cf6603f4177912bb69a6e67aaf6bd084",
+    "university": "3bc1451479623185e19d9ad8ea30856ea0e31ed20b2961f94651e615b79cf323",
+}
+
+
+def test_synthesized_datasets_are_pinned():
+    got = {}
+    for name in load_marginals():
+        ds = synthesize_dataset(name, random.Random(derive_seed(0, -1)))
+        got[name] = hashlib.sha256(json.dumps(ds.to_dict()).encode()).hexdigest()
+    assert got == SYNTHESIZED_SHA256
+
+
+def _ur_row(users, roles, ur, roles_per_user, users_per_role):
+    """A marginals row with the given UR side and one role-file grant."""
+    return {"x": {
+        "users": users, "roles": roles, "perms": 1, "ur": ur, "pa": 1,
+        "roles_per_user": roles_per_user, "users_per_role": users_per_role,
+        "perms_per_role": [0, 1], "roles_per_perm": [1, 1],
+    }}
+
+
+def _realizable(left_degs, right_degs):
+    """Gale-Ryser: a simple bipartite graph has these degree sequences."""
+    a = sorted(left_degs, reverse=True)
+    return sum(a) == sum(right_degs) and all(
+        sum(a[:k]) <= sum(min(b, k) for b in right_degs)
+        for k in range(1, len(a) + 1)
+    )
+
+
+def _synthesize_spied(monkeypatch, row, seed):
+    """Synthesize ``row`` and log, for the UR side, each stub matching's
+    degree sequences with its outcome and every repair's verdict."""
+    log = []
+    stub_match, repaired = wl._stub_match, wl._repaired
+
+    def spied_stub_match(rng, left, right, left_degs, right_degs):
+        dense = sum(left_degs) > 0.4 * len(left) * len(right)
+        try:
+            edges = stub_match(rng, left, right, left_degs, right_degs)
+        except ValueError:
+            edges = None
+        if left[0].startswith("u"):
+            log.append(("match", dense, left_degs, right_degs, edges))
+        if edges is None:
+            raise ValueError("no realization")
+        return edges
+
+    def spied_repaired(rng, pairs):
+        ok = repaired(rng, pairs)
+        if pairs[0][0].startswith("u"):
+            log.append(("repair", ok))
+        return ok
+
+    monkeypatch.setattr(wl, "_stub_match", spied_stub_match)
+    monkeypatch.setattr(wl, "_repaired", spied_repaired)
+    return synthesize_dataset("x", random.Random(seed), row), log
+
+
+def _check_matches(log, ds):
+    for _, _, left_degs, right_degs, edges in (e for e in log if e[0] == "match"):
+        if edges is None:
+            continue
+        assert len(set(edges)) == len(edges)  # no duplicate edges
+        left, right = Counter(u for u, _ in edges), Counter(r for _, r in edges)
+        assert [left[u] for u in ds.users] == list(left_degs)
+        assert [right[r] for r in ds.roles] == list(right_degs)
+    assert log[-1][0] == "match" and log[-1][4] == list(ds.ur)
+
+
+def test_synthesis_reshuffles_after_a_failed_repair(monkeypatch):
+    row = _ur_row(4, 6, 9, [0, 6], [0, 3])
+    ds, log = _synthesize_spied(monkeypatch, row, seed=0)
+    repairs = [ok for kind, ok, *_ in log if kind == "repair"]
+    # the first shuffle's repair fails, a later shuffle's succeeds
+    assert repairs[0] is False and repairs[-1] is True
+    assert log[-1][1] is False  # the sparse path
+    assert len(ds.ur) == 9
+    _check_matches(log, ds)
+
+
+def test_synthesis_takes_the_dense_path(monkeypatch):
+    row = _ur_row(5, 6, 25, [0, 6], [3, 5])
+    ds, log = _synthesize_spied(monkeypatch, row, seed=0)
+    matches = [e for e in log if e[0] == "match"]
+    assert all(dense for _, dense, *_ in matches)
+    assert not any(e[0] == "repair" for e in log)
+    # greedy realization first refuses a draw with no realization, and the
+    # next draw's realization, swapped about, is the dataset
+    assert matches[0][4] is None and not _realizable(*matches[0][2:4])
+    assert matches[-1][4] is not None
+    assert len(ds.ur) == 25
+    _check_matches(log, ds)
+
+
+def test_stub_matching_gives_up_only_on_sequences_with_no_realization(monkeypatch):
+    # 50 failed shuffles raise, and ``_bipartite`` draws new sequences.  A
+    # greedy fallback used to realize the sequences then; on every draw
+    # below where the shuffles failed it had nothing to realize, and no
+    # marginals row is known on which it had
+    gave_up = 0
+    for seed in range(6):
+        row = _ur_row(6, 3, 2, [0, 2], [0, 3])
+        ds, log = _synthesize_spied(monkeypatch, row, seed=seed)
+        for _, dense, left_degs, right_degs, edges in (
+            e for e in log if e[0] == "match"
+        ):
+            assert not dense
+            if edges is None:
+                gave_up += 1
+                assert not _realizable(left_degs, right_degs)
+            else:
+                assert _realizable(left_degs, right_degs)
+        assert len(ds.ur) == 2
+        _check_matches(log, ds)
+        monkeypatch.undo()
+    assert gave_up
+
+
+def test_synthesis_refuses_rows_it_cannot_realize():
+    # every degree a role may take exceeds the two users, so no draw has a
+    # realization; greedy realization once returned a short UR for it
+    row = _ur_row(2, 1, 3, [1, 2], [3, 3])
+    with pytest.raises(ValueError, match="no realizable degree sequences"):
+        synthesize_dataset("x", random.Random(0), row)
+    # and no sequence sums to the relation's size within the ranges
+    row = _ur_row(2, 3, 7, [1, 3], [0, 2])
+    with pytest.raises(ValueError, match="no sequence"):
+        synthesize_dataset("x", random.Random(0), row)
 
 
 def test_dataset_save_load_round_trip(tmp_path):
@@ -346,6 +495,28 @@ def test_sample_events_skips_when_saturated():
     assert skipped, "a saturated one-pair state must skip assignment arrivals"
 
 
+def test_sample_events_finds_the_last_absent_pair():
+    # one UR pair of 10,000 is absent, so 2,000 uniform draws likely all
+    # miss it and the actor lists the absent pairs instead
+    names = [f"u{i}" for i in range(100)], [f"r{i}" for i in range(100)]
+    missing = ("u7", "r42")
+    ur = tuple(p for p in itertools.product(*names) if p != missing)
+    full = Dataset("full", tuple(names[0]), tuple(names[1]), ("p1",), ur, ())
+
+    class Rng(random.Random):
+        def choice(self, seq):
+            lengths.append(len(seq))
+            return super().choice(seq)
+
+    lengths = []
+    rates = ActorRates(admin_rate=1.0, add_bias=1.0, ur_bias=1.0)
+    events = sample_events(Rng(1), full, rates, days=5.0)
+    assert 1 in lengths  # the draw from the list of absent pairs
+    assert len(events) > 1 and {e.kind for e in events} == {"assignU"}
+    assert events[0].label == Label("assignU", user="u7", role="r42")
+    assert all(e.label is None for e in events[1:])
+
+
 def test_indexed_set():
     s = IndexedSet(["a", "b", "c"])
     assert len(s) == 3 and "b" in s
@@ -441,6 +612,74 @@ def test_seed_engine_builds_dataset_state():
     assert ("UR", "u1", "r1") in facts
     assert ("PA", "r1", "p1", RW) in facts
     assert len(eng.users) == 4 and len(eng.roles) == 2 and len(eng.files) == 3
+
+
+@pytest.mark.parametrize("was_on", [True, False])
+def test_bulk_builders_pause_the_collector_and_restore_it(monkeypatch, was_on):
+    # each builder runs with the collector off and leaves it as the caller
+    # had it, whether it returns or raises; the thresholds never move
+    seen = []
+
+    def watched(fn):
+        def inside(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return fn(*args, **kwargs)
+        return inside
+
+    class Rates(ActorRates):
+        def kind_rates(self):
+            seen.append(gc.isenabled())
+            return super().kind_rates()
+
+    monkeypatch.setattr(wl, "_bipartite", watched(wl._bipartite))
+    monkeypatch.setattr(wl, "sigma", watched(wl.sigma))
+    rates = Rates(admin_rate=2.0, add_bias=0.8, ur_bias=0.5)
+    calls = [
+        (lambda: synthesize_dataset("healthcare", random.Random(0)), None),
+        (lambda: sample_events(random.Random(0), TOY, rates, 30.0), None),
+        (lambda: seed_engine(TOY, "ibe"), None),
+        (lambda: synthesize_dataset("mystery", random.Random(0)), KeyError),
+        (lambda: sample_events(random.Random(0), None, rates, 30.0), AttributeError),
+        (lambda: seed_engine(TOY, "bogus"), KeyError),
+    ]
+    caller, thresholds = gc.isenabled(), gc.get_threshold()
+    (gc.enable if was_on else gc.disable)()
+    try:
+        for call, error in calls:
+            seen.clear()
+            if error is None:
+                call()
+                assert seen
+            else:
+                with pytest.raises(error):
+                    call()
+            assert not any(seen)
+            assert gc.isenabled() is was_on
+    finally:
+        (gc.enable if caller else gc.disable)()
+    assert gc.get_threshold() == thresholds
+
+
+@pytest.mark.parametrize("was_on", [True, False])
+def test_importing_the_package_leaves_the_collector_alone(was_on):
+    code = (
+        f"import gc\ngc.{'enable' if was_on else 'disable'}()\n"
+        "thresholds = gc.get_threshold()\n"
+        "import rolecrypt, rolecrypt.cli, rolecrypt.workload\n"
+        f"assert gc.isenabled() is {was_on}\n"
+        "assert gc.get_threshold() == thresholds\n"
+    )
+    src = str(Path(rolecrypt.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_simulation_accounting():
