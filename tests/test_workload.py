@@ -162,15 +162,13 @@ def _synthesize_spied(monkeypatch, row, seed):
 
     def spied_stub_match(rng, left, right, left_degs, right_degs):
         dense = sum(left_degs) > 0.4 * len(left) * len(right)
+        edges = None  # when it raises
         try:
             edges = stub_match(rng, left, right, left_degs, right_degs)
-        except ValueError:
-            edges = None
-        if left[0].startswith("u"):
-            log.append(("match", dense, left_degs, right_degs, edges))
-        if edges is None:
-            raise ValueError("no realization")
-        return edges
+            return edges
+        finally:
+            if left[0].startswith("u"):
+                log.append(("match", dense, left_degs, right_degs, edges))
 
     def spied_repaired(rng, pairs):
         ok = repaired(rng, pairs)
@@ -217,13 +215,19 @@ def test_synthesis_takes_the_dense_path(monkeypatch):
     assert matches[-1][4] is not None
     assert len(ds.ur) == 25
     _check_matches(log, ds)
+    monkeypatch.undo()
+    # a user drawn with no roles gets no edge
+    ds, log = _synthesize_spied(monkeypatch, _ur_row(5, 2, 5, [0, 2], [0, 5]), 0)
+    (match,) = [e for e in log if e[0] == "match"]
+    assert match[1] is True and 0 in match[2]
+    _check_matches(log, ds)
 
 
 def test_stub_matching_gives_up_only_on_sequences_with_no_realization(monkeypatch):
-    # 50 failed shuffles raise, and ``_bipartite`` draws new sequences.  A
-    # greedy fallback used to realize the sequences then; on every draw
-    # below where the shuffles failed it had nothing to realize, and no
-    # marginals row is known on which it had
+    # 50 failed shuffles raise, and ``_bipartite`` draws new sequences with
+    # no realization tried by other means: on every draw below where the
+    # shuffles failed, the sequences have no realization, so no draw that
+    # one could have kept is lost
     gave_up = 0
     for seed in range(6):
         row = _ur_row(6, 3, 2, [0, 2], [0, 3])
@@ -245,7 +249,8 @@ def test_stub_matching_gives_up_only_on_sequences_with_no_realization(monkeypatc
 
 def test_synthesis_refuses_rows_it_cannot_realize():
     # every degree a role may take exceeds the two users, so no draw has a
-    # realization; greedy realization once returned a short UR for it
+    # realization, and greedy realization must refuse each one rather than
+    # return fewer pairs than the row's UR
     row = _ur_row(2, 1, 3, [1, 2], [3, 3])
     with pytest.raises(ValueError, match="no realizable degree sequences"):
         synthesize_dataset("x", random.Random(0), row)
@@ -666,8 +671,7 @@ def test_importing_the_package_leaves_the_collector_alone(was_on):
         f"import gc\ngc.{'enable' if was_on else 'disable'}()\n"
         "thresholds = gc.get_threshold()\n"
         "import rolecrypt, rolecrypt.cli, rolecrypt.workload\n"
-        f"assert gc.isenabled() is {was_on}\n"
-        "assert gc.get_threshold() == thresholds\n"
+        "print(gc.isenabled(), gc.get_threshold() == thresholds)\n"
     )
     src = str(Path(rolecrypt.__file__).parents[1])
     env = {
@@ -677,9 +681,11 @@ def test_importing_the_package_leaves_the_collector_alone(was_on):
         ),
     }
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, timeout=60,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(was_on), "True"]
 
 
 def test_run_simulation_accounting():
